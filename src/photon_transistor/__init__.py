@@ -32,12 +32,11 @@ from .hilbert import (
 from .measurement import DetectionModel, detect, histogram, kmeans_1d, wigner
 from .protocol import (
     ProtocolConfig,
-    ShotRecord,
+    Shots,
     coherent_flip_probability,
     conditional_gate_field,
     gate_interaction,
     run_experiment,
-    run_shot,
 )
 from .qubit import QubitRates, apply_rotation, evolve_lindblad, sample_jump_time
 from .semiclassical import (
@@ -48,7 +47,7 @@ from .semiclassical import (
     transmitted_photons,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CalibrationInputs",
@@ -62,7 +61,7 @@ __all__ = [
     "QubitRates",
     "SaturableCavityModel",
     "SemiclassicalSettings",
-    "ShotRecord",
+    "Shots",
     "TransistorReport",
     "apply_rotation",
     "coherent_flip_probability",
@@ -86,7 +85,6 @@ __all__ = [
     "predict_single_photon",
     "reflection_coeff",
     "run_experiment",
-    "run_shot",
     "sample_jump_time",
     "save",
     "shifted_frequency",

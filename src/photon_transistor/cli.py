@@ -1,8 +1,9 @@
 """Command-line front end: run experiments from config files, emit plot-ready data.
 
 Every command writes CSV/JSON artifacts stamped with a manifest hash computed
-from the command, the device-file digest, the effective protocol settings and
-the seed, so identical manifests reproduce bit-identical numeric outputs.
+from the command, the device-file digest, the effective protocol settings,
+the seed and the package version, so identical manifests reproduce
+bit-identical numeric outputs.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric or degenerate-data error.
 """
@@ -75,14 +76,17 @@ class RunManifest:
     seed: int | None
     timestamp: str
     outputs: tuple[str, ...]
+    # the package's version, read when the manifest is made
+    version: str = dataclasses.field(default_factory=lambda: sys.modules[__package__].__version__)
 
     def hash(self) -> str:
-        """Digest of everything that determines the numeric outputs."""
+        """Digest of everything that determines the numeric outputs, code version included."""
         payload = {
             "command": self.command,
             "device_sha256": self.device_sha256,
             "protocol": self.protocol,
             "seed": self.seed,
+            "version": self.version,
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -177,17 +181,31 @@ def cmd_spectra(args) -> int:
     return 0
 
 
-def _class_stats(records, detection, label):
-    chosen = [r for r in records if r.label == label]
-    if not chosen:
+def _class_stats(shots, detection, label):
+    readings = shots.reading[shots.on == (label == measurement.ON)]
+    if readings.size == 0:
         return {"count": 0, "mean_reading": None, "mean_output_photons": None}
-    readings = [r.detected_reading for r in chosen]
     mean_reading = float(np.mean(readings))
     return {
-        "count": len(chosen),
+        "count": int(readings.size),
         "mean_reading": mean_reading,
         "mean_output_photons": mean_reading / detection.efficiency,
     }
+
+
+def _shot_rows(name: str, shots):
+    """shots.csv rows of one run, built column by column."""
+    n = len(shots)
+    return zip(
+        [name] * n,
+        range(n),
+        shots.flip.astype(int).tolist(),
+        shots.level.tolist(),
+        ["" if math.isnan(t) else _fmt(t) for t in shots.jump_time.tolist()],
+        map(_fmt, shots.true_photons.tolist()),
+        map(_fmt, shots.reading.tolist()),
+        np.where(shots.on, measurement.ON, measurement.OFF).tolist(),
+    )
 
 
 def cmd_switch(args) -> int:
@@ -197,21 +215,20 @@ def cmd_switch(args) -> int:
         cfg = dataclasses.replace(cfg, n_shots=args.shots)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    ungated = dataclasses.replace(cfg, n_g=0.0, seed=cfg.seed + 1)
+    ungated_cfg = dataclasses.replace(cfg, n_g=0.0, seed=cfg.seed + 1)
 
-    rec_gated = protocol.run_experiment(cfg, dev)
-    rec_ungated = protocol.run_experiment(ungated, dev)
+    gated = protocol.run_experiment(cfg, dev)
+    ungated = protocol.run_experiment(ungated_cfg, dev)
 
     # shared threshold from the pooled readings, as if both runs filled one histogram
-    pooled = rec_gated + rec_ungated
-    _, threshold, _ = protocol.label_records(pooled)
-    rec_gated, _, counts_gated = protocol.label_records(rec_gated, threshold=threshold)
-    rec_ungated, _, counts_ungated = protocol.label_records(rec_ungated, threshold=threshold)
+    fit = measurement.kmeans_1d(np.concatenate([gated.reading, ungated.reading]))
+    gated, _, counts_gated = protocol.label_records(gated, threshold=fit.threshold)
+    ungated, _, counts_ungated = protocol.label_records(ungated, threshold=fit.threshold)
 
     cond = {}
     for label in (measurement.ON, measurement.OFF):
         try:
-            state = protocol.conditional_gate_field(rec_gated, label, cfg, dev)
+            state = protocol.conditional_gate_field(gated, label, cfg, dev)
             cond[f"mean_photon_{label}"] = mean_photon(state, 0)
         except InsufficientDataError:
             cond[f"mean_photon_{label}"] = None
@@ -232,46 +249,33 @@ def cmd_switch(args) -> int:
         outputs=tuple(str(p) for p in paths.values()),
     )
 
-    shot_rows = []
-    for name, recs in (("gated", rec_gated), ("ungated", rec_ungated)):
-        for i, r in enumerate(recs):
-            shot_rows.append(
-                [
-                    name,
-                    i,
-                    int(r.gate_flip_happened),
-                    r.qubit_level_at_signal_start,
-                    "" if r.jump_time is None else _fmt(r.jump_time),
-                    _fmt(r.true_transmitted_photons),
-                    _fmt(r.detected_reading),
-                    r.label,
-                ]
-            )
+    runs = (("gated", gated), ("ungated", ungated))
     _write_csv(
         paths["shots"],
         manifest.hash(),
         ["run", "shot", "gate_flip", "level_at_signal_start", "jump_time_us", "true_photons", "reading", "label"],
-        shot_rows,
+        (row for name, shots in runs for row in _shot_rows(name, shots)),
     )
 
     hist_rows = []
-    for name, recs in (("gated", rec_gated), ("ungated", rec_ungated)):
-        for center, count in measurement.histogram([r.detected_reading for r in recs], args.bins):
+    for name, shots in runs:
+        for center, count in measurement.histogram(shots.reading, args.bins):
             hist_rows.append([name, _fmt(center), count])
     _write_csv(paths["histogram"], manifest.hash(), ["run", "bin_center", "count"], hist_rows)
 
     report = {
         "manifest": manifest.to_dict(),
-        "threshold": threshold,
+        "threshold": fit.threshold,
+        "classification": {"iterations": fit.iterations, "converged": fit.converged},
         "gated": {
             "counts": counts_gated,
-            "on": _class_stats(rec_gated, dev.detection, measurement.ON),
-            "off": _class_stats(rec_gated, dev.detection, measurement.OFF),
+            "on": _class_stats(gated, dev.detection, measurement.ON),
+            "off": _class_stats(gated, dev.detection, measurement.OFF),
         },
         "ungated": {
             "counts": counts_ungated,
-            "on": _class_stats(rec_ungated, dev.detection, measurement.ON),
-            "off": _class_stats(rec_ungated, dev.detection, measurement.OFF),
+            "on": _class_stats(ungated, dev.detection, measurement.ON),
+            "off": _class_stats(ungated, dev.detection, measurement.OFF),
         },
         "conditional_gate_field": cond,
     }
@@ -312,9 +316,8 @@ def cmd_wigner(args) -> int:
         cfg = dataclasses.replace(cfg, n_shots=args.shots)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    records = protocol.run_experiment(cfg, dev)
-    records, _, _ = protocol.label_records(records)
-    state = protocol.conditional_gate_field(records, args.condition, cfg, dev)
+    shots, _, _ = protocol.label_records(protocol.run_experiment(cfg, dev))
+    state = protocol.conditional_gate_field(shots, args.condition, cfg, dev)
 
     # embed in a cutoff large enough for the requested phase-space window
     need = int(math.ceil(8.0 * args.extent**2)) + 2

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,24 +35,45 @@ class DetectionModel:
             raise ValueError("baseline_sigma must be >= 0")
 
 
-def detect(true_photons: float, m: DetectionModel, rng) -> float:
-    """One noisy reading for a given true transmitted photon number."""
-    if true_photons < 0:
+def detect(true_photons, m: DetectionModel, rng):
+    """One noisy reading per true transmitted photon number; a scalar gives a float."""
+    x = np.asarray(true_photons, dtype=float)
+    if np.any(x < 0):
         raise ValueError("true_photons must be >= 0")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    mean = m.efficiency * true_photons
-    var = m.baseline_sigma**2 + m.added_noise_photons * m.efficiency * true_photons
-    z = gen.standard_normal()  # always consume one draw to keep streams aligned
-    return float(mean + math.sqrt(var) * z)
+    mean = m.efficiency * x
+    var = m.baseline_sigma**2 + m.added_noise_photons * m.efficiency * x
+    out = mean + np.sqrt(var) * gen.standard_normal(x.shape)
+    return float(out) if out.ndim == 0 else out
 
 
-def kmeans_1d(readings, k: int = 2, seed: int = 0):
+class KMeansFit(NamedTuple):
+    """Two-cluster split of 1-D readings; ``on`` marks readings at or above the threshold."""
+
+    threshold: float
+    on: np.ndarray
+    counts: dict
+    iterations: int
+    converged: bool
+
+
+#: Lloyd iterations before kmeans_1d gives up and reports converged = False
+KMEANS_MAX_ITER = 1000
+
+
+def label_counts(on: np.ndarray) -> dict:
+    """{"on": n_on, "off": n_off} for a boolean label array."""
+    n_on = int(np.count_nonzero(on))
+    return {ON: n_on, OFF: int(np.size(on)) - n_on}
+
+
+def kmeans_1d(readings, k: int = 2) -> KMeansFit:
     """Two-cluster Lloyd iteration with deterministic percentile initialization.
 
-    Returns (threshold, labels, counts); labels are ON for readings at or
-    above the threshold (midpoint of the converged centers).  ``seed`` is
-    accepted for API stability but unused: initialization is pinned to the
-    10th/90th percentiles so classification is reproducible by construction.
+    Centers start at the 10th/90th percentiles, so classification is
+    reproducible by construction; the threshold is the midpoint of the final
+    centers.  Stops when the centers move by less than 1e-9 of the data span,
+    or after KMEANS_MAX_ITER iterations with ``converged`` False.
     """
     if k != 2:
         raise ValueError("only k=2 is supported")
@@ -63,7 +84,8 @@ def kmeans_1d(readings, k: int = 2, seed: int = 0):
     c_lo, c_hi = np.percentile(x, [10.0, 90.0])
     if c_lo == c_hi:
         c_lo, c_hi = float(x.min()), float(x.max())
-    for _ in range(1000):
+    converged = False
+    for iterations in range(1, KMEANS_MAX_ITER + 1):
         mid = 0.5 * (c_lo + c_hi)
         lo = x[x < mid]
         hi = x[x >= mid]
@@ -75,11 +97,11 @@ def kmeans_1d(readings, k: int = 2, seed: int = 0):
         motion = abs(n_lo - c_lo) + abs(n_hi - c_hi)
         c_lo, c_hi = n_lo, n_hi
         if motion < 1e-9 * span:
+            converged = True
             break
     threshold = 0.5 * (c_lo + c_hi)
-    labels = [ON if v >= threshold else OFF for v in x]
-    counts = {ON: int(np.sum(x >= threshold)), OFF: int(np.sum(x < threshold))}
-    return threshold, labels, counts
+    on = x >= threshold
+    return KMeansFit(threshold, on, label_counts(on), iterations, converged)
 
 
 def histogram(readings, bins: int):

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import measurement
 from .cavity import (
+    QUBIT_LEVELS,
     CavityParams,
     PulseShape,
     gate_carrier_frequency,
@@ -89,17 +90,27 @@ class ProtocolConfig:
             raise ValueError("signal_duration must be positive")
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """Outcome of one Monte Carlo trial."""
+@dataclass(frozen=True, eq=False)
+class Shots:
+    """Outcomes of a batch of Monte Carlo trials, one numpy column per quantity.
 
-    gate_flip_happened: bool
-    qubit_level_at_signal_start: str
-    jump_time: float | None
-    true_transmitted_photons: float
-    detected_reading: float | None = None
-    label: str | None = None
-    conditional_gate_field: QuantumState | None = None
+    Row i of every column belongs to shot i.  ``flip``: the gate flipped the
+    qubit superposition; ``level``: qubit level ("g", "e" or "f") at the start
+    of the signal window; ``jump_time``: time of the in-window qubit jump in us,
+    NaN when there is none; ``true_photons``: transmitted signal photons;
+    ``reading``: detected reading; ``on``: the on/off label (True = on), None
+    until :func:`label_records` has run.
+    """
+
+    flip: np.ndarray
+    level: np.ndarray
+    jump_time: np.ndarray
+    true_photons: np.ndarray
+    reading: np.ndarray
+    on: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.flip)
 
 
 # ---------------------------------------------------------------------------
@@ -147,36 +158,19 @@ def gate_interaction(qubit_field: QuantumState, c: CavityParams, p: PulseShape) 
     return QuantumState(qubit_field.dims, rho)
 
 
-def _flip_given_photons(n: int, eta: float, dark_flip: float) -> float:
-    """Flip-per-photon parity model: odd photon numbers flip with prob eta."""
-    return eta if n % 2 == 1 else dark_flip
-
-
 def coherent_flip_probability(n_g: float, eta: float, dark_flip: float = 0.0) -> float:
     """Qubit flip probability under a weak coherent gate pulse.
 
-    beta = sum_n Poisson(n; n_g) q(n) with q(odd) = eta and q(even) = dark_flip,
-    truncated once the Poisson tail drops below 1e-10.
+    beta = sum_n Poisson(n; n_g) q(n) with q(odd) = eta and q(even) = dark_flip
+    (flip-per-photon parity model).  The odd Poisson weights sum to
+    (1 - e^{-2 n_g}) / 2, the model analysis.fit_eta inverts.
     """
     if not 0.0 <= eta <= 1.0 or not 0.0 <= dark_flip <= 1.0:
         raise ValueError("eta and dark_flip must be probabilities")
     if n_g < 0:
         raise ValueError("n_g must be >= 0")
-    if n_g == 0.0:
-        return dark_flip
-    beta = 0.0
-    cum = 0.0
-    n = 0
-    w = math.exp(-n_g)
-    n_stop = 20 + int(2 * n_g + 10 * math.sqrt(n_g))  # Poisson tail is gone by here
-    while True:
-        beta += w * _flip_given_photons(n, eta, dark_flip)
-        cum += w
-        if 1.0 - cum < 1e-10 or n > n_stop:
-            break
-        n += 1
-        w *= n_g / n
-    return beta
+    odd = (1.0 - math.exp(-2.0 * n_g)) / 2.0
+    return eta * odd + dark_flip * (1.0 - odd)
 
 
 # ---------------------------------------------------------------------------
@@ -198,84 +192,71 @@ def resolve_eta(cfg: ProtocolConfig, device: "DeviceParams") -> float:
     return gating_efficiency(device.cavity_I, cfg.gate_pulse)
 
 
-def _sample_gate_photons(cfg: ProtocolConfig, rng: np.random.Generator) -> int:
-    if cfg.gate_source == "single_photon":
-        return int(rng.random() < cfg.n_g)
-    return int(rng.poisson(cfg.n_g))
+def _flip_probability(photons, eta: float, dark_flip: float):
+    """Parity model per shot: odd photon numbers flip with prob eta, even with dark_flip."""
+    return np.where(photons % 2 == 1, eta, dark_flip)
 
 
-def _excited_level(cfg: ProtocolConfig) -> str:
-    return "f" if cfg.subspace == "gf" else "e"
+def run_experiment(cfg: ProtocolConfig, device: "DeviceParams") -> Shots:
+    """n_shots independent trials of the full sequence, drawn as columns.
 
-
-def run_shot(cfg: ProtocolConfig, device: "DeviceParams", rng) -> ShotRecord:
-    """One trial of the full sequence; deterministic given the rng stream."""
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    One ``default_rng(cfg.seed)`` stream supplies, in this order, an array of
+    n_shots each of gate photon numbers, flip uniforms, level uniforms, jump
+    uniforms and detector noise, so the outcome depends only on the seed.
+    """
+    n = cfg.n_shots
+    rng = np.random.default_rng(cfg.seed)
     eta = resolve_eta(cfg, device)
 
-    n_photons = _sample_gate_photons(cfg, gen)
-    flip = gen.random() < _flip_given_photons(n_photons, eta, cfg.dark_flip)
+    if cfg.gate_source == "single_photon":
+        photons = (rng.random(n) < cfg.n_g).astype(np.int64)
+    else:
+        photons = rng.poisson(cfg.n_g, n)
+    flip = rng.random(n) < _flip_probability(photons, eta, cfg.dark_flip)
 
     # second pi/2 with phase theta closes the Ramsey loop; the gate photon's
     # conditional pi phase swaps the interference port
-    p_ground = math.cos(cfg.theta / 2.0) ** 2 if flip else math.sin(cfg.theta / 2.0) ** 2
-    level = "g" if gen.random() < p_ground else _excited_level(cfg)
+    p_ground = np.where(flip, math.cos(cfg.theta / 2.0) ** 2, math.sin(cfg.theta / 2.0) ** 2)
+    excited = 2 if cfg.subspace == "gf" else 1
+    level = np.where(rng.random(n) < p_ground, 0, excited)  # index into QUBIT_LEVELS
 
+    # in-window jump: g -> e (thermal), e -> g and f -> e (relaxation), each
+    # plus the signal-induced flip rate
     rates = device.qubit_rates
     extra = cfg.signal_flip_rate_per_photon * cfg.n_s
-    if level == "g":
-        rate = rates.thermal_excitation_rate + extra
-        dest = "e"
-    elif level == "e":
-        rate = 1.0 / rates.T1_ge + extra
-        dest = "g"
-    else:
-        rate = 1.0 / rates.T1_ef + extra
-        dest = "e"
-    t_jump = exponential_time(rate, gen)
-    jump_time = t_jump if t_jump < cfg.signal_duration else None
+    rate = np.array(
+        [rates.thermal_excitation_rate, 1.0 / rates.T1_ge, 1.0 / rates.T1_ef]
+    )[level] + extra
+    dest = np.array([1, 0, 1])[level]
+    t_jump = exponential_time(rate, rng)
+    jumped = t_jump < cfg.signal_duration
 
     f_sig = _signal_frequency(cfg, device)
-    t2 = {lev: abs(transmission_coeff(device.cavity_II, f_sig, lev)) ** 2 for lev in "gef"}
-    if jump_time is None:
-        true_tx = cfg.n_s * t2[level]
-    else:
-        frac = jump_time / cfg.signal_duration
-        true_tx = cfg.n_s * (frac * t2[level] + (1.0 - frac) * t2[dest])
+    t2 = np.array([abs(transmission_coeff(device.cavity_II, f_sig, lev)) ** 2 for lev in QUBIT_LEVELS])
+    frac = np.where(jumped, t_jump / cfg.signal_duration, 1.0)
+    true_tx = cfg.n_s * (frac * t2[level] + (1.0 - frac) * t2[dest])
 
-    reading = measurement.detect(true_tx, device.detection, gen)
-    return ShotRecord(
-        gate_flip_happened=bool(flip),
-        qubit_level_at_signal_start=level,
-        jump_time=jump_time,
-        true_transmitted_photons=true_tx,
-        detected_reading=reading,
+    return Shots(
+        flip=flip,
+        level=np.array(QUBIT_LEVELS)[level],
+        jump_time=np.where(jumped, t_jump, np.nan),
+        true_photons=true_tx,
+        reading=measurement.detect(true_tx, device.detection, rng),
     )
 
 
-def run_experiment(cfg: ProtocolConfig, device: "DeviceParams") -> list[ShotRecord]:
-    """n_shots independent trials with per-shot spawned RNG streams."""
-    eta = resolve_eta(cfg, device)
-    cfg_fixed = replace(cfg, eta_override=eta)
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_shots)
-    return [run_shot(cfg_fixed, device, np.random.default_rng(s)) for s in streams]
+def label_records(shots: Shots, threshold: float | None = None):
+    """Classify detected readings into on/off; returns (shots, threshold, counts).
 
-
-def label_records(records: list[ShotRecord], threshold: float | None = None):
-    """Classify detected readings into on/off; returns (records, threshold, counts)."""
-    readings = [r.detected_reading for r in records]
-    if any(v is None for v in readings):
-        raise InsufficientDataError("records carry no detected readings")
+    The returned shots carry the ``on`` column.  Without a threshold the
+    readings are split by :func:`measurement.kmeans_1d`.
+    """
     if threshold is None:
-        threshold, labels, counts = measurement.kmeans_1d(readings)
+        threshold, on, counts = measurement.kmeans_1d(shots.reading)[:3]
     else:
-        labels = [measurement.ON if v >= threshold else measurement.OFF for v in readings]
-        counts = {
-            measurement.ON: sum(1 for l in labels if l == measurement.ON),
-            measurement.OFF: sum(1 for l in labels if l == measurement.OFF),
-        }
-    out = [replace(r, label=l) for r, l in zip(records, labels)]
-    return out, threshold, counts
+        on = shots.reading >= threshold
+        counts = measurement.label_counts(on)
+    return replace(shots, on=on), threshold, counts
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +287,7 @@ def _binomial_loss_diag(n: int, survival: float, d: int) -> np.ndarray:
 
 
 def conditional_gate_field(
-    records: list[ShotRecord],
+    shots: Shots,
     condition: str,
     cfg: ProtocolConfig,
     device: "DeviceParams",
@@ -315,31 +296,28 @@ def conditional_gate_field(
 
     Bayesian mixture over the source photon-number distribution: the label
     likelihood P(label | n) combines the parity flip model with the empirical
-    per-branch label rates P(label | flip) estimated from the records, and the
+    per-branch label rates P(label | flip) estimated from the shots, and the
     per-Fock reflected states carry the pulse-averaged reflection loss.
     """
     if condition not in (measurement.ON, measurement.OFF):
         raise ValueError("condition must be 'on' or 'off'")
-    labeled = [r for r in records if r.label is not None]
-    if not labeled:
-        raise InsufficientDataError("no labeled records; classify the shots first")
-    subset = [r for r in labeled if r.label == condition]
-    if not subset:
-        raise InsufficientDataError(f"no records labeled {condition!r}")
+    if shots.on is None:
+        raise InsufficientDataError("no labeled shots; classify the shots first")
+    match = shots.on if condition == measurement.ON else ~shots.on
+    if not match.any():
+        raise InsufficientDataError(f"no shots labeled {condition!r}")
 
-    n_flip = sum(1 for r in labeled if r.gate_flip_happened)
-    n_noflip = len(labeled) - n_flip
-    match_flip = sum(1 for r in labeled if r.gate_flip_happened and r.label == condition)
-    match_noflip = sum(
-        1 for r in labeled if not r.gate_flip_happened and r.label == condition
-    )
+    n_flip = int(np.count_nonzero(shots.flip))
+    n_noflip = len(shots) - n_flip
+    match_flip = int(np.count_nonzero(match & shots.flip))
+    match_noflip = int(np.count_nonzero(match)) - match_flip
     p_cond_flip = match_flip / n_flip if n_flip else 0.0
     p_cond_noflip = match_noflip / n_noflip if n_noflip else 0.0
 
     eta = resolve_eta(cfg, device)
     d = cfg.fock_cutoff
     prior = _photon_prior(cfg, d)
-    q = np.array([_flip_given_photons(n, eta, cfg.dark_flip) for n in range(d)])
+    q = _flip_probability(np.arange(d), eta, cfg.dark_flip)
     likelihood = q * p_cond_flip + (1.0 - q) * p_cond_noflip
     post = prior * likelihood
     total = post.sum()

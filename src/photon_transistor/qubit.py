@@ -173,13 +173,14 @@ def sample_jump_time(level: str, window: float, r: QubitRates, rng) -> float | N
     return t if t < window else None
 
 
-def exponential_time(rate: float, gen: np.random.Generator) -> float:
-    """Inverse-CDF exponential sample; rate 0 maps to +inf.
+def exponential_time(rate, gen: np.random.Generator):
+    """Inverse-CDF exponential samples, a float for a scalar rate; rate 0 maps to +inf.
 
-    Always consumes exactly one uniform draw so parallel shot streams stay
-    aligned when channels are switched off.
+    Always consumes exactly one uniform draw per rate, so switching a channel
+    off does not shift the draws that follow it in the stream.
     """
-    u = gen.random()
-    if rate <= 0.0:
-        return math.inf
-    return -math.log(1.0 - u) / rate
+    r = np.asarray(rate, dtype=float)
+    u = gen.random(r.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(r > 0.0, -np.log(1.0 - u) / r, np.inf)
+    return float(t) if t.ndim == 0 else t

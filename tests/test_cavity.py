@@ -4,13 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
+from photon_transistor import cavity
 from photon_transistor.cavity import (
     CavityParams,
     PulseShape,
-    adaptive_simpson,
     energy_budget,
     gate_carrier_frequency,
     gating_efficiency,
@@ -22,6 +24,7 @@ from photon_transistor.cavity import (
     spectrum,
     transmission_coeff,
 )
+from photon_transistor.errors import NumericsError
 
 
 def cavity_one(kappa_ext=1.81, kappa_int=0.0, chi_ge=-0.865):
@@ -260,17 +263,50 @@ class TestPulseShape:
             PulseShape("gaussian", -1.0)
 
 
-def test_adaptive_simpson_polynomial_exact():
-    assert adaptive_simpson(lambda x: x**3 - 2 * x, 0.0, 2.0) == pytest.approx(0.0, abs=1e-12)
+def simpson_reference(c, p, n=200_001):
+    """Dense-grid scipy Simpson oracle for (eta, survival) over the quadrature window."""
+    f_c = gate_carrier_frequency(c, p)
+    half = 10.0 * c.kappa_tot
+    f = np.linspace(f_c - half, f_c + half, n)
+    w = pulse_amplitude_spectrum(p, f - f_c) ** 2
+    r_g, r_e = reflection_coeff(c, f, "g"), reflection_coeff(c, f, "e")
+    norm = simpson(w, x=f)
+    eta = (1.0 - simpson(w * np.real(r_g * np.conj(r_e)), x=f) / norm) / 2.0
+    return eta, simpson(w * np.abs(r_g) * np.abs(r_e), x=f) / norm
 
 
-def test_adaptive_simpson_against_quad():
-    from scipy.integrate import quad
+@given(
+    kind=st.sampled_from(["gaussian", "square"]),
+    duration=st.floats(150.0, 1500.0),
+    kappa_int=st.floats(0.0, 0.4),
+    detuning=st.floats(-0.5, 0.5),
+)
+@settings(max_examples=25, deadline=None)
+def test_quad_matches_dense_simpson(kind, duration, kappa_int, detuning):
+    c = cavity_one(kappa_int=kappa_int)
+    p = PulseShape(kind, duration, carrier_detuning=detuning)
+    eta_ref, survival_ref = simpson_reference(c, p)
+    assert gating_efficiency(c, p) == pytest.approx(eta_ref, abs=1e-8)
+    assert pulse_survival(c, p) == pytest.approx(survival_ref, abs=1e-8)
 
-    f = lambda x: math.exp(-x * x) * math.cos(3 * x)
-    ours = adaptive_simpson(f, -4.0, 4.0, tol=1e-10)
-    ref, _ = quad(f, -4.0, 4.0, epsabs=1e-12)
-    assert ours == pytest.approx(ref, abs=1e-9)
+
+def test_quadrature_over_tolerance_raises(monkeypatch):
+    # a quad result whose error estimate is far above the requested tolerance
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kw: (1.0, 1e-3, {}))
+    c = cavity_one(kappa_int=0.123)  # a pair no other test memoises
+    with pytest.raises(NumericsError):
+        gating_efficiency(c, PulseShape("square", 1234.0))
+    with pytest.raises(NumericsError):
+        pulse_survival(c, PulseShape("square", 1234.0))
+
+
+def test_gate_stage_scalars_memoised_per_pair():
+    c = cavity_one(kappa_int=0.0789)
+    p = PulseShape("gaussian", 777.0)
+    before = cavity._gating_efficiency.cache_info().misses
+    first = gating_efficiency(c, p)
+    assert gating_efficiency(replace(c), PulseShape("gaussian", 777.0)) == first
+    assert cavity._gating_efficiency.cache_info().misses == before + 1
 
 
 def test_cavity_params_validation():

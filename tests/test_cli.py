@@ -6,9 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import photon_transistor
 from photon_transistor import device as device_mod
 from photon_transistor.analysis import synthesize_intensities
-from photon_transistor.cli import main
+from photon_transistor.cli import RunManifest, main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture()
@@ -107,6 +110,15 @@ class TestSwitch:
             r["manifest"].pop("timestamp")
             r["manifest"].pop("outputs")
         assert r1 == r2
+
+    def test_paper_point_classification_converged(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["switch", "--device", str(CONFIGS / "device_paper.json"),
+                   "--protocol", str(CONFIGS / "protocol_paper_point.json"), "--out", str(out)])
+        assert rc == 0
+        report = json.loads((out / "switch_report.json").read_text())
+        assert report["classification"]["converged"] is True
+        assert report["classification"]["iterations"] >= 1
 
     def test_pulse_missing_kind_exits_2(self, tmp_path, device_file):
         bad = tmp_path / "p.json"
@@ -249,6 +261,18 @@ class TestCalibrate:
         assert main(["calibrate", "--inputs", str(inp), "--out", str(out)]) == 0
         report = json.loads((out / "transistor_report.json").read_text())["report"]
         assert report["eta"] == pytest.approx(0.80, abs=1e-6)
+
+
+def test_manifest_hash_covers_package_version(monkeypatch):
+    def manifest():
+        return RunManifest("switch", "ab12", {"n_g": 0.18}, 7, "t0", ("out.csv",))
+
+    before = manifest()
+    assert before.to_dict()["version"] == photon_transistor.__version__
+    monkeypatch.setattr(photon_transistor, "__version__", "0.0.0+other")
+    after = manifest()
+    assert after.to_dict()["version"] == "0.0.0+other"
+    assert after.hash() != before.hash()
 
 
 def test_missing_device_file_exits_2(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from photon_transistor import measurement
 from photon_transistor.errors import CutoffError, DegenerateDataError
 from photon_transistor.hilbert import coherent_state, destroy, fock_state, pure_state
 from photon_transistor.measurement import (
@@ -42,6 +43,16 @@ class TestDetect:
     def test_negative_photons_rejected(self):
         with pytest.raises(ValueError):
             detect(-1.0, DetectionModel(), 0)
+        with pytest.raises(ValueError):
+            detect(np.array([3.0, -1e-9, 5.0]), DetectionModel(), 0)
+
+    def test_array_matches_scalar_draws(self):
+        # one normal per photon number, taken from the stream in order
+        m = DetectionModel(efficiency=0.5, added_noise_photons=2.0, baseline_sigma=1.0)
+        true = np.array([0.0, 3.0, 27.9])
+        rng = np.random.default_rng(8)
+        scalar = [detect(t, m, rng) for t in true]
+        np.testing.assert_array_equal(detect(true, m, np.random.default_rng(8)), scalar)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -53,19 +64,27 @@ class TestDetect:
 class TestKmeans:
     def test_two_delta_clusters(self):
         readings = [0.0] * 40 + [100.0] * 60
-        thr, labels, counts = kmeans_1d(readings)
+        thr, on, counts = kmeans_1d(readings)[:3]
         assert thr == pytest.approx(50.0)
         assert counts == {"on": 60, "off": 40}
-        assert labels[:40] == ["off"] * 40
+        assert not on[:40].any()
 
     def test_well_separated_gaussians(self):
         rng = np.random.default_rng(11)
         lo = rng.normal(5.0, 1.0, 5000)
         hi = rng.normal(50.0, 3.0, 5000)
         readings = np.concatenate([lo, hi])
-        thr, labels, counts = kmeans_1d(readings)
+        thr = kmeans_1d(readings).threshold
         wrong = np.sum(lo >= thr) + np.sum(hi < thr)
         assert wrong / readings.size < 1e-4
+
+    def test_reports_convergence(self, monkeypatch):
+        data = np.concatenate([np.zeros(40), np.full(60, 100.0), [30.0, 70.0]])
+        fit = kmeans_1d(data)
+        assert fit.converged and 1 <= fit.iterations < measurement.KMEANS_MAX_ITER
+        monkeypatch.setattr(measurement, "KMEANS_MAX_ITER", 1)
+        capped = kmeans_1d(data)
+        assert not capped.converged and capped.iterations == 1
 
     def test_identical_values_degenerate(self):
         with pytest.raises(DegenerateDataError):
@@ -74,15 +93,15 @@ class TestKmeans:
     def test_deterministic_and_permutation_invariant_counts(self):
         rng = np.random.default_rng(3)
         data = np.concatenate([rng.normal(0, 1, 500), rng.normal(20, 2, 300)])
-        thr1, _, counts1 = kmeans_1d(data)
-        thr2, _, counts2 = kmeans_1d(data[::-1])
+        thr1, _, counts1 = kmeans_1d(data)[:3]
+        thr2, _, counts2 = kmeans_1d(data[::-1])[:3]
         assert thr1 == thr2
         assert counts1 == counts2
 
     def test_threshold_between_centers(self):
         rng = np.random.default_rng(9)
         data = np.concatenate([rng.normal(-4, 1, 400), rng.normal(9, 1, 400)])
-        thr, _, _ = kmeans_1d(data)
+        thr = kmeans_1d(data).threshold
         lo_center = data[data < thr].mean()
         hi_center = data[data >= thr].mean()
         assert lo_center < thr < hi_center

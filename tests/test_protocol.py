@@ -4,7 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from photon_transistor.cavity import CavityParams, PulseShape
+from photon_transistor.cavity import (
+    CavityParams,
+    PulseShape,
+    shifted_frequency,
+    transmission_coeff,
+)
 from photon_transistor.device import DeviceParams, paper_defaults
 from photon_transistor.errors import InsufficientDataError
 from photon_transistor.hilbert import (
@@ -15,7 +20,7 @@ from photon_transistor.hilbert import (
     qutrit_state,
     tensor,
 )
-from photon_transistor.measurement import DetectionModel
+from photon_transistor.measurement import DetectionModel, kmeans_1d
 from photon_transistor.protocol import (
     ProtocolConfig,
     coherent_flip_probability,
@@ -23,7 +28,6 @@ from photon_transistor.protocol import (
     gate_interaction,
     label_records,
     run_experiment,
-    run_shot,
 )
 from photon_transistor.qubit import QubitRates, apply_rotation
 
@@ -170,50 +174,92 @@ class TestRunShot:
         # deterministic single photon, eta = 1: qubit ends in g, low transmission
         dev = ideal_device()
         cfg = ideal_config(gate_source="single_photon", n_g=1.0, n_shots=1)
-        rec = run_shot(cfg, dev, np.random.default_rng(0))
-        assert rec.gate_flip_happened
-        assert rec.qubit_level_at_signal_start == "g"
+        rec = run_experiment(cfg, dev)
+        assert rec.flip[0]
+        assert rec.level[0] == "g"
         t2_g = abs(
             __import__("photon_transistor.cavity", fromlist=["transmission_coeff"])
             .transmission_coeff(dev.cavity_II, dev.cavity_II.f0 - 1.894, "g")
         ) ** 2
-        assert rec.true_transmitted_photons == pytest.approx(37.2 * t2_g, rel=1e-9)
+        assert rec.true_photons[0] == pytest.approx(37.2 * t2_g, rel=1e-9)
 
     def test_no_gate_photon_stays_on(self):
         dev = ideal_device()
         cfg = ideal_config(n_g=0.0, n_shots=1)
-        rec = run_shot(cfg, dev, np.random.default_rng(3))
-        assert not rec.gate_flip_happened
-        assert rec.qubit_level_at_signal_start == "e"
-        assert rec.true_transmitted_photons == pytest.approx(0.751 * 37.2, rel=1e-2)
+        rec = run_experiment(cfg, dev)
+        assert not rec.flip[0]
+        assert rec.level[0] == "e"
+        assert rec.true_photons[0] == pytest.approx(0.751 * 37.2, rel=1e-2)
 
     def test_gf_subspace_lands_in_f(self):
         dev = ideal_device()
-        cfg = ideal_config(n_g=0.0, subspace="gf", signal_detuning_target="resonant_with_f")
-        rec = run_shot(cfg, dev, np.random.default_rng(5))
-        assert rec.qubit_level_at_signal_start == "f"
-        assert rec.true_transmitted_photons == pytest.approx(0.751 * 37.2, rel=1e-2)
+        cfg = ideal_config(
+            n_g=0.0, subspace="gf", signal_detuning_target="resonant_with_f", n_shots=1
+        )
+        rec = run_experiment(cfg, dev)
+        assert rec.level[0] == "f"
+        assert rec.true_photons[0] == pytest.approx(0.751 * 37.2, rel=1e-2)
+
+
+def reference_true_photons(shots, cfg, dev):
+    """Scalar per-shot loop: transmitted photons from the level and jump_time columns."""
+    c = dev.cavity_II
+    f_sig = shifted_frequency(c, "f" if cfg.signal_detuning_target == "resonant_with_f" else "e")
+    t2 = {lev: abs(transmission_coeff(c, f_sig, lev)) ** 2 for lev in "gef"}
+    dest = {"g": "e", "e": "g", "f": "e"}
+    out = []
+    for level, jump_time in zip(shots.level.tolist(), shots.jump_time.tolist()):
+        if math.isnan(jump_time):
+            out.append(cfg.n_s * t2[level])
+        else:
+            frac = jump_time / cfg.signal_duration
+            out.append(cfg.n_s * (frac * t2[level] + (1.0 - frac) * t2[dest[level]]))
+    return np.array(out)
 
 
 class TestRunExperiment:
     def test_single_shot(self):
         recs = run_experiment(ideal_config(n_shots=1), ideal_device())
         assert len(recs) == 1
+        for column in (recs.flip, recs.level, recs.jump_time, recs.true_photons, recs.reading):
+            assert column.shape == (1,)
+        labeled, _, counts = label_records(recs, threshold=0.0)
+        assert labeled.on.shape == (1,) and counts["on"] + counts["off"] == 1
+
+    @pytest.mark.parametrize("subspace", ["ge", "gf"])
+    @pytest.mark.parametrize("theta", [0.0, math.pi])
+    def test_true_photons_match_scalar_loop(self, subspace, theta):
+        # short T1s and a thermal rate so that every level jumps in some shots
+        dev = ideal_device(
+            qubit_rates=QubitRates(T1_ge=8.0, T1_ef=5.0, T2_ge=8.0, T2_gf=5.0,
+                                   thermal_excitation_rate=0.05)
+        )
+        target = "resonant_with_f" if subspace == "gf" else "resonant_with_e"
+        cfg = ideal_config(theta=theta, subspace=subspace, signal_detuning_target=target,
+                           n_shots=3000)
+        shots = run_experiment(cfg, dev)
+        jumped = ~np.isnan(shots.jump_time)
+        assert 0 < np.count_nonzero(jumped) < len(shots)
+        assert set(shots.level.tolist()) == {"g", "f" if subspace == "gf" else "e"}
+        np.testing.assert_allclose(
+            shots.true_photons, reference_true_photons(shots, cfg, dev), rtol=1e-12, atol=1e-12
+        )
 
     def test_reproducible_from_seed(self):
         cfg = ideal_config(n_shots=50)
         dev = ideal_device()
         a = run_experiment(cfg, dev)
         b = run_experiment(cfg, dev)
-        assert [r.detected_reading for r in a] == [r.detected_reading for r in b]
-        assert [r.jump_time for r in a] == [r.jump_time for r in b]
+        assert a.reading.tolist() == b.reading.tolist()
+        np.testing.assert_array_equal(a.jump_time, b.jump_time)  # NaN = no jump
 
     def test_ungated_ideal_run_all_on(self):
         dev = ideal_device()
         gated = run_experiment(ideal_config(n_shots=400, seed=11), dev)
         ungated = run_experiment(ideal_config(n_g=0.0, n_shots=400, seed=12), dev)
-        pooled, thr, _ = label_records(gated + ungated)
-        assert all(r.label == "on" for r in pooled[400:])
+        thr = kmeans_1d(np.concatenate([gated.reading, ungated.reading])).threshold
+        ungated, _, _ = label_records(ungated, threshold=thr)
+        assert ungated.on.all()
 
     def test_flip_fraction_matches_model_4sigma(self):
         cfg = ProtocolConfig(
@@ -222,7 +268,7 @@ class TestRunExperiment:
         )
         dev = ideal_device()
         recs = run_experiment(cfg, dev)
-        frac = np.mean([r.gate_flip_happened for r in recs])
+        frac = np.mean(recs.flip)
         beta = coherent_flip_probability(0.18, 0.8, 0.04)
         sigma = math.sqrt(beta * (1 - beta) / cfg.n_shots)
         assert abs(frac - beta) < 4 * sigma
@@ -231,25 +277,27 @@ class TestRunExperiment:
         dev = ideal_device()
         open_arm = run_experiment(ideal_config(theta=0.0, n_shots=300), dev)
         closed_arm = run_experiment(ideal_config(theta=math.pi, n_shots=300), dev)
-        for a, b in zip(open_arm, closed_arm):
-            assert a.gate_flip_happened == b.gate_flip_happened
-            assert {a.qubit_level_at_signal_start, b.qubit_level_at_signal_start} == {"g", "e"}
+        for flip_a, flip_b, level_a, level_b in zip(
+            open_arm.flip, closed_arm.flip, open_arm.level, closed_arm.level
+        ):
+            assert flip_a == flip_b
+            assert {level_a, level_b} == {"g", "e"}
 
     def test_off_fraction_monotone_in_gate_photon_number(self):
         dev = ideal_device()
         fracs = []
         for n_g in (0.0, 0.1, 0.25, 0.5):
             recs = run_experiment(ideal_config(n_g=n_g, n_shots=4000, seed=31), dev)
-            fracs.append(np.mean([r.qubit_level_at_signal_start == "g" for r in recs]))
+            fracs.append(np.mean(recs.level == "g"))
         assert all(b >= a - 0.01 for a, b in zip(fracs, fracs[1:]))
 
     def test_parity_exact_for_fock_inputs(self):
         # eta = 1, dark = 0: a 0/1 source flips the qubit iff a photon arrived
         dev = ideal_device()
         cfg = ideal_config(gate_source="single_photon", n_g=0.5, n_shots=500)
-        for rec in run_experiment(cfg, dev):
-            level = rec.qubit_level_at_signal_start
-            assert level == ("g" if rec.gate_flip_happened else "e")
+        shots = run_experiment(cfg, dev)
+        for flip, level in zip(shots.flip, shots.level):
+            assert level == ("g" if flip else "e")
 
     def test_strong_signal_induces_extra_wrong_operations(self):
         # ungated, normally open: the default signal-induced flip rate makes
@@ -257,8 +305,8 @@ class TestRunExperiment:
         dev = ideal_device()
         weak = ideal_config(n_g=0.0, n_shots=3000, signal_flip_rate_per_photon=1e-7)
         strong = replace(weak, n_s=2.62e5, signal_detuning_target="bare")
-        jumps_weak = sum(r.jump_time is not None for r in run_experiment(weak, dev))
-        jumps_strong = sum(r.jump_time is not None for r in run_experiment(strong, dev))
+        jumps_weak = np.count_nonzero(~np.isnan(run_experiment(weak, dev).jump_time))
+        jumps_strong = np.count_nonzero(~np.isnan(run_experiment(strong, dev).jump_time))
         assert jumps_strong > 10 * max(jumps_weak, 1)
         assert jumps_strong / 3000 > 0.1
 
@@ -304,7 +352,7 @@ class TestConditionalGateField:
         recs = run_experiment(cfg, dev)
         with pytest.raises(InsufficientDataError):
             conditional_gate_field(recs, "off", cfg, dev)  # unlabeled
-        labeled = [replace(r, label="on") for r in recs]
+        labeled = replace(recs, on=np.ones(len(recs), dtype=bool))
         with pytest.raises(InsufficientDataError):
             conditional_gate_field(labeled, "off", cfg, dev)
 

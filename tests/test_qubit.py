@@ -9,6 +9,7 @@ from photon_transistor.qubit import (
     QubitRates,
     apply_rotation,
     evolve_lindblad,
+    exponential_time,
     sample_jump_time,
 )
 
@@ -138,6 +139,14 @@ class TestJumpSampling:
         a = [sample_jump_time("f", 5.0, RATES, np.random.default_rng(7)) for _ in range(3)]
         b = [sample_jump_time("f", 5.0, RATES, np.random.default_rng(7)) for _ in range(3)]
         assert a == b
+
+    def test_array_rates_one_draw_each_zero_is_inf(self):
+        rates = np.array([0.5, 0.0, 2.0, 0.0])
+        times = exponential_time(rates, np.random.default_rng(4))
+        scalar_rng = np.random.default_rng(4)
+        expected = [exponential_time(float(r), scalar_rng) for r in rates]
+        np.testing.assert_array_equal(times, expected)
+        assert np.isinf(times[[1, 3]]).all() and np.isfinite(times[[0, 2]]).all()
 
     def test_bad_level(self):
         with pytest.raises(ValueError):
