@@ -17,7 +17,6 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import UnphysicalInputError, UnsolvableCalibrationError
-from .protocol import coherent_flip_probability
 
 
 @dataclass(frozen=True)
@@ -96,12 +95,6 @@ def fit_eta(points) -> tuple[float, float]:
     coef, *_ = np.linalg.lstsq(design, b_vals, rcond=None)
     eta, dark = float(coef[0]), float(coef[1])
     return eta, dark
-
-
-def fit_eta_residual(points, eta: float, dark: float) -> float:
-    """RMS misfit of a (eta, dark) pair against the flip-probability model."""
-    errs = [coherent_flip_probability(n, eta, dark) - b for n, b in points]
-    return math.sqrt(sum(e * e for e in errs) / len(errs))
 
 
 def synthesize_intensities(

@@ -108,13 +108,15 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
+def _write_preamble(fh, manifest_hash: str, header: list[str]) -> None:
+    fh.write(f"# manifest_hash={manifest_hash}\n")
+    csv.writer(fh).writerow(header)
+
+
 def _write_csv(path: Path, manifest_hash: str, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# manifest_hash={manifest_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        _write_preamble(fh, manifest_hash, header)
+        csv.writer(fh).writerows(rows)
 
 
 def _fmt(x: float) -> str:
@@ -193,18 +195,15 @@ def _class_stats(shots, detection, label):
     }
 
 
-def _shot_rows(name: str, shots):
-    """shots.csv rows of one run, built column by column."""
-    n = len(shots)
-    return zip(
-        [name] * n,
-        range(n),
-        shots.flip.astype(int).tolist(),
-        shots.level.tolist(),
-        ["" if math.isnan(t) else _fmt(t) for t in shots.jump_time.tolist()],
-        map(_fmt, shots.true_photons.tolist()),
-        map(_fmt, shots.reading.tolist()),
-        np.where(shots.on, measurement.ON, measurement.OFF).tolist(),
+def _shot_lines(name: str, shots):
+    """shots.csv lines of one run: the bytes csv.writer gives, as no field needs quoting."""
+    jump = ["" if math.isnan(t) else _fmt(t) for t in shots.jump_time.tolist()]
+    label = np.where(shots.on, measurement.ON, measurement.OFF).tolist()
+    columns = zip(shots.flip.astype(int).tolist(), shots.level.tolist(), jump,
+                  shots.true_photons.tolist(), shots.reading.tolist(), label)
+    return (
+        f"{name},{i},{flip},{level},{t},{photons:.12g},{reading:.12g},{on}\r\n"
+        for i, (flip, level, t, photons, reading, on) in enumerate(columns)
     )
 
 
@@ -250,12 +249,14 @@ def cmd_switch(args) -> int:
     )
 
     runs = (("gated", gated), ("ungated", ungated))
-    _write_csv(
-        paths["shots"],
-        manifest.hash(),
-        ["run", "shot", "gate_flip", "level_at_signal_start", "jump_time_us", "true_photons", "reading", "label"],
-        (row for name, shots in runs for row in _shot_rows(name, shots)),
-    )
+    with open(paths["shots"], "w", newline="", encoding="utf-8") as fh:
+        _write_preamble(
+            fh,
+            manifest.hash(),
+            ["run", "shot", "gate_flip", "level_at_signal_start", "jump_time_us", "true_photons", "reading", "label"],
+        )
+        for name, shots in runs:
+            fh.writelines(_shot_lines(name, shots))
 
     hist_rows = []
     for name, shots in runs:
@@ -287,6 +288,12 @@ def cmd_switch(args) -> int:
 def cmd_gain_sweep(args) -> int:
     dev = device_mod.load(args.device)
     model = semiclassical.build_model(dev.cavity_II, dev.semiclassical)
+    if not (math.isfinite(args.n_min) and args.n_min > 0):
+        raise ValueError(f"--n-min must be finite and > 0, got {args.n_min}")
+    if not (math.isfinite(args.n_max) and args.n_max >= args.n_min):
+        raise ValueError(f"--n-max must be finite and >= --n-min, got {args.n_max}")
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     grid = np.geomspace(args.n_min, args.n_max, args.points)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,10 +17,6 @@ class NumericsError(RuntimeError):
     """A numerical routine failed to reach its accuracy or stability target."""
 
 
-class ScanRangeError(NumericsError):
-    """A root scan found no sign change inside its search range."""
-
-
 class DegenerateDataError(ValueError):
     """Input data carries no usable structure (e.g. all readings identical)."""
 

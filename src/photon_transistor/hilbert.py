@@ -171,7 +171,3 @@ def destroy(d: int) -> np.ndarray:
     for n in range(1, d):
         a[n - 1, n] = math.sqrt(n)
     return a
-
-
-def number_op(d: int) -> np.ndarray:
-    return np.diag(np.arange(d, dtype=complex))

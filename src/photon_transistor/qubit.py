@@ -16,8 +16,6 @@ import numpy as np
 from .errors import NumericsError
 from .hilbert import QuantumState
 
-_LEVEL_INDEX = {"g": 0, "e": 1, "f": 2}
-
 
 @dataclass(frozen=True)
 class QubitRates:

@@ -18,18 +18,13 @@ not measured device properties.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .analysis import CalibrationResult, extinction_db, gain_db, predict_single_photon
 from .cavity import CavityParams, shifted_frequency, transmission_coeff
-from .errors import ScanRangeError
-
-REGIMES = ("linear", "blockade", "bright")
 
 
 @dataclass(frozen=True)
@@ -99,76 +94,70 @@ class CavityRoot(NamedTuple):
     stable: bool
 
 
-def _response(m: SaturableCavityModel, n, delta_bare: float, level: str):
-    """LHS of the steady-state flux balance n*[(k/2)^2 + det(n)^2]."""
-    u = np.asarray(n, dtype=float) / m.n_crit(level)
-    det = delta_bare - m.pull(level) / (1.0 + u)
-    return np.asarray(n, dtype=float) * ((m.base.kappa_tot / 2.0) ** 2 + det**2)
+def _steady_states(m: SaturableCavityModel, f, level: str, rhs):
+    """Steady-state populations and their stability, broadcast over f and rhs.
+
+    With u = n/n_crit, a = (k/2)^2 and d = f - f_bare, the flux balance times
+    (1+u)^2 is the dispersive-bistability cubic (Drummond & Walls, J. Phys. A
+    13, 725 (1980)) G(u) = n_crit*u*[a(1+u)^2 + (d*u + d - pull)^2] - rhs*(1+u)^2.
+    For rhs > 0, G < 0 on u <= 0 and the leading coefficient is positive, so
+    there are one or three real roots, all positive.  They are the eigenvalues
+    of stacked companion matrices.  At a root G' = (1+u)^2 * n_crit * (flux
+    balance)', so a root is stable where G' > 0.
+
+    Returns ``(n, stable)`` of shape broadcast(f, rhs) + (3,): ascending roots,
+    NaN in the slots of complex ones.  At zero drive the companion matrix has a
+    zero column, which LAPACK's balancing isolates as the exact root n = 0.
+    """
+    n_c = m.n_crit(level)
+    a = (m.base.kappa_tot / 2.0) ** 2
+    d, rhs = np.broadcast_arrays(np.asarray(f, dtype=float) - m.f_bare, np.asarray(rhs, dtype=float))
+    c = d - m.pull(level)
+    lead = n_c * (a + d * d)
+    # monic G / lead = u^3 + b2 u^2 + b1 u + b0
+    b2 = (2.0 * n_c * (a + d * c) - rhs) / lead
+    b1 = (n_c * (a + c * c) - 2.0 * rhs) / lead
+    b0 = -rhs / lead
+    companion = np.zeros(d.shape + (3, 3))
+    companion[..., 0, :] = -np.stack([b2, b1, b0], axis=-1)
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    lam = np.linalg.eigvals(companion)
+    # LAPACK returns the real eigenvalues of a real matrix with zero imaginary part
+    u = np.sort(np.where(lam.imag == 0.0, lam.real, np.nan), axis=-1)  # NaN slots last
+    n = n_c * u
+    stable = (3.0 * u + 2.0 * b2[..., None]) * u + b1[..., None] > 0.0
+    return n, stable
 
 
 def steady_state_photons(m: SaturableCavityModel, f: float, qubit_level: str) -> list[CavityRoot]:
     """All nonnegative steady-state populations at drive frequency f.
 
-    Sign-change scan over a dense log grid plus bisection refinement; each
-    root is classified stable (positive slope of the flux balance) or
-    unstable.  Root count is odd: 1 in the monostable regions, 3 in the
-    bistable window.
+    The scalar case of the closed-form cubic roots; each root is classified
+    stable (positive slope of the flux balance) or unstable.  Root count is
+    odd: 1 in the monostable regions, 3 in the bistable window.
     """
     rhs = m.base.kappa_ext_in * m.drive_amplitude**2
-    if rhs == 0.0:
-        return [CavityRoot(0.0, True)]
-    delta_bare = f - m.f_bare
-    n_max = 1.05 * rhs / (m.base.kappa_tot / 2.0) ** 2
-    grid = np.concatenate([[0.0], np.geomspace(n_max * 1e-15, n_max, 4001)])
-    vals = _response(m, grid, delta_bare, qubit_level) - rhs
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0 and grid[i] > 0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0:
-            r = brentq(
-                lambda n: float(_response(m, n, delta_bare, qubit_level) - rhs),
-                grid[i],
-                grid[i + 1],
-                xtol=1e-12 * n_max,
-                rtol=1e-14,
-            )
-            roots.append(float(r))
-    if not roots:
-        raise ScanRangeError(
-            f"no steady-state root in [0, {n_max:.3g}] for level {qubit_level!r} "
-            f"at detuning {delta_bare:.3g} MHz, rhs={rhs:.3g}"
-        )
-    out = []
-    for r in sorted(roots):
-        h = max(r * 1e-7, 1e-12 * n_max)
-        slope = _response(m, r + h, delta_bare, qubit_level) - _response(
-            m, max(r - h, 0.0), delta_bare, qubit_level
-        )
-        out.append(CavityRoot(r, bool(slope > 0)))
-    if not any(s for _, s in out):  # pragma: no cover - continuity guarantees one
-        raise ScanRangeError("no stable root found")
-    return out
+    n, stable = _steady_states(m, f, qubit_level, rhs)
+    return [CavityRoot(float(x), bool(s)) for x, s in zip(n, stable) if not np.isnan(x)]
 
 
-def _selected_root(m, f, level, branch_rule) -> float:
+def _selected_root(m, f, level, branch_rule, rhs):
+    """Dim (lowest) or bright (highest) stable population, broadcast over f and rhs."""
     if branch_rule not in ("dim", "bright"):
         raise ValueError(f"unknown branch rule {branch_rule!r}")
-    stable = [r.n for r in steady_state_photons(m, f, level) if r.stable]
-    return min(stable) if branch_rule == "dim" else max(stable)
+    n, stable = _steady_states(m, f, level, rhs)
+    if branch_rule == "dim":
+        return np.where(stable, n, np.inf).min(axis=-1)
+    return np.where(stable, n, -np.inf).max(axis=-1)
 
 
 def transmitted_photons(
     m: SaturableCavityModel, f: float, qubit_level: str, branch_rule: str = "dim"
 ) -> float:
     """Output photons over the signal window: n_stable * kappa_out * window."""
-    n_sel = _selected_root(m, f, qubit_level, branch_rule)
+    rhs = m.base.kappa_ext_in * m.drive_amplitude**2
+    n_sel = float(_selected_root(m, f, qubit_level, branch_rule, rhs))
     return n_sel * m.base.kappa_ext_out * m.signal_window_us
-
-
-def _drive_for(m: SaturableCavityModel, n_s: float) -> SaturableCavityModel:
-    flux = m.photon_flux_conversion * n_s / m.signal_window_us
-    return replace(m, drive_amplitude=math.sqrt(flux))
 
 
 class SweepPoint(NamedTuple):
@@ -178,16 +167,15 @@ class SweepPoint(NamedTuple):
     regime: str
 
 
-def _classify(m, f, excited, n_exc_root, n_g_root, n_s) -> str:
-    if n_g_root / m.n_crit("g") > 1.0:
-        return "bright"
+def _classify(m, f, excited, n_exc_root, n_g_root, flux) -> np.ndarray:
+    """Regime label per (n_s, candidate frequency) from the dim-branch roots."""
     # compare actual excited-branch output with the unsaturated closed form
-    lin = abs(transmission_coeff(m.base, f, excited)) ** 2
-    p_flux = m.photon_flux_conversion * n_s / m.signal_window_us
-    n_lin = lin * p_flux / m.base.kappa_ext_out if m.base.kappa_ext_out else 0.0
-    if n_lin > 0 and abs(n_exc_root - n_lin) / n_lin > 0.05:
-        return "blockade"
-    return "linear"
+    lin = np.abs(transmission_coeff(m.base, f, excited)) ** 2
+    n_lin = lin * flux[:, None] / m.base.kappa_ext_out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        blockade = (n_lin > 0) & (np.abs(n_exc_root - n_lin) / n_lin > 0.05)
+    bright = n_g_root / m.n_crit("g") > 1.0
+    return np.where(bright, "bright", np.where(blockade, "blockade", "linear"))
 
 
 def gain_sweep(
@@ -204,31 +192,35 @@ def gain_sweep(
     better-gain candidate is reported, mirroring the best-measured-point
     policy of a frequency-optimized experiment.  Gain folds through the
     ideal-single-photon prediction with the effective switching probability
-    eta * p_s.
+    eta * p_s.  The steady states of the whole grid are solved in one batch
+    per qubit level.
     """
     if subspace not in ("ge", "gf"):
         raise ValueError(f"unknown subspace {subspace!r}")
     grid = np.asarray(n_s_grid, dtype=float)
+    if not np.all(np.isfinite(grid)) or np.any(grid < 0):
+        raise ValueError("n_s_grid must hold finite photon numbers >= 0")
     if np.any(np.diff(grid) < 0):
         raise ValueError("n_s grid must be ascending")
     excited = "e" if subspace == "ge" else "f"
     eta_eff = eta * p_s
+    f_cand = np.array([shifted_frequency(m.base, excited), m.f_bare])
+    conv = m.photon_flux_conversion
+    flux = conv * grid / m.signal_window_us
+    rhs = (m.base.kappa_ext_in * flux)[:, None]
+    n_exc_root = _selected_root(m, f_cand, excited, "dim", rhs)
+    n_g_root = _selected_root(m, f_cand, "g", "dim", rhs)
+    regimes = _classify(m, f_cand, excited, n_exc_root, n_g_root, flux)
+    n_exc = n_exc_root * m.base.kappa_ext_out * m.signal_window_us / conv
+    n_g = n_g_root * m.base.kappa_ext_out * m.signal_window_us / conv
     out: list[SweepPoint] = []
-    for n_s in grid:
-        m_pt = _drive_for(m, float(n_s))
+    for n_s, exc_row, g_row, regime_row in zip(grid.tolist(), n_exc.tolist(), n_g.tolist(), regimes.tolist()):
         best = None
-        for f_cand in (shifted_frequency(m.base, excited), m.f_bare):
-            n_exc_root = _selected_root(m_pt, f_cand, excited, "dim")
-            n_g_root = _selected_root(m_pt, f_cand, "g", "dim")
-            conv = m.photon_flux_conversion
-            n_exc = n_exc_root * m.base.kappa_ext_out * m.signal_window_us / conv
-            n_g = n_g_root * m.base.kappa_ext_out * m.signal_window_us / conv
-            cal = CalibrationResult(0.0, 1.0, n_g, n_exc, 0.0)
+        for n_e_state, n_g_state, regime in zip(exc_row, g_row, regime_row):
+            cal = CalibrationResult(0.0, 1.0, n_g_state, n_e_state, 0.0)
             n1, n0 = predict_single_photon(cal, eta_eff)
             g = gain_db(n1, n0)
-            r = extinction_db(n0, n1)
-            regime = _classify(m_pt, f_cand, excited, n_exc_root, n_g_root, float(n_s))
             if best is None or g > best[0]:
-                best = (g, r, regime)
-        out.append(SweepPoint(float(n_s), best[0], best[1], best[2]))
+                best = (g, extinction_db(n0, n1), regime)
+        out.append(SweepPoint(n_s, *best))
     return out

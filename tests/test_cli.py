@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import io
 import json
 import math
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 import photon_transistor
 from photon_transistor import device as device_mod
 from photon_transistor.analysis import synthesize_intensities
-from photon_transistor.cli import RunManifest, main
+from photon_transistor.cli import RunManifest, load_protocol, main
+from photon_transistor.protocol import label_records, run_experiment
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -120,6 +123,32 @@ class TestSwitch:
         assert report["classification"]["converged"] is True
         assert report["classification"]["iterations"] >= 1
 
+    def test_shots_csv_bytes_match_csv_writer(self, tmp_path, device_file, protocol_file):
+        out = tmp_path / "out"
+        assert main(["switch", "--device", str(device_file), "--protocol", str(protocol_file),
+                     "--out", str(out), "--shots", "150"]) == 0
+        threshold = json.loads((out / "switch_report.json").read_text())["threshold"]
+        cfg = dataclasses.replace(load_protocol(protocol_file), n_shots=150)
+        dev = device_mod.load(device_file)
+        hash_line = (out / "shots.csv").read_text().splitlines()[0]
+        buf = io.StringIO(newline="")
+        buf.write(hash_line + "\n")
+        writer = csv.writer(buf)
+        writer.writerow(["run", "shot", "gate_flip", "level_at_signal_start", "jump_time_us",
+                         "true_photons", "reading", "label"])
+        jumps = 0
+        for name, run_cfg in (("gated", cfg), ("ungated", dataclasses.replace(cfg, n_g=0.0, seed=cfg.seed + 1))):
+            shots, _, _ = label_records(run_experiment(run_cfg, dev), threshold=threshold)
+            for i in range(len(shots)):
+                t = float(shots.jump_time[i])
+                jumps += not math.isnan(t)
+                writer.writerow([name, i, int(shots.flip[i]), str(shots.level[i]),
+                                 "" if math.isnan(t) else f"{t:.12g}",
+                                 f"{float(shots.true_photons[i]):.12g}", f"{float(shots.reading[i]):.12g}",
+                                 "on" if shots.on[i] else "off"])
+        assert jumps > 0  # both jump_time forms are covered
+        assert (out / "shots.csv").read_bytes() == buf.getvalue().encode("utf-8")
+
     def test_pulse_missing_kind_exits_2(self, tmp_path, device_file):
         bad = tmp_path / "p.json"
         bad.write_text(json.dumps({"gate_pulse": {"duration_ns": 960.0}}))
@@ -157,6 +186,25 @@ class TestGainSweep:
         xs, ys = zip(*ge)
         slope = np.polyfit(xs, ys, 1)[0]
         assert slope == pytest.approx(1.0, abs=0.05)
+
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--n-min", "-5"], "--n-min"),
+            (["--n-min", "0"], "--n-min"),
+            (["--n-min", "nan"], "--n-min"),
+            (["--n-max", "inf"], "--n-max"),
+            (["--n-min", "10", "--n-max", "5"], "--n-max"),
+            (["--points", "0"], "--points"),
+        ],
+    )
+    def test_bad_grid_exits_2(self, tmp_path, device_file, capsys, flags, name):
+        out = tmp_path / "out"
+        rc = main(["gain-sweep", "--device", str(device_file), "--out", str(out), *flags])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+        assert not (out / "gain_sweep.csv").exists()
 
 
 class TestWigner:

@@ -3,12 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from photon_transistor.analysis import CalibrationResult, extinction_db, gain_db, predict_single_photon
 from photon_transistor.cavity import CavityParams, shifted_frequency, transmission_coeff
 from photon_transistor.semiclassical import (
+    CavityRoot,
     SaturableCavityModel,
     SemiclassicalSettings,
-    _response,
+    SweepPoint,
     build_model,
     gain_sweep,
     steady_state_photons,
@@ -38,6 +43,75 @@ def linear_root(m, f, level):
     delta = f - shifted_frequency(m.base, level)
     rhs = m.base.kappa_ext_in * m.drive_amplitude**2
     return rhs / ((m.base.kappa_tot / 2) ** 2 + delta**2)
+
+
+def _response(m: SaturableCavityModel, n, delta_bare: float, level: str):
+    """LHS of the steady-state flux balance n*[(k/2)^2 + det(n)^2]."""
+    u = np.asarray(n, dtype=float) / m.n_crit(level)
+    det = delta_bare - m.pull(level) / (1.0 + u)
+    return np.asarray(n, dtype=float) * ((m.base.kappa_tot / 2.0) ** 2 + det**2)
+
+
+def scan_steady_state_photons(m, f, qubit_level):
+    """Reference roots: sign-change scan over a 4001-point log grid, brentq in
+    every bracket, stability from a finite-difference slope of the flux balance."""
+    rhs = m.base.kappa_ext_in * m.drive_amplitude**2
+    if rhs == 0.0:
+        return [CavityRoot(0.0, True)]
+    delta_bare = f - m.f_bare
+    n_max = 1.05 * rhs / (m.base.kappa_tot / 2.0) ** 2
+    grid = np.concatenate([[0.0], np.geomspace(n_max * 1e-15, n_max, 4001)])
+    vals = _response(m, grid, delta_bare, qubit_level) - rhs
+    roots: list[float] = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0 and grid[i] > 0:
+            roots.append(grid[i])
+        elif vals[i] * vals[i + 1] < 0:
+            r = brentq(
+                lambda n: float(_response(m, n, delta_bare, qubit_level) - rhs),
+                grid[i],
+                grid[i + 1],
+                xtol=1e-12 * n_max,
+                rtol=1e-14,
+            )
+            roots.append(float(r))
+    assert roots, "the flux balance changes sign between 0 and n_max"
+    out = []
+    for r in sorted(roots):
+        h = max(r * 1e-7, 1e-12 * n_max)
+        slope = _response(m, r + h, delta_bare, qubit_level) - _response(
+            m, max(r - h, 0.0), delta_bare, qubit_level
+        )
+        out.append(CavityRoot(r, bool(slope > 0)))
+    return out
+
+
+def scan_gain_sweep(m, eta, p_s, n_s_grid, subspace):
+    """Reference sweep: the per-point, per-candidate loop over scan_steady_state_photons."""
+    excited = "e" if subspace == "ge" else "f"
+    conv = m.photon_flux_conversion
+    out = []
+    for n_s in n_s_grid:
+        flux = conv * n_s / m.signal_window_us
+        m_pt = replace(m, drive_amplitude=math.sqrt(flux))
+        best = None
+        for f_cand in (shifted_frequency(m.base, excited), m.f_bare):
+            n_exc_root = min(r.n for r in scan_steady_state_photons(m_pt, f_cand, excited) if r.stable)
+            n_g_root = min(r.n for r in scan_steady_state_photons(m_pt, f_cand, "g") if r.stable)
+            n_exc = n_exc_root * m.base.kappa_ext_out * m.signal_window_us / conv
+            n_g = n_g_root * m.base.kappa_ext_out * m.signal_window_us / conv
+            n1, n0 = predict_single_photon(CalibrationResult(0.0, 1.0, n_g, n_exc, 0.0), eta * p_s)
+            g = gain_db(n1, n0)
+            if n_g_root / m.n_crit("g") > 1.0:
+                regime = "bright"
+            else:
+                n_lin = abs(transmission_coeff(m.base, f_cand, excited)) ** 2 * flux / m.base.kappa_ext_out
+                blockade = n_lin > 0 and abs(n_exc_root - n_lin) / n_lin > 0.05
+                regime = "blockade" if blockade else "linear"
+            if best is None or g > best[0]:
+                best = (g, extinction_db(n0, n1), regime)
+        out.append(SweepPoint(float(n_s), *best))
+    return out
 
 
 def brute_force_root_count(m, f, level, n_pts=200_000):
@@ -86,6 +160,82 @@ class TestSteadyState:
     def test_zero_drive(self):
         roots = steady_state_photons(model(drive=0.0), 9000.0, "g")
         assert roots == [(0.0, True)]
+
+    @pytest.mark.parametrize("level", ["g", "e", "f"])
+    def test_zero_drive_any_level_and_frequency(self, level):
+        m = model(drive=0.0)
+        for f in (m.f_bare, shifted_frequency(CAVITY_II, level), 8990.0, 9010.0):
+            assert steady_state_photons(m, f, level) == [(0.0, True)]
+
+
+@st.composite
+def drive_points(draw):
+    """A device, a drive strength R, a qubit level and a drive frequency."""
+    m = model(
+        n_crit_g=10 ** draw(st.floats(3.0, 6.0)),
+        n_crit_e=10 ** draw(st.floats(3.0, 6.0)),
+        n_crit_f=10 ** draw(st.floats(3.0, 6.0)),
+        bare_offset=draw(st.floats(2.0, 8.0)),
+    )
+    rhs = 10 ** draw(st.floats(-3.0, 10.0))
+    m = replace(m, drive_amplitude=math.sqrt(rhs / m.base.kappa_ext_in))
+    anchor = draw(st.sampled_from(["g", "e", "f", "bare"]))
+    f0 = m.f_bare if anchor == "bare" else shifted_frequency(m.base, anchor)
+    return m, f0 + draw(st.floats(-1.0, 1.0)), draw(st.sampled_from(["g", "e", "f"]))
+
+
+class TestAgainstScan:
+    """The closed-form cubic roots against the log-grid scan they replace."""
+
+    @given(drive_points())
+    @settings(max_examples=300, deadline=None)
+    def test_roots_match_scan(self, point):
+        m, f, level = point
+        got = steady_state_photons(m, f, level)
+        ref = scan_steady_state_photons(m, f, level)
+        assert [r.stable for r in got] == [r.stable for r in ref]
+        rhs = m.base.kappa_ext_in * m.drive_amplitude**2
+        scale = rhs / (m.base.kappa_tot / 2.0) ** 2
+        for r, q in zip(got, ref):
+            assert abs(r.n - q.n) <= 1e-8 * q.n + 1e-11 * scale
+
+    def test_bistable_roots_match_scan(self):
+        m = model(drive=math.sqrt(1.0e6 / 0.13))
+        got = steady_state_photons(m, m.f_bare, "e")
+        ref = scan_steady_state_photons(m, m.f_bare, "e")
+        assert [r.stable for r in got] == [r.stable for r in ref] == [True, False, True]
+        for r, q in zip(got, ref):
+            assert r.n == pytest.approx(q.n, rel=1e-9)
+
+    @pytest.mark.parametrize("subspace", ["ge", "gf"])
+    def test_gain_sweep_matches_scan(self, subspace):
+        m = model()
+        grid = np.geomspace(3.0, 1e8, 24)
+        got = gain_sweep(m, 0.80, 0.925, grid, subspace)
+        ref = scan_gain_sweep(m, 0.80, 0.925, grid, subspace)
+        assert [p.regime for p in got] == [p.regime for p in ref]
+        assert [p.n_s for p in got] == [p.n_s for p in ref]
+        np.testing.assert_allclose([p.gain_db for p in got], [p.gain_db for p in ref], rtol=0, atol=1e-8)
+        np.testing.assert_allclose(
+            [p.extinction_db for p in got], [p.extinction_db for p in ref], rtol=0, atol=1e-8
+        )
+
+    @given(
+        st.floats(0.8, 1.25), st.floats(0.8, 1.25), st.floats(0.8, 1.25),
+        st.floats(0.9, 1.1), st.floats(0.9, 1.1), st.sampled_from(["ge", "gf"]),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_gain_sweep_matches_scan_jittered_devices(self, jg, je, jf, jb, jc, subspace):
+        m = model(n_crit_g=1.0e4 * jg, n_crit_e=2.0e5 * je, n_crit_f=4.0e4 * jf,
+                  bare_offset=5.0 * jb, photon_flux_conversion=11.0 * jc)
+        grid = np.geomspace(1.0, 1e7, 12)
+        got = gain_sweep(m, 0.75, 0.9, grid, subspace)
+        ref = scan_gain_sweep(m, 0.75, 0.9, grid, subspace)
+        assert [p.regime for p in got] == [p.regime for p in ref]
+        np.testing.assert_allclose([p.gain_db for p in got], [p.gain_db for p in ref], rtol=0, atol=1e-8)
+        np.testing.assert_allclose(
+            [p.extinction_db for p in got], [p.extinction_db for p in ref], rtol=0, atol=1e-8
+        )
 
 
 class TestTransmittedPhotons:
@@ -185,6 +335,15 @@ class TestGainSweep:
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError):
             gain_sweep(model(), 0.8, 0.9, [10.0, 5.0], "ge")
+
+    @pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf])
+    def test_grid_rejects_negative_and_non_finite(self, bad):
+        with pytest.raises(ValueError, match="n_s_grid"):
+            gain_sweep(model(), 0.8, 0.9, [bad, 10.0], "ge")
+
+    def test_zero_signal_point(self):
+        pt = gain_sweep(model(), 0.8, 0.9, [0.0, 10.0], "ge")[0]
+        assert pt.n_s == 0.0 and pt.gain_db == -math.inf and pt.regime == "linear"
 
 
 def test_build_model_from_settings():
