@@ -155,6 +155,8 @@ def _protocol_as_dict(cfg: protocol.ProtocolConfig) -> dict:
 
 
 def cmd_spectra(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     dev = device_mod.load(args.device)
     cav = dev.cavity_I if args.cavity == "I" else dev.cavity_II
     mode = "reflect" if cav.single_sided else "transmit"
@@ -316,7 +318,16 @@ def cmd_gain_sweep(args) -> int:
     return 0
 
 
+def _wigner_cutoff(extent: float) -> int:
+    """Fock cutoff the field is embedded in for a phase-space window |x|, |p| <= extent."""
+    return int(math.ceil(8.0 * extent**2)) + 2
+
+
 def cmd_wigner(args) -> int:
+    if not (math.isfinite(args.extent) and args.extent > 0):
+        raise ValueError(f"--extent must be finite and > 0, got {args.extent}")
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     dev = device_mod.load(args.device)
     cfg = load_protocol(args.protocol)
     if args.shots is not None:
@@ -326,8 +337,7 @@ def cmd_wigner(args) -> int:
     shots, _, _ = protocol.label_records(protocol.run_experiment(cfg, dev))
     state = protocol.conditional_gate_field(shots, args.condition, cfg, dev)
 
-    # embed in a cutoff large enough for the requested phase-space window
-    need = int(math.ceil(8.0 * args.extent**2)) + 2
+    need = _wigner_cutoff(args.extent)
     if need > state.dims[0]:
         state = with_cutoff(state, need)
     xs, ps, pts = measurement.wigner_grid(args.extent, args.points)

@@ -167,7 +167,4 @@ def with_cutoff(s: QuantumState, d: int) -> QuantumState:
 
 def destroy(d: int) -> np.ndarray:
     """Truncated annihilation operator."""
-    a = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        a[n - 1, n] = math.sqrt(n)
-    return a
+    return np.diag(np.sqrt(np.arange(1, d)), 1)

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
-from .errors import NumericsError
 from .hilbert import QuantumState
 
 
@@ -51,14 +51,16 @@ class QubitRates:
         return max(1.0 / self.T2_gf - 0.5 / self.T1_ef, 0.0)
 
 
-def _embed(op3: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    rest = int(np.prod(dims[1:])) if len(dims) > 1 else 1
-    return np.kron(op3, np.eye(rest, dtype=complex))
+def _apply_qutrit_map(s: QuantumState, kernel: np.ndarray) -> QuantumState:
+    """Apply a 9x9 row-major superoperator on the qutrit; the other subsystems are spectators.
 
-
-def _require_qutrit_first(s: QuantumState):
+    With rho reshaped to (3, n, 3, n), out[i, a, j, b] = sum_kl K[i, j, k, l] rho[k, a, l, b].
+    """
     if s.dims[0] != 3:
         raise ValueError(f"state must have the 3-level qubit as subsystem 0, dims={s.dims}")
+    n = s.dim // 3
+    rho = np.einsum("ijkl,kalb->iajb", kernel.reshape(3, 3, 3, 3), s.rho.reshape(3, n, 3, n))
+    return QuantumState(s.dims, rho.reshape(s.dim, s.dim))
 
 
 def apply_rotation(s: QuantumState, subspace: str, angle: float, phase: float = 0.0) -> QuantumState:
@@ -66,7 +68,6 @@ def apply_rotation(s: QuantumState, subspace: str, angle: float, phase: float = 
 
     ``subspace`` is "ge" or "ef"; the third level is untouched.
     """
-    _require_qutrit_first(s)
     if subspace == "ge":
         i, j = 0, 1
     elif subspace == "ef":
@@ -80,11 +81,11 @@ def apply_rotation(s: QuantumState, subspace: str, angle: float, phase: float = 
     r[j, j] = c
     r[i, j] = -1j * sn * np.exp(-1j * phase)
     r[j, i] = -1j * sn * np.exp(1j * phase)
-    u = _embed(r, s.dims)
-    return QuantumState(s.dims, u @ s.rho @ u.conj().T)
+    return _apply_qutrit_map(s, np.kron(r, r.conj()))
 
 
-def _collapse_ops(dims: tuple[int, ...], r: QubitRates) -> list[np.ndarray]:
+def _collapse_ops(r: QubitRates) -> list[np.ndarray]:
+    """Collapse operators on the qutrit alone."""
     ket = np.eye(3, dtype=complex)
     ops = []
     ops.append(math.sqrt(1.0 / r.T1_ge) * np.outer(ket[0], ket[1]))  # |g><e|
@@ -97,15 +98,14 @@ def _collapse_ops(dims: tuple[int, ...], r: QubitRates) -> list[np.ndarray]:
         ops.append(math.sqrt(2.0 * g_f) * np.outer(ket[2], ket[2]))
     if r.thermal_excitation_rate > 0:
         ops.append(math.sqrt(r.thermal_excitation_rate) * np.outer(ket[1], ket[0]))
-    return [_embed(op, dims) for op in ops]
+    return ops
 
 
-def _liouvillian(dims: tuple[int, ...], r: QubitRates) -> np.ndarray:
-    """Superoperator of the dissipator in row-major vec convention."""
-    n = int(np.prod(dims))
-    eye = np.eye(n, dtype=complex)
-    sup = np.zeros((n * n, n * n), dtype=complex)
-    for L in _collapse_ops(dims, r):
+def _liouvillian(r: QubitRates) -> np.ndarray:
+    """9x9 superoperator of the qutrit dissipator in row-major vec convention."""
+    eye = np.eye(3, dtype=complex)
+    sup = np.zeros((9, 9), dtype=complex)
+    for L in _collapse_ops(r):
         ldl = L.conj().T @ L
         sup += np.kron(L, L.conj())
         sup -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
@@ -113,40 +113,20 @@ def _liouvillian(dims: tuple[int, ...], r: QubitRates) -> np.ndarray:
 
 
 def evolve_lindblad(s: QuantumState, dt: float, r: QubitRates) -> QuantumState:
-    """Fixed-step RK4 integration of the dissipative Lindblad equation.
+    """Exact evolution under the dissipative Lindblad equation for a time dt.
 
-    The Hamiltonian vanishes in the rotating frame used here, so only the
-    collapse channels act.  Step size is min(dt, T_min/200), which keeps the
-    trace drift below ~1e-12.  The generator is constant, so the n-step RK4
-    propagator is the n-th power of the single-step polynomial
-    I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, evaluated by binary
-    exponentiation instead of a step loop.
+    The Hamiltonian vanishes in the rotating frame used here and every
+    collapse channel acts on the qutrit alone, so the other subsystems are
+    spectators: one 9x9 propagator expm(dt*L) of the qutrit dissipator is
+    applied to the state reshaped to (3, n, 3, n).  There is no step size and
+    no renormalisation; the QuantumState checks on trace, Hermiticity and
+    positivity guard the result.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
     if dt == 0:
         return s
-    _require_qutrit_first(s)
-    t_min = min(r.T1_ge, r.T1_ef, r.T2_ge, r.T2_gf)
-    if r.thermal_excitation_rate > 0:
-        t_min = min(t_min, 1.0 / r.thermal_excitation_rate)
-    n_steps = max(1, math.ceil(dt / (t_min / 200.0)))
-    h = dt / n_steps
-    m = h * _liouvillian(s.dims, r)
-    step = np.eye(m.shape[0], dtype=complex)
-    acc = np.eye(m.shape[0], dtype=complex)
-    for k in (1.0, 2.0, 3.0, 4.0):
-        acc = acc @ m / k
-        step = step + acc
-    n = s.dim
-    rho = (np.linalg.matrix_power(step, n_steps) @ s.rho.reshape(-1)).reshape(n, n)
-    drift = abs(np.trace(rho) - 1.0)
-    if drift > 1e-6:
-        raise NumericsError(
-            f"Lindblad trace drift {drift:.3e} exceeds 1e-6; reduce the step size"
-        )
-    rho = 0.5 * (rho + rho.conj().T)  # scrub accumulated asymmetry at roundoff level
-    return QuantumState(s.dims, rho / np.real(np.trace(rho)))
+    return _apply_qutrit_map(s, expm(dt * _liouvillian(r)))
 
 
 def downward_rate(level: str, r: QubitRates) -> float:

@@ -70,6 +70,15 @@ class TestSpectra:
             peaks[level] = max(sel, key=lambda t: t[1])[0]
         assert peaks["g"] - peaks["e"] == pytest.approx(1.894, abs=2e-3)
 
+    @pytest.mark.parametrize("points", ["-3", "0"])
+    def test_bad_points_exits_2(self, tmp_path, device_file, capsys, points):
+        out = tmp_path / "out"
+        rc = main(["spectra", "--device", str(device_file), "--cavity", "II", "--out", str(out),
+                   "--points", points])
+        assert rc == 2
+        assert "--points" in capsys.readouterr().err
+        assert not (out / "spectra_cavity_II.csv").exists()
+
     def test_lossless_cavity_one_flat_reflectance(self, tmp_path):
         dev = device_mod.paper_defaults()
         import dataclasses
@@ -221,6 +230,29 @@ class TestWigner:
         # phase symmetry of a Fock-diagonal state
         assert w[(1.0, 0.4)] == pytest.approx(w[(1.0, -0.4)], abs=1e-9)
         assert max(abs(v) for v in w.values()) <= 2 / math.pi + 1e-9
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--points", "0"], "--points"),
+            (["--extent", "-1"], "--extent"),
+            (["--extent", "0"], "--extent"),
+            (["--extent", "nan"], "--extent"),
+            (["--extent", "inf"], "--extent"),
+        ],
+    )
+    def test_bad_grid_exits_2_before_simulating(self, tmp_path, device_file, protocol_file,
+                                               capsys, monkeypatch, flags, name):
+        def no_shots(*args, **kwargs):
+            raise AssertionError("the grid must be checked before any shot is run")
+
+        monkeypatch.setattr(photon_transistor.protocol, "run_experiment", no_shots)
+        out = tmp_path / "out"
+        rc = main(["wigner", "--device", str(device_file), "--protocol", str(protocol_file),
+                   "--condition", "off", "--out", str(out), *flags])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+        assert not (out / "wigner_off.csv").exists()
 
     def test_off_center_negative_for_fock_like_state(self, tmp_path):
         # strong off-conditioned field: near-Fock-1 mixture has W(0) < 0.

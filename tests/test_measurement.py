@@ -1,12 +1,25 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import eval_laguerre
 
+from photon_transistor import device as device_mod
 from photon_transistor import measurement
+from photon_transistor.cli import _wigner_cutoff, load_protocol
 from photon_transistor.errors import CutoffError, DegenerateDataError
-from photon_transistor.hilbert import coherent_state, destroy, fock_state, pure_state
+from photon_transistor.hilbert import (
+    QuantumState,
+    coherent_state,
+    destroy,
+    fock_state,
+    pure_state,
+    with_cutoff,
+)
 from photon_transistor.measurement import (
     DetectionModel,
     detect,
@@ -16,6 +29,9 @@ from photon_transistor.measurement import (
     wigner,
     wigner_grid,
 )
+from photon_transistor.protocol import conditional_gate_field, label_records, run_experiment
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestDetect:
@@ -184,3 +200,48 @@ class TestWigner:
         w1 = wigner(s, [0.7 + 0.4j])
         w2 = wigner(s, [0.7 - 0.4j])
         assert w1[0] == pytest.approx(w2[0], abs=1e-12)
+
+
+def laguerre_wigner(p, pts):
+    """W = (2/pi) sum_n p_n (-1)^n e^{-2|alpha|^2} L_n(4|alpha|^2) of a Fock-diagonal state."""
+    r2 = np.abs(np.asarray(pts)) ** 2
+    n = np.arange(len(p))
+    terms = (-1.0) ** n * np.asarray(p) * eval_laguerre(n, 4.0 * r2[:, None])
+    return (2.0 / np.pi) * np.exp(-2.0 * r2) * terms.sum(axis=1)
+
+
+def cli_wigner_map(state, extent):
+    """measurement.wigner on the wigner command's 41 x 41 grid and cutoff."""
+    _, _, pts = wigner_grid(extent, 41)
+    need = _wigner_cutoff(extent)
+    if need > state.dims[0]:
+        state = with_cutoff(state, need)
+    return wigner(state, pts), pts
+
+
+@pytest.fixture(scope="module")
+def paper_off_field():
+    dev = device_mod.load(CONFIGS / "device_paper.json")
+    cfg = load_protocol(CONFIGS / "protocol_paper_point.json")
+    shots, _, _ = label_records(run_experiment(cfg, dev))
+    return conditional_gate_field(shots, "off", cfg, dev)
+
+
+class TestWignerAgainstLaguerre:
+    # tolerances: at 2.5 the worst 8-level Fock state, |7>, is off by 7.7e-6; at 3.0 by 1.2e-10
+    @pytest.mark.parametrize("extent, d, tol", [(2.5, 52, 1e-5), (3.0, 74, 1e-9)])
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_random_diagonal_state(self, extent, d, tol, seed):
+        p = np.random.default_rng(seed).random(8)
+        p /= p.sum()
+        w, pts = cli_wigner_map(QuantumState((8,), np.diag(p)), extent)
+        assert _wigner_cutoff(extent) == d
+        np.testing.assert_allclose(w, laguerre_wigner(p, pts), rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("extent, tol", [(2.5, 1e-11), (3.0, 1e-13)])
+    def test_paper_point_off_field(self, paper_off_field, extent, tol):
+        rho = paper_off_field.rho
+        np.testing.assert_array_equal(rho, np.diag(np.diag(rho)))
+        w, pts = cli_wigner_map(paper_off_field, extent)
+        np.testing.assert_allclose(w, laguerre_wigner(np.real(np.diag(rho)), pts), rtol=0, atol=tol)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photon_transistor.errors import NumericsError
-from photon_transistor.hilbert import fock_state, pure_state, qutrit_state, tensor
+from photon_transistor.hilbert import QuantumState, fock_state, pure_state, qutrit_state, tensor
 from photon_transistor.qubit import (
     QubitRates,
     apply_rotation,
@@ -18,6 +20,92 @@ RATES = QubitRates(T1_ge=30.0, T1_ef=15.0, T2_ge=20.0, T2_gf=12.0)
 
 def populations(s):
     return np.real(np.diag(s.rho))[:3]
+
+
+# Reference path: the full-space RK4 superoperator that evolve_lindblad replaced.
+
+
+def _embed(op3, dims):
+    rest = int(np.prod(dims[1:])) if len(dims) > 1 else 1
+    return np.kron(op3, np.eye(rest, dtype=complex))
+
+
+def _full_collapse_ops(dims, r):
+    ket = np.eye(3, dtype=complex)
+    ops = [
+        math.sqrt(1.0 / r.T1_ge) * np.outer(ket[0], ket[1]),
+        math.sqrt(1.0 / r.T1_ef) * np.outer(ket[1], ket[2]),
+    ]
+    if r.dephasing_ge() > 0:
+        ops.append(math.sqrt(2.0 * r.dephasing_ge()) * np.outer(ket[1], ket[1]))
+    if r.dephasing_gf() > 0:
+        ops.append(math.sqrt(2.0 * r.dephasing_gf()) * np.outer(ket[2], ket[2]))
+    if r.thermal_excitation_rate > 0:
+        ops.append(math.sqrt(r.thermal_excitation_rate) * np.outer(ket[1], ket[0]))
+    return [_embed(op, dims) for op in ops]
+
+
+def _full_liouvillian(dims, r):
+    n = int(np.prod(dims))
+    eye = np.eye(n, dtype=complex)
+    sup = np.zeros((n * n, n * n), dtype=complex)
+    for L in _full_collapse_ops(dims, r):
+        ldl = L.conj().T @ L
+        sup += np.kron(L, L.conj())
+        sup -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    return sup
+
+
+def rk4_evolve_lindblad(s, dt, r):
+    """Steps of min(dt, T_min/200), the RK4 step polynomial raised to the step count,
+    a 1e-6 trace-drift check, then symmetrisation and division by the trace."""
+    t_min = min(r.T1_ge, r.T1_ef, r.T2_ge, r.T2_gf)
+    if r.thermal_excitation_rate > 0:
+        t_min = min(t_min, 1.0 / r.thermal_excitation_rate)
+    n_steps = max(1, math.ceil(dt / (t_min / 200.0)))
+    m = (dt / n_steps) * _full_liouvillian(s.dims, r)
+    step = np.eye(m.shape[0], dtype=complex)
+    acc = np.eye(m.shape[0], dtype=complex)
+    for k in (1.0, 2.0, 3.0, 4.0):
+        acc = acc @ m / k
+        step = step + acc
+    n = s.dim
+    rho = (np.linalg.matrix_power(step, n_steps) @ s.rho.reshape(-1)).reshape(n, n)
+    drift = abs(np.trace(rho) - 1.0)
+    if drift > 1e-6:
+        raise NumericsError(f"Lindblad trace drift {drift:.3e} exceeds 1e-6")
+    rho = 0.5 * (rho + rho.conj().T)
+    return QuantumState(s.dims, rho / np.real(np.trace(rho)))
+
+
+def random_state(dims, seed):
+    """Full-rank density matrix from a seeded Ginibre draw."""
+    n = int(np.prod(dims))
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = g @ g.conj().T
+    return QuantumState(dims, rho / np.real(np.trace(rho)))
+
+
+@st.composite
+def physical_rates(draw):
+    t1_ge = draw(st.floats(1.0, 100.0))
+    t1_ef = draw(st.floats(1.0, 100.0))
+    thermal = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
+    return QubitRates(
+        T1_ge=t1_ge,
+        T1_ef=t1_ef,
+        T2_ge=draw(st.floats(0.05, 2.0)) * t1_ge,
+        T2_gf=draw(st.floats(0.05, 2.0)) * t1_ef,
+        thermal_excitation_rate=thermal,
+    )
+
+
+JOINT_DIMS = st.one_of(
+    st.just((3,)),
+    st.integers(1, 8).map(lambda d: (3, d)),
+    st.just((3, 2, 2)),
+)
 
 
 class TestRotations:
@@ -49,6 +137,21 @@ class TestRotations:
         s = pure_state(vec, (3,))
         out = apply_rotation(s, "ge", 1.234, 0.777)
         assert out.purity() == pytest.approx(1.0, abs=1e-12)
+
+    @given(JOINT_DIMS, st.sampled_from(["ge", "ef"]), st.floats(-7.0, 7.0),
+           st.floats(-4.0, 4.0), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_kron_conjugation(self, dims, subspace, angle, phase, seed):
+        s = random_state(dims, seed)
+        i, j = (0, 1) if subspace == "ge" else (1, 2)
+        r = np.eye(3, dtype=complex)
+        r[i, i] = r[j, j] = math.cos(angle / 2.0)
+        r[i, j] = -1j * math.sin(angle / 2.0) * np.exp(-1j * phase)
+        r[j, i] = -1j * math.sin(angle / 2.0) * np.exp(1j * phase)
+        u = _embed(r, dims)
+        out = apply_rotation(s, subspace, angle, phase)
+        assert out.dims == s.dims
+        np.testing.assert_allclose(out.rho, u @ s.rho @ u.conj().T, rtol=0, atol=1e-13)
 
     def test_acts_on_qubit_of_joint_state(self):
         joint = tensor(qutrit_state("g"), fock_state(1, 4))
@@ -100,6 +203,17 @@ class TestLindblad:
     def test_negative_dt_rejected(self):
         with pytest.raises(ValueError):
             evolve_lindblad(qutrit_state("g"), -1.0, RATES)
+
+
+class TestAgainstRK4:
+    @given(JOINT_DIMS, physical_rates(), st.floats(-3.0, 2.0), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_superoperator_path(self, dims, rates, log_dt, seed):
+        s = random_state(dims, seed)
+        dt = 10.0**log_dt * rates.T1_ge
+        out = evolve_lindblad(s, dt, rates)
+        assert out.dims == s.dims
+        np.testing.assert_allclose(out.rho, rk4_evolve_lindblad(s, dt, rates).rho, rtol=0, atol=1e-10)
 
 
 class TestRatesValidation:
