@@ -318,9 +318,10 @@ def cmd_gain_sweep(args) -> int:
     return 0
 
 
-def _wigner_cutoff(extent: float) -> int:
-    """Fock cutoff the field is embedded in for a phase-space window |x|, |p| <= extent."""
-    return int(math.ceil(8.0 * extent**2)) + 2
+def _wigner_cutoff(extent: float, support: int) -> int:
+    """Fock cutoff for the window |x|, |p| <= extent: |alpha|^2 <= d/4 at its corner,
+    and six times the field's ``support`` levels, so the truncated displacement converges."""
+    return max(int(math.ceil(8.0 * extent**2)) + 2, 6 * support)
 
 
 def cmd_wigner(args) -> int:
@@ -337,9 +338,7 @@ def cmd_wigner(args) -> int:
     shots, _, _ = protocol.label_records(protocol.run_experiment(cfg, dev))
     state = protocol.conditional_gate_field(shots, args.condition, cfg, dev)
 
-    need = _wigner_cutoff(args.extent)
-    if need > state.dims[0]:
-        state = with_cutoff(state, need)
+    state = with_cutoff(state, _wigner_cutoff(args.extent, state.dims[0]))
     xs, ps, pts = measurement.wigner_grid(args.extent, args.points)
     w = measurement.wigner(state, pts).reshape(args.points, args.points)
 
@@ -354,11 +353,12 @@ def cmd_wigner(args) -> int:
         timestamp=_now(),
         outputs=(str(out_path),),
     )
-    rows = []
-    for j, p in enumerate(ps):
-        for i, x in enumerate(xs):
-            rows.append([_fmt(x), _fmt(p), _fmt(w[j, i])])
-    _write_csv(out_path, manifest.hash(), ["x", "p", "w"], rows)
+    x_text = [_fmt(x) for x in xs.tolist()]
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        _write_preamble(fh, manifest.hash(), ["x", "p", "w"])
+        for p, row in zip(ps.tolist(), w.tolist()):
+            p_text = _fmt(p)
+            fh.writelines(f"{x},{p_text},{v:.12g}\r\n" for x, v in zip(x_text, row))
     print(f"wrote {out_path}")
     return 0
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -10,9 +11,11 @@ import pytest
 
 import photon_transistor
 from photon_transistor import device as device_mod
+from photon_transistor import measurement
 from photon_transistor.analysis import synthesize_intensities
-from photon_transistor.cli import RunManifest, load_protocol, main
-from photon_transistor.protocol import label_records, run_experiment
+from photon_transistor.cli import RunManifest, _protocol_as_dict, _wigner_cutoff, load_protocol, main
+from photon_transistor.hilbert import with_cutoff
+from photon_transistor.protocol import conditional_gate_field, label_records, run_experiment
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -230,6 +233,29 @@ class TestWigner:
         # phase symmetry of a Fock-diagonal state
         assert w[(1.0, 0.4)] == pytest.approx(w[(1.0, -0.4)], abs=1e-9)
         assert max(abs(v) for v in w.values()) <= 2 / math.pi + 1e-9
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path, device_file, protocol_file):
+        out = tmp_path / "out"
+        assert main(["wigner", "--device", str(device_file), "--protocol", str(protocol_file),
+                     "--condition", "on", "--out", str(out),
+                     "--extent", "1.5", "--points", "17", "--shots", "400"]) == 0
+        cfg = dataclasses.replace(load_protocol(protocol_file), n_shots=400)
+        dev = device_mod.load(device_file)
+        shots, _, _ = label_records(run_experiment(cfg, dev))
+        state = conditional_gate_field(shots, "on", cfg, dev)
+        state = with_cutoff(state, _wigner_cutoff(1.5, state.dims[0]))
+        xs, ps, pts = measurement.wigner_grid(1.5, 17)
+        w = measurement.wigner(state, pts).reshape(17, 17)
+        manifest = RunManifest("wigner --condition on", hashlib.sha256(device_file.read_bytes()).hexdigest(),
+                               _protocol_as_dict(cfg), cfg.seed, "any time", ("any path",))
+        buf = io.StringIO(newline="")
+        buf.write(f"# manifest_hash={manifest.hash()}\n")
+        writer = csv.writer(buf)
+        writer.writerow(["x", "p", "w"])
+        for j, p in enumerate(ps):
+            for i, x in enumerate(xs):
+                writer.writerow([f"{x:.12g}", f"{p:.12g}", f"{w[j, i]:.12g}"])
+        assert (out / "wigner_on.csv").read_bytes() == buf.getvalue().encode("utf-8")
 
     @pytest.mark.parametrize(
         "flags, name",

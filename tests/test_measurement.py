@@ -22,8 +22,8 @@ from photon_transistor.hilbert import (
 )
 from photon_transistor.measurement import (
     DetectionModel,
+    _displacement_eigensystem,
     detect,
-    displacement_operator,
     histogram,
     kmeans_1d,
     wigner,
@@ -141,6 +141,42 @@ class TestHistogram:
             histogram([1.0], 0)
 
 
+def displacement_operator(alpha: complex, d: int) -> np.ndarray:
+    """Truncated D(alpha) = exp(alpha a^dag - conj(alpha) a) from the cached eigensystem."""
+    lam, v = _displacement_eigensystem(d)
+    mag, phi = abs(alpha), np.angle(alpha)
+    core = (v * np.exp(1j * lam * mag)) @ v.conj().T
+    phase = np.exp(1j * phi * np.arange(d))
+    return (core * phase[:, None]) * phase.conj()[None, :]
+
+
+def loop_wigner(field: QuantumState, grid) -> np.ndarray:
+    """The per-point displaced-parity loop that measurement.wigner replaced.
+
+    W(alpha) = (2/pi) sum_k w_k <psi_k| D(alpha) P D(alpha)^dag |psi_k> over the
+    eigenvectors of rho with eigenvalue > 1e-13.
+    """
+    d = field.dims[0]
+    pts = np.asarray(grid, dtype=complex).ravel()
+    lam, v = _displacement_eigensystem(d)
+    vd = v.conj().T
+    parity = (-1.0) ** np.arange(d)
+    evals, evecs = np.linalg.eigh(field.rho)
+    keep = evals > 1e-13
+    weights = evals[keep]
+    vecs = evecs[:, keep]
+    n_idx = np.arange(d)
+    out = np.empty(pts.size, dtype=float)
+    for i, alpha in enumerate(pts):
+        mag, phi = abs(alpha), np.angle(alpha)
+        phase = np.exp(-1j * phi * n_idx)
+        rot = np.exp(-1j * lam * mag)
+        # y = D(alpha)^dag psi, via the cached eigensystem
+        y = (phase.conj()[:, None]) * (v @ (rot[:, None] * (vd @ (phase[:, None] * vecs))))
+        out[i] = (2.0 / np.pi) * float(np.real(np.sum(weights * (parity @ (np.abs(y) ** 2)))))
+    return out
+
+
 class TestDisplacement:
     @pytest.mark.parametrize("alpha", [0.3, -0.5j, 0.4 + 0.2j])
     def test_matches_scipy_expm(self, alpha):
@@ -202,6 +238,53 @@ class TestWigner:
         assert w1[0] == pytest.approx(w2[0], abs=1e-12)
 
 
+def random_density(rng, s: int) -> QuantumState:
+    """A full-rank s-level density matrix with complex off-diagonal terms."""
+    a = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+    rho = a @ a.conj().T
+    return QuantumState((s,), rho / np.trace(rho))
+
+
+class TestWignerAgainstLoop:
+    @given(st.integers(1, 20), st.integers(0, 60), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_point_loop(self, support, extra, embed, seed):
+        rng = np.random.default_rng(seed)
+        state = random_density(rng, support)
+        d = support + extra if embed else support
+        if embed:
+            state = with_cutoff(state, d)
+        r_max = math.sqrt(0.99 * d / 4.0)
+        radii = r_max * np.sqrt(rng.random(40))
+        random_pts = radii * np.exp(2j * np.pi * rng.random(40))
+        x, y = r_max * rng.random(2) / math.sqrt(2.0)
+        # sign flips and the x <-> y swap repeat the radius exactly; rotations repeat it nearly
+        mirrored = [s * complex(u, t * v) for u, v in ((x, y), (y, x)) for s in (1, -1) for t in (1, -1)]
+        rotated = complex(x, y) * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7))
+        axes = [0.0, r_max, -r_max, 1j * r_max, -1j * r_max, 0.5 * r_max, 0.5j * r_max]
+        pts = np.concatenate([random_pts, mirrored, rotated, axes])
+        np.testing.assert_allclose(wigner(state, pts), loop_wigner(state, pts), rtol=0, atol=1e-12)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        # 7-point chunks split the grid's repeated radii across chunk boundaries
+        monkeypatch.setattr(measurement, "_WIGNER_CHUNK", 7)
+        state = with_cutoff(random_density(np.random.default_rng(4), 6), 40)
+        _, _, pts = wigner_grid(2.0, 21)
+        np.testing.assert_allclose(wigner(state, pts), loop_wigner(state, pts), rtol=0, atol=1e-12)
+
+    def test_empty_grid(self):
+        assert wigner(fock_state(1, 10), []).shape == (0,)
+        assert wigner(fock_state(1, 10), np.zeros((0, 3))).shape == (0,)
+
+    def test_cutoff_error_before_any_work(self, monkeypatch):
+        def no_eigensystem(d):
+            raise AssertionError("the cutoff must be checked first")
+
+        monkeypatch.setattr(measurement, "_displacement_eigensystem", no_eigensystem)
+        with pytest.raises(CutoffError):
+            wigner(with_cutoff(fock_state(1, 4), 20), [0.0, 2.3j])  # |alpha|^2 = 5.29 > 20/4
+
+
 def laguerre_wigner(p, pts):
     """W = (2/pi) sum_n p_n (-1)^n e^{-2|alpha|^2} L_n(4|alpha|^2) of a Fock-diagonal state."""
     r2 = np.abs(np.asarray(pts)) ** 2
@@ -213,7 +296,7 @@ def laguerre_wigner(p, pts):
 def cli_wigner_map(state, extent):
     """measurement.wigner on the wigner command's 41 x 41 grid and cutoff."""
     _, _, pts = wigner_grid(extent, 41)
-    need = _wigner_cutoff(extent)
+    need = _wigner_cutoff(extent, state.dims[0])
     if need > state.dims[0]:
         state = with_cutoff(state, need)
     return wigner(state, pts), pts
@@ -228,18 +311,24 @@ def paper_off_field():
 
 
 class TestWignerAgainstLaguerre:
-    # tolerances: at 2.5 the worst 8-level Fock state, |7>, is off by 7.7e-6; at 3.0 by 1.2e-10
-    @pytest.mark.parametrize("extent, d, tol", [(2.5, 52, 1e-5), (3.0, 74, 1e-9)])
+    # tolerances: at 2.5 the worst 8-level Fock state, |7>, is off by 7.7e-6; at 3.0 by 1.2e-10;
+    # at 1.0-2.0 the cutoff 6 * 8 = 48 leaves it within 2.9e-9
+    @pytest.mark.parametrize(
+        "extent, d, tol",
+        [(2.5, 52, 1e-5), (3.0, 74, 1e-9), (1.0, 48, 1e-8), (1.5, 48, 1e-8), (2.0, 48, 1e-8)],
+    )
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
     def test_random_diagonal_state(self, extent, d, tol, seed):
         p = np.random.default_rng(seed).random(8)
         p /= p.sum()
         w, pts = cli_wigner_map(QuantumState((8,), np.diag(p)), extent)
-        assert _wigner_cutoff(extent) == d
+        assert _wigner_cutoff(extent, 8) == d
         np.testing.assert_allclose(w, laguerre_wigner(p, pts), rtol=0, atol=tol)
 
-    @pytest.mark.parametrize("extent, tol", [(2.5, 1e-11), (3.0, 1e-13)])
+    @pytest.mark.parametrize(
+        "extent, tol", [(2.5, 1e-11), (3.0, 1e-13), (1.0, 1e-8), (1.5, 1e-8), (2.0, 1e-8)]
+    )
     def test_paper_point_off_field(self, paper_off_field, extent, tol):
         rho = paper_off_field.rho
         np.testing.assert_array_equal(rho, np.diag(np.diag(rho)))
