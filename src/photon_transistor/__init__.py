@@ -47,7 +47,7 @@ from .semiclassical import (
     transmitted_photons,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "CalibrationInputs",

@@ -8,18 +8,16 @@ Conventions (pinned once, referenced by every phase test):
 * the level-dependent resonance pull equals 2*chi relative to the g-state
   resonance (chi is an input, never derived from a coupling strength);
 * all frequencies and rates are ordinary (non-angular) MHz.  The closed
-  forms below are ratio-invariant, so no 2*pi conversion ever appears.
+  forms below are ratio-invariant, so no 2*pi conversion appears except in
+  the pulse moments, which integrate over time (us) rather than frequency.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import wofz
 
 from .errors import NumericsError
 
@@ -99,12 +97,6 @@ def shifted_frequency(c: CavityParams, qubit_level: str) -> float:
     raise ValueError(f"unknown qubit level {qubit_level!r}")
 
 
-def _port_reflection(kappa_port, kappa_rest, delta):
-    return ((kappa_port - kappa_rest) / 2.0 + 1j * delta) / (
-        (kappa_port + kappa_rest) / 2.0 - 1j * delta
-    )
-
-
 def reflection_coeff(c: CavityParams, f, qubit_level: str):
     """Reflection amplitude r(Delta) of a single-sided cavity.
 
@@ -113,7 +105,7 @@ def reflection_coeff(c: CavityParams, f, qubit_level: str):
     if not c.single_sided:
         raise ValueError("reflection_coeff requires a single-sided cavity (kappa_ext_out = 0)")
     delta = np.asarray(f, dtype=float) - shifted_frequency(c, qubit_level)
-    r = _port_reflection(c.kappa_ext_in, c.kappa_int, delta)
+    r = ((c.kappa_ext_in - c.kappa_int) / 2.0 + 1j * delta) / (c.kappa_tot / 2.0 - 1j * delta)
     return complex(r) if np.isscalar(f) else r
 
 
@@ -124,22 +116,6 @@ def transmission_coeff(c: CavityParams, f, qubit_level: str):
     delta = np.asarray(f, dtype=float) - shifted_frequency(c, qubit_level)
     t = np.sqrt(c.kappa_ext_in * c.kappa_ext_out) / (c.kappa_tot / 2.0 - 1j * delta)
     return complex(t) if np.isscalar(f) else t
-
-
-def input_port_reflection(c: CavityParams, f, qubit_level: str):
-    """Reflection back out of the input port (any cavity, same conventions)."""
-    delta = np.asarray(f, dtype=float) - shifted_frequency(c, qubit_level)
-    r = _port_reflection(c.kappa_ext_in, c.kappa_ext_out + c.kappa_int, delta)
-    return complex(r) if np.isscalar(f) else r
-
-
-def energy_budget(c: CavityParams, f: float, qubit_level: str):
-    """(|t|^2, |r_back|^2, loss fraction) for a two-sided cavity; sums to 1."""
-    t2 = abs(transmission_coeff(c, f, qubit_level)) ** 2
-    r2 = abs(input_port_reflection(c, f, qubit_level)) ** 2
-    delta = f - shifted_frequency(c, qubit_level)
-    loss = c.kappa_int * c.kappa_ext_in / ((c.kappa_tot / 2.0) ** 2 + delta**2)
-    return t2, r2, loss
 
 
 def spectrum(c: CavityParams, f_grid, qubit_level: str, mode: str):
@@ -160,33 +136,16 @@ def spectrum(c: CavityParams, f_grid, qubit_level: str, mode: str):
 
 
 # ---------------------------------------------------------------------------
-# pulse spectra and the single-photon gating efficiency
+# pulse moments and the single-photon gating efficiency
+#
+# A photon reflected off a single-sided cavity with the qubit in level l leaves
+# with r_l = -1 + kappa_ext * A_l, where A_l = 1/(kappa_tot/2 - i(f - f_l))
+# (Gardiner & Collett, PRA 31, 3761 (1985)).  Every gate-stage kernel is
+# rational in A_g and A_e, so its average over the pulse's intensity spectrum
+# follows from the two pulse moments <A_g> and <A_e>.
 
-
-def pulse_amplitude_spectrum(p: PulseShape, nu):
-    """Fourier amplitude of the pulse envelope at offset nu (MHz) from carrier.
-
-    Gaussian case: analytic transform of the truncated envelope, written with
-    the Faddeeva function so the huge-cancellation region (|2 pi nu sigma| >> 1)
-    stays finite:
-
-        F = sigma*sqrt(pi/2) * (2 e^{-y^2} - 2 Re[e^{-x^2 - 2ixy} w(-y + ix)])
-
-    with x = a/(sigma sqrt2), y = omega sigma/sqrt2, a = T/2.
-    Square case: F = T*sinc(nu*T).
-    """
-    nu = np.asarray(nu, dtype=float)
-    T = p.duration / 1000.0  # ns -> us so that MHz*us is dimensionless
-    if p.kind == "square":
-        return T * np.sinc(nu * T)
-    sigma = p.sigma / 1000.0
-    a = T / 2.0
-    om = 2.0 * np.pi * nu
-    x = a / (sigma * np.sqrt(2.0))
-    y = om * sigma / np.sqrt(2.0)
-    term1 = 2.0 * np.exp(-np.minimum(y * y, 700.0))
-    term2 = 2.0 * np.real(np.exp(-x * x - 2j * x * y) * wofz(-y + 1j * x))
-    return sigma * np.sqrt(np.pi / 2.0) * (term1 - term2)
+#: 32-node Gauss-Legendre rule on [-1, 1], applied panel by panel
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def gate_carrier_frequency(c: CavityParams, p: PulseShape) -> float:
@@ -194,86 +153,84 @@ def gate_carrier_frequency(c: CavityParams, p: PulseShape) -> float:
     return 0.5 * (shifted_frequency(c, "g") + shifted_frequency(c, "e")) + p.carrier_detuning
 
 
-def _pulse_weighted(c: CavityParams, p: PulseShape, kernel, tol=1e-9):
-    """Average of a real kernel over the unit-normalized pulse intensity spectrum.
+def _pulse_moments(c: CavityParams, p: PulseShape) -> tuple[complex, complex]:
+    """<A_g> and <A_e> over the pulse's intensity spectrum, normalised to its full power.
 
-    Both integrals go through ``scipy.integrate.quad`` at relative tolerance
-    ``tol``; an error estimate above it raises instead of warning.
+    By Wiener-Khinchin, with d_l = f_c - f_l and C the envelope autocorrelation,
+
+        <A_l> = (2 pi / C(0)) * int_0^tau_max exp(-2 pi (kappa/2 - i d_l) tau) C(tau) dtau,
+
+    where C(tau) = T - tau for a square pulse and
+    exp(-tau^2/4 sigma^2) * erf((T - tau)/(2 sigma)) for the truncated gaussian
+    (up to a constant).  The integrand has decayed below e^-80 by
+    tau = 80/(pi kappa), so tau_max = min(T, 80/(pi kappa)).  Each panel spans
+    about one unit of the integrand's fastest rate (decay, carrier offset and
+    gaussian width), which keeps the fixed 32-node rule at double precision.
     """
-    # imported on first use: scipy.integrate adds about 50 ms and 2.5 MB to the
-    # start-up of every command, and only the gate-stage scalars need it
-    from scipy.integrate import quad
-
-    f_c = gate_carrier_frequency(c, p)
-    half = 10.0 * c.kappa_tot
-    lo, hi = f_c - half, f_c + half
-    # breakpoints 4, 16, 64, ... spectral widths from the carrier let quad find
-    # a peak far narrower than the window and resolve its 1/T-wide side lobes
-    width = 1000.0 / p.duration if p.kind == "square" else 1000.0 / (2.0 * math.pi * p.sigma)
-    steps = width * 4.0 ** np.arange(1, 40)
-    steps = steps[steps < half]
-    points = list(f_c + np.concatenate([-steps, steps])) or None
-
-    def wfun(f):
-        return float(pulse_amplitude_spectrum(p, f - f_c)) ** 2
-
-    def integrate(f, eps):
-        # full_output keeps quad from warning; the error check below decides.
-        # 5000 subintervals cover a 1 ms pulse's ~35 000 side lobes.
-        val, err = quad(f, lo, hi, epsabs=eps, epsrel=tol, limit=5000, points=points, full_output=1)[:2]
-        if not err <= max(eps, tol * abs(val)):
-            raise NumericsError(f"quadrature error estimate {err:.3e} exceeds the tolerance")
-        return val
-
-    norm = integrate(wfun, 0.0)
-    if not np.isfinite(norm) or norm <= 0:
-        raise NumericsError("pulse spectrum is not normalizable over the quadrature range")
-    return integrate(lambda f: wfun(f) * kernel(f), tol * norm) / norm
+    T = p.duration / 1000.0  # ns -> us, so that MHz * us counts cycles
+    kappa = c.kappa_tot
+    tau_max = min(T, 80.0 / (math.pi * kappa))
+    d = gate_carrier_frequency(c, p) - np.array([shifted_frequency(c, "g"), shifted_frequency(c, "e")])
+    fastest = kappa / 2.0 + float(np.abs(d).max())  # 1/us
+    if p.kind == "gaussian":
+        fastest += 250.0 / p.sigma  # 1/(4 sigma) in 1/us, sigma in ns
+    panels = 1 + int(tau_max * fastest)
+    h = tau_max / panels
+    tau = (h * (np.arange(panels)[:, None] + (_GL_NODES + 1.0) / 2.0)).ravel()
+    weights = np.tile(_GL_WEIGHTS * (h / 2.0), panels)
+    if p.kind == "square":
+        corr, corr0 = T - tau, T
+    else:
+        two_sigma = 2.0 * p.sigma / 1000.0
+        erfs = np.array([math.erf((T - t) / two_sigma) for t in tau])
+        corr, corr0 = np.exp(-((tau / two_sigma) ** 2)) * erfs, math.erf(T / two_sigma)
+    decay = 2.0 * math.pi * (kappa / 2.0 - 1j * d)
+    a_g, a_e = (2.0 * math.pi / corr0) * (np.exp(-np.outer(decay, tau)) @ (weights * corr))
+    return complex(a_g), complex(a_e)
 
 
 def gating_efficiency(c: CavityParams, p: PulseShape) -> float:
     """Probability that one reflected gate photon flips the qubit superposition.
 
-    eta = (1 - Re < r_g(f) conj(r_e(f)) >_pulse) / 2, averaged over the
-    unit-normalized pulse intensity spectrum.  Approaches 1 for a narrowband
-    pulse on a lossless cavity with kappa_ext = 2|chi|.
+    eta = (1 - Re <r_g(f) conj(r_e(f))>) / 2, averaged over the pulse's whole
+    intensity spectrum normalised to its full power C(0); no frequency window
+    is cut.  With S = <A_g> + conj(<A_e>),
+
+        <r_g conj(r_e)> = 1 - k_ext S + k_ext^2 S / (k_tot - i (f_e - f_g)).
+
+    Approaches 1 for a narrowband pulse on a lossless cavity with
+    kappa_ext = 2|chi|.
     """
     if not c.single_sided:
         raise ValueError("gating_efficiency requires a single-sided cavity")
-    return _gating_efficiency(c, p)
+    a_g, a_e = _pulse_moments(c, p)
+    k_ext = c.kappa_ext_in
+    s = a_g + a_e.conjugate()
+    pull = shifted_frequency(c, "e") - shifted_frequency(c, "g")
+    overlap = 1.0 - k_ext * s + k_ext**2 * s / (c.kappa_tot - 1j * pull)
+    return min(max((1.0 - overlap.real) / 2.0, 0.0), 1.0)
 
 
 def pulse_survival(c: CavityParams, p: PulseShape) -> float:
-    """Pulse-averaged per-photon intensity survival |r_g||r_e| on reflection."""
+    """Per-photon intensity survival on reflection, (<|r_g|^2> + <|r_e|^2>) / 2.
+
+    Averaged over the pulse's whole intensity spectrum normalised to its full
+    power C(0); only the internal loss port removes the photon:
+
+        <|r_l|^2> = 1 - (2 k_ext k_int / k_tot) Re <A_l>.
+    """
     if not c.single_sided:
         raise ValueError("pulse_survival requires a single-sided cavity")
-    return _pulse_survival(c, p)
-
-
-# Both scalars are memoised per (cavity, pulse) pair; the memo sits on these
-# helpers so that the public names above stay plain functions, which
-# bench/tracer.py can wrap and time.  64 pairs outlast an internal-loss root-find.
-@functools.lru_cache(maxsize=64)
-def _gating_efficiency(c: CavityParams, p: PulseShape) -> float:
-    def kernel(f):
-        return (reflection_coeff(c, f, "g") * reflection_coeff(c, f, "e").conjugate()).real
-
-    eta = (1.0 - _pulse_weighted(c, p, kernel)) / 2.0
-    return min(max(eta, 0.0), 1.0)
-
-
-@functools.lru_cache(maxsize=64)
-def _pulse_survival(c: CavityParams, p: PulseShape) -> float:
-    def kernel(f):
-        return abs(reflection_coeff(c, f, "g")) * abs(reflection_coeff(c, f, "e"))
-
-    return _pulse_weighted(c, p, kernel)
+    a_g, a_e = _pulse_moments(c, p)
+    loss = 2.0 * c.kappa_ext_in * c.kappa_int / c.kappa_tot
+    return 1.0 - loss * (a_g.real + a_e.real) / 2.0
 
 
 def internal_loss_for_efficiency(
     c: CavityParams, p: PulseShape, eta_target: float, kappa_max: float | None = None
 ) -> float:
     """Root-find the internal loss rate at which gating_efficiency hits a target."""
+    from scipy.optimize import brentq  # imported on use: scipy adds ~0.5 s to every start-up
 
     def eta_of(k):
         return gating_efficiency(replace(c, kappa_int=k), p)

@@ -21,9 +21,10 @@ from .semiclassical import SemiclassicalSettings
 PROVENANCE_TAGS = ("paper", "derived", "default", "user")
 
 #: cavity-I internal loss (MHz) at which the 960 ns Gaussian gate pulse gives
-#: a single-photon flip probability of exactly 0.80; found by root-finding
-#: gating_efficiency over kappa_int (see tests/test_device.py, which re-derives it)
-KAPPA_I_INT_FOR_ETA_080 = 0.15872001690
+#: a single-photon flip probability of exactly 0.80, eta being averaged over the
+#: pulse's full intensity spectrum; found by root-finding gating_efficiency over
+#: kappa_int (see tests/test_device.py, which re-derives it)
+KAPPA_I_INT_FOR_ETA_080 = 0.15871527810
 
 _CAVITY_KEYS = {
     "f0_mhz": "f0",

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .hilbert import QuantumState
 
@@ -126,6 +125,8 @@ def evolve_lindblad(s: QuantumState, dt: float, r: QubitRates) -> QuantumState:
         raise ValueError("dt must be >= 0")
     if dt == 0:
         return s
+    from scipy.linalg import expm  # imported on use: scipy adds ~0.5 s to every start-up
+
     return _apply_qutrit_map(s, expm(dt * _liouvillian(r)))
 
 

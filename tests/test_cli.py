@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,8 @@ from photon_transistor.cli import RunManifest, _protocol_as_dict, _wigner_cutoff
 from photon_transistor.hilbert import with_cutoff
 from photon_transistor.protocol import conditional_gate_field, label_records, run_experiment
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 @pytest.fixture()
@@ -385,3 +389,29 @@ def test_missing_device_file_exits_2(tmp_path):
     rc = main(["spectra", "--device", str(tmp_path / "nope.json"), "--cavity", "I",
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_commands_import_no_scipy(tmp_path):
+    # scipy is imported only by the internal-loss root-find and the Lindblad
+    # propagator, so none of the five commands pays its start-up cost
+    script = f"""
+import sys
+from photon_transistor.cli import main
+dev, proto, out = {str(CONFIGS / "device_paper.json")!r}, {str(CONFIGS / "protocol_paper_point.json")!r}, {str(tmp_path)!r}
+runs = [
+    ["spectra", "--device", dev, "--cavity", "I", "--out", out, "--points", "51"],
+    ["gain-sweep", "--device", dev, "--out", out, "--points", "5"],
+    ["calibrate", "--inputs", {str(CONFIGS / "calibration_example.json")!r}, "--out", out],
+    ["switch", "--device", dev, "--protocol", proto, "--out", out, "--shots", "400"],
+    ["wigner", "--device", dev, "--protocol", proto, "--condition", "off", "--out", out,
+     "--points", "11", "--shots", "400"],
+]
+for argv in runs:
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
