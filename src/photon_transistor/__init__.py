@@ -38,7 +38,7 @@ from .protocol import (
     gate_interaction,
     run_experiment,
 )
-from .qubit import QubitRates, apply_rotation, evolve_lindblad, sample_jump_time
+from .qubit import QubitRates, apply_rotation, evolve_lindblad
 from .semiclassical import (
     SaturableCavityModel,
     SemiclassicalSettings,
@@ -85,7 +85,6 @@ __all__ = [
     "predict_single_photon",
     "reflection_coeff",
     "run_experiment",
-    "sample_jump_time",
     "save",
     "shifted_frequency",
     "solve_calibration",

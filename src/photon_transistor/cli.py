@@ -11,10 +11,10 @@ Exit codes: 0 success, 2 configuration error, 3 numeric or degenerate-data error
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -50,21 +50,10 @@ _PULSE_KEYS = {
     "sigma_ns": "sigma",
     "carrier_detuning_mhz": "carrier_detuning",
 }
+# protocol-file name -> ProtocolConfig field; only signal_duration carries its unit in the file
 _PROTOCOL_KEYS = {
-    "theta",
-    "subspace",
-    "n_g",
-    "gate_pulse",
-    "n_s",
-    "signal_duration_us",
-    "signal_detuning_target",
-    "eta_override",
-    "dark_flip",
-    "n_shots",
-    "seed",
-    "gate_source",
-    "signal_flip_rate_per_photon",
-    "fock_cutoff",
+    {"signal_duration": "signal_duration_us"}.get(f.name, f.name): f.name
+    for f in dataclasses.fields(protocol.ProtocolConfig)
 }
 
 
@@ -98,25 +87,30 @@ class RunManifest:
         return out
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
+def _artifacts(out: str, command: str, source: str, names: list[str], settings: dict | None = None,
+               seed: int | None = None) -> tuple[list[Path], RunManifest]:
+    """Make the ``--out`` directory; return the paths of the named outputs in it and
+    the manifest stamping them, which carries the digest of the input file ``source``."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / name for name in names]
+    manifest = RunManifest(
+        command=command,
+        device_sha256=hashlib.sha256(Path(source).read_bytes()).hexdigest(),
+        protocol=settings,
+        seed=seed,
+        timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        outputs=tuple(str(p) for p in paths),
+    )
+    return paths, manifest
 
 
-def _now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-
-
-def _write_preamble(fh, manifest_hash: str, header: list[str]) -> None:
-    fh.write(f"# manifest_hash={manifest_hash}\n")
-    csv.writer(fh).writerow(header)
-
-
-def _write_csv(path: Path, manifest_hash: str, header: list[str], rows) -> None:
+def _write_csv(path: Path, manifest: RunManifest, header: list[str], lines) -> None:
+    """The manifest-hash line, the header, then the pre-formatted CRLF-terminated lines:
+    the bytes csv.writer gives, as no field needs quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_preamble(fh, manifest_hash, header)
-        csv.writer(fh).writerows(rows)
+        fh.write(f"# manifest_hash={manifest.hash()}\n{','.join(header)}\r\n")
+        fh.writelines(lines)
 
 
 def _fmt(x: float) -> str:
@@ -129,12 +123,10 @@ def load_protocol(path) -> protocol.ProtocolConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed protocol file {path}: {exc}") from exc
-    unknown = set(data) - _PROTOCOL_KEYS
+    unknown = set(data) - set(_PROTOCOL_KEYS)
     if unknown:
         raise ValueError(f"unknown protocol fields: {sorted(unknown)}")
-    kwargs = dict(data)
-    if "signal_duration_us" in kwargs:
-        kwargs["signal_duration"] = kwargs.pop("signal_duration_us")
+    kwargs = {_PROTOCOL_KEYS[k]: v for k, v in data.items()}
     if "gate_pulse" in kwargs:
         raw = kwargs.pop("gate_pulse")
         unknown = set(raw) - set(_PULSE_KEYS)
@@ -144,10 +136,11 @@ def load_protocol(path) -> protocol.ProtocolConfig:
     return protocol.ProtocolConfig(**kwargs)
 
 
-def _protocol_as_dict(cfg: protocol.ProtocolConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["gate_pulse"] = dataclasses.asdict(cfg.gate_pulse)
-    return out
+def _run_protocol(args) -> protocol.ProtocolConfig:
+    """The ``--protocol`` file with the ``--shots`` and ``--seed`` overrides applied."""
+    overrides = {"n_shots": args.shots, "seed": args.seed}
+    cfg = load_protocol(args.protocol)
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -165,22 +158,15 @@ def cmd_spectra(args) -> int:
     hi = cav.f0 + span if args.f_max is None else args.f_max
     grid = np.linspace(lo, hi, args.points)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"spectra_cavity_{args.cavity}.csv"
-    manifest = RunManifest(
-        command=f"spectra --cavity {args.cavity}",
-        device_sha256=_sha256_file(args.device),
-        protocol={"f_min": lo, "f_max": hi, "points": args.points},
-        seed=None,
-        timestamp=_now(),
-        outputs=(str(out_path),),
-    )
-    rows = []
-    for level in ("g", "e", "f"):
-        for f, amp in spectrum(cav, grid, level, mode):
-            rows.append([_fmt(f), level, mode, _fmt(abs(amp)), _fmt(float(np.angle(amp)))])
-    _write_csv(out_path, manifest.hash(), ["frequency_mhz", "level", "mode", "amplitude", "phase_rad"], rows)
+    (out_path,), manifest = _artifacts(args.out, f"spectra --cavity {args.cavity}", args.device,
+                                       [f"spectra_cavity_{args.cavity}.csv"],
+                                       settings={"f_min": lo, "f_max": hi, "points": args.points})
+    lines = [
+        f"{f:.12g},{level},{mode},{abs(amp):.12g},{np.angle(amp):.12g}\r\n"
+        for level in ("g", "e", "f")
+        for f, amp in spectrum(cav, grid, level, mode)
+    ]
+    _write_csv(out_path, manifest, ["frequency_mhz", "level", "mode", "amplitude", "phase_rad"], lines)
     print(f"wrote {out_path}")
     return 0
 
@@ -211,11 +197,7 @@ def _shot_lines(name: str, shots):
 
 def cmd_switch(args) -> int:
     dev = device_mod.load(args.device)
-    cfg = load_protocol(args.protocol)
-    if args.shots is not None:
-        cfg = dataclasses.replace(cfg, n_shots=args.shots)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = _run_protocol(args)
     ungated_cfg = dataclasses.replace(cfg, n_g=0.0, seed=cfg.seed + 1)
 
     gated = protocol.run_experiment(cfg, dev)
@@ -234,37 +216,20 @@ def cmd_switch(args) -> int:
         except InsufficientDataError:
             cond[f"mean_photon_{label}"] = None
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "report": out_dir / "switch_report.json",
-        "shots": out_dir / "shots.csv",
-        "histogram": out_dir / "histogram.csv",
-    }
-    manifest = RunManifest(
-        command="switch",
-        device_sha256=_sha256_file(args.device),
-        protocol=_protocol_as_dict(cfg),
-        seed=cfg.seed,
-        timestamp=_now(),
-        outputs=tuple(str(p) for p in paths.values()),
+    (report_path, shots_path, hist_path), manifest = _artifacts(
+        args.out, "switch", args.device, ["switch_report.json", "shots.csv", "histogram.csv"],
+        settings=dataclasses.asdict(cfg), seed=cfg.seed,
     )
-
     runs = (("gated", gated), ("ungated", ungated))
-    with open(paths["shots"], "w", newline="", encoding="utf-8") as fh:
-        _write_preamble(
-            fh,
-            manifest.hash(),
-            ["run", "shot", "gate_flip", "level_at_signal_start", "jump_time_us", "true_photons", "reading", "label"],
-        )
-        for name, shots in runs:
-            fh.writelines(_shot_lines(name, shots))
-
-    hist_rows = []
-    for name, shots in runs:
-        for center, count in measurement.histogram(shots.reading, args.bins):
-            hist_rows.append([name, _fmt(center), count])
-    _write_csv(paths["histogram"], manifest.hash(), ["run", "bin_center", "count"], hist_rows)
+    header = ["run", "shot", "gate_flip", "level_at_signal_start", "jump_time_us", "true_photons", "reading", "label"]
+    _write_csv(shots_path, manifest, header,
+               itertools.chain.from_iterable(_shot_lines(name, shots) for name, shots in runs))
+    hist_lines = [
+        f"{name},{center:.12g},{count}\r\n"
+        for name, shots in runs
+        for center, count in measurement.histogram(shots.reading, args.bins)
+    ]
+    _write_csv(hist_path, manifest, ["run", "bin_center", "count"], hist_lines)
 
     report = {
         "manifest": manifest.to_dict(),
@@ -282,8 +247,8 @@ def cmd_switch(args) -> int:
         },
         "conditional_gate_field": cond,
     }
-    paths["report"].write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {paths['report']}")
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {report_path}")
     return 0
 
 
@@ -297,23 +262,14 @@ def cmd_gain_sweep(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     grid = np.geomspace(args.n_min, args.n_max, args.points)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "gain_sweep.csv"
-    manifest = RunManifest(
-        command="gain-sweep",
-        device_sha256=_sha256_file(args.device),
-        protocol={"n_min": args.n_min, "n_max": args.n_max, "points": args.points,
-                  "eta": args.eta, "p_s": args.p_s},
-        seed=None,
-        timestamp=_now(),
-        outputs=(str(out_path),),
-    )
-    rows = []
-    for subspace in ("ge", "gf"):
-        for pt in semiclassical.gain_sweep(model, args.eta, args.p_s, grid, subspace):
-            rows.append([_fmt(pt.n_s), subspace, _fmt(pt.gain_db), _fmt(pt.extinction_db), pt.regime])
-    _write_csv(out_path, manifest.hash(), ["n_s", "subspace", "gain_db", "extinction_db", "regime"], rows)
+    settings = {"n_min": args.n_min, "n_max": args.n_max, "points": args.points, "eta": args.eta, "p_s": args.p_s}
+    (out_path,), manifest = _artifacts(args.out, "gain-sweep", args.device, ["gain_sweep.csv"], settings=settings)
+    lines = [
+        f"{pt.n_s:.12g},{subspace},{pt.gain_db:.12g},{pt.extinction_db:.12g},{pt.regime}\r\n"
+        for subspace in ("ge", "gf")
+        for pt in semiclassical.gain_sweep(model, args.eta, args.p_s, grid, subspace)
+    ]
+    _write_csv(out_path, manifest, ["n_s", "subspace", "gain_db", "extinction_db", "regime"], lines)
     print(f"wrote {out_path}")
     return 0
 
@@ -330,11 +286,7 @@ def cmd_wigner(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     dev = device_mod.load(args.device)
-    cfg = load_protocol(args.protocol)
-    if args.shots is not None:
-        cfg = dataclasses.replace(cfg, n_shots=args.shots)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = _run_protocol(args)
     shots, _, _ = protocol.label_records(protocol.run_experiment(cfg, dev))
     state = protocol.conditional_gate_field(shots, args.condition, cfg, dev)
 
@@ -342,23 +294,16 @@ def cmd_wigner(args) -> int:
     xs, ps, pts = measurement.wigner_grid(args.extent, args.points)
     w = measurement.wigner(state, pts).reshape(args.points, args.points)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"wigner_{args.condition}.csv"
-    manifest = RunManifest(
-        command=f"wigner --condition {args.condition}",
-        device_sha256=_sha256_file(args.device),
-        protocol=_protocol_as_dict(cfg),
-        seed=cfg.seed,
-        timestamp=_now(),
-        outputs=(str(out_path),),
-    )
+    (out_path,), manifest = _artifacts(args.out, f"wigner --condition {args.condition}", args.device,
+                                       [f"wigner_{args.condition}.csv"],
+                                       settings=dataclasses.asdict(cfg), seed=cfg.seed)
     x_text = [_fmt(x) for x in xs.tolist()]
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        _write_preamble(fh, manifest.hash(), ["x", "p", "w"])
-        for p, row in zip(ps.tolist(), w.tolist()):
-            p_text = _fmt(p)
-            fh.writelines(f"{x},{p_text},{v:.12g}\r\n" for x, v in zip(x_text, row))
+    lines = (
+        f"{x},{p_text},{v:.12g}\r\n"
+        for p_text, row in zip(map(_fmt, ps.tolist()), w.tolist())
+        for x, v in zip(x_text, row)
+    )
+    _write_csv(out_path, manifest, ["x", "p", "w"], lines)
     print(f"wrote {out_path}")
     return 0
 
@@ -369,9 +314,8 @@ def cmd_calibrate(args) -> int:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed inputs file {args.inputs}: {exc}") from exc
-    allowed = {"n0_open", "na_open", "n0_close", "na_close", "beta",
-               "eta", "p_s", "dark_flip", "beta_table"}
-    unknown = set(data) - allowed
+    measured = [f.name for f in dataclasses.fields(analysis.CalibrationInputs)]
+    unknown = set(data) - {*measured, "eta", "p_s", "dark_flip", "beta_table"}
     if unknown:
         raise ValueError(f"unknown calibration fields: {sorted(unknown)}")
 
@@ -383,14 +327,7 @@ def cmd_calibrate(args) -> int:
     else:
         raise ValueError("provide either 'eta' or a 'beta_table' to fit")
 
-    inputs = analysis.CalibrationInputs(
-        n0_open=float(data["n0_open"]),
-        na_open=float(data["na_open"]),
-        n0_close=float(data["n0_close"]),
-        na_close=float(data["na_close"]),
-        beta=float(data["beta"]),
-    )
-    cal = analysis.solve_calibration(inputs)
+    cal = analysis.solve_calibration(analysis.CalibrationInputs(**{k: float(data[k]) for k in measured}))
     n1, n0 = analysis.predict_single_photon(cal, eta)
     p_s = float(data["p_s"]) if "p_s" in data else None
     report = analysis.TransistorReport(
@@ -405,17 +342,7 @@ def cmd_calibrate(args) -> int:
         extinction_db=analysis.extinction_db(n0, n1),
         provenance={"inputs_file": str(args.inputs)},
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "transistor_report.json"
-    manifest = RunManifest(
-        command="calibrate",
-        device_sha256=_sha256_file(args.inputs),
-        protocol=None,
-        seed=None,
-        timestamp=_now(),
-        outputs=(str(out_path),),
-    )
+    (out_path,), manifest = _artifacts(args.out, "calibrate", args.inputs, ["transistor_report.json"])
     payload = {"manifest": manifest.to_dict(), "report": report.to_dict()}
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out_path}")

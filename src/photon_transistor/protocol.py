@@ -117,17 +117,28 @@ class Shots:
 # gate stage
 
 
-def _loss_kraus(r_amp: complex, d: int) -> list[np.ndarray]:
-    """Beam-splitter Kraus set for complex transmissivity r (|r| <= 1)."""
-    s = abs(r_amp) ** 2
-    loss_amp = math.sqrt(max(1.0 - s, 0.0))
-    ops = []
-    for k in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        for n in range(k, d):
-            e[n - k, n] = math.sqrt(math.comb(n, k)) * r_amp ** (n - k) * loss_amp**k
-        ops.append(e)
-    return ops
+def _fock_loss(r, d: int, intensity: bool = False) -> np.ndarray:
+    """Beam-splitter loss kernel K[k, m, n] of a scalar r: n photons in, m out, k = n - m lost.
+
+    Amplitudes sqrt(C(n, m)) r^m l^k with l = sqrt(1 - |r|^2), so K[k] is the
+    k-th Kraus operator of loss with complex transmissivity r (|r| <= 1).  With
+    ``intensity``, r is the survival probability s and K holds
+    |K|^2 = C(n, m) s^m (1 - s)^k, the binomial loss probabilities, evaluated
+    directly rather than squared.
+    """
+    m, n = np.triu_indices(d)
+    comb = np.array([math.comb(a, b) for a, b in zip(n.tolist(), m.tolist())], dtype=float)
+    if intensity:
+        coef, lost = comb, 1.0 - r
+    else:
+        coef, lost = np.sqrt(comb), math.sqrt(max(1.0 - abs(r) ** 2, 0.0))
+    # scalar pow, not numpy's vector power (whose last bit can differ), so the
+    # weights equal the scalar formula C(n, m) * s**m * (1 - s)**k bit for bit
+    kept_pow = np.array([r**j for j in range(d)])
+    lost_pow = np.array([lost**j for j in range(d)])
+    out = np.zeros((d, d, d), dtype=kept_pow.dtype)
+    out[n - m, m, n] = coef * kept_pow[m] * lost_pow[n - m]
+    return out
 
 
 def gate_interaction(qubit_field: QuantumState, c: CavityParams, p: PulseShape) -> QuantumState:
@@ -143,19 +154,11 @@ def gate_interaction(qubit_field: QuantumState, c: CavityParams, p: PulseShape) 
         raise ValueError("gate_interaction expects dims = (3, field_cutoff)")
     d = qubit_field.dims[1]
     f_c = gate_carrier_frequency(c, p)
-    branch = {lev: reflection_coeff(c, f_c, lev) for lev in ("g", "e", "f")}
-    kraus_by_level = {lev: _loss_kraus(r, d) for lev, r in branch.items()}
-    proj = [np.zeros((3, 3), dtype=complex) for _ in range(3)]
-    for i in range(3):
-        proj[i][i, i] = 1.0
-    rho = np.zeros_like(qubit_field.rho)
-    for k in range(d):
-        m = sum(
-            np.kron(proj[i], kraus_by_level[lev][k])
-            for i, lev in enumerate(("g", "e", "f"))
-        )
-        rho += m @ qubit_field.rho @ m.conj().T
-    return QuantumState(qubit_field.dims, rho)
+    kraus = np.stack([_fock_loss(reflection_coeff(c, f_c, lev), d) for lev in QUBIT_LEVELS])
+    # out[i, a, j, b] = sum_k K_i,k[a, n] rho[i, n, j, n'] conj(K_j,k[b, n'])
+    rho = np.einsum("ikan,injm,jkbm->iajb", kraus, qubit_field.rho.reshape(3, d, 3, d), kraus.conj(),
+                    optimize=True)
+    return QuantumState(qubit_field.dims, rho.reshape(3 * d, 3 * d))
 
 
 def coherent_flip_probability(n_g: float, eta: float, dark_flip: float = 0.0) -> float:
@@ -278,14 +281,6 @@ def _photon_prior(cfg: ProtocolConfig, n_max: int) -> np.ndarray:
     return np.exp(-cfg.n_g + n * math.log(cfg.n_g) - lgam)
 
 
-def _binomial_loss_diag(n: int, survival: float, d: int) -> np.ndarray:
-    """Diagonal Fock weights of |n><n| after per-photon survival s."""
-    out = np.zeros(d)
-    for k in range(min(n, d - 1) + 1):
-        out[k] = math.comb(n, k) * survival**k * (1.0 - survival) ** (n - k)
-    return out
-
-
 def conditional_gate_field(
     shots: Shots,
     condition: str,
@@ -326,9 +321,9 @@ def conditional_gate_field(
     post /= total
 
     s = pulse_survival(device.cavity_I, cfg.gate_pulse)
-    diag = np.zeros(d)
-    for n, w in enumerate(post):
-        if w > 0:
-            diag += w * _binomial_loss_diag(n, s, d)
+    # binomial loss P(m | n) = sum_k |K[k, m, n]|^2, stored [n, m] so that the
+    # posterior mix adds its rows one by one in order of n, as a running sum would
+    loss = np.ascontiguousarray(_fock_loss(s, d, intensity=True).sum(axis=0).T)
+    diag = (post[:, None] * loss).sum(axis=0)
     rho = np.diag(diag.astype(complex))
     return QuantumState((d,), rho / np.trace(rho))

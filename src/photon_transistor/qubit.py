@@ -130,28 +130,6 @@ def evolve_lindblad(s: QuantumState, dt: float, r: QubitRates) -> QuantumState:
     return _apply_qutrit_map(s, expm(dt * _liouvillian(r)))
 
 
-def downward_rate(level: str, r: QubitRates) -> float:
-    if level == "e":
-        return 1.0 / r.T1_ge
-    if level == "f":
-        return 1.0 / r.T1_ef
-    raise ValueError(f"sample_jump_time expects level 'e' or 'f', got {level!r}")
-
-
-def sample_jump_time(level: str, window: float, r: QubitRates, rng) -> float | None:
-    """Exponential relaxation-time sample; None when no jump occurs in-window.
-
-    ``rng`` is a numpy Generator or an int seed; results are deterministic
-    given the seed.
-    """
-    if window <= 0:
-        raise ValueError("window must be positive")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    rate = downward_rate(level, r)
-    t = exponential_time(rate, gen)
-    return t if t < window else None
-
-
 def exponential_time(rate, gen: np.random.Generator):
     """Inverse-CDF exponential samples, a float for a scalar rate; rate 0 maps to +inf.
 

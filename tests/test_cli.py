@@ -14,11 +14,12 @@ import pytest
 
 import photon_transistor
 from photon_transistor import device as device_mod
-from photon_transistor import measurement
+from photon_transistor import measurement, semiclassical
 from photon_transistor.analysis import synthesize_intensities
-from photon_transistor.cli import RunManifest, _protocol_as_dict, _wigner_cutoff, load_protocol, main
+from photon_transistor.cavity import PulseShape, spectrum
+from photon_transistor.cli import RunManifest, _wigner_cutoff, load_protocol, main
 from photon_transistor.hilbert import with_cutoff
-from photon_transistor.protocol import conditional_gate_field, label_records, run_experiment
+from photon_transistor.protocol import ProtocolConfig, conditional_gate_field, label_records, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -57,6 +58,20 @@ def read_csv(path):
     return lines[0], rows[0], rows[1:]
 
 
+def csv_writer_bytes(manifest, header, rows) -> bytes:
+    """Reference bytes: the manifest-hash line, then csv.writer rows."""
+    buf = io.StringIO(newline="")
+    buf.write(f"# manifest_hash={manifest.hash()}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class TestSpectra:
     def test_writes_csv_with_header_and_hash(self, tmp_path, device_file):
         out = tmp_path / "out"
@@ -85,6 +100,19 @@ class TestSpectra:
         assert rc == 2
         assert "--points" in capsys.readouterr().err
         assert not (out / "spectra_cavity_II.csv").exists()
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path, device_file):
+        out = tmp_path / "out"
+        assert main(["spectra", "--device", str(device_file), "--cavity", "I", "--out", str(out),
+                     "--f-min", "6995", "--f-max", "7005", "--points", "201"]) == 0
+        cav = device_mod.load(device_file).cavity_I
+        rows = [[f"{f:.12g}", level, "reflect", f"{abs(amp):.12g}", f"{float(np.angle(amp)):.12g}"]
+                for level in ("g", "e", "f")
+                for f, amp in spectrum(cav, np.linspace(6995.0, 7005.0, 201), level, "reflect")]
+        manifest = RunManifest("spectra --cavity I", file_sha256(device_file),
+                               {"f_min": 6995.0, "f_max": 7005.0, "points": 201}, None, "any time", ("any path",))
+        expected = csv_writer_bytes(manifest, ["frequency_mhz", "level", "mode", "amplitude", "phase_rad"], rows)
+        assert (out / "spectra_cavity_I.csv").read_bytes() == expected
 
     def test_lossless_cavity_one_flat_reflectance(self, tmp_path):
         dev = device_mod.paper_defaults()
@@ -165,6 +193,21 @@ class TestSwitch:
         assert jumps > 0  # both jump_time forms are covered
         assert (out / "shots.csv").read_bytes() == buf.getvalue().encode("utf-8")
 
+    def test_histogram_csv_bytes_match_csv_writer(self, tmp_path, device_file, protocol_file):
+        out = tmp_path / "out"
+        assert main(["switch", "--device", str(device_file), "--protocol", str(protocol_file),
+                     "--out", str(out), "--shots", "150", "--seed", "77", "--bins", "25"]) == 0
+        cfg = dataclasses.replace(load_protocol(protocol_file), n_shots=150, seed=77)
+        dev = device_mod.load(device_file)
+        rows = []
+        for name, run_cfg in (("gated", cfg), ("ungated", dataclasses.replace(cfg, n_g=0.0, seed=cfg.seed + 1))):
+            for center, count in measurement.histogram(run_experiment(run_cfg, dev).reading, 25):
+                rows.append([name, f"{center:.12g}", count])
+        manifest = RunManifest("switch", file_sha256(device_file), dataclasses.asdict(cfg), 77,
+                               "any time", ("any path",))
+        expected = csv_writer_bytes(manifest, ["run", "bin_center", "count"], rows)
+        assert (out / "histogram.csv").read_bytes() == expected
+
     def test_pulse_missing_kind_exits_2(self, tmp_path, device_file):
         bad = tmp_path / "p.json"
         bad.write_text(json.dumps({"gate_pulse": {"duration_ns": 960.0}}))
@@ -203,6 +246,19 @@ class TestGainSweep:
         slope = np.polyfit(xs, ys, 1)[0]
         assert slope == pytest.approx(1.0, abs=0.05)
 
+    def test_csv_bytes_match_csv_writer(self, tmp_path, device_file):
+        out = tmp_path / "out"
+        assert main(["gain-sweep", "--device", str(device_file), "--out", str(out),
+                     "--n-min", "3", "--n-max", "1e7", "--points", "25", "--eta", "0.75", "--p-s", "0.9"]) == 0
+        dev = device_mod.load(device_file)
+        model = semiclassical.build_model(dev.cavity_II, dev.semiclassical)
+        rows = [[f"{pt.n_s:.12g}", subspace, f"{pt.gain_db:.12g}", f"{pt.extinction_db:.12g}", pt.regime]
+                for subspace in ("ge", "gf")
+                for pt in semiclassical.gain_sweep(model, 0.75, 0.9, np.geomspace(3.0, 1e7, 25), subspace)]
+        settings = {"n_min": 3.0, "n_max": 1e7, "points": 25, "eta": 0.75, "p_s": 0.9}
+        manifest = RunManifest("gain-sweep", file_sha256(device_file), settings, None, "any time", ("any path",))
+        expected = csv_writer_bytes(manifest, ["n_s", "subspace", "gain_db", "extinction_db", "regime"], rows)
+        assert (out / "gain_sweep.csv").read_bytes() == expected
 
     @pytest.mark.parametrize(
         "flags, name",
@@ -251,7 +307,7 @@ class TestWigner:
         xs, ps, pts = measurement.wigner_grid(1.5, 17)
         w = measurement.wigner(state, pts).reshape(17, 17)
         manifest = RunManifest("wigner --condition on", hashlib.sha256(device_file.read_bytes()).hexdigest(),
-                               _protocol_as_dict(cfg), cfg.seed, "any time", ("any path",))
+                               dataclasses.asdict(cfg), cfg.seed, "any time", ("any path",))
         buf = io.StringIO(newline="")
         buf.write(f"# manifest_hash={manifest.hash()}\n")
         writer = csv.writer(buf)
@@ -383,6 +439,32 @@ def test_manifest_hash_covers_package_version(monkeypatch):
     after = manifest()
     assert after.to_dict()["version"] == "0.0.0+other"
     assert after.hash() != before.hash()
+
+
+def test_load_protocol_accepts_every_field_and_rejects_unknown(tmp_path):
+    # every ProtocolConfig field under its file name, each away from its default
+    expected = ProtocolConfig(
+        theta=math.pi, subspace="gf", n_g=0.3,
+        gate_pulse=PulseShape("gaussian", 500.0, sigma=90.0, carrier_detuning=0.1),
+        n_s=12.0, signal_duration=7.5, signal_detuning_target="bare", eta_override=0.7,
+        dark_flip=0.02, n_shots=123, seed=9, gate_source="single_photon",
+        signal_flip_rate_per_photon=2e-7, fock_cutoff=11,
+    )
+    default = ProtocolConfig()
+    assert all(getattr(expected, f.name) != getattr(default, f.name) for f in dataclasses.fields(ProtocolConfig))
+    data = dataclasses.asdict(expected)
+    data["signal_duration_us"] = data.pop("signal_duration")
+    data["gate_pulse"] = {"kind": "gaussian", "duration_ns": 500.0, "sigma_ns": 90.0, "carrier_detuning_mhz": 0.1}
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps(data))
+    assert load_protocol(path) == expected
+
+    path.write_text(json.dumps({**data, "n_photons": 1}))
+    with pytest.raises(ValueError, match="n_photons"):
+        load_protocol(path)
+    path.write_text(json.dumps({"signal_duration": 7.5}))  # the field name is not the file name
+    with pytest.raises(ValueError, match="signal_duration"):
+        load_protocol(path)
 
 
 def test_missing_device_file_exits_2(tmp_path):

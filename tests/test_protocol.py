@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from photon_transistor.cavity import (
     CavityParams,
@@ -13,6 +15,7 @@ from photon_transistor.cavity import (
 from photon_transistor.device import DeviceParams, paper_defaults
 from photon_transistor.errors import InsufficientDataError
 from photon_transistor.hilbert import (
+    QuantumState,
     coherent_state,
     fock_state,
     mean_photon,
@@ -21,8 +24,10 @@ from photon_transistor.hilbert import (
     tensor,
 )
 from photon_transistor.measurement import DetectionModel, kmeans_1d
+from photon_transistor import protocol
 from photon_transistor.protocol import (
     ProtocolConfig,
+    _fock_loss,
     coherent_flip_probability,
     conditional_gate_field,
     gate_interaction,
@@ -375,3 +380,123 @@ class TestConfigValidation:
             ProtocolConfig(n_g=-0.1)
         with pytest.raises(ValueError):
             ProtocolConfig(n_shots=0)
+
+
+# Reference path: the per-Kraus-operator and per-Fock-level loops that the
+# Fock-loss kernel replaced.
+
+
+def _loss_kraus(r_amp: complex, d: int) -> list[np.ndarray]:
+    """Beam-splitter Kraus set for complex transmissivity r (|r| <= 1)."""
+    s = abs(r_amp) ** 2
+    loss_amp = math.sqrt(max(1.0 - s, 0.0))
+    ops = []
+    for k in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        for n in range(k, d):
+            e[n - k, n] = math.sqrt(math.comb(n, k)) * r_amp ** (n - k) * loss_amp**k
+        ops.append(e)
+    return ops
+
+
+def loop_gate_interaction(qubit_field, c, p):
+    d = qubit_field.dims[1]
+    f_c = protocol.gate_carrier_frequency(c, p)
+    branch = {lev: protocol.reflection_coeff(c, f_c, lev) for lev in ("g", "e", "f")}
+    kraus_by_level = {lev: _loss_kraus(r, d) for lev, r in branch.items()}
+    proj = [np.zeros((3, 3), dtype=complex) for _ in range(3)]
+    for i in range(3):
+        proj[i][i, i] = 1.0
+    rho = np.zeros_like(qubit_field.rho)
+    for k in range(d):
+        m = sum(np.kron(proj[i], kraus_by_level[lev][k]) for i, lev in enumerate(("g", "e", "f")))
+        rho += m @ qubit_field.rho @ m.conj().T
+    return QuantumState(qubit_field.dims, rho)
+
+
+def _binomial_loss_diag(n: int, survival: float, d: int) -> np.ndarray:
+    """Diagonal Fock weights of |n><n| after per-photon survival s."""
+    out = np.zeros(d)
+    for k in range(min(n, d - 1) + 1):
+        out[k] = math.comb(n, k) * survival**k * (1.0 - survival) ** (n - k)
+    return out
+
+
+def loop_conditional_gate_field(shots, condition, cfg, device):
+    match = shots.on if condition == "on" else ~shots.on
+    if not match.any():
+        raise InsufficientDataError(f"no shots labeled {condition!r}")
+    n_flip = int(np.count_nonzero(shots.flip))
+    n_noflip = len(shots) - n_flip
+    match_flip = int(np.count_nonzero(match & shots.flip))
+    match_noflip = int(np.count_nonzero(match)) - match_flip
+    p_cond_flip = match_flip / n_flip if n_flip else 0.0
+    p_cond_noflip = match_noflip / n_noflip if n_noflip else 0.0
+
+    eta = protocol.resolve_eta(cfg, device)
+    d = cfg.fock_cutoff
+    prior = protocol._photon_prior(cfg, d)
+    q = np.where(np.arange(d) % 2 == 1, eta, cfg.dark_flip)
+    post = prior * (q * p_cond_flip + (1.0 - q) * p_cond_noflip)
+    total = post.sum()
+    if total <= 0:
+        raise InsufficientDataError("condition has zero posterior probability")
+    post /= total
+
+    s = protocol.pulse_survival(device.cavity_I, cfg.gate_pulse)
+    diag = np.zeros(d)
+    for n, w in enumerate(post):
+        if w > 0:
+            diag += w * _binomial_loss_diag(n, s, d)
+    rho = np.diag(diag.astype(complex))
+    return QuantumState((d,), rho / np.trace(rho))
+
+
+class TestFockLossKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=hst.integers(2, 12),
+        kappa_int=hst.floats(0.0, 0.4),
+        kappa_ext=hst.floats(1.5, 2.0),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_gate_interaction_matches_kraus_loop(self, d, kappa_int, kappa_ext, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(3 * d, 3 * d)) + 1j * rng.normal(size=(3 * d, 3 * d))
+        rho = a @ a.conj().T
+        state = QuantumState((3, d), rho / np.trace(rho))
+        c = CavityParams(7000.0, kappa_ext, 0.0, kappa_int, -0.865, -1.73)
+        out = gate_interaction(state, c, GATE_PULSE)
+        ref = loop_gate_interaction(state, c, GATE_PULSE)
+        np.testing.assert_allclose(out.rho, ref.rho, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        source=hst.sampled_from(["coherent", "single_photon"]),
+        n_g=hst.floats(0.0, 1.0),
+        theta=hst.sampled_from([0.0, math.pi]),
+        d=hst.integers(2, 16),
+        seed=hst.integers(0, 2**31 - 1),
+    )
+    def test_conditional_gate_field_matches_binomial_loop(self, source, n_g, theta, d, seed):
+        dev = paper_defaults()
+        cfg = ProtocolConfig(theta=theta, n_g=n_g, gate_source=source, n_shots=300, seed=seed, fock_cutoff=d)
+        shots, _, _ = label_records(run_experiment(cfg, dev))
+        for condition in ("on", "off"):
+            try:
+                ref = loop_conditional_gate_field(shots, condition, cfg, dev)
+            except InsufficientDataError:
+                with pytest.raises(InsufficientDataError):
+                    conditional_gate_field(shots, condition, cfg, dev)
+                continue
+            out = conditional_gate_field(shots, condition, cfg, dev)
+            # same arithmetic in the same order, so the same bits
+            np.testing.assert_array_equal(out.rho, ref.rho)
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.8278, 1.0])
+    def test_intensity_kernel_is_squared_amplitude(self, s):
+        # one kernel: the binomial loss probabilities are |K|^2 at r = sqrt(s)
+        d = 10
+        probs = _fock_loss(s, d, intensity=True)
+        np.testing.assert_allclose(probs, np.abs(_fock_loss(math.sqrt(s), d)) ** 2, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(probs.sum(axis=(0, 1)), np.ones(d), rtol=0, atol=1e-14)

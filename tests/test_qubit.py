@@ -12,7 +12,6 @@ from photon_transistor.qubit import (
     apply_rotation,
     evolve_lindblad,
     exponential_time,
-    sample_jump_time,
 )
 
 RATES = QubitRates(T1_ge=30.0, T1_ef=15.0, T2_ge=20.0, T2_gf=12.0)
@@ -235,23 +234,21 @@ class TestJumpSampling:
         calm = QubitRates(T1_ge=1e12, T1_ef=1e12, T2_ge=1e12, T2_gf=1e12)
         rng = np.random.default_rng(0)
         assert all(
-            sample_jump_time("e", 10.0, calm, rng) is None for _ in range(1000)
+            exponential_time(1.0 / calm.T1_ge, rng) >= 10.0 for _ in range(1000)
         )
 
     def test_jump_probability_matches_exponential(self):
         # window = T1 gives P(jump) = 1 - 1/e; check at 3 sigma over 1e5 draws
         rng = np.random.default_rng(1234)
         n = 100_000
-        hits = sum(
-            sample_jump_time("e", RATES.T1_ge, RATES, rng) is not None for _ in range(n)
-        )
+        hits = np.count_nonzero(exponential_time(np.full(n, 1.0 / RATES.T1_ge), rng) < RATES.T1_ge)
         p = 1.0 - math.exp(-1.0)
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) < 3 * sigma
 
     def test_deterministic_given_seed(self):
-        a = [sample_jump_time("f", 5.0, RATES, np.random.default_rng(7)) for _ in range(3)]
-        b = [sample_jump_time("f", 5.0, RATES, np.random.default_rng(7)) for _ in range(3)]
+        a = [exponential_time(1.0 / RATES.T1_ef, np.random.default_rng(7)) for _ in range(3)]
+        b = [exponential_time(1.0 / RATES.T1_ef, np.random.default_rng(7)) for _ in range(3)]
         assert a == b
 
     def test_array_rates_one_draw_each_zero_is_inf(self):
@@ -261,14 +258,6 @@ class TestJumpSampling:
         expected = [exponential_time(float(r), scalar_rng) for r in rates]
         np.testing.assert_array_equal(times, expected)
         assert np.isinf(times[[1, 3]]).all() and np.isfinite(times[[0, 2]]).all()
-
-    def test_bad_level(self):
-        with pytest.raises(ValueError):
-            sample_jump_time("g", 1.0, RATES, 0)
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            sample_jump_time("e", 0.0, RATES, 0)
 
 
 def test_unstable_step_raises():
