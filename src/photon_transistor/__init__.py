@@ -44,7 +44,6 @@ from .semiclassical import (
     SemiclassicalSettings,
     gain_sweep,
     steady_state_photons,
-    transmitted_photons,
 )
 
 __version__ = "0.5.0"
@@ -93,6 +92,5 @@ __all__ = [
     "switching_probability",
     "tensor",
     "transmission_coeff",
-    "transmitted_photons",
     "wigner",
 ]

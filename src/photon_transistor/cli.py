@@ -106,15 +106,35 @@ def _artifacts(out: str, command: str, source: str, names: list[str], settings: 
 
 
 def _write_csv(path: Path, manifest: RunManifest, header: list[str], lines) -> None:
-    """The manifest-hash line, the header, then the pre-formatted CRLF-terminated lines:
+    """The manifest-hash line, the header, then the text of the CRLF-terminated rows:
     the bytes csv.writer gives, as no field needs quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# manifest_hash={manifest.hash()}\n{','.join(header)}\r\n")
         fh.writelines(lines)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+#: rows per ``%`` block; larger blocks format a little faster, but 2048-row blocks
+#: let the peak RSS of repeated in-process ``switch`` runs creep up by about 6 MB
+_BLOCK_ROWS = 64
+
+
+def _text(values, nan: str = "nan") -> list[str]:
+    """The ``%.12g`` strings of a float array; NaN is written as the string ``nan``.
+
+    Each distinct value is formatted once.  Values are told apart by their bits,
+    not by float equality, which would merge -0.0 into 0.0."""
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    text = np.array(list(map("%.12g".__mod__, distinct.tolist())), dtype=object)
+    text[np.isnan(distinct)] = nan
+    return text[inverse.ravel()].tolist()
+
+
+def _blocks(row: str, *columns):
+    """CSV text of the rows ``row % (c[i] for c in columns)``, one ``%`` per block of rows."""
+    rows = zip(*columns)
+    while block := tuple(itertools.chain.from_iterable(itertools.islice(rows, _BLOCK_ROWS))):
+        yield row * (len(block) // len(columns)) % block
 
 
 def load_protocol(path) -> protocol.ProtocolConfig:
@@ -161,11 +181,11 @@ def cmd_spectra(args) -> int:
     (out_path,), manifest = _artifacts(args.out, f"spectra --cavity {args.cavity}", args.device,
                                        [f"spectra_cavity_{args.cavity}.csv"],
                                        settings={"f_min": lo, "f_max": hi, "points": args.points})
-    lines = [
-        f"{f:.12g},{level},{mode},{abs(amp):.12g},{np.angle(amp):.12g}\r\n"
-        for level in ("g", "e", "f")
-        for f, amp in spectrum(cav, grid, level, mode)
-    ]
+    lines = []
+    for level in ("g", "e", "f"):
+        freqs, amps = zip(*spectrum(cav, grid, level, mode))
+        lines += _blocks(f"%.12g,{level},{mode},%.12g,%.12g\r\n",
+                         freqs, [abs(a) for a in amps], [np.angle(a) for a in amps])
     _write_csv(out_path, manifest, ["frequency_mhz", "level", "mode", "amplitude", "phase_rad"], lines)
     print(f"wrote {out_path}")
     return 0
@@ -184,15 +204,11 @@ def _class_stats(shots, detection, label):
 
 
 def _shot_lines(name: str, shots):
-    """shots.csv lines of one run: the bytes csv.writer gives, as no field needs quoting."""
-    jump = ["" if math.isnan(t) else _fmt(t) for t in shots.jump_time.tolist()]
+    """shots.csv text of one run: the bytes csv.writer gives, as no field needs quoting."""
     label = np.where(shots.on, measurement.ON, measurement.OFF).tolist()
-    columns = zip(shots.flip.astype(int).tolist(), shots.level.tolist(), jump,
-                  shots.true_photons.tolist(), shots.reading.tolist(), label)
-    return (
-        f"{name},{i},{flip},{level},{t},{photons:.12g},{reading:.12g},{on}\r\n"
-        for i, (flip, level, t, photons, reading, on) in enumerate(columns)
-    )
+    return _blocks(name + ",%d,%d,%s,%s,%s,%.12g,%s\r\n", range(len(shots)), shots.flip.tolist(),
+                   shots.level.tolist(), _text(shots.jump_time, nan=""), _text(shots.true_photons),
+                   shots.reading.tolist(), label)
 
 
 def cmd_switch(args) -> int:
@@ -224,11 +240,10 @@ def cmd_switch(args) -> int:
     header = ["run", "shot", "gate_flip", "level_at_signal_start", "jump_time_us", "true_photons", "reading", "label"]
     _write_csv(shots_path, manifest, header,
                itertools.chain.from_iterable(_shot_lines(name, shots) for name, shots in runs))
-    hist_lines = [
-        f"{name},{center:.12g},{count}\r\n"
+    hist_lines = itertools.chain.from_iterable(
+        _blocks(name + ",%.12g,%d\r\n", *zip(*measurement.histogram(shots.reading, args.bins)))
         for name, shots in runs
-        for center, count in measurement.histogram(shots.reading, args.bins)
-    ]
+    )
     _write_csv(hist_path, manifest, ["run", "bin_center", "count"], hist_lines)
 
     report = {
@@ -264,11 +279,12 @@ def cmd_gain_sweep(args) -> int:
     grid = np.geomspace(args.n_min, args.n_max, args.points)
     settings = {"n_min": args.n_min, "n_max": args.n_max, "points": args.points, "eta": args.eta, "p_s": args.p_s}
     (out_path,), manifest = _artifacts(args.out, "gain-sweep", args.device, ["gain_sweep.csv"], settings=settings)
-    lines = [
-        f"{pt.n_s:.12g},{subspace},{pt.gain_db:.12g},{pt.extinction_db:.12g},{pt.regime}\r\n"
+    # a SweepPoint's fields in order: n_s, gain_db, extinction_db, regime
+    lines = itertools.chain.from_iterable(
+        _blocks(f"%.12g,{subspace},%.12g,%.12g,%s\r\n",
+                *zip(*semiclassical.gain_sweep(model, args.eta, args.p_s, grid, subspace)))
         for subspace in ("ge", "gf")
-        for pt in semiclassical.gain_sweep(model, args.eta, args.p_s, grid, subspace)
-    ]
+    )
     _write_csv(out_path, manifest, ["n_s", "subspace", "gain_db", "extinction_db", "regime"], lines)
     print(f"wrote {out_path}")
     return 0
@@ -278,6 +294,11 @@ def _wigner_cutoff(extent: float, support: int) -> int:
     """Fock cutoff for the window |x|, |p| <= extent: |alpha|^2 <= d/4 at its corner,
     and six times the field's ``support`` levels, so the truncated displacement converges."""
     return max(int(math.ceil(8.0 * extent**2)) + 2, 6 * support)
+
+
+def _wigner_lines(xs, ps, w):
+    """wigner_*.csv text of the map ``w[j, i]`` at (xs[i], ps[j]), x running fastest."""
+    return _blocks("%s,%s,%s\r\n", _text(np.tile(xs, len(ps))), _text(np.repeat(ps, len(xs))), _text(w))
 
 
 def cmd_wigner(args) -> int:
@@ -297,13 +318,7 @@ def cmd_wigner(args) -> int:
     (out_path,), manifest = _artifacts(args.out, f"wigner --condition {args.condition}", args.device,
                                        [f"wigner_{args.condition}.csv"],
                                        settings=dataclasses.asdict(cfg), seed=cfg.seed)
-    x_text = [_fmt(x) for x in xs.tolist()]
-    lines = (
-        f"{x},{p_text},{v:.12g}\r\n"
-        for p_text, row in zip(map(_fmt, ps.tolist()), w.tolist())
-        for x, v in zip(x_text, row)
-    )
-    _write_csv(out_path, manifest, ["x", "p", "w"], lines)
+    _write_csv(out_path, manifest, ["x", "p", "w"], _wigner_lines(xs, ps, w))
     print(f"wrote {out_path}")
     return 0
 

@@ -151,15 +151,6 @@ def _selected_root(m, f, level, branch_rule, rhs):
     return np.where(stable, n, -np.inf).max(axis=-1)
 
 
-def transmitted_photons(
-    m: SaturableCavityModel, f: float, qubit_level: str, branch_rule: str = "dim"
-) -> float:
-    """Output photons over the signal window: n_stable * kappa_out * window."""
-    rhs = m.base.kappa_ext_in * m.drive_amplitude**2
-    n_sel = float(_selected_root(m, f, qubit_level, branch_rule, rhs))
-    return n_sel * m.base.kappa_ext_out * m.signal_window_us
-
-
 class SweepPoint(NamedTuple):
     n_s: float
     gain_db: float

@@ -11,15 +11,31 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import photon_transistor
 from photon_transistor import device as device_mod
 from photon_transistor import measurement, semiclassical
 from photon_transistor.analysis import synthesize_intensities
 from photon_transistor.cavity import PulseShape, spectrum
-from photon_transistor.cli import RunManifest, _wigner_cutoff, load_protocol, main
+from photon_transistor.cli import (
+    RunManifest,
+    _shot_lines,
+    _text,
+    _wigner_cutoff,
+    _wigner_lines,
+    load_protocol,
+    main,
+)
 from photon_transistor.hilbert import with_cutoff
-from photon_transistor.protocol import ProtocolConfig, conditional_gate_field, label_records, run_experiment
+from photon_transistor.protocol import (
+    ProtocolConfig,
+    Shots,
+    conditional_gate_field,
+    label_records,
+    run_experiment,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -70,6 +86,89 @@ def csv_writer_bytes(manifest, header, rows) -> bytes:
 
 def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def oracle_shot_lines(name: str, shots):
+    """shots.csv lines of one run, formatted one f-string per line."""
+    jump = ["" if math.isnan(t) else f"{t:.12g}" for t in shots.jump_time.tolist()]
+    label = np.where(shots.on, measurement.ON, measurement.OFF).tolist()
+    columns = zip(shots.flip.astype(int).tolist(), shots.level.tolist(), jump,
+                  shots.true_photons.tolist(), shots.reading.tolist(), label)
+    return (
+        f"{name},{i},{flip},{level},{t},{photons:.12g},{reading:.12g},{on}\r\n"
+        for i, (flip, level, t, photons, reading, on) in enumerate(columns)
+    )
+
+
+def oracle_wigner_lines(xs, ps, w):
+    """wigner_*.csv lines of a map, formatted one f-string per line."""
+    x_text = [f"{x:.12g}" for x in xs.tolist()]
+    return (
+        f"{x},{p_text},{v:.12g}\r\n"
+        for p_text, row in zip((f"{p:.12g}" for p in ps.tolist()), w.tolist())
+        for x, v in zip(x_text, row)
+    )
+
+
+#: values whose text is easy to get wrong: signed zeros and NaNs, infinities,
+#: the smallest subnormal and a large finite value
+SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e300, -1e300])
+# row counts on and around the 64-row block edges
+ROW_COUNTS = st.one_of(st.sampled_from([1, 63, 64, 65, 129]), st.integers(1, 5000))
+
+
+def with_specials(rng, values, share=0.1):
+    """``values`` with about ``share`` of its entries replaced by SPECIAL values."""
+    out = np.array(values, dtype=float)
+    hit = rng.random(out.shape) < share
+    out[hit] = rng.choice(SPECIAL, size=int(hit.sum()))
+    return out
+
+
+def lines(text) -> list[str]:
+    """CSV text as its CRLF-terminated lines, so that a mismatch is reported by line."""
+    return "".join(text).splitlines(keepends=True)
+
+
+class TestColumnFormatter:
+    def test_text_keeps_signed_zeros_apart(self):
+        assert _text(np.array([0.0, -0.0, 0.0, -0.0])) == ["0", "-0", "0", "-0"]
+
+    def test_text_nan(self):
+        values = np.array([np.nan, 1.5, -np.nan, 1.5])
+        assert _text(values) == ["nan", "1.5", "nan", "1.5"]
+        assert _text(values, nan="") == ["", "1.5", "", "1.5"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=ROW_COUNTS, jumps=st.sampled_from(["none", "all", "mixed"]), seed=st.integers(0, 2**32 - 1))
+    def test_shot_lines_match_line_oracle(self, n, jumps, seed):
+        rng = np.random.default_rng(seed)
+        jump_time = rng.uniform(0.0, 10.0, n)
+        if jumps == "none":
+            jump_time[:] = np.nan
+        elif jumps == "mixed":
+            jump_time = with_specials(rng, np.where(rng.random(n) < 0.5, np.nan, jump_time))
+        # detector noise makes readings negative; photon counts repeat many times
+        shots = Shots(
+            flip=rng.random(n) < 0.3,
+            level=np.array(["g", "e", "f"])[rng.integers(0, 3, n)],
+            jump_time=jump_time,
+            true_photons=with_specials(rng, rng.poisson(20.0, n).astype(float)),
+            reading=with_specials(rng, rng.normal(2.0, 4.0, n)),
+            on=rng.random(n) < 0.5,
+        )
+        assert lines(_shot_lines("gated", shots)) == lines(oracle_shot_lines("gated", shots))
+
+    @settings(max_examples=60, deadline=None)
+    @given(nx=st.integers(1, 70), n_p=st.sampled_from([1, 63, 64, 65, 129]), seed=st.integers(0, 2**32 - 1))
+    def test_wigner_lines_match_line_oracle(self, nx, n_p, seed):
+        rng = np.random.default_rng(seed)
+        xs = with_specials(rng, np.linspace(-2.5, 2.5, nx))
+        ps = with_specials(rng, rng.uniform(-2.5, 2.5, n_p))
+        # a map holds many near-repeats: round part of it so values recur exactly
+        w = rng.normal(0.0, 0.2, (n_p, nx))
+        w = with_specials(rng, np.where(rng.random(w.shape) < 0.5, np.round(w, 3), w))
+        assert lines(_wigner_lines(xs, ps, w)) == lines(oracle_wigner_lines(xs, ps, w))
 
 
 class TestSpectra:
