@@ -46,7 +46,7 @@ from .semiclassical import (
     steady_state_photons,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "CalibrationInputs",

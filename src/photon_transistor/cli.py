@@ -212,6 +212,8 @@ def _shot_lines(name: str, shots):
 
 
 def cmd_switch(args) -> int:
+    if args.bins < 1:
+        raise ValueError(f"--bins must be >= 1, got {args.bins}")
     dev = device_mod.load(args.device)
     cfg = _run_protocol(args)
     ungated_cfg = dataclasses.replace(cfg, n_g=0.0, seed=cfg.seed + 1)
@@ -276,6 +278,9 @@ def cmd_gain_sweep(args) -> int:
         raise ValueError(f"--n-max must be finite and >= --n-min, got {args.n_max}")
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
+    for flag, value in (("--eta", args.eta), ("--p-s", args.p_s)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{flag} must be finite and in [0, 1], got {value}")
     grid = np.geomspace(args.n_min, args.n_max, args.points)
     settings = {"n_min": args.n_min, "n_max": args.n_max, "points": args.points, "eta": args.eta, "p_s": args.p_s}
     (out_path,), manifest = _artifacts(args.out, "gain-sweep", args.device, ["gain_sweep.csv"], settings=settings)
@@ -297,8 +302,12 @@ def _wigner_cutoff(extent: float, support: int) -> int:
 
 
 def _wigner_lines(xs, ps, w):
-    """wigner_*.csv text of the map ``w[j, i]`` at (xs[i], ps[j]), x running fastest."""
-    return _blocks("%s,%s,%s\r\n", _text(np.tile(xs, len(ps))), _text(np.repeat(ps, len(xs))), _text(w))
+    """wigner_*.csv text of the map ``w[j, i]`` at (xs[i], ps[j]), x running fastest,
+    one string per grid row j."""
+    x_text, w_text = _text(xs), _text(w)
+    for j, p in enumerate(_text(ps)):
+        row = w_text[j * len(x_text) : (j + 1) * len(x_text)]
+        yield "".join([f"{x},{p},{v}\r\n" for x, v in zip(x_text, row)])
 
 
 def cmd_wigner(args) -> int:

@@ -124,7 +124,7 @@ def histogram(readings, bins: int):
 
 _DISP_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-#: grid points per chunk of the per-point phase sum
+#: grid points per chunk of the per-point phase sum, and distinct radii per chunk of the radial sum
 _WIGNER_CHUNK = 512
 
 
@@ -150,9 +150,12 @@ def wigner(field: QuantumState, grid) -> np.ndarray:
     (Royer, Phys. Rev. A 15, 449 (1977)).  With D(2 alpha) = Phi V e^{2i lam r} V^dag Phi^dag,
     alpha = r e^{i phi}, the map is W = (2/pi) Re sum_q e^{i q phi} sum_j F[q, j] e^{2i lam_j r},
     F[q, j] = sum_n (-1)^n rho[n, n+q] V[n+q, j] conj(V[n, j]), built once over the
-    state's Fock support s (zero padding adds nothing).  The sum over j is taken once
-    per distinct |alpha| (per chunk of points sorted by radius), leaving 2s - 1 terms
-    per point.
+    state's Fock support s (zero padding adds nothing) and its band b = max |m - n| over
+    the nonzero rho[n, m], so |q| <= b.  The sum over j is taken once per distinct |alpha|
+    (per chunk of points sorted by radius), leaving 2b + 1 terms per point.  A
+    Fock-diagonal state (b = 0) has a real F[0], as rho's diagonal is real, and a
+    radial map W(r) = (2/pi) sum_j F[0, j] cos(2 lam_j r) with no per-point phase work,
+    so points of equal |alpha| get bit-equal W.
 
     Raises CutoffError when any |alpha|^2 exceeds d/4 (truncated displacement
     no longer trustworthy); embed the state in a larger cutoff first.
@@ -167,14 +170,22 @@ def wigner(field: QuantumState, grid) -> np.ndarray:
             f"|alpha|^2 up to {max_n:.3g} exceeds d/4 = {d / 4:.3g}; increase the cutoff"
         )
     lam, v = _displacement_eigensystem(d)
-    nonzero = field.rho != 0
-    s = int(np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))[-1]) + 1
+    rows, cols = np.nonzero(field.rho)
+    s = int(max(rows.max(), cols.max())) + 1
+    b = int(np.max(np.abs(cols - rows)))
     rho, vs = field.rho[:s, :s], v[:s]
-    # row k = q + s - 1 of F; state row n contributes to q = m - n for m < s
-    f = np.zeros((2 * s - 1, d), dtype=complex)
+    # row k = q + b of F; state row n contributes to q = m - n for |m - n| <= b, m < s
+    f = np.zeros((2 * b + 1, d), dtype=complex)
     for n in range(s):
-        f[s - 1 - n : 2 * s - 1 - n] += ((-1) ** n * rho[n])[:, None] * vs * vs[n].conj()
+        lo, hi = max(n - b, 0), min(n + b + 1, s)
+        f[lo - n + b : hi - n + b] += ((-1) ** n * rho[n, lo:hi])[:, None] * vs[lo:hi] * vs[n].conj()
     radii, inverse = np.unique(np.abs(pts), return_inverse=True)
+    if b == 0:
+        w = np.empty(radii.size, dtype=float)
+        for start in range(0, radii.size, _WIGNER_CHUNK):
+            chunk = radii[start : start + _WIGNER_CHUNK]
+            w[start : start + chunk.size] = np.cos(2.0 * np.outer(chunk, lam)) @ f[0].real
+        return (2.0 / np.pi) * w[inverse]
     phi = np.angle(pts)
     order = np.argsort(inverse)
     out = np.empty(pts.size, dtype=float)
@@ -182,12 +193,12 @@ def wigner(field: QuantumState, grid) -> np.ndarray:
         idx = order[start : start + _WIGNER_CHUNK]
         lo, hi = inverse[idx[0]], inverse[idx[-1]] + 1
         g = (f @ np.exp(2j * np.outer(lam, radii[lo:hi])))[:, inverse[idx] - lo]
-        # Horner in z = e^{i phi} over q = s-1 ... 1-s, then the factor e^{i(1-s) phi}
+        # Horner in z = e^{i phi} over q = b ... -b, then the factor e^{-i b phi}
         z = np.exp(1j * phi[idx])
         acc = g[-1]
         for row in g[-2::-1]:
             acc = acc * z + row
-        out[idx] = (2.0 / np.pi) * (acc * np.exp(1j * (1 - s) * phi[idx])).real
+        out[idx] = (2.0 / np.pi) * (acc * np.exp(-1j * b * phi[idx])).real
     return out
 
 

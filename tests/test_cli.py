@@ -322,6 +322,21 @@ class TestSwitch:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bad_bins_exits_2_before_simulating(self, tmp_path, device_file, protocol_file, capsys,
+                                               monkeypatch, bins):
+        def no_shots(*args, **kwargs):
+            raise AssertionError("--bins must be checked before any shot is run")
+
+        monkeypatch.setattr(photon_transistor.protocol, "run_experiment", no_shots)
+        out = tmp_path / "out"
+        rc = main(["switch", "--device", str(device_file), "--protocol", str(protocol_file),
+                   "--out", str(out), "--bins", bins])
+        assert rc == 2
+        assert "--bins" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGainSweep:
     def test_rows_and_regimes(self, tmp_path, device_file):
         out = tmp_path / "out"
@@ -375,6 +390,18 @@ class TestGainSweep:
         rc = main(["gain-sweep", "--device", str(device_file), "--out", str(out), *flags])
         assert rc == 2
         assert name in capsys.readouterr().err
+        assert not (out / "gain_sweep.csv").exists()
+
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--eta", "1.5"), ("--eta", "nan"), ("--p-s", "-0.5"), ("--p-s", "1.2")],
+    )
+    def test_bad_probability_exits_2(self, tmp_path, device_file, capsys, flag, value):
+        out = tmp_path / "out"
+        rc = main(["gain-sweep", "--device", str(device_file), "--out", str(out), "--points", "3", flag, value])
+        assert rc == 2
+        assert f"{flag} must be" in capsys.readouterr().err
         assert not (out / "gain_sweep.csv").exists()
 
 

@@ -334,3 +334,63 @@ class TestWignerAgainstLaguerre:
         np.testing.assert_array_equal(rho, np.diag(np.diag(rho)))
         w, pts = cli_wigner_map(paper_off_field, extent)
         np.testing.assert_allclose(w, laguerre_wigner(np.real(np.diag(rho)), pts), rtol=0, atol=tol)
+
+
+def banded_density(rng, s: int, b: int) -> QuantumState:
+    """An s-level density matrix whose nonzero rho[n, m] have |m - n| <= b, b reached.
+
+    A random lower factor with its entries at n - m > b or m > n zeroed gives
+    rho = a a^dag, positive by construction and of band exactly b.
+    """
+    a = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+    n, m = np.indices((s, s))
+    a[(n - m > b) | (m > n)] = 0.0
+    rho = a @ a.conj().T
+    return QuantumState((s,), rho / np.trace(rho).real)
+
+
+def images(x: float, y: float) -> list[complex]:
+    """The 8 sign/swap images of x + iy, all of one radius."""
+    return [s * complex(u, t * v) for u, v in ((x, y), (y, x)) for s in (1, -1) for t in (1, -1)]
+
+
+class TestBandedWigner:
+    @given(st.integers(1, 20), st.data(), st.integers(0, 60), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_point_loop(self, support, data, extra, embed, seed):
+        band = data.draw(st.integers(0, support - 1), label="band")
+        rng = np.random.default_rng(seed)
+        state = banded_density(rng, support, band)
+        d = support + extra if embed else support
+        if embed:
+            state = with_cutoff(state, d)
+        r_max = math.sqrt(0.99 * d / 4.0)
+        radii = r_max * np.sqrt(rng.random(40))
+        x, y = r_max * rng.random(2) / math.sqrt(2.0)
+        pts = np.concatenate([radii * np.exp(2j * np.pi * rng.random(40)), images(x, y), [0.0, r_max, -1j * r_max]])
+        np.testing.assert_allclose(wigner(state, pts), loop_wigner(state, pts), rtol=0, atol=1e-12)
+
+    @given(st.integers(1, 20), st.integers(0, 60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_fock_diagonal_images_bit_equal(self, support, extra, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.random(support)
+        state = with_cutoff(QuantumState((support,), np.diag(p / p.sum())), support + extra)
+        x, y = math.sqrt(0.99 * state.dims[0] / 4.0) * rng.random(2) / math.sqrt(2.0)
+        w = wigner(state, images(x, y))
+        assert np.all(w == w[0])
+
+    def test_fock_diagonal_map_mirrors_exactly(self, paper_off_field):
+        # the command's default grid: extent 2.5, 41 points per axis
+        w, _ = cli_wigner_map(paper_off_field, 2.5)
+        w = w.reshape(41, 41)
+        np.testing.assert_array_equal(w, w[::-1, :])
+        np.testing.assert_array_equal(w, w[:, ::-1])
+
+    @pytest.mark.parametrize("band", [0, 2])
+    def test_chunks_split_radii(self, monkeypatch, band):
+        _, _, pts = wigner_grid(2.0, 21)
+        assert np.unique(np.abs(pts)).size > 7
+        monkeypatch.setattr(measurement, "_WIGNER_CHUNK", 7)
+        state = with_cutoff(banded_density(np.random.default_rng(5), 6, band), 40)
+        np.testing.assert_allclose(wigner(state, pts), loop_wigner(state, pts), rtol=0, atol=1e-12)
