@@ -271,7 +271,7 @@ def cmd_switch(args) -> int:
 
 def cmd_gain_sweep(args) -> int:
     dev = device_mod.load(args.device)
-    model = semiclassical.build_model(dev.cavity_II, dev.semiclassical)
+    model = semiclassical.SaturableCavityModel(dev.cavity_II, dev.semiclassical)
     if not (math.isfinite(args.n_min) and args.n_min > 0):
         raise ValueError(f"--n-min must be finite and > 0, got {args.n_min}")
     if not (math.isfinite(args.n_max) and args.n_max >= args.n_min):
@@ -343,17 +343,19 @@ def cmd_calibrate(args) -> int:
     if unknown:
         raise ValueError(f"unknown calibration fields: {sorted(unknown)}")
 
-    dark = data.get("dark_flip")
-    if "eta" in data:
-        eta = float(data["eta"])
+    values = {k: device_mod.number(k, v) for k, v in data.items() if k != "beta_table"}
+    dark = values.get("dark_flip")
+    if "eta" in values:
+        eta = values["eta"]
     elif "beta_table" in data:
-        eta, dark = analysis.fit_eta(data["beta_table"])
+        table = [[device_mod.number(f"beta_table[{i}]", v) for v in row] for i, row in enumerate(data["beta_table"])]
+        eta, dark = analysis.fit_eta(table)
     else:
         raise ValueError("provide either 'eta' or a 'beta_table' to fit")
 
-    cal = analysis.solve_calibration(analysis.CalibrationInputs(**{k: float(data[k]) for k in measured}))
+    cal = analysis.solve_calibration(analysis.CalibrationInputs(**{k: values[k] for k in measured}))
     n1, n0 = analysis.predict_single_photon(cal, eta)
-    p_s = float(data["p_s"]) if "p_s" in data else None
+    p_s = values.get("p_s")
     report = analysis.TransistorReport(
         calibration=cal,
         eta=eta,

@@ -11,7 +11,8 @@ explicit tag.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import dataclass, field
 
 from .cavity import CavityParams
 from .measurement import DetectionModel
@@ -54,6 +55,25 @@ _SEMI_KEYS = {
     "photon_flux_conversion": "photon_flux_conversion",
     "signal_window_us": "signal_window_us",
 }
+#: top-level file key -> DeviceParams field
+_SCALARS = {"f_q_mhz": "f_q", "e_c_mhz": "E_c"}
+#: file section -> (DeviceParams field, file key -> record field, record type)
+_SECTIONS = {
+    "cavity_i": ("cavity_I", _CAVITY_KEYS, CavityParams),
+    "cavity_ii": ("cavity_II", _CAVITY_KEYS, CavityParams),
+    "qubit_rates": ("qubit_rates", _RATE_KEYS, QubitRates),
+    "detection": ("detection", _DETECTION_KEYS, DetectionModel),
+    "semiclassical": ("semiclassical", _SEMI_KEYS, SemiclassicalSettings),
+}
+#: every leaf's path in the file, the keys of the provenance map
+_LEAF_PATHS = [*_SCALARS] + [f"{section}.{k}" for section, (_, keys, _) in _SECTIONS.items() for k in keys]
+
+
+def number(key: str, value) -> float:
+    """``value`` as a float if it is a JSON number: not a bool, not a string, and finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -148,11 +168,6 @@ def paper_defaults() -> DeviceParams:
     )
 
 
-def _pack_section(obj, keymap: dict[str, str]) -> dict:
-    data = asdict(obj)
-    return {k: data[attr] for k, attr in keymap.items()}
-
-
 def _unpack_section(section: str, raw: dict, keymap: dict[str, str], cls):
     if not isinstance(raw, dict):
         raise ValueError(f"section {section!r} must be an object")
@@ -162,12 +177,7 @@ def _unpack_section(section: str, raw: dict, keymap: dict[str, str], cls):
     missing = set(keymap) - set(raw)
     if missing:
         raise ValueError(f"missing fields in {section!r}: {sorted(missing)}")
-    kwargs = {}
-    for k, attr in keymap.items():
-        v = raw[k]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"field {section}.{k} must be a number, got {type(v).__name__}")
-        kwargs[attr] = float(v)
+    kwargs = {attr: number(f"{section}.{k}", raw[k]) for k, attr in keymap.items()}
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -175,63 +185,33 @@ def _unpack_section(section: str, raw: dict, keymap: dict[str, str], cls):
 
 
 def to_dict(d: DeviceParams) -> dict:
-    return {
-        "f_q_mhz": d.f_q,
-        "e_c_mhz": d.E_c,
-        "cavity_i": _pack_section(d.cavity_I, _CAVITY_KEYS),
-        "cavity_ii": _pack_section(d.cavity_II, _CAVITY_KEYS),
-        "qubit_rates": _pack_section(d.qubit_rates, _RATE_KEYS),
-        "detection": _pack_section(d.detection, _DETECTION_KEYS),
-        "semiclassical": _pack_section(d.semiclassical, _SEMI_KEYS),
-        "provenance": dict(sorted(d.provenance.items())),
-    }
+    out = {k: getattr(d, attr) for k, attr in _SCALARS.items()}
+    for section, (attr, keymap, _) in _SECTIONS.items():
+        record = getattr(d, attr)
+        out[section] = {k: getattr(record, a) for k, a in keymap.items()}
+    out["provenance"] = dict(sorted(d.provenance.items()))
+    return out
 
 
 def from_dict(data: dict) -> DeviceParams:
-    top = {
-        "f_q_mhz",
-        "e_c_mhz",
-        "cavity_i",
-        "cavity_ii",
-        "qubit_rates",
-        "detection",
-        "semiclassical",
-        "provenance",
-    }
-    unknown = set(data) - top
+    top = {*_SCALARS, *_SECTIONS}
+    unknown = set(data) - top - {"provenance"}
     if unknown:
         raise ValueError(f"unknown top-level fields: {sorted(unknown)}")
-    missing = (top - {"provenance"}) - set(data)
+    missing = top - set(data)
     if missing:
         raise ValueError(f"missing top-level fields: {sorted(missing)}")
     provenance = data.get("provenance", {})
     if not isinstance(provenance, dict):
         raise ValueError("provenance must be an object of field-path tags")
-    # fields present in the file but untagged are treated as user-supplied
-    known_paths = (
-        ["f_q_mhz", "e_c_mhz"]
-        + [f"cavity_i.{k}" for k in _CAVITY_KEYS]
-        + [f"cavity_ii.{k}" for k in _CAVITY_KEYS]
-        + [f"qubit_rates.{k}" for k in _RATE_KEYS]
-        + [f"detection.{k}" for k in _DETECTION_KEYS]
-        + [f"semiclassical.{k}" for k in _SEMI_KEYS]
-    )
-    tags = {p: provenance.get(p, "user") for p in known_paths}
-    extra = set(provenance) - set(known_paths)
+    extra = set(provenance) - set(_LEAF_PATHS)
     if extra:
         raise ValueError(f"provenance tags for unknown fields: {sorted(extra)}")
-    return DeviceParams(
-        f_q=float(data["f_q_mhz"]),
-        E_c=float(data["e_c_mhz"]),
-        cavity_I=_unpack_section("cavity_i", data["cavity_i"], _CAVITY_KEYS, CavityParams),
-        cavity_II=_unpack_section("cavity_ii", data["cavity_ii"], _CAVITY_KEYS, CavityParams),
-        qubit_rates=_unpack_section("qubit_rates", data["qubit_rates"], _RATE_KEYS, QubitRates),
-        detection=_unpack_section("detection", data["detection"], _DETECTION_KEYS, DetectionModel),
-        semiclassical=_unpack_section(
-            "semiclassical", data["semiclassical"], _SEMI_KEYS, SemiclassicalSettings
-        ),
-        provenance=tags,
-    )
+    kwargs = {attr: number(k, data[k]) for k, attr in _SCALARS.items()}
+    for section, (attr, keymap, cls) in _SECTIONS.items():
+        kwargs[attr] = _unpack_section(section, data[section], keymap, cls)
+    # fields present in the file but untagged are treated as user-supplied
+    return DeviceParams(**kwargs, provenance={p: provenance.get(p, "user") for p in _LEAF_PATHS})
 
 
 def save(d: DeviceParams, path) -> None:

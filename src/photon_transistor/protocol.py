@@ -15,6 +15,7 @@ carry the pulse-bandwidth and internal-loss imperfections computed in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -70,10 +71,20 @@ class ProtocolConfig:
     fock_cutoff: int = DEFAULT_FOCK_CUTOFF
 
     def __post_init__(self):
+        for name in ("theta", "n_g", "n_s", "signal_duration", "signal_flip_rate_per_photon"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("fock_cutoff", "n_shots", "seed"):
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_g < 0 or self.n_s < 0:
             raise ValueError("photon numbers must be >= 0")
         if self.n_shots < 1:
             raise ValueError("n_shots must be >= 1")
+        if self.fock_cutoff < 2:
+            raise ValueError(f"fock_cutoff must be >= 2, got {self.fock_cutoff}")
+        if self.signal_flip_rate_per_photon < 0:
+            raise ValueError("signal_flip_rate_per_photon must be >= 0")
         if self.subspace not in ("ge", "gf"):
             raise ValueError(f"unknown subspace {self.subspace!r}")
         if self.gate_source not in GATE_SOURCES:
@@ -255,11 +266,9 @@ def label_records(shots: Shots, threshold: float | None = None):
     readings are split by :func:`measurement.kmeans_1d`.
     """
     if threshold is None:
-        threshold, on, counts = measurement.kmeans_1d(shots.reading)[:3]
-    else:
-        on = shots.reading >= threshold
-        counts = measurement.label_counts(on)
-    return replace(shots, on=on), threshold, counts
+        threshold = measurement.kmeans_1d(shots.reading).threshold
+    on = shots.reading >= threshold
+    return replace(shots, on=on), threshold, measurement.label_counts(on)
 
 
 # ---------------------------------------------------------------------------

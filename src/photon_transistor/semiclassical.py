@@ -48,45 +48,28 @@ class SemiclassicalSettings:
 @dataclass(frozen=True)
 class SaturableCavityModel:
     base: CavityParams
-    n_crit_g: float
-    n_crit_e: float
-    n_crit_f: float
-    drive_amplitude: float  # sqrt(model flux)
-    bare_offset: float = 5.0
-    signal_window_us: float = 10.0
-    photon_flux_conversion: float = 11.0
+    settings: SemiclassicalSettings
+    drive_amplitude: float = 0.0  # sqrt(model flux)
 
     def __post_init__(self):
-        if min(self.n_crit_g, self.n_crit_e, self.n_crit_f) <= 0:
-            raise ValueError("critical photon numbers must be positive")
         if self.drive_amplitude < 0:
             raise ValueError("drive amplitude must be >= 0")
 
     @property
     def f_bare(self) -> float:
-        return self.base.f0 + self.bare_offset
+        return self.base.f0 + self.settings.bare_offset
 
     def n_crit(self, level: str) -> float:
-        return {"g": self.n_crit_g, "e": self.n_crit_e, "f": self.n_crit_f}[level]
+        s = self.settings
+        return {"g": s.n_crit_g, "e": s.n_crit_e, "f": s.n_crit_f}[level]
 
     def pull(self, level: str) -> float:
         """Dressed-resonance pull from bare; vanishes as n >> n_crit."""
         return shifted_frequency(self.base, level) - self.f_bare
 
 
-def build_model(
-    base: CavityParams, settings: SemiclassicalSettings, drive_amplitude: float = 0.0
-) -> SaturableCavityModel:
-    return SaturableCavityModel(
-        base=base,
-        n_crit_g=settings.n_crit_g,
-        n_crit_e=settings.n_crit_e,
-        n_crit_f=settings.n_crit_f,
-        drive_amplitude=drive_amplitude,
-        bare_offset=settings.bare_offset,
-        signal_window_us=settings.signal_window_us,
-        photon_flux_conversion=settings.photon_flux_conversion,
-    )
+#: the model's former builder name, kept for callers that import it
+build_model = SaturableCavityModel
 
 
 class CavityRoot(NamedTuple):
@@ -196,14 +179,14 @@ def gain_sweep(
     excited = "e" if subspace == "ge" else "f"
     eta_eff = eta * p_s
     f_cand = np.array([shifted_frequency(m.base, excited), m.f_bare])
-    conv = m.photon_flux_conversion
-    flux = conv * grid / m.signal_window_us
+    conv, window = m.settings.photon_flux_conversion, m.settings.signal_window_us
+    flux = conv * grid / window
     rhs = (m.base.kappa_ext_in * flux)[:, None]
     n_exc_root = _selected_root(m, f_cand, excited, "dim", rhs)
     n_g_root = _selected_root(m, f_cand, "g", "dim", rhs)
     regimes = _classify(m, f_cand, excited, n_exc_root, n_g_root, flux)
-    n_exc = n_exc_root * m.base.kappa_ext_out * m.signal_window_us / conv
-    n_g = n_g_root * m.base.kappa_ext_out * m.signal_window_us / conv
+    n_exc = n_exc_root * m.base.kappa_ext_out * window / conv
+    n_g = n_g_root * m.base.kappa_ext_out * window / conv
     out: list[SweepPoint] = []
     for n_s, exc_row, g_row, regime_row in zip(grid.tolist(), n_exc.tolist(), n_g.tolist(), regimes.tolist()):
         best = None

@@ -322,6 +322,35 @@ class TestSwitch:
         assert rc == 2
 
 
+    @pytest.mark.parametrize(
+        "key, value, name",
+        [
+            ("theta", float("nan"), "theta"),
+            ("n_g", float("nan"), "n_g"),
+            ("n_s", float("nan"), "n_s"),
+            ("signal_duration_us", float("nan"), "signal_duration"),
+            ("signal_flip_rate_per_photon", -1.0, "signal_flip_rate_per_photon"),
+            ("signal_flip_rate_per_photon", float("inf"), "signal_flip_rate_per_photon"),
+            ("fock_cutoff", 0, "fock_cutoff"),
+            ("fock_cutoff", 1, "fock_cutoff"),
+            ("fock_cutoff", 8.0, "fock_cutoff"),
+            ("fock_cutoff", True, "fock_cutoff"),
+            ("n_shots", 800.5, "n_shots"),
+            ("n_shots", True, "n_shots"),
+            ("seed", "321", "seed"),
+            ("seed", False, "seed"),
+        ],
+    )
+    def test_bad_protocol_value_exits_2_naming_it(self, tmp_path, device_file, protocol_file, capsys,
+                                                  key, value, name):
+        bad = tmp_path / "bad_protocol.json"
+        bad.write_text(json.dumps({**json.loads(protocol_file.read_text()), key: value}))
+        out = tmp_path / "out"
+        rc = main(["switch", "--device", str(device_file), "--protocol", str(bad), "--out", str(out)])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bins", ["0", "-3"])
     def test_bad_bins_exits_2_before_simulating(self, tmp_path, device_file, protocol_file, capsys,
                                                monkeypatch, bins):
@@ -591,6 +620,47 @@ def test_load_protocol_accepts_every_field_and_rejects_unknown(tmp_path):
     path.write_text(json.dumps({"signal_duration": 7.5}))  # the field name is not the file name
     with pytest.raises(ValueError, match="signal_duration"):
         load_protocol(path)
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [
+        ("gain-sweep", "cavity_i", "kappa_int_mhz"),
+        ("switch", "semiclassical", "n_crit_g"),
+        ("spectra", None, "f_q_mhz"),
+        ("spectra", None, "e_c_mhz"),
+    ],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "5350", True])
+def test_device_value_not_a_finite_number_exits_2(tmp_path, protocol_file, capsys, command, section, key, value):
+    data = device_mod.to_dict(device_mod.paper_defaults())
+    (data[section] if section else data)[key] = value
+    dev = tmp_path / "device.json"
+    dev.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    args = {"gain-sweep": [], "switch": ["--protocol", str(protocol_file)], "spectra": ["--cavity", "II"]}[command]
+    rc = main([command, "--device", str(dev), "--out", str(out), *args])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("eta", "0.8"), ("beta", True), ("n0_open", float("nan")), ("p_s", "0.925"), ("dark_flip", None),
+     ("beta_table", [[0.1, "0.09"], [0.3, 0.2]])],
+)
+def test_calibration_value_not_a_finite_number_exits_2(tmp_path, capsys, key, value):
+    data = json.loads((CONFIGS / "calibration_example.json").read_text())
+    if key == "beta_table":
+        del data["eta"]
+    data[key] = value
+    inp = tmp_path / "cal.json"
+    inp.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["calibrate", "--inputs", str(inp), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_device_file_exits_2(tmp_path):

@@ -1,18 +1,57 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from photon_transistor.cavity import PulseShape, gating_efficiency, internal_loss_for_efficiency
+from photon_transistor.cavity import CavityParams, PulseShape, gating_efficiency, internal_loss_for_efficiency
 from photon_transistor.device import (
     DeviceParams,
     KAPPA_I_INT_FOR_ETA_080,
+    PROVENANCE_TAGS,
     from_dict,
     load,
     paper_defaults,
     save,
     to_dict,
 )
+from photon_transistor.measurement import DetectionModel
+from photon_transistor.qubit import QubitRates
+from photon_transistor.semiclassical import SemiclassicalSettings
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+LEAF_PATHS = sorted(paper_defaults().provenance)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def devices(draw):
+    """A DeviceParams with every leaf drawn: cavity I stays single-sided, T2 <= 2*T1."""
+    positive, signed = _floats(1e-3, 1e3), _floats(-1e3, 1e3)
+
+    def cavity(kappa_ext_out):
+        return CavityParams(draw(_floats(1e3, 2e4)), draw(positive), kappa_ext_out, draw(_floats(0.0, 1e3)),
+                            draw(signed), draw(signed))
+
+    t1_ge, t1_ef = draw(positive), draw(positive)
+    fraction = _floats(1e-3, 1.0)
+    return DeviceParams(
+        f_q=draw(positive),
+        E_c=draw(positive),
+        cavity_I=cavity(0.0),
+        cavity_II=cavity(draw(positive)),
+        qubit_rates=QubitRates(t1_ge, t1_ef, 2.0 * t1_ge * draw(fraction), 2.0 * t1_ef * draw(fraction),
+                               draw(_floats(0.0, 1.0))),
+        detection=DetectionModel(draw(_floats(1e-3, 1.0)), draw(_floats(0.0, 1e2)), draw(_floats(0.0, 1e2))),
+        semiclassical=SemiclassicalSettings(draw(positive), draw(positive), draw(positive), draw(signed),
+                                            draw(positive), draw(positive)),
+        provenance={path: draw(st.sampled_from(PROVENANCE_TAGS)) for path in LEAF_PATHS},
+    )
 
 
 class TestPaperDefaults:
@@ -60,6 +99,18 @@ class TestPaperDefaults:
 
 
 class TestSerialization:
+    def test_shipped_paper_file_is_paper_defaults(self, tmp_path):
+        path = tmp_path / "device.json"
+        save(paper_defaults(), path)
+        assert path.read_bytes() == (CONFIGS / "device_paper.json").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(dev=devices())
+    def test_round_trip_every_leaf(self, dev):
+        # through JSON text, as save and load do; distinct drawn leaves catch a key
+        # that to_dict and from_dict map to different fields
+        assert from_dict(json.loads(json.dumps(to_dict(dev)))) == dev
+
     def test_round_trip(self, tmp_path):
         dev = paper_defaults()
         path = tmp_path / "device.json"

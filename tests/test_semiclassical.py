@@ -23,19 +23,17 @@ from photon_transistor.semiclassical import (
 CAVITY_II = CavityParams(9000.0, 0.13, 0.13, 0.04, -0.947, -1.759)
 
 
-def model(drive=1.0, **kw):
+def model(drive=1.0, base=CAVITY_II, **kw):
     fields = dict(
-        base=CAVITY_II,
         n_crit_g=1.0e4,
         n_crit_e=2.0e5,
         n_crit_f=4.0e4,
-        drive_amplitude=drive,
         bare_offset=5.0,
         signal_window_us=10.0,
         photon_flux_conversion=11.0,
     )
     fields.update(kw)
-    return SaturableCavityModel(**fields)
+    return SaturableCavityModel(base, SemiclassicalSettings(**fields), drive_amplitude=drive)
 
 
 def linear_root(m, f, level):
@@ -89,17 +87,17 @@ def scan_steady_state_photons(m, f, qubit_level):
 def scan_gain_sweep(m, eta, p_s, n_s_grid, subspace):
     """Reference sweep: the per-point, per-candidate loop over scan_steady_state_photons."""
     excited = "e" if subspace == "ge" else "f"
-    conv = m.photon_flux_conversion
+    conv = m.settings.photon_flux_conversion
     out = []
     for n_s in n_s_grid:
-        flux = conv * n_s / m.signal_window_us
+        flux = conv * n_s / m.settings.signal_window_us
         m_pt = replace(m, drive_amplitude=math.sqrt(flux))
         best = None
         for f_cand in (shifted_frequency(m.base, excited), m.f_bare):
             n_exc_root = min(r.n for r in scan_steady_state_photons(m_pt, f_cand, excited) if r.stable)
             n_g_root = min(r.n for r in scan_steady_state_photons(m_pt, f_cand, "g") if r.stable)
-            n_exc = n_exc_root * m.base.kappa_ext_out * m.signal_window_us / conv
-            n_g = n_g_root * m.base.kappa_ext_out * m.signal_window_us / conv
+            n_exc = n_exc_root * m.base.kappa_ext_out * m.settings.signal_window_us / conv
+            n_g = n_g_root * m.base.kappa_ext_out * m.settings.signal_window_us / conv
             n1, n0 = predict_single_photon(CalibrationResult(0.0, 1.0, n_g, n_exc, 0.0), eta * p_s)
             g = gain_db(n1, n0)
             if n_g_root / m.n_crit("g") > 1.0:
@@ -245,7 +243,7 @@ def transmitted_photons(
     form of the root selection ``gain_sweep`` makes over its whole grid."""
     rhs = m.base.kappa_ext_in * m.drive_amplitude**2
     n_sel = float(_selected_root(m, f, qubit_level, branch_rule, rhs))
-    return n_sel * m.base.kappa_ext_out * m.signal_window_us
+    return n_sel * m.base.kappa_ext_out * m.settings.signal_window_us
 
 
 class TestTransmittedPhotons:
@@ -255,7 +253,7 @@ class TestTransmittedPhotons:
             f = shifted_frequency(CAVITY_II, level)
             t2 = abs(transmission_coeff(CAVITY_II, f, level)) ** 2
             flux_in = m.drive_amplitude**2
-            expected = t2 * flux_in * m.signal_window_us
+            expected = t2 * flux_in * m.settings.signal_window_us
             got = transmitted_photons(m, f, level, "dim")
             assert got == pytest.approx(expected, rel=1e-6)
 
@@ -263,7 +261,7 @@ class TestTransmittedPhotons:
         m = model(drive=40.0, n_crit_g=1e30, n_crit_e=1e30, n_crit_f=1e30)
         f = shifted_frequency(CAVITY_II, "e") + 0.4
         t2 = abs(transmission_coeff(CAVITY_II, f, "e")) ** 2
-        expected = t2 * m.drive_amplitude**2 * m.signal_window_us
+        expected = t2 * m.drive_amplitude**2 * m.settings.signal_window_us
         assert transmitted_photons(m, f, "e", "dim") == pytest.approx(expected, rel=1e-6)
 
     def test_bright_branch_state_independent_at_strong_drive(self):
@@ -360,7 +358,8 @@ def test_build_model_from_settings():
     settings = SemiclassicalSettings()
     m = build_model(CAVITY_II, settings, drive_amplitude=2.0)
     assert m.base == CAVITY_II
-    assert m.n_crit_e == settings.n_crit_e
+    assert m.settings is settings
+    assert m.n_crit("e") == settings.n_crit_e
     assert m.drive_amplitude == 2.0
 
 
@@ -368,4 +367,4 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         SemiclassicalSettings(n_crit_g=0.0)
     with pytest.raises(ValueError):
-        SaturableCavityModel(CAVITY_II, 1.0, 1.0, 1.0, drive_amplitude=-1.0)
+        SaturableCavityModel(CAVITY_II, SemiclassicalSettings(), drive_amplitude=-1.0)
