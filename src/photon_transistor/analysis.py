@@ -78,7 +78,8 @@ def fit_eta(points) -> tuple[float, float]:
     """Least-squares (eta, dark_flip) from measured (n_g, beta) pairs.
 
     The parity model is linear in (eta, dark): beta = eta*(1-e^{-2n})/2
-    + dark*(1+e^{-2n})/2, so the fit is a direct normal-equations solve.
+    + dark*(1+e^{-2n})/2, so the fit is one linear least-squares solve (SVD,
+    via ``np.linalg.lstsq``) on the two-column design matrix.
     """
     pts = [(float(n), float(b)) for n, b in points]
     if len(pts) < 2:

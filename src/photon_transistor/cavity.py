@@ -19,9 +19,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import NumericsError, number
 
 QUBIT_LEVELS = ("g", "e", "f")
+#: protocol-file key -> PulseShape field; the numeric keys carry their units
+PULSE_KEYS = {"kind": "kind", "duration_ns": "duration", "sigma_ns": "sigma",
+              "carrier_detuning_mhz": "carrier_detuning"}
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,9 @@ class PulseShape:
     def __post_init__(self):
         if self.kind not in ("gaussian", "square"):
             raise ValueError(f"unknown pulse kind {self.kind!r}")
+        for key, attr in PULSE_KEYS.items():
+            if attr != "kind" and (value := getattr(self, attr)) is not None:
+                object.__setattr__(self, attr, number(key, value))
         if self.duration <= 0:
             raise ValueError("pulse duration must be positive")
         if self.kind == "gaussian" and self.sigma is None:
@@ -153,25 +159,19 @@ def gate_carrier_frequency(c: CavityParams, p: PulseShape) -> float:
     return 0.5 * (shifted_frequency(c, "g") + shifted_frequency(c, "e")) + p.carrier_detuning
 
 
-def _pulse_moments(c: CavityParams, p: PulseShape) -> tuple[complex, complex]:
-    """<A_g> and <A_e> over the pulse's intensity spectrum, normalised to its full power.
+def _moment_rule(c: CavityParams, p: PulseShape, kappa_lo: float, kappa_hi: float):
+    """The kappa-free half of the pulse moments, for every total linewidth in [kappa_lo, kappa_hi].
 
-    By Wiener-Khinchin, with d_l = f_c - f_l and C the envelope autocorrelation,
-
-        <A_l> = (2 pi / C(0)) * int_0^tau_max exp(-2 pi (kappa/2 - i d_l) tau) C(tau) dtau,
-
-    where C(tau) = T - tau for a square pulse and
-    exp(-tau^2/4 sigma^2) * erf((T - tau)/(2 sigma)) for the truncated gaussian
-    (up to a constant).  The integrand has decayed below e^-80 by
-    tau = 80/(pi kappa), so tau_max = min(T, 80/(pi kappa)).  Each panel spans
-    about one unit of the integrand's fastest rate (decay, carrier offset and
-    gaussian width), which keeps the fixed 32-node rule at double precision.
+    Returns the nodes tau, weights * C(tau), 2 pi / C(0) and the d_l.  The
+    integrand has decayed below e^-80 by tau = 80/(pi kappa), so tau_max =
+    min(T, 80/(pi kappa_lo)).  Each panel spans about one unit of the
+    integrand's fastest rate at kappa_hi (decay, carrier offset and gaussian
+    width), which keeps the fixed 32-node rule at double precision.
     """
     T = p.duration / 1000.0  # ns -> us, so that MHz * us counts cycles
-    kappa = c.kappa_tot
-    tau_max = min(T, 80.0 / (math.pi * kappa))
+    tau_max = min(T, 80.0 / (math.pi * kappa_lo))
     d = gate_carrier_frequency(c, p) - np.array([shifted_frequency(c, "g"), shifted_frequency(c, "e")])
-    fastest = kappa / 2.0 + float(np.abs(d).max())  # 1/us
+    fastest = kappa_hi / 2.0 + float(np.abs(d).max())  # 1/us
     if p.kind == "gaussian":
         fastest += 250.0 / p.sigma  # 1/(4 sigma) in 1/us, sigma in ns
     panels = 1 + int(tau_max * fastest)
@@ -184,12 +184,28 @@ def _pulse_moments(c: CavityParams, p: PulseShape) -> tuple[complex, complex]:
         two_sigma = 2.0 * p.sigma / 1000.0
         erfs = np.array([math.erf((T - t) / two_sigma) for t in tau])
         corr, corr0 = np.exp(-((tau / two_sigma) ** 2)) * erfs, math.erf(T / two_sigma)
-    decay = 2.0 * math.pi * (kappa / 2.0 - 1j * d)
-    a_g, a_e = (2.0 * math.pi / corr0) * (np.exp(-np.outer(decay, tau)) @ (weights * corr))
+    return tau, weights * corr, 2.0 * math.pi / corr0, d
+
+
+def _pulse_moments(c: CavityParams, p: PulseShape, rule=None) -> tuple[complex, complex]:
+    """<A_g> and <A_e> over the pulse's intensity spectrum, normalised to its full power.
+
+    By Wiener-Khinchin, with d_l = f_c - f_l and C the envelope autocorrelation,
+
+        <A_l> = (2 pi / C(0)) * int_0^tau_max exp(-2 pi (kappa/2 - i d_l) tau) C(tau) dtau,
+
+    where C(tau) = T - tau for a square pulse and
+    exp(-tau^2/4 sigma^2) * erf((T - tau)/(2 sigma)) for the truncated gaussian
+    (up to a constant).  The sum runs over ``rule`` (see :func:`_moment_rule`),
+    by default the rule of this cavity's own linewidth.
+    """
+    tau, weighted_corr, scale, d = rule if rule is not None else _moment_rule(c, p, c.kappa_tot, c.kappa_tot)
+    decay = 2.0 * math.pi * (c.kappa_tot / 2.0 - 1j * d)
+    a_g, a_e = scale * (np.exp(-np.outer(decay, tau)) @ weighted_corr)
     return complex(a_g), complex(a_e)
 
 
-def gating_efficiency(c: CavityParams, p: PulseShape) -> float:
+def gating_efficiency(c: CavityParams, p: PulseShape, *, rule=None) -> float:
     """Probability that one reflected gate photon flips the qubit superposition.
 
     eta = (1 - Re <r_g(f) conj(r_e(f))>) / 2, averaged over the pulse's whole
@@ -199,11 +215,11 @@ def gating_efficiency(c: CavityParams, p: PulseShape) -> float:
         <r_g conj(r_e)> = 1 - k_ext S + k_ext^2 S / (k_tot - i (f_e - f_g)).
 
     Approaches 1 for a narrowband pulse on a lossless cavity with
-    kappa_ext = 2|chi|.
+    kappa_ext = 2|chi|.  Only the internal-loss root-find passes a shared ``rule``.
     """
     if not c.single_sided:
         raise ValueError("gating_efficiency requires a single-sided cavity")
-    a_g, a_e = _pulse_moments(c, p)
+    a_g, a_e = _pulse_moments(c, p, rule)
     k_ext = c.kappa_ext_in
     s = a_g + a_e.conjugate()
     pull = shifted_frequency(c, "e") - shifted_frequency(c, "g")
@@ -229,14 +245,23 @@ def pulse_survival(c: CavityParams, p: PulseShape) -> float:
 def internal_loss_for_efficiency(
     c: CavityParams, p: PulseShape, eta_target: float, kappa_max: float | None = None
 ) -> float:
-    """Root-find the internal loss rate at which gating_efficiency hits a target."""
-    from scipy.optimize import brentq  # imported on use: scipy adds ~0.5 s to every start-up
+    """Root-find the internal loss rate at which gating_efficiency hits a target.
 
-    def eta_of(k):
-        return gating_efficiency(replace(c, kappa_int=k), p)
+    One moment rule serves the whole bracket [0, kappa_max], so each brentq
+    step costs one exponential and one mat-vec.  The root need not be unique:
+    for gaussians under about 200 ns eta(kappa_int) dips and rises again inside
+    the bracket, so brentq may return another loss than the one that produced
+    the target.  Targets outside [eta(kappa_max), eta(0)] raise NumericsError.
+    """
+    from scipy.optimize import brentq  # imported on use: scipy adds ~0.5 s to every start-up
 
     lo = 0.0
     hi = kappa_max if kappa_max is not None else 2.0 * c.kappa_ext_in
+    rule = _moment_rule(c, p, replace(c, kappa_int=lo).kappa_tot, replace(c, kappa_int=hi).kappa_tot)
+
+    def eta_of(k):
+        return gating_efficiency(replace(c, kappa_int=k), p, rule=rule)
+
     e_lo = eta_of(lo)
     if e_lo < eta_target:
         raise NumericsError(

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, device as device_mod, measurement, protocol, semiclassical
-from .cavity import PulseShape, spectrum
+from .cavity import PULSE_KEYS, PulseShape, spectrum
 from .errors import (
     CutoffError,
     DegenerateDataError,
@@ -31,6 +31,7 @@ from .errors import (
     NumericsError,
     UnphysicalInputError,
     UnsolvableCalibrationError,
+    number,
 )
 from .hilbert import mean_photon, with_cutoff
 
@@ -44,12 +45,6 @@ _NUMERIC_ERRORS = (
     CutoffError,
 )
 
-_PULSE_KEYS = {
-    "kind": "kind",
-    "duration_ns": "duration",
-    "sigma_ns": "sigma",
-    "carrier_detuning_mhz": "carrier_detuning",
-}
 # protocol-file name -> ProtocolConfig field; only signal_duration carries its unit in the file
 _PROTOCOL_KEYS = {
     {"signal_duration": "signal_duration_us"}.get(f.name, f.name): f.name
@@ -149,10 +144,10 @@ def load_protocol(path) -> protocol.ProtocolConfig:
     kwargs = {_PROTOCOL_KEYS[k]: v for k, v in data.items()}
     if "gate_pulse" in kwargs:
         raw = kwargs.pop("gate_pulse")
-        unknown = set(raw) - set(_PULSE_KEYS)
+        unknown = set(raw) - set(PULSE_KEYS)
         if unknown:
             raise ValueError(f"unknown gate_pulse fields: {sorted(unknown)}")
-        kwargs["gate_pulse"] = PulseShape(**{attr: raw[k] for k, attr in _PULSE_KEYS.items() if k in raw})
+        kwargs["gate_pulse"] = PulseShape(**{attr: raw[k] for k, attr in PULSE_KEYS.items() if k in raw})
     return protocol.ProtocolConfig(**kwargs)
 
 
@@ -343,12 +338,12 @@ def cmd_calibrate(args) -> int:
     if unknown:
         raise ValueError(f"unknown calibration fields: {sorted(unknown)}")
 
-    values = {k: device_mod.number(k, v) for k, v in data.items() if k != "beta_table"}
+    values = {k: number(k, v) for k, v in data.items() if k != "beta_table"}
     dark = values.get("dark_flip")
     if "eta" in values:
         eta = values["eta"]
     elif "beta_table" in data:
-        table = [[device_mod.number(f"beta_table[{i}]", v) for v in row] for i, row in enumerate(data["beta_table"])]
+        table = [[number(f"beta_table[{i}]", v) for v in row] for i, row in enumerate(data["beta_table"])]
         eta, dark = analysis.fit_eta(table)
     else:
         raise ValueError("provide either 'eta' or a 'beta_table' to fit")

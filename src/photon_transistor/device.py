@@ -11,10 +11,10 @@ explicit tag.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from .cavity import CavityParams
+from .errors import number
 from .measurement import DetectionModel
 from .qubit import QubitRates
 from .semiclassical import SemiclassicalSettings
@@ -67,13 +67,6 @@ _SECTIONS = {
 }
 #: every leaf's path in the file, the keys of the provenance map
 _LEAF_PATHS = [*_SCALARS] + [f"{section}.{k}" for section, (_, keys, _) in _SECTIONS.items() for k in keys]
-
-
-def number(key: str, value) -> float:
-    """``value`` as a float if it is a JSON number: not a bool, not a string, and finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,13 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types, and the number rule for input files, shared across the package."""
+
+import math
+
+
+def number(key: str, value) -> float:
+    """``value`` as a float if it is a JSON number: not a bool, not a string, and finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 class StateInvariantError(ValueError):

@@ -83,31 +83,20 @@ def apply_rotation(s: QuantumState, subspace: str, angle: float, phase: float = 
     return _apply_qutrit_map(s, np.kron(r, r.conj()))
 
 
-def _collapse_ops(r: QubitRates) -> list[np.ndarray]:
-    """Collapse operators on the qutrit alone."""
-    ket = np.eye(3, dtype=complex)
-    ops = []
-    ops.append(math.sqrt(1.0 / r.T1_ge) * np.outer(ket[0], ket[1]))  # |g><e|
-    ops.append(math.sqrt(1.0 / r.T1_ef) * np.outer(ket[1], ket[2]))  # |e><f|
-    g_e = r.dephasing_ge()
-    if g_e > 0:
-        ops.append(math.sqrt(2.0 * g_e) * np.outer(ket[1], ket[1]))
-    g_f = r.dephasing_gf()
-    if g_f > 0:
-        ops.append(math.sqrt(2.0 * g_f) * np.outer(ket[2], ket[2]))
-    if r.thermal_excitation_rate > 0:
-        ops.append(math.sqrt(r.thermal_excitation_rate) * np.outer(ket[1], ket[0]))
-    return ops
-
-
 def _liouvillian(r: QubitRates) -> np.ndarray:
-    """9x9 superoperator of the qutrit dissipator in row-major vec convention."""
-    eye = np.eye(3, dtype=complex)
-    sup = np.zeros((9, 9), dtype=complex)
-    for L in _collapse_ops(r):
-        ldl = L.conj().T @ L
-        sup += np.kron(L, L.conj())
-        sup -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    """9x9 superoperator of the qutrit dissipator in row-major vec convention.
+
+    Each collapse operator (|g><e|, |e><f|, |e><e|, |f><f|, thermal |e><g|) is
+    one matrix unit, so rho_ij decays at (G_i + G_j)/2 with G = diag(sum L^dag L)
+    and five entries move population: e->g, f->e, g->e and the dephasing refills.
+    """
+    relax_e, relax_f = 1.0 / r.T1_ge, 1.0 / r.T1_ef
+    dephase_e, dephase_f = 2.0 * r.dephasing_ge(), 2.0 * r.dephasing_gf()
+    thermal = r.thermal_excitation_rate
+    g = np.array([thermal, relax_e + dephase_e, relax_f + dephase_f])
+    sup = np.diag(-0.5 * np.add.outer(g, g).ravel())
+    # vec index 3i + j holds rho_ij, so 0, 4 and 8 are the g, e and f populations
+    sup[[0, 4, 4, 4, 8], [4, 8, 0, 4, 8]] += (relax_e, relax_f, thermal, dephase_e, dephase_f)
     return sup
 
 

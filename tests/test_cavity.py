@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.special import wofz
 
 from photon_transistor import cavity
+from photon_transistor.errors import NumericsError
 from photon_transistor.cavity import (
     CavityParams,
     PulseShape,
@@ -375,6 +376,91 @@ def test_square_pulse_moments_exact(duration, kappa_int, detuning):
         a = 2.0 * math.pi * (c.kappa_tot / 2.0 - 1j * (f_c - shifted_frequency(c, level)))
         exact = (2.0 * math.pi / T) * (T / a - (1.0 - cmath.exp(-a * T)) / a**2)
         assert moment == pytest.approx(exact, abs=1e-12)
+
+
+def per_kappa_moments(c, p):
+    """The pulse moments on a rule fitted to c's own linewidth, as each eta evaluation
+    computed them before the root-find shared one rule across its bracket."""
+    T = p.duration / 1000.0
+    kappa = c.kappa_tot
+    tau_max = min(T, 80.0 / (math.pi * kappa))
+    d = gate_carrier_frequency(c, p) - np.array([shifted_frequency(c, "g"), shifted_frequency(c, "e")])
+    fastest = kappa / 2.0 + float(np.abs(d).max())
+    if p.kind == "gaussian":
+        fastest += 250.0 / p.sigma
+    panels = 1 + int(tau_max * fastest)
+    h = tau_max / panels
+    tau = (h * (np.arange(panels)[:, None] + (cavity._GL_NODES + 1.0) / 2.0)).ravel()
+    weights = np.tile(cavity._GL_WEIGHTS * (h / 2.0), panels)
+    if p.kind == "square":
+        corr, corr0 = T - tau, T
+    else:
+        two_sigma = 2.0 * p.sigma / 1000.0
+        erfs = np.array([math.erf((T - t) / two_sigma) for t in tau])
+        corr, corr0 = np.exp(-((tau / two_sigma) ** 2)) * erfs, math.erf(T / two_sigma)
+    decay = 2.0 * math.pi * (kappa / 2.0 - 1j * d)
+    a_g, a_e = (2.0 * math.pi / corr0) * (np.exp(-np.outer(decay, tau)) @ (weights * corr))
+    return complex(a_g), complex(a_e)
+
+
+ROOT_RANGE = dict(
+    kind=PULSE_RANGE["kind"],
+    duration=PULSE_RANGE["duration"],
+    kappa_ext=st.floats(1.5, 2.0),
+    detuning=PULSE_RANGE["detuning"],
+)
+
+
+@given(**ROOT_RANGE, kappa_int=PULSE_RANGE["kappa_int"])
+@settings(max_examples=50, deadline=None)
+def test_own_rule_moments_bit_identical_to_per_kappa_oracle(kind, duration, kappa_ext, detuning, kappa_int):
+    # every caller but the root-find keeps its eta and survival to the last bit
+    c = cavity_one(kappa_ext=kappa_ext, kappa_int=kappa_int)
+    p = PulseShape(kind, duration, carrier_detuning=detuning)
+    assert cavity._pulse_moments(c, p) == per_kappa_moments(c, p)
+
+
+@given(**ROOT_RANGE)
+@settings(max_examples=50, deadline=None)
+@example(kind="gaussian", duration=20_000.0, kappa_ext=1.5, detuning=0.0)
+@example(kind="square", duration=20_000.0, kappa_ext=2.0, detuning=0.5)
+def test_shared_rule_eta_matches_per_kappa_eta_across_bracket(kind, duration, kappa_ext, detuning):
+    # the 20 us examples are cut at tau_max = 80/(pi kappa) < T, which the bracket's smallest kappa must set
+    c = cavity_one(kappa_ext=kappa_ext)
+    p = PulseShape(kind, duration, carrier_detuning=detuning)
+    hi = 2.0 * kappa_ext
+    rule = cavity._moment_rule(c, p, kappa_ext, kappa_ext + hi)
+    for k in np.linspace(0.0, hi, 9):
+        at_k = replace(c, kappa_int=float(k))
+        assert abs(gating_efficiency(at_k, p, rule=rule) - gating_efficiency(at_k, p)) <= 1e-14
+
+
+@given(**ROOT_RANGE, share=st.floats(0.02, 0.98))
+@settings(max_examples=50, deadline=None)
+def test_root_meets_target_through_public_eta(kind, duration, kappa_ext, detuning, share):
+    c = cavity_one(kappa_ext=kappa_ext)
+    p = PulseShape(kind, duration, carrier_detuning=detuning)
+    hi = 2.0 * kappa_ext
+    target = gating_efficiency(replace(c, kappa_int=share * hi), p)
+    if not gating_efficiency(replace(c, kappa_int=hi), p) <= target <= gating_efficiency(c, p):
+        # broadband gaussians: eta(kappa_int) dips and rises again inside the bracket,
+        # so a target can lie outside [eta(hi), eta(0)]
+        with pytest.raises(NumericsError):
+            internal_loss_for_efficiency(c, p, target)
+        return
+    root = internal_loss_for_efficiency(c, p, target)
+    assert abs(gating_efficiency(replace(c, kappa_int=root), p) - target) <= 1e-12
+
+
+def test_root_not_unique_for_broadband_gaussian():
+    # eta falls to a minimum near kappa_int = 0.9, peaks near 2.7 and falls again,
+    # so the target eta(0.355) is met three times; brentq lands on the last crossing
+    c = cavity_one(kappa_ext=1.795)
+    p = PulseShape("gaussian", 163.0)
+    target = gating_efficiency(replace(c, kappa_int=0.355), p)
+    root = internal_loss_for_efficiency(c, p, target)
+    assert abs(gating_efficiency(replace(c, kappa_int=root), p) - target) <= 1e-12
+    assert root == pytest.approx(3.534, abs=1e-3)
 
 
 def test_cavity_params_validation():

@@ -663,6 +663,19 @@ def test_calibration_value_not_a_finite_number_exits_2(tmp_path, capsys, key, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["duration_ns", "sigma_ns", "carrier_detuning_mhz"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "960", True])
+def test_gate_pulse_value_not_a_finite_number_exits_2(tmp_path, device_file, protocol_file, capsys, key, value):
+    data = json.loads(protocol_file.read_text())
+    data["gate_pulse"][key] = value
+    protocol_file.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    rc = main(["switch", "--device", str(device_file), "--protocol", str(protocol_file), "--out", str(out)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_device_file_exits_2(tmp_path):
     rc = main(["spectra", "--device", str(tmp_path / "nope.json"), "--cavity", "I",
                "--out", str(tmp_path / "o")])

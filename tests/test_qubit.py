@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from photon_transistor.errors import NumericsError
 from photon_transistor.hilbert import QuantumState, fock_state, pure_state, qutrit_state, tensor
 from photon_transistor.qubit import (
     QubitRates,
+    _apply_qutrit_map,
+    _liouvillian,
     apply_rotation,
     evolve_lindblad,
     exponential_time,
@@ -21,7 +24,8 @@ def populations(s):
     return np.real(np.diag(s.rho))[:3]
 
 
-# Reference path: the full-space RK4 superoperator that evolve_lindblad replaced.
+# Reference paths: the full-space RK4 superoperator that evolve_lindblad replaced,
+# and the kron sum over collapse operators that _liouvillian replaced (dims (3,)).
 
 
 def _embed(op3, dims):
@@ -213,6 +217,40 @@ class TestAgainstRK4:
         out = evolve_lindblad(s, dt, rates)
         assert out.dims == s.dims
         np.testing.assert_allclose(out.rho, rk4_evolve_lindblad(s, dt, rates).rho, rtol=0, atol=1e-10)
+
+
+@st.composite
+def wide_rates(draw):
+    """T1 over 0.1-1e6 us; T2 in (0, 2 T1], exactly 2 T1 (no dephasing) included; thermal rate 0 or > 0."""
+    t1_ge = draw(st.floats(0.1, 1e6))
+    t1_ef = draw(st.floats(0.1, 1e6))
+    t2_share = st.one_of(st.just(2.0), st.floats(1e-6, 2.0))
+    return QubitRates(
+        T1_ge=t1_ge,
+        T1_ef=t1_ef,
+        T2_ge=draw(t2_share) * t1_ge,
+        T2_gf=draw(t2_share) * t1_ef,
+        thermal_excitation_rate=draw(st.one_of(st.just(0.0), st.floats(1e-6, 10.0))),
+    )
+
+
+class TestDissipatorByIndex:
+    @given(wide_rates())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_kron_sum(self, rates):
+        oracle = _full_liouvillian((3,), rates)
+        np.testing.assert_allclose(_liouvillian(rates), oracle, rtol=0, atol=1e-14 * np.abs(oracle).max())
+
+    @given(wide_rates(), st.integers(1, 10), st.floats(-3.0, 2.0), st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_evolution_matches_kron_expm_path(self, rates, d, log_dt, seed):
+        s = random_state((3, d), seed)
+        kron_sum = _full_liouvillian((3,), rates)
+        # up to 100 of the fastest decay times: expm's own rounding grows like
+        # eps * dt * max|L|, so far past that both paths drift from the exact map alike
+        dt = 10.0**log_dt / np.abs(kron_sum).max()
+        oracle = _apply_qutrit_map(s, expm(dt * kron_sum))
+        np.testing.assert_allclose(evolve_lindblad(s, dt, rates).rho, oracle.rho, rtol=0, atol=1e-13)
 
 
 class TestRatesValidation:
