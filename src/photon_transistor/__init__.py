@@ -35,10 +35,9 @@ from .protocol import (
     Shots,
     coherent_flip_probability,
     conditional_gate_field,
-    gate_interaction,
     run_experiment,
 )
-from .qubit import QubitRates, apply_rotation, evolve_lindblad
+from .qubit import QubitRates, evolve_lindblad
 from .semiclassical import (
     SaturableCavityModel,
     SemiclassicalSettings,
@@ -62,7 +61,6 @@ __all__ = [
     "SemiclassicalSettings",
     "Shots",
     "TransistorReport",
-    "apply_rotation",
     "coherent_flip_probability",
     "coherent_state",
     "conditional_gate_field",
@@ -73,7 +71,6 @@ __all__ = [
     "fock_state",
     "gain_db",
     "gain_sweep",
-    "gate_interaction",
     "gating_efficiency",
     "histogram",
     "kmeans_1d",

@@ -65,9 +65,6 @@ class QuantumState:
     def dim(self) -> int:
         return int(np.prod(self.dims))
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.rho @ self.rho)))
-
 
 def pure_state(vec, dims) -> QuantumState:
     """Density matrix |v><v| of a (normalized) state vector."""

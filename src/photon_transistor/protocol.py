@@ -6,10 +6,12 @@ pi/2 of phase theta (plus an optional pi_ef), then transmit the signal window
 through cavity II with possible qubit jumps, and read out the transmitted
 photon number through the linear detection chain.
 
-The gate stage is modeled in the Fock basis: an instantaneous
-conditional-phase-plus-loss channel whose scalar statistics (eta, dark flip)
-carry the pulse-bandwidth and internal-loss imperfections computed in
-:mod:`photon_transistor.cavity`.
+The gate stage is one parity surrogate: an odd number of gate photons flips
+the qubit with probability eta, an even number with probability dark_flip.
+eta and the per-photon survival carry the pulse-bandwidth and internal-loss
+imperfections computed in :mod:`photon_transistor.cavity`; the conditional
+gate field is the Bayesian photon-number posterior passed through one
+binomial-loss matrix.
 """
 
 from __future__ import annotations
@@ -24,12 +26,9 @@ import numpy as np
 from . import measurement
 from .cavity import (
     QUBIT_LEVELS,
-    CavityParams,
     PulseShape,
-    gate_carrier_frequency,
     gating_efficiency,
     pulse_survival,
-    reflection_coeff,
     shifted_frequency,
     transmission_coeff,
 )
@@ -128,48 +127,21 @@ class Shots:
 # gate stage
 
 
-def _fock_loss(r, d: int, intensity: bool = False) -> np.ndarray:
-    """Beam-splitter loss kernel K[k, m, n] of a scalar r: n photons in, m out, k = n - m lost.
+def _binomial_loss(s: float, d: int) -> np.ndarray:
+    """Binomial loss matrix [n, m] = C(n, m) s^m (1 - s)^(n - m): n photons in, m survive.
 
-    Amplitudes sqrt(C(n, m)) r^m l^k with l = sqrt(1 - |r|^2), so K[k] is the
-    k-th Kraus operator of loss with complex transmissivity r (|r| <= 1).  With
-    ``intensity``, r is the survival probability s and K holds
-    |K|^2 = C(n, m) s^m (1 - s)^k, the binomial loss probabilities, evaluated
-    directly rather than squared.
+    Each photon survives independently with probability s, so row n is the
+    binomial distribution of the survivors (entries m > n are zero).
     """
     m, n = np.triu_indices(d)
     comb = np.array([math.comb(a, b) for a, b in zip(n.tolist(), m.tolist())], dtype=float)
-    if intensity:
-        coef, lost = comb, 1.0 - r
-    else:
-        coef, lost = np.sqrt(comb), math.sqrt(max(1.0 - abs(r) ** 2, 0.0))
     # scalar pow, not numpy's vector power (whose last bit can differ), so the
     # weights equal the scalar formula C(n, m) * s**m * (1 - s)**k bit for bit
-    kept_pow = np.array([r**j for j in range(d)])
-    lost_pow = np.array([lost**j for j in range(d)])
-    out = np.zeros((d, d, d), dtype=kept_pow.dtype)
-    out[n - m, m, n] = coef * kept_pow[m] * lost_pow[n - m]
+    kept_pow = np.array([s**j for j in range(d)])
+    lost_pow = np.array([(1.0 - s) ** j for j in range(d)])
+    out = np.zeros((d, d))
+    out[n, m] = comb * kept_pow[m] * lost_pow[n - m]
     return out
-
-
-def gate_interaction(qubit_field: QuantumState, c: CavityParams, p: PulseShape) -> QuantumState:
-    """Reflect the gate field off cavity I, entangling it with the qubit.
-
-    Each Fock component |n> acquires the branch reflection amplitude r_level^n
-    (relative phase (-1)^n between |g> and |e> at the matched operating point)
-    and photons survive with probability |r|^2.  For a lossless cavity and a
-    |1> input on (|g>+|e>)/sqrt2 this reproduces the maximally entangled
-    (|1>|g> - |1>|e>)/sqrt2 up to a global phase.
-    """
-    if len(qubit_field.dims) != 2 or qubit_field.dims[0] != 3:
-        raise ValueError("gate_interaction expects dims = (3, field_cutoff)")
-    d = qubit_field.dims[1]
-    f_c = gate_carrier_frequency(c, p)
-    kraus = np.stack([_fock_loss(reflection_coeff(c, f_c, lev), d) for lev in QUBIT_LEVELS])
-    # out[i, a, j, b] = sum_k K_i,k[a, n] rho[i, n, j, n'] conj(K_j,k[b, n'])
-    rho = np.einsum("ikan,injm,jkbm->iajb", kraus, qubit_field.rho.reshape(3, d, 3, d), kraus.conj(),
-                    optimize=True)
-    return QuantumState(qubit_field.dims, rho.reshape(3 * d, 3 * d))
 
 
 def coherent_flip_probability(n_g: float, eta: float, dark_flip: float = 0.0) -> float:
@@ -330,9 +302,9 @@ def conditional_gate_field(
     post /= total
 
     s = pulse_survival(device.cavity_I, cfg.gate_pulse)
-    # binomial loss P(m | n) = sum_k |K[k, m, n]|^2, stored [n, m] so that the
-    # posterior mix adds its rows one by one in order of n, as a running sum would
-    loss = np.ascontiguousarray(_fock_loss(s, d, intensity=True).sum(axis=0).T)
+    # binomial loss P(m | n), stored [n, m] so that the posterior mix adds its
+    # rows one by one in order of n, as a running sum would
+    loss = _binomial_loss(s, d)
     diag = (post[:, None] * loss).sum(axis=0)
     rho = np.diag(diag.astype(complex))
     return QuantumState((d,), rho / np.trace(rho))

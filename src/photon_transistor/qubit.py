@@ -1,14 +1,13 @@
-"""Three-level qubit: ideal control rotations and open-system evolution.
+"""Three-level qubit: relaxation rates, open-system evolution and jump sampling.
 
 The qubit is always subsystem 0 of a :class:`~photon_transistor.hilbert.QuantumState`
-with dimension 3 (levels g, e, f).  Control pulses are instantaneous ideal
-rotations; dissipation is a Lindblad equation with relaxation ladders
-|g><e| and |e><f| plus pure dephasing fitted to the measured T2 times.
+with dimension 3 (levels g, e, f).  Dissipation is a Lindblad equation with
+relaxation ladders |g><e| and |e><f| plus pure dephasing fitted to the
+measured T2 times.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,27 +61,6 @@ def _apply_qutrit_map(s: QuantumState, kernel: np.ndarray) -> QuantumState:
     return QuantumState(s.dims, rho.reshape(s.dim, s.dim))
 
 
-def apply_rotation(s: QuantumState, subspace: str, angle: float, phase: float = 0.0) -> QuantumState:
-    """Unitary exp(-i*angle/2*(cos(phase) X + sin(phase) Y)) on a 2-level subspace.
-
-    ``subspace`` is "ge" or "ef"; the third level is untouched.
-    """
-    if subspace == "ge":
-        i, j = 0, 1
-    elif subspace == "ef":
-        i, j = 1, 2
-    else:
-        raise ValueError(f"unknown subspace {subspace!r}")
-    c = math.cos(angle / 2.0)
-    sn = math.sin(angle / 2.0)
-    r = np.eye(3, dtype=complex)
-    r[i, i] = c
-    r[j, j] = c
-    r[i, j] = -1j * sn * np.exp(-1j * phase)
-    r[j, i] = -1j * sn * np.exp(1j * phase)
-    return _apply_qutrit_map(s, np.kron(r, r.conj()))
-
-
 def _liouvillian(r: QubitRates) -> np.ndarray:
     """9x9 superoperator of the qutrit dissipator in row-major vec convention.
 
@@ -109,6 +87,11 @@ def evolve_lindblad(s: QuantumState, dt: float, r: QubitRates) -> QuantumState:
     applied to the state reshaped to (3, n, 3, n).  There is no step size and
     no renormalisation; the QuantumState checks on trace, Hermiticity and
     positivity guard the result.
+
+    The trace error of expm's rounding grows with dt * max|L|: near
+    dt * max|L| = 4e7 it reaches 1.2e-9, above the trace tolerance, and the
+    result raises StateInvariantError.  Physical runs (dt * max|L| <~ 1e3)
+    are far from this.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")

@@ -8,44 +8,32 @@ from hypothesis import strategies as hst
 
 from photon_transistor.cavity import (
     CavityParams,
-    PulseShape,
+    gating_efficiency,
     shifted_frequency,
     transmission_coeff,
 )
 from photon_transistor.device import DeviceParams, paper_defaults
 from photon_transistor.errors import InsufficientDataError
-from photon_transistor.hilbert import (
-    QuantumState,
-    coherent_state,
-    fock_state,
-    mean_photon,
-    pure_state,
-    qutrit_state,
-    tensor,
-)
+from photon_transistor.hilbert import QuantumState, mean_photon
 from photon_transistor.measurement import DetectionModel, kmeans_1d
 from photon_transistor import protocol
 from photon_transistor.protocol import (
     ProtocolConfig,
-    _fock_loss,
+    _binomial_loss,
     coherent_flip_probability,
     conditional_gate_field,
-    gate_interaction,
     label_records,
     run_experiment,
 )
-from photon_transistor.qubit import QubitRates, apply_rotation
+from photon_transistor.qubit import QubitRates
 
-GATE_PULSE = PulseShape("gaussian", 960.0)
-
-
-def matched_cavity_one(kappa_int=0.0):
+def matched_cavity_one():
     """Lossless single-sided cavity at the exact kappa_ext = 2|chi| point."""
     return CavityParams(
         f0=7000.0,
         kappa_ext_in=1.73,
         kappa_ext_out=0.0,
-        kappa_int=kappa_int,
+        kappa_int=0.0,
         chi_ge=-0.865,
         chi_gf=-1.73,
     )
@@ -82,57 +70,6 @@ def ideal_config(**kw) -> ProtocolConfig:
     )
     base.update(kw)
     return ProtocolConfig(**base)
-
-
-class TestGateInteraction:
-    def test_vacuum_leaves_qubit_alone(self):
-        qb = apply_rotation(tensor(qutrit_state("g"), fock_state(0, 4)), "ge", math.pi / 2)
-        out = gate_interaction(qb, matched_cavity_one(), GATE_PULSE)
-        np.testing.assert_allclose(out.rho, qb.rho, atol=1e-12)
-
-    def test_single_photon_entangles_with_pi_phase(self):
-        # (|g>+|e>)/sqrt2 (x) |1>  ->  (|1>|g> - |1>|e>)/sqrt2 at the matched point
-        vec = np.zeros(12, dtype=complex)
-        vec[0 * 4 + 1] = vec[1 * 4 + 1] = 1 / math.sqrt(2)
-        start = pure_state(vec, (3, 4))
-        out = gate_interaction(start, matched_cavity_one(), GATE_PULSE)
-        target = np.zeros(12, dtype=complex)
-        target[0 * 4 + 1] = 1 / math.sqrt(2)
-        target[1 * 4 + 1] = -1 / math.sqrt(2)
-        expected = pure_state(target, (3, 4))
-        fidelity = float(np.real(np.trace(out.rho @ expected.rho)))
-        assert fidelity == pytest.approx(1.0, abs=1e-12)
-
-    def test_quoted_rates_mismatch_is_small(self):
-        # kappa_ext = 1.81 vs 2|chi| = 1.73 leaves a percent-level phase error
-        c = CavityParams(7000.0, 1.81, 0.0, 0.0, -0.865, -1.73)
-        vec = np.zeros(12, dtype=complex)
-        vec[1] = vec[5] = 1 / math.sqrt(2)
-        out = gate_interaction(pure_state(vec, (3, 4)), c, GATE_PULSE)
-        target = np.zeros(12, dtype=complex)
-        target[1], target[5] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-        fidelity = float(np.real(np.trace(out.rho @ pure_state(target, (3, 4)).rho)))
-        assert fidelity > 0.99
-
-    def test_coherent_flip_probability_through_full_map(self):
-        # flip probability (1 - e^{-2 nbar})/2 via the actual quantum channel
-        st = tensor(qutrit_state("g"), coherent_state(math.sqrt(0.18), 8))
-        st = apply_rotation(st, "ge", math.pi / 2, 0.0)
-        st = gate_interaction(st, matched_cavity_one(), GATE_PULSE)
-        st = apply_rotation(st, "ge", math.pi / 2, 0.0)
-        p_g = float(np.real(np.diag(st.rho)[0:8].sum()))
-        assert p_g == pytest.approx((1 - math.exp(-0.36)) / 2, abs=1e-6)
-
-    def test_loss_reduces_field_energy(self):
-        c = matched_cavity_one(kappa_int=0.4)
-        st = tensor(qutrit_state("g"), fock_state(1, 4))
-        out = gate_interaction(st, c, GATE_PULSE)
-        assert mean_photon(out, 1) < 1.0
-        assert np.trace(out.rho) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dims_mismatch(self):
-        with pytest.raises(ValueError):
-            gate_interaction(fock_state(0, 4), matched_cavity_one(), GATE_PULSE)
 
 
 def poisson_parity_sum(n_g, eta, dark, n_max=60):
@@ -316,6 +253,19 @@ class TestRunExperiment:
         assert jumps_strong / 3000 > 0.1
 
 
+class TestOneGateModel:
+    """eta from the pulse moments is the one-photon flip probability the engine draws."""
+
+    def test_single_photon_flip_fraction_is_gating_efficiency(self):
+        dev = paper_defaults()
+        cfg = ProtocolConfig(gate_source="single_photon", n_g=1.0, n_shots=40_000, seed=5)
+        eta = gating_efficiency(dev.cavity_I, cfg.gate_pulse)
+        assert protocol.resolve_eta(cfg, dev) == eta
+        frac = np.mean(run_experiment(cfg, dev).flip)
+        sigma = math.sqrt(eta * (1 - eta) / cfg.n_shots)
+        assert abs(frac - eta) < 4 * sigma
+
+
 class TestConditionalGateField:
     def test_ideal_single_photon_source_on_is_vacuum(self):
         dev = ideal_device()
@@ -382,36 +332,7 @@ class TestConfigValidation:
             ProtocolConfig(n_shots=0)
 
 
-# Reference path: the per-Kraus-operator and per-Fock-level loops that the
-# Fock-loss kernel replaced.
-
-
-def _loss_kraus(r_amp: complex, d: int) -> list[np.ndarray]:
-    """Beam-splitter Kraus set for complex transmissivity r (|r| <= 1)."""
-    s = abs(r_amp) ** 2
-    loss_amp = math.sqrt(max(1.0 - s, 0.0))
-    ops = []
-    for k in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        for n in range(k, d):
-            e[n - k, n] = math.sqrt(math.comb(n, k)) * r_amp ** (n - k) * loss_amp**k
-        ops.append(e)
-    return ops
-
-
-def loop_gate_interaction(qubit_field, c, p):
-    d = qubit_field.dims[1]
-    f_c = protocol.gate_carrier_frequency(c, p)
-    branch = {lev: protocol.reflection_coeff(c, f_c, lev) for lev in ("g", "e", "f")}
-    kraus_by_level = {lev: _loss_kraus(r, d) for lev, r in branch.items()}
-    proj = [np.zeros((3, 3), dtype=complex) for _ in range(3)]
-    for i in range(3):
-        proj[i][i, i] = 1.0
-    rho = np.zeros_like(qubit_field.rho)
-    for k in range(d):
-        m = sum(np.kron(proj[i], kraus_by_level[lev][k]) for i, lev in enumerate(("g", "e", "f")))
-        rho += m @ qubit_field.rho @ m.conj().T
-    return QuantumState(qubit_field.dims, rho)
+# Reference path: the per-Fock-level loop that the binomial-loss matrix replaced.
 
 
 def _binomial_loss_diag(n: int, survival: float, d: int) -> np.ndarray:
@@ -453,23 +374,6 @@ def loop_conditional_gate_field(shots, condition, cfg, device):
 
 
 class TestFockLossKernel:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        d=hst.integers(2, 12),
-        kappa_int=hst.floats(0.0, 0.4),
-        kappa_ext=hst.floats(1.5, 2.0),
-        seed=hst.integers(0, 2**32 - 1),
-    )
-    def test_gate_interaction_matches_kraus_loop(self, d, kappa_int, kappa_ext, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(3 * d, 3 * d)) + 1j * rng.normal(size=(3 * d, 3 * d))
-        rho = a @ a.conj().T
-        state = QuantumState((3, d), rho / np.trace(rho))
-        c = CavityParams(7000.0, kappa_ext, 0.0, kappa_int, -0.865, -1.73)
-        out = gate_interaction(state, c, GATE_PULSE)
-        ref = loop_gate_interaction(state, c, GATE_PULSE)
-        np.testing.assert_allclose(out.rho, ref.rho, rtol=0, atol=1e-12)
-
     @settings(max_examples=40, deadline=None)
     @given(
         source=hst.sampled_from(["coherent", "single_photon"]),
@@ -493,10 +397,11 @@ class TestFockLossKernel:
             # same arithmetic in the same order, so the same bits
             np.testing.assert_array_equal(out.rho, ref.rho)
 
-    @pytest.mark.parametrize("s", [0.0, 0.3, 0.8278, 1.0])
-    def test_intensity_kernel_is_squared_amplitude(self, s):
-        # one kernel: the binomial loss probabilities are |K|^2 at r = sqrt(s)
-        d = 10
-        probs = _fock_loss(s, d, intensity=True)
-        np.testing.assert_allclose(probs, np.abs(_fock_loss(math.sqrt(s), d)) ** 2, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(probs.sum(axis=(0, 1)), np.ones(d), rtol=0, atol=1e-14)
+    @settings(max_examples=80, deadline=None)
+    @given(s=hst.floats(0.0, 1.0) | hst.sampled_from([0.0, 1.0]), d=hst.integers(2, 16))
+    def test_binomial_loss_rows_match_scalar_formula(self, s, d):
+        loss = _binomial_loss(s, d)
+        assert loss.shape == (d, d)
+        for n in range(d):
+            np.testing.assert_array_equal(loss[n], _binomial_loss_diag(n, s, d))
+        np.testing.assert_allclose(loss.sum(axis=1), np.ones(d), rtol=0, atol=1e-14)

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from photon_transistor.errors import NumericsError
-from photon_transistor.hilbert import QuantumState, fock_state, pure_state, qutrit_state, tensor
+from photon_transistor.hilbert import QuantumState, pure_state, qutrit_state
 from photon_transistor.qubit import (
     QubitRates,
     _apply_qutrit_map,
     _liouvillian,
-    apply_rotation,
     evolve_lindblad,
     exponential_time,
 )
@@ -109,59 +108,6 @@ JOINT_DIMS = st.one_of(
     st.integers(1, 8).map(lambda d: (3, d)),
     st.just((3, 2, 2)),
 )
-
-
-class TestRotations:
-    def test_half_pi_splits_ground(self):
-        s = apply_rotation(qutrit_state("g"), "ge", math.pi / 2, 0.0)
-        np.testing.assert_allclose(populations(s), [0.5, 0.5, 0.0], atol=1e-12)
-
-    def test_two_half_pi_compose_to_pi(self):
-        s = apply_rotation(qutrit_state("g"), "ge", math.pi / 2, 0.0)
-        s = apply_rotation(s, "ge", math.pi / 2, 0.0)
-        assert populations(s)[1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_echo_phase_pi_returns_ground(self):
-        # the theta = pi arm of the protocol: second pi/2 undoes the first
-        s = apply_rotation(qutrit_state("g"), "ge", math.pi / 2, 0.0)
-        s = apply_rotation(s, "ge", math.pi / 2, math.pi)
-        assert populations(s)[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_ef_subspace_leaves_ground_alone(self):
-        s = apply_rotation(qutrit_state("g"), "ef", math.pi, 0.0)
-        assert populations(s)[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_pi_ef_moves_e_to_f(self):
-        s = apply_rotation(qutrit_state("e"), "ef", math.pi, 0.0)
-        assert populations(s)[2] == pytest.approx(1.0, abs=1e-12)
-
-    def test_unitarity_preserves_purity(self):
-        vec = np.array([0.6, 0.48 + 0.4j, 0.5j])
-        s = pure_state(vec, (3,))
-        out = apply_rotation(s, "ge", 1.234, 0.777)
-        assert out.purity() == pytest.approx(1.0, abs=1e-12)
-
-    @given(JOINT_DIMS, st.sampled_from(["ge", "ef"]), st.floats(-7.0, 7.0),
-           st.floats(-4.0, 4.0), st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_kron_conjugation(self, dims, subspace, angle, phase, seed):
-        s = random_state(dims, seed)
-        i, j = (0, 1) if subspace == "ge" else (1, 2)
-        r = np.eye(3, dtype=complex)
-        r[i, i] = r[j, j] = math.cos(angle / 2.0)
-        r[i, j] = -1j * math.sin(angle / 2.0) * np.exp(-1j * phase)
-        r[j, i] = -1j * math.sin(angle / 2.0) * np.exp(1j * phase)
-        u = _embed(r, dims)
-        out = apply_rotation(s, subspace, angle, phase)
-        assert out.dims == s.dims
-        np.testing.assert_allclose(out.rho, u @ s.rho @ u.conj().T, rtol=0, atol=1e-13)
-
-    def test_acts_on_qubit_of_joint_state(self):
-        joint = tensor(qutrit_state("g"), fock_state(1, 4))
-        out = apply_rotation(joint, "ge", math.pi, 0.0)
-        red = np.real(np.diag(out.rho))
-        # |e,1> occupied, field untouched
-        assert red[1 * 4 + 1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLindblad:
