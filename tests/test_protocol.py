@@ -405,3 +405,17 @@ class TestFockLossKernel:
         for n in range(d):
             np.testing.assert_array_equal(loss[n], _binomial_loss_diag(n, s, d))
         np.testing.assert_allclose(loss.sum(axis=1), np.ones(d), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.8278, 1.0])
+    def test_intensity_kernel_is_squared_amplitude(self, s):
+        # the binomial loss probabilities are |K|^2 of the loss Kraus amplitudes
+        # sqrt(C(n, m)) r^m l^(n - m) at r = sqrt(s), l = sqrt(1 - s)
+        d = 10
+        r, l = math.sqrt(s), math.sqrt(1.0 - s)
+        amp = np.zeros((d, d))
+        for n in range(d):
+            for m in range(n + 1):
+                amp[n, m] = math.sqrt(math.comb(n, m)) * r**m * l ** (n - m)
+        probs = _binomial_loss(s, d)
+        np.testing.assert_allclose(probs, amp**2, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(probs.sum(axis=1), np.ones(d), rtol=0, atol=1e-14)
