@@ -182,7 +182,7 @@ def _moment_rule(c: CavityParams, p: PulseShape, kappa_lo: float, kappa_hi: floa
         corr, corr0 = T - tau, T
     else:
         two_sigma = 2.0 * p.sigma / 1000.0
-        erfs = np.array([math.erf((T - t) / two_sigma) for t in tau])
+        erfs = list(map(math.erf, ((T - tau) / two_sigma).tolist()))
         corr, corr0 = np.exp(-((tau / two_sigma) ** 2)) * erfs, math.erf(T / two_sigma)
     return tau, weights * corr, 2.0 * math.pi / corr0, d
 
@@ -201,7 +201,7 @@ def _pulse_moments(c: CavityParams, p: PulseShape, rule=None) -> tuple[complex, 
     """
     tau, weighted_corr, scale, d = rule if rule is not None else _moment_rule(c, p, c.kappa_tot, c.kappa_tot)
     decay = 2.0 * math.pi * (c.kappa_tot / 2.0 - 1j * d)
-    a_g, a_e = scale * (np.exp(-np.outer(decay, tau)) @ weighted_corr)
+    a_g, a_e = scale * (np.exp(-decay[:, None] * tau) @ weighted_corr)
     return complex(a_g), complex(a_e)
 
 

@@ -43,7 +43,7 @@ class QuantumState:
         if any(d < 1 for d in dims):
             raise StateInvariantError(f"subsystem dimensions must be >= 1, got {dims}")
         rho = np.array(self.rho, dtype=complex)
-        n = int(np.prod(dims))
+        n = math.prod(dims)
         if rho.shape != (n, n):
             raise StateInvariantError(
                 f"rho shape {rho.shape} does not match prod(dims) = {n}"
@@ -63,7 +63,7 @@ class QuantumState:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
 
 def pure_state(vec, dims) -> QuantumState:

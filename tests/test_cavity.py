@@ -1,6 +1,7 @@
 import cmath
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -378,14 +379,12 @@ def test_square_pulse_moments_exact(duration, kappa_int, detuning):
         assert moment == pytest.approx(exact, abs=1e-12)
 
 
-def per_kappa_moments(c, p):
-    """The pulse moments on a rule fitted to c's own linewidth, as each eta evaluation
-    computed them before the root-find shared one rule across its bracket."""
+def old_moment_rule(c, p, kappa_lo, kappa_hi):
+    """_moment_rule with one math.erf call per numpy node, the oracle for its list-map erf column."""
     T = p.duration / 1000.0
-    kappa = c.kappa_tot
-    tau_max = min(T, 80.0 / (math.pi * kappa))
+    tau_max = min(T, 80.0 / (math.pi * kappa_lo))
     d = gate_carrier_frequency(c, p) - np.array([shifted_frequency(c, "g"), shifted_frequency(c, "e")])
-    fastest = kappa / 2.0 + float(np.abs(d).max())
+    fastest = kappa_hi / 2.0 + float(np.abs(d).max())
     if p.kind == "gaussian":
         fastest += 250.0 / p.sigma
     panels = 1 + int(tau_max * fastest)
@@ -398,8 +397,16 @@ def per_kappa_moments(c, p):
         two_sigma = 2.0 * p.sigma / 1000.0
         erfs = np.array([math.erf((T - t) / two_sigma) for t in tau])
         corr, corr0 = np.exp(-((tau / two_sigma) ** 2)) * erfs, math.erf(T / two_sigma)
-    decay = 2.0 * math.pi * (kappa / 2.0 - 1j * d)
-    a_g, a_e = (2.0 * math.pi / corr0) * (np.exp(-np.outer(decay, tau)) @ (weights * corr))
+    return tau, weights * corr, 2.0 * math.pi / corr0, d
+
+
+def per_kappa_moments(c, p, rule=None):
+    """The pulse moments on a rule fitted to c's own linewidth, as each eta evaluation
+    computed them before the root-find shared one rule across its bracket, with the
+    exponent built by np.outer; a given ``rule`` replaces the own-linewidth one."""
+    tau, weighted_corr, scale, d = rule if rule is not None else old_moment_rule(c, p, c.kappa_tot, c.kappa_tot)
+    decay = 2.0 * math.pi * (c.kappa_tot / 2.0 - 1j * d)
+    a_g, a_e = scale * (np.exp(-np.outer(decay, tau)) @ weighted_corr)
     return complex(a_g), complex(a_e)
 
 
@@ -418,6 +425,23 @@ def test_own_rule_moments_bit_identical_to_per_kappa_oracle(kind, duration, kapp
     c = cavity_one(kappa_ext=kappa_ext, kappa_int=kappa_int)
     p = PulseShape(kind, duration, carrier_detuning=detuning)
     assert cavity._pulse_moments(c, p) == per_kappa_moments(c, p)
+
+
+@given(**ROOT_RANGE, kappa_int=PULSE_RANGE["kappa_int"])
+@settings(max_examples=50, deadline=None)
+def test_moment_trims_keep_every_bit(kind, duration, kappa_ext, detuning, kappa_int):
+    # the erf column from one list-map and the exponent from a broadcast give the same IEEE results
+    c = cavity_one(kappa_ext=kappa_ext, kappa_int=kappa_int)
+    p = PulseShape(kind, duration, carrier_detuning=detuning)
+    bracket = (kappa_ext, 3.0 * kappa_ext)  # kappa_tot over the root-find's [0, 2 kappa_ext]
+    rule, oracle_rule = cavity._moment_rule(c, p, *bracket), old_moment_rule(c, p, *bracket)
+    for part, oracle_part in zip(rule, oracle_rule):
+        np.testing.assert_array_equal(part, oracle_part)
+    eta, survival, shared_eta = gating_efficiency(c, p), pulse_survival(c, p), gating_efficiency(c, p, rule=rule)
+    with mock.patch.object(cavity, "_pulse_moments", per_kappa_moments):
+        assert gating_efficiency(c, p) == eta
+        assert pulse_survival(c, p) == survival
+        assert gating_efficiency(c, p, rule=oracle_rule) == shared_eta
 
 
 @given(**ROOT_RANGE)

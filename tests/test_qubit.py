@@ -10,8 +10,7 @@ from photon_transistor.errors import NumericsError
 from photon_transistor.hilbert import QuantumState, pure_state, qutrit_state
 from photon_transistor.qubit import (
     QubitRates,
-    _apply_qutrit_map,
-    _liouvillian,
+    _propagator_blocks,
     evolve_lindblad,
     exponential_time,
 )
@@ -24,7 +23,7 @@ def populations(s):
 
 
 # Reference paths: the full-space RK4 superoperator that evolve_lindblad replaced,
-# and the kron sum over collapse operators that _liouvillian replaced (dims (3,)).
+# and the kron sum over collapse operators, exponentiated with expm.
 
 
 def _embed(op3, dims):
@@ -180,23 +179,57 @@ def wide_rates(draw):
     )
 
 
+def _blocks_from_expm(dt, r):
+    """P[to, from] over (g, e, f) and the factors F_ij, read off expm(dt * L) of the kron sum on (3,)."""
+    prop = expm(dt * _full_liouvillian((3,), r))
+    return prop[np.ix_([0, 4, 8], [0, 4, 8])], np.diag(prop).reshape(3, 3)
+
+
+def assert_blocks_match_expm(dt, r, atol):
+    pop, coh = _propagator_blocks(dt, r)
+    pop_oracle, coh_oracle = _blocks_from_expm(dt, r)
+    np.testing.assert_allclose(pop, pop_oracle, rtol=0, atol=atol)
+    off = ~np.eye(3, dtype=bool)
+    np.testing.assert_allclose(coh[off], coh_oracle[off], rtol=0, atol=atol)
+
+
 class TestDissipatorByIndex:
-    @given(wide_rates())
+    @given(wide_rates(), st.floats(-3.0, 2.0))
     @settings(max_examples=200, deadline=None)
-    def test_matches_kron_sum(self, rates):
-        oracle = _full_liouvillian((3,), rates)
-        np.testing.assert_allclose(_liouvillian(rates), oracle, rtol=0, atol=1e-14 * np.abs(oracle).max())
+    def test_matches_kron_sum(self, rates, log_dt):
+        # the closed-form blocks against the expm of the kron sum over collapse operators
+        dt = 10.0**log_dt / np.abs(_full_liouvillian((3,), rates)).max()
+        assert_blocks_match_expm(dt, rates, 1e-13)
+
+    @pytest.mark.parametrize("rates", [
+        QubitRates(T1_ge=7.0, T1_ef=7.0, T2_ge=9.0, T2_gf=3.0),  # s = c: D takes its limit dt * y
+        QubitRates(T1_ge=2.0, T1_ef=50.0, T2_ge=4.0, T2_gf=100.0),  # a = 0, c < s
+        QubitRates(T1_ge=50.0, T1_ef=2.0, T2_ge=1.0, T2_gf=4.0, thermal_excitation_rate=0.3),
+    ])
+    @pytest.mark.parametrize("dt", [1e-14, 1e-9, 0.5, 20.0])
+    def test_blocks_at_degenerate_and_tiny_rates(self, rates, dt):
+        # dt = 1e-14 puts s * dt below 1e-12 for every rate set here
+        assert_blocks_match_expm(dt, rates, 1e-15)
 
     @given(wide_rates(), st.integers(1, 10), st.floats(-3.0, 2.0), st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
     def test_evolution_matches_kron_expm_path(self, rates, d, log_dt, seed):
         s = random_state((3, d), seed)
-        kron_sum = _full_liouvillian((3,), rates)
+        full = _full_liouvillian(s.dims, rates).real  # every collapse operator is real
         # up to 100 of the fastest decay times: expm's own rounding grows like
-        # eps * dt * max|L|, so far past that both paths drift from the exact map alike
-        dt = 10.0**log_dt / np.abs(kron_sum).max()
-        oracle = _apply_qutrit_map(s, expm(dt * kron_sum))
-        np.testing.assert_allclose(evolve_lindblad(s, dt, rates).rho, oracle.rho, rtol=0, atol=1e-13)
+        # eps * dt * max|L|, so far past that the oracle drifts from the exact map
+        dt = 10.0**log_dt / np.abs(full).max()
+        oracle = (expm(dt * full) @ s.rho.reshape(-1)).reshape(s.dim, s.dim)
+        np.testing.assert_allclose(evolve_lindblad(s, dt, rates).rho, oracle, rtol=0, atol=1e-13)
+
+    def test_stationary_state_far_past_every_decay_time(self):
+        # dt * max|L| = 4.2e7, where the rounding of a numerical expm(dt * L) leaves the trace 1.2e-9 off
+        a, b = 10.0, 1.0 / 421348.0
+        rates = QubitRates(T1_ge=421348.0, T1_ef=1.0, T2_ge=842696.0, T2_gf=2.0, thermal_excitation_rate=a)
+        out = evolve_lindblad(random_state((3, 4), 11), 4.2e6, rates)
+        assert abs(np.trace(out.rho) - 1.0) <= 1e-15
+        pops = np.real(np.diag(out.rho)).reshape(3, 4).sum(axis=1)
+        np.testing.assert_allclose(pops, [b / (a + b), a / (a + b), 0.0], rtol=0, atol=1e-12)
 
 
 class TestRatesValidation:
@@ -211,6 +244,13 @@ class TestRatesValidation:
     def test_positive_times(self):
         with pytest.raises(ValueError):
             QubitRates(T1_ge=0.0, T1_ef=1.0, T2_ge=1.0, T2_gf=1.0)
+
+    @pytest.mark.parametrize("name", ["T1_ge", "T1_ef", "T2_ge", "T2_gf", "thermal_excitation_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        fields = dict(T1_ge=10.0, T1_ef=10.0, T2_ge=10.0, T2_gf=10.0, thermal_excitation_rate=0.0)
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            QubitRates(**{**fields, name: value})
 
 
 class TestJumpSampling:
