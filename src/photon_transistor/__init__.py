@@ -21,14 +21,7 @@ from .cavity import (
     transmission_coeff,
 )
 from .device import DeviceParams, load, paper_defaults, save
-from .hilbert import (
-    QuantumState,
-    coherent_state,
-    fock_state,
-    mean_photon,
-    partial_trace,
-    tensor,
-)
+from .hilbert import QuantumState, coherent_state, fock_state, mean_photon
 from .measurement import DetectionModel, detect, histogram, kmeans_1d, wigner
 from .protocol import (
     ProtocolConfig,
@@ -38,12 +31,7 @@ from .protocol import (
     run_experiment,
 )
 from .qubit import QubitRates, evolve_lindblad
-from .semiclassical import (
-    SaturableCavityModel,
-    SemiclassicalSettings,
-    gain_sweep,
-    steady_state_photons,
-)
+from .semiclassical import SaturableCavityModel, SemiclassicalSettings, gain_sweep
 
 __version__ = "0.6.0"
 
@@ -77,7 +65,6 @@ __all__ = [
     "load",
     "mean_photon",
     "paper_defaults",
-    "partial_trace",
     "predict_single_photon",
     "reflection_coeff",
     "run_experiment",
@@ -85,9 +72,7 @@ __all__ = [
     "shifted_frequency",
     "solve_calibration",
     "spectrum",
-    "steady_state_photons",
     "switching_probability",
-    "tensor",
     "transmission_coeff",
     "wigner",
 ]

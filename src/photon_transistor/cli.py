@@ -165,12 +165,17 @@ def _run_protocol(args) -> protocol.ProtocolConfig:
 def cmd_spectra(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
+    for flag, value in (("--f-min", args.f_min), ("--f-max", args.f_max)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     dev = device_mod.load(args.device)
     cav = dev.cavity_I if args.cavity == "I" else dev.cavity_II
     mode = "reflect" if cav.single_sided else "transmit"
     span = 4.0 * max(abs(2.0 * cav.chi_ge), abs(2.0 * cav.chi_gf), cav.kappa_tot)
     lo = cav.f0 - span if args.f_min is None else args.f_min
     hi = cav.f0 + span if args.f_max is None else args.f_max
+    if hi < lo:
+        raise ValueError(f"--f-max must be >= --f-min, got {hi:g} < {lo:g} MHz")
     grid = np.linspace(lo, hi, args.points)
 
     (out_path,), manifest = _artifacts(args.out, f"spectra --cavity {args.cavity}", args.device,

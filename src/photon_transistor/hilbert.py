@@ -117,37 +117,14 @@ def qutrit_state(level: str) -> QuantumState:
     return QuantumState((3,), rho)
 
 
-def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
-    return QuantumState(a.dims + b.dims, np.kron(a.rho, b.rho))
-
-
-def partial_trace(s: QuantumState, keep) -> QuantumState:
-    """Reduced density matrix over the subsystems listed in ``keep``.
-
-    Kept subsystems retain their original order.
-    """
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise ValueError("keep must be a nonempty set of subsystem indices")
-    if any(k < 0 or k >= len(s.dims) for k in keep):
-        raise ValueError(f"keep indices {keep} invalid for dims {s.dims}")
-    n_sub = len(s.dims)
-    traced = [i for i in range(n_sub) if i not in keep]
-    r = s.rho.reshape(s.dims + s.dims)
-    for count, ax in enumerate(traced):
-        # each completed trace removes one row and one column axis
-        a = ax - count
-        r = np.trace(r, axis1=a, axis2=a + (n_sub - count))
-    new_dims = tuple(s.dims[k] for k in keep)
-    m = int(np.prod(new_dims))
-    return QuantumState(new_dims, r.reshape(m, m))
-
-
 def mean_photon(s: QuantumState, mode: int) -> float:
-    """Tr[rho n_hat] of one bosonic subsystem."""
-    red = partial_trace(s, [mode]) if len(s.dims) > 1 else s
-    diag = np.real(np.diag(red.rho))
-    return float(np.dot(np.arange(red.dims[0]), diag))
+    """Tr[rho n_hat] of one bosonic subsystem: the diagonal summed over the others."""
+    if mode not in range(len(s.dims)):
+        raise ValueError(f"mode {mode} invalid for dims {s.dims}")
+    diag = np.real(np.diag(s.rho))
+    if len(s.dims) > 1:
+        diag = diag.reshape(s.dims).sum(axis=tuple(i for i in range(len(s.dims)) if i != mode))
+    return float(np.dot(np.arange(s.dims[mode]), diag))
 
 
 def with_cutoff(s: QuantumState, d: int) -> QuantumState:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,7 +68,7 @@ def label_counts(on: np.ndarray) -> dict:
     return {ON: n_on, OFF: int(np.size(on)) - n_on}
 
 
-def kmeans_1d(readings, k: int = 2) -> KMeansFit:
+def kmeans_1d(readings) -> KMeansFit:
     """Two-cluster Lloyd iteration with deterministic percentile initialization.
 
     Centers start at the 10th/90th percentiles, so classification is
@@ -75,8 +76,6 @@ def kmeans_1d(readings, k: int = 2) -> KMeansFit:
     centers.  Stops when the centers move by less than 1e-9 of the data span,
     or after KMEANS_MAX_ITER iterations with ``converged`` False.
     """
-    if k != 2:
-        raise ValueError("only k=2 is supported")
     x = np.asarray(readings, dtype=float)
     if x.size < 2 or np.unique(x).size < 2:
         raise DegenerateDataError("need at least 2 distinct readings to classify")
@@ -122,24 +121,19 @@ def histogram(readings, bins: int):
 # ---------------------------------------------------------------------------
 # Wigner function via Royer's displaced parity
 
-_DISP_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
 #: grid points per chunk of the per-point phase sum, and distinct radii per chunk of the radial sum
 _WIGNER_CHUNK = 512
 
 
+@functools.cache
 def _displacement_eigensystem(d: int):
     """Eigendecomposition of H = -i(a^dag - a), cached per dimension.
 
     exp(x*(a^dag - a)) = V diag(e^{i*lam*x}) V^dag, and a phase rotation maps
     the real displacement onto an arbitrary complex alpha.
     """
-    if d not in _DISP_CACHE:
-        a = destroy(d)
-        h = -1j * (a.conj().T - a)
-        lam, v = np.linalg.eigh(h)
-        _DISP_CACHE[d] = (lam, v)
-    return _DISP_CACHE[d]
+    a = destroy(d)
+    return np.linalg.eigh(-1j * (a.conj().T - a))
 
 
 def wigner(field: QuantumState, grid) -> np.ndarray:

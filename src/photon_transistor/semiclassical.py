@@ -49,11 +49,6 @@ class SemiclassicalSettings:
 class SaturableCavityModel:
     base: CavityParams
     settings: SemiclassicalSettings
-    drive_amplitude: float = 0.0  # sqrt(model flux)
-
-    def __post_init__(self):
-        if self.drive_amplitude < 0:
-            raise ValueError("drive amplitude must be >= 0")
 
     @property
     def f_bare(self) -> float:
@@ -70,11 +65,6 @@ class SaturableCavityModel:
 
 #: the model's former builder name, kept for callers that import it
 build_model = SaturableCavityModel
-
-
-class CavityRoot(NamedTuple):
-    n: float
-    stable: bool
 
 
 def _steady_states(m: SaturableCavityModel, f, level: str, rhs):
@@ -112,26 +102,10 @@ def _steady_states(m: SaturableCavityModel, f, level: str, rhs):
     return n, stable
 
 
-def steady_state_photons(m: SaturableCavityModel, f: float, qubit_level: str) -> list[CavityRoot]:
-    """All nonnegative steady-state populations at drive frequency f.
-
-    The scalar case of the closed-form cubic roots; each root is classified
-    stable (positive slope of the flux balance) or unstable.  Root count is
-    odd: 1 in the monostable regions, 3 in the bistable window.
-    """
-    rhs = m.base.kappa_ext_in * m.drive_amplitude**2
-    n, stable = _steady_states(m, f, qubit_level, rhs)
-    return [CavityRoot(float(x), bool(s)) for x, s in zip(n, stable) if not np.isnan(x)]
-
-
-def _selected_root(m, f, level, branch_rule, rhs):
-    """Dim (lowest) or bright (highest) stable population, broadcast over f and rhs."""
-    if branch_rule not in ("dim", "bright"):
-        raise ValueError(f"unknown branch rule {branch_rule!r}")
+def _dim_root(m, f, level, rhs):
+    """Lowest stable population (the dim branch), broadcast over f and rhs."""
     n, stable = _steady_states(m, f, level, rhs)
-    if branch_rule == "dim":
-        return np.where(stable, n, np.inf).min(axis=-1)
-    return np.where(stable, n, -np.inf).max(axis=-1)
+    return np.where(stable, n, np.inf).min(axis=-1)
 
 
 class SweepPoint(NamedTuple):
@@ -182,19 +156,17 @@ def gain_sweep(
     conv, window = m.settings.photon_flux_conversion, m.settings.signal_window_us
     flux = conv * grid / window
     rhs = (m.base.kappa_ext_in * flux)[:, None]
-    n_exc_root = _selected_root(m, f_cand, excited, "dim", rhs)
-    n_g_root = _selected_root(m, f_cand, "g", "dim", rhs)
+    n_exc_root = _dim_root(m, f_cand, excited, rhs)
+    n_g_root = _dim_root(m, f_cand, "g", rhs)
     regimes = _classify(m, f_cand, excited, n_exc_root, n_g_root, flux)
     n_exc = n_exc_root * m.base.kappa_ext_out * window / conv
     n_g = n_g_root * m.base.kappa_ext_out * window / conv
+    # the prediction is elementwise, so each (point, candidate) entry gets the bits of a scalar call
+    n1, n0 = predict_single_photon(CalibrationResult(0.0, 1.0, n_g, n_exc, 0.0), eta_eff)
     out: list[SweepPoint] = []
-    for n_s, exc_row, g_row, regime_row in zip(grid.tolist(), n_exc.tolist(), n_g.tolist(), regimes.tolist()):
-        best = None
-        for n_e_state, n_g_state, regime in zip(exc_row, g_row, regime_row):
-            cal = CalibrationResult(0.0, 1.0, n_g_state, n_e_state, 0.0)
-            n1, n0 = predict_single_photon(cal, eta_eff)
-            g = gain_db(n1, n0)
-            if best is None or g > best[0]:
-                best = (g, extinction_db(n0, n1), regime)
-        out.append(SweepPoint(n_s, *best))
+    for n_s, n1_row, n0_row, regime_row in zip(grid.tolist(), n1.tolist(), n0.tolist(), regimes.tolist()):
+        gains = [gain_db(a, b) for a, b in zip(n1_row, n0_row)]
+        # max keeps the first candidate among equal gains
+        k = max(range(len(gains)), key=gains.__getitem__)
+        out.append(SweepPoint(n_s, gains[k], extinction_db(n0_row[k], n1_row[k]), regime_row[k]))
     return out

@@ -200,6 +200,31 @@ class TestSpectra:
         assert "--points" in capsys.readouterr().err
         assert not (out / "spectra_cavity_II.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--f-min", "nan"], "--f-min"),
+            (["--f-min=-inf"], "--f-min"),
+            (["--f-max", "inf"], "--f-max"),
+            (["--f-max", "nan"], "--f-max"),
+            (["--f-min", "7010", "--f-max", "6990"], "--f-max"),
+            (["--f-min", "9100"], "--f-max"),  # above the default upper end
+        ],
+    )
+    def test_bad_frequency_range_exits_2_before_any_output(self, tmp_path, device_file, capsys, flags, named):
+        out = tmp_path / "out"
+        rc = main(["spectra", "--device", str(device_file), "--cavity", "II", "--out", str(out), *flags])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_point_range(self, tmp_path, device_file):
+        out = tmp_path / "out"
+        assert main(["spectra", "--device", str(device_file), "--cavity", "II", "--out", str(out),
+                     "--f-min", "9000", "--f-max", "9000", "--points", "3"]) == 0
+        _, _, rows = read_csv(out / "spectra_cavity_II.csv")
+        assert {r[0] for r in rows} == {"9000"}
+
     def test_csv_bytes_match_csv_writer(self, tmp_path, device_file):
         out = tmp_path / "out"
         assert main(["spectra", "--device", str(device_file), "--cavity", "I", "--out", str(out),

@@ -12,10 +12,8 @@ from photon_transistor.hilbert import (
     destroy,
     fock_state,
     mean_photon,
-    partial_trace,
     pure_state,
     qutrit_state,
-    tensor,
     with_cutoff,
 )
 
@@ -70,48 +68,57 @@ class TestCoherentState:
         assert abs(mean_photon(s, 0) - nbar) < bound
 
 
-class TestTensorAndPartialTrace:
-    def test_tensor_dims_and_trace(self):
-        s = tensor(qutrit_state("g"), fock_state(0, 5))
-        assert s.dims == (3, 5)
-        assert np.trace(s.rho) == pytest.approx(1.0)
+def product(a: QuantumState, b: QuantumState) -> QuantumState:
+    return QuantumState(a.dims + b.dims, np.kron(a.rho, b.rho))
 
-    def test_dims_concatenate(self):
-        a = fock_state(0, 2)
-        b = fock_state(1, 3)
-        assert tensor(a, b).dims == (2, 3)
+
+class TestTensorAndPartialTrace:
+    """``mean_photon`` on states over tensor products: the diagonal summed over the other subsystems."""
 
     def test_round_trip_product_state(self):
         a = coherent_state(0.3 + 0.2j, 6)
         b = qutrit_state("e")
-        joint = tensor(a, b)
-        np.testing.assert_allclose(partial_trace(joint, [0]).rho, a.rho, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(joint, [1]).rho, b.rho, atol=1e-12)
+        joint = product(a, b)
+        assert mean_photon(joint, 0) == pytest.approx(mean_photon(a, 0), abs=1e-12)
+        assert mean_photon(joint, 1) == pytest.approx(mean_photon(b, 0), abs=1e-12)
 
     def test_maximally_entangled_reduces_to_mixed(self):
         vec = np.zeros(4, dtype=complex)
         vec[0] = vec[3] = 1 / math.sqrt(2)  # (|00> + |11>)/sqrt2
         s = pure_state(vec, (2, 2))
-        red = partial_trace(s, [0])
-        np.testing.assert_allclose(red.rho, np.eye(2) / 2, atol=1e-12)
+        assert mean_photon(s, 0) == pytest.approx(0.5, abs=1e-12)
+        assert mean_photon(s, 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_gate_qubit_entangled_state_reduces_to_fock_one(self):
-        # (|1>|g> - |1>|e>)/sqrt2 traced over the qubit is |1><1|
-        # (field is a product factor: the 2x2 qubit blocks sum to [[.5,-.5],[-.5,.5]]
-        # whose trace is 1, all weight on Fock index 1)
+        # (|g>|1> - |e>|1>)/sqrt2: the field is |1> whatever the qubit, and the
+        # qubit's level index averages to 1/2
         vec = np.zeros(3 * 4, dtype=complex)
         vec[0 * 4 + 1] = 1 / math.sqrt(2)
         vec[1 * 4 + 1] = -1 / math.sqrt(2)
         s = pure_state(vec, (3, 4))
-        red = partial_trace(s, [1])
-        np.testing.assert_allclose(red.rho, fock_state(1, 4).rho, atol=1e-12)
+        assert mean_photon(s, 1) == pytest.approx(1.0, abs=1e-12)
+        assert mean_photon(s, 0) == pytest.approx(0.5, abs=1e-12)
 
     def test_invalid_keep_index(self):
-        s = tensor(qutrit_state("g"), fock_state(0, 2))
-        with pytest.raises(ValueError):
-            partial_trace(s, [2])
-        with pytest.raises(ValueError):
-            partial_trace(s, [])
+        s = product(qutrit_state("g"), fock_state(0, 2))
+        for mode in (2, -1):
+            with pytest.raises(ValueError, match="mode"):
+                mean_photon(s, mode)
+        with pytest.raises(ValueError, match="mode"):
+            mean_photon(fock_state(0, 2), 1)
+
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reduced_density_matrix(self, d0, d1, seed):
+        # oracle: trace the other mode out of rho, then Tr[rho_red n_hat]
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(d0 * d1, d0 * d1)) + 1j * rng.normal(size=(d0 * d1, d0 * d1))
+        rho = x @ x.conj().T
+        s = QuantumState((d0, d1), rho / np.trace(rho))
+        r = s.rho.reshape(d0, d1, d0, d1)
+        for mode, red in ((0, np.einsum("ajbj->ab", r)), (1, np.einsum("iaib->ab", r))):
+            expected = float(np.dot(np.arange(red.shape[0]), np.real(np.diag(red))))
+            assert mean_photon(s, mode) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestMeanPhoton:
@@ -122,7 +129,7 @@ class TestMeanPhoton:
         assert mean_photon(fock_state(1, 6), 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_mode_selection_in_product(self):
-        s = tensor(qutrit_state("g"), fock_state(2, 5))
+        s = product(qutrit_state("g"), fock_state(2, 5))
         assert mean_photon(s, 1) == pytest.approx(2.0, abs=1e-12)
 
 

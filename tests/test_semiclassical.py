@@ -1,29 +1,35 @@
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from photon_transistor.analysis import CalibrationResult, extinction_db, gain_db, predict_single_photon
 from photon_transistor.cavity import CavityParams, shifted_frequency, transmission_coeff
 from photon_transistor.semiclassical import (
-    CavityRoot,
     SaturableCavityModel,
     SemiclassicalSettings,
     SweepPoint,
-    _selected_root,
+    _classify,
+    _dim_root,
+    _steady_states,
     build_model,
     gain_sweep,
-    steady_state_photons,
 )
 
 CAVITY_II = CavityParams(9000.0, 0.13, 0.13, 0.04, -0.947, -1.759)
 
 
-def model(drive=1.0, base=CAVITY_II, **kw):
+class Root(NamedTuple):
+    n: float
+    stable: bool
+
+
+def model(base=CAVITY_II, **kw):
     fields = dict(
         n_crit_g=1.0e4,
         n_crit_e=2.0e5,
@@ -33,13 +39,23 @@ def model(drive=1.0, base=CAVITY_II, **kw):
         photon_flux_conversion=11.0,
     )
     fields.update(kw)
-    return SaturableCavityModel(base, SemiclassicalSettings(**fields), drive_amplitude=drive)
+    return SaturableCavityModel(base, SemiclassicalSettings(**fields))
 
 
-def linear_root(m, f, level):
+def drive(amplitude, base=CAVITY_II):
+    """Drive strength rhs = kappa_in * |amplitude|^2 of an input amplitude in sqrt(model flux)."""
+    return base.kappa_ext_in * amplitude**2
+
+
+def roots(m, f, level, rhs):
+    """The real roots of ``_steady_states`` at one drive point, ascending."""
+    n, stable = _steady_states(m, f, level, rhs)
+    return [Root(float(x), bool(s)) for x, s in zip(n, stable) if not np.isnan(x)]
+
+
+def linear_root(m, f, level, rhs):
     """Closed-form root of the unsaturated (n_crit -> inf) flux balance."""
     delta = f - shifted_frequency(m.base, level)
-    rhs = m.base.kappa_ext_in * m.drive_amplitude**2
     return rhs / ((m.base.kappa_tot / 2) ** 2 + delta**2)
 
 
@@ -50,20 +66,19 @@ def _response(m: SaturableCavityModel, n, delta_bare: float, level: str):
     return np.asarray(n, dtype=float) * ((m.base.kappa_tot / 2.0) ** 2 + det**2)
 
 
-def scan_steady_state_photons(m, f, qubit_level):
+def scan_steady_state_photons(m, f, qubit_level, rhs):
     """Reference roots: sign-change scan over a 4001-point log grid, brentq in
     every bracket, stability from a finite-difference slope of the flux balance."""
-    rhs = m.base.kappa_ext_in * m.drive_amplitude**2
     if rhs == 0.0:
-        return [CavityRoot(0.0, True)]
+        return [Root(0.0, True)]
     delta_bare = f - m.f_bare
     n_max = 1.05 * rhs / (m.base.kappa_tot / 2.0) ** 2
     grid = np.concatenate([[0.0], np.geomspace(n_max * 1e-15, n_max, 4001)])
     vals = _response(m, grid, delta_bare, qubit_level) - rhs
-    roots: list[float] = []
+    found: list[float] = []
     for i in range(len(grid) - 1):
         if vals[i] == 0.0 and grid[i] > 0:
-            roots.append(grid[i])
+            found.append(grid[i])
         elif vals[i] * vals[i + 1] < 0:
             r = brentq(
                 lambda n: float(_response(m, n, delta_bare, qubit_level) - rhs),
@@ -72,15 +87,15 @@ def scan_steady_state_photons(m, f, qubit_level):
                 xtol=1e-12 * n_max,
                 rtol=1e-14,
             )
-            roots.append(float(r))
-    assert roots, "the flux balance changes sign between 0 and n_max"
+            found.append(float(r))
+    assert found, "the flux balance changes sign between 0 and n_max"
     out = []
-    for r in sorted(roots):
+    for r in sorted(found):
         h = max(r * 1e-7, 1e-12 * n_max)
         slope = _response(m, r + h, delta_bare, qubit_level) - _response(
             m, max(r - h, 0.0), delta_bare, qubit_level
         )
-        out.append(CavityRoot(r, bool(slope > 0)))
+        out.append(Root(r, bool(slope > 0)))
     return out
 
 
@@ -91,11 +106,11 @@ def scan_gain_sweep(m, eta, p_s, n_s_grid, subspace):
     out = []
     for n_s in n_s_grid:
         flux = conv * n_s / m.settings.signal_window_us
-        m_pt = replace(m, drive_amplitude=math.sqrt(flux))
+        rhs = m.base.kappa_ext_in * flux
         best = None
         for f_cand in (shifted_frequency(m.base, excited), m.f_bare):
-            n_exc_root = min(r.n for r in scan_steady_state_photons(m_pt, f_cand, excited) if r.stable)
-            n_g_root = min(r.n for r in scan_steady_state_photons(m_pt, f_cand, "g") if r.stable)
+            n_exc_root = min(r.n for r in scan_steady_state_photons(m, f_cand, excited, rhs) if r.stable)
+            n_g_root = min(r.n for r in scan_steady_state_photons(m, f_cand, "g", rhs) if r.stable)
             n_exc = n_exc_root * m.base.kappa_ext_out * m.settings.signal_window_us / conv
             n_g = n_g_root * m.base.kappa_ext_out * m.settings.signal_window_us / conv
             n1, n0 = predict_single_photon(CalibrationResult(0.0, 1.0, n_g, n_exc, 0.0), eta * p_s)
@@ -112,9 +127,8 @@ def scan_gain_sweep(m, eta, p_s, n_s_grid, subspace):
     return out
 
 
-def brute_force_root_count(m, f, level, n_pts=200_000):
+def brute_force_root_count(m, f, level, rhs, n_pts=200_000):
     """Independent dense-grid oracle: count sign changes of the flux balance."""
-    rhs = m.base.kappa_ext_in * m.drive_amplitude**2
     n_max = 1.05 * rhs / (m.base.kappa_tot / 2) ** 2
     grid = np.concatenate([[0.0], np.geomspace(n_max * 1e-15, n_max, n_pts)])
     vals = _response(m, grid, f - m.f_bare, level) - rhs
@@ -123,52 +137,49 @@ def brute_force_root_count(m, f, level, n_pts=200_000):
 
 class TestSteadyState:
     def test_linear_limit_single_root(self):
-        m = model(drive=3.0, n_crit_g=1e30, n_crit_e=1e30, n_crit_f=1e30)
+        m = model(n_crit_g=1e30, n_crit_e=1e30, n_crit_f=1e30)
         f = shifted_frequency(CAVITY_II, "g")
-        roots = steady_state_photons(m, f, "g")
-        assert len(roots) == 1 and roots[0].stable
-        assert roots[0].n == pytest.approx(linear_root(m, f, "g"), rel=1e-9)
+        rhs = drive(3.0)
+        got = roots(m, f, "g", rhs)
+        assert len(got) == 1 and got[0].stable
+        assert got[0].n == pytest.approx(linear_root(m, f, "g", rhs), rel=1e-9)
 
     def test_level_independent_when_chi_zero(self):
         base = replace(CAVITY_II, chi_ge=0.0, chi_gf=0.0)
-        m = model(drive=5.0, base=base, bare_offset=0.0)
+        m = model(base=base, bare_offset=0.0)
         f = base.f0 + 0.3
-        roots = {lev: steady_state_photons(m, f, lev)[0].n for lev in ("g", "e", "f")}
-        assert roots["g"] == pytest.approx(roots["e"], rel=1e-12)
-        assert roots["g"] == pytest.approx(roots["f"], rel=1e-12)
+        got = {lev: roots(m, f, lev, drive(5.0, base))[0].n for lev in ("g", "e", "f")}
+        assert got["g"] == pytest.approx(got["e"], rel=1e-12)
+        assert got["g"] == pytest.approx(got["f"], rel=1e-12)
 
     def test_bistable_window_three_roots_two_stable(self):
         # e-branch driven at the bare frequency inside its fold window
-        rhs = 1.0e6
-        m = model(drive=math.sqrt(rhs / 0.13))
-        roots = steady_state_photons(m, m.f_bare, "e")
-        assert len(roots) == 3
-        assert sum(r.stable for r in roots) == 2
-        assert not roots[1].stable  # middle branch unstable
-        assert brute_force_root_count(m, m.f_bare, "e") == 3
+        m, rhs = model(), 1.0e6
+        got = roots(m, m.f_bare, "e", rhs)
+        assert len(got) == 3
+        assert sum(r.stable for r in got) == 2
+        assert not got[1].stable  # middle branch unstable
+        assert brute_force_root_count(m, m.f_bare, "e", rhs) == 3
 
     def test_root_count_always_odd(self):
-        m0 = model()
+        m = model()
         for rhs in np.geomspace(1e2, 1e7, 18):
-            m = replace(m0, drive_amplitude=math.sqrt(rhs / 0.13))
             for level in ("g", "e"):
-                n_roots = len(steady_state_photons(m, m0.f_bare, level))
-                assert n_roots in (1, 3)
+                assert len(roots(m, m.f_bare, level, rhs)) in (1, 3)
 
     def test_zero_drive(self):
-        roots = steady_state_photons(model(drive=0.0), 9000.0, "g")
-        assert roots == [(0.0, True)]
+        assert roots(model(), 9000.0, "g", 0.0) == [(0.0, True)]
 
     @pytest.mark.parametrize("level", ["g", "e", "f"])
     def test_zero_drive_any_level_and_frequency(self, level):
-        m = model(drive=0.0)
+        m = model()
         for f in (m.f_bare, shifted_frequency(CAVITY_II, level), 8990.0, 9010.0):
-            assert steady_state_photons(m, f, level) == [(0.0, True)]
+            assert roots(m, f, level, 0.0) == [(0.0, True)]
 
 
 @st.composite
 def drive_points(draw):
-    """A device, a drive strength R, a qubit level and a drive frequency."""
+    """A device, a qubit level, a drive frequency and a drive strength R."""
     m = model(
         n_crit_g=10 ** draw(st.floats(3.0, 6.0)),
         n_crit_e=10 ** draw(st.floats(3.0, 6.0)),
@@ -176,10 +187,9 @@ def drive_points(draw):
         bare_offset=draw(st.floats(2.0, 8.0)),
     )
     rhs = 10 ** draw(st.floats(-3.0, 10.0))
-    m = replace(m, drive_amplitude=math.sqrt(rhs / m.base.kappa_ext_in))
     anchor = draw(st.sampled_from(["g", "e", "f", "bare"]))
     f0 = m.f_bare if anchor == "bare" else shifted_frequency(m.base, anchor)
-    return m, f0 + draw(st.floats(-1.0, 1.0)), draw(st.sampled_from(["g", "e", "f"]))
+    return m, f0 + draw(st.floats(-1.0, 1.0)), draw(st.sampled_from(["g", "e", "f"])), rhs
 
 
 class TestAgainstScan:
@@ -188,19 +198,18 @@ class TestAgainstScan:
     @given(drive_points())
     @settings(max_examples=300, deadline=None)
     def test_roots_match_scan(self, point):
-        m, f, level = point
-        got = steady_state_photons(m, f, level)
-        ref = scan_steady_state_photons(m, f, level)
+        m, f, level, rhs = point
+        got = roots(m, f, level, rhs)
+        ref = scan_steady_state_photons(m, f, level, rhs)
         assert [r.stable for r in got] == [r.stable for r in ref]
-        rhs = m.base.kappa_ext_in * m.drive_amplitude**2
         scale = rhs / (m.base.kappa_tot / 2.0) ** 2
         for r, q in zip(got, ref):
             assert abs(r.n - q.n) <= 1e-8 * q.n + 1e-11 * scale
 
     def test_bistable_roots_match_scan(self):
-        m = model(drive=math.sqrt(1.0e6 / 0.13))
-        got = steady_state_photons(m, m.f_bare, "e")
-        ref = scan_steady_state_photons(m, m.f_bare, "e")
+        m, rhs = model(), 1.0e6
+        got = roots(m, m.f_bare, "e", rhs)
+        ref = scan_steady_state_photons(m, m.f_bare, "e", rhs)
         assert [r.stable for r in got] == [r.stable for r in ref] == [True, False, True]
         for r, q in zip(got, ref):
             assert r.n == pytest.approx(q.n, rel=1e-9)
@@ -236,69 +245,125 @@ class TestAgainstScan:
         )
 
 
-def transmitted_photons(
-    m: SaturableCavityModel, f: float, qubit_level: str, branch_rule: str = "dim"
-) -> float:
-    """Output photons over the signal window, n_stable * kappa_out * window: the scalar
-    form of the root selection ``gain_sweep`` makes over its whole grid."""
-    rhs = m.base.kappa_ext_in * m.drive_amplitude**2
-    n_sel = float(_selected_root(m, f, qubit_level, branch_rule, rhs))
-    return n_sel * m.base.kappa_ext_out * m.settings.signal_window_us
+def loop_gain_sweep(m, eta, p_s, n_s_grid, subspace):
+    """The sweep as it was written before its prediction was batched: the same batched
+    dim roots and regimes, then one CalibrationResult per (point, candidate) and a
+    running strict-> best."""
+    grid = np.asarray(n_s_grid, dtype=float)
+    excited = "e" if subspace == "ge" else "f"
+    f_cand = np.array([shifted_frequency(m.base, excited), m.f_bare])
+    conv, window = m.settings.photon_flux_conversion, m.settings.signal_window_us
+    flux = conv * grid / window
+    rhs = (m.base.kappa_ext_in * flux)[:, None]
+    n_exc_root = _dim_root(m, f_cand, excited, rhs)
+    n_g_root = _dim_root(m, f_cand, "g", rhs)
+    regimes = _classify(m, f_cand, excited, n_exc_root, n_g_root, flux)
+    n_exc = n_exc_root * m.base.kappa_ext_out * window / conv
+    n_g = n_g_root * m.base.kappa_ext_out * window / conv
+    out = []
+    for n_s, exc_row, g_row, regime_row in zip(grid.tolist(), n_exc.tolist(), n_g.tolist(), regimes.tolist()):
+        best = None
+        for n_e_state, n_g_state, regime in zip(exc_row, g_row, regime_row):
+            n1, n0 = predict_single_photon(CalibrationResult(0.0, 1.0, n_g_state, n_e_state, 0.0), eta * p_s)
+            g = gain_db(n1, n0)
+            if best is None or g > best[0]:
+                best = (g, extinction_db(n0, n1), regime)
+        out.append(SweepPoint(n_s, *best))
+    return out
+
+
+@st.composite
+def sweep_cases(draw):
+    """A jittered device, a subspace, eta and p_s, and an ascending grid, zeros included."""
+    m = model(
+        n_crit_g=1.0e4 * draw(st.floats(0.5, 2.0)),
+        n_crit_e=2.0e5 * draw(st.floats(0.5, 2.0)),
+        n_crit_f=4.0e4 * draw(st.floats(0.5, 2.0)),
+        bare_offset=5.0 * draw(st.floats(0.8, 1.2)),
+        photon_flux_conversion=11.0 * draw(st.floats(0.8, 1.2)),
+        signal_window_us=10.0 * draw(st.floats(0.5, 2.0)),
+    )
+    probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    zeros = [0.0] * draw(st.integers(0, 3))
+    grid = sorted(zeros + [10**e for e in draw(st.lists(st.floats(-2.0, 10.0), max_size=40))])
+    return m, draw(probability), draw(probability), grid or [0.0], draw(st.sampled_from(["ge", "gf"]))
+
+
+class TestBatchedPrediction:
+    """``gain_sweep``'s one elementwise prediction against the per-candidate loop it replaces."""
+
+    @given(sweep_cases())
+    # at eta = 0 both candidates' gains are -inf, so the first candidate must be reported
+    @example((model(), 0.0, 0.925, [0.0, 0.0, 3.0, 1.0e5, 1.6e6], "ge"))
+    @example((model(), 0.0, 0.925, [0.0, 3.0, 1.0e5, 1.6e6], "gf"))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_candidate_loop(self, case):
+        m, eta, p_s, grid, subspace = case
+        got = gain_sweep(m, eta, p_s, grid, subspace)
+        ref = loop_gain_sweep(m, eta, p_s, grid, subspace)
+        assert got == ref
+        # repr also tells -0.0 from 0.0 and a numpy scalar from a Python float
+        assert [repr(p) for p in got] == [repr(p) for p in ref]
+
+
+def transmitted_photons(m: SaturableCavityModel, f: float, level: str, rhs: float, branch: str = "dim") -> float:
+    """Output photons over the signal window, n_stable * kappa_out * window, on the dim
+    (lowest stable) or bright (highest stable) branch of ``_steady_states``."""
+    n, stable = _steady_states(m, f, level, rhs)
+    if branch == "dim":
+        n_sel = np.where(stable, n, np.inf).min()
+    else:
+        n_sel = np.where(stable, n, -np.inf).max()
+    return float(n_sel) * m.base.kappa_ext_out * m.settings.signal_window_us
 
 
 class TestTransmittedPhotons:
     def test_weak_drive_matches_closed_form(self):
-        m = model(drive=0.05)
+        m = model()
         for level in ("g", "e", "f"):
             f = shifted_frequency(CAVITY_II, level)
             t2 = abs(transmission_coeff(CAVITY_II, f, level)) ** 2
-            flux_in = m.drive_amplitude**2
+            flux_in = 0.05**2
             expected = t2 * flux_in * m.settings.signal_window_us
-            got = transmitted_photons(m, f, level, "dim")
+            got = transmitted_photons(m, f, level, drive(0.05))
             assert got == pytest.approx(expected, rel=1e-6)
 
     def test_linear_limit_matches_closed_form_any_drive(self):
-        m = model(drive=40.0, n_crit_g=1e30, n_crit_e=1e30, n_crit_f=1e30)
+        m = model(n_crit_g=1e30, n_crit_e=1e30, n_crit_f=1e30)
         f = shifted_frequency(CAVITY_II, "e") + 0.4
         t2 = abs(transmission_coeff(CAVITY_II, f, "e")) ** 2
-        expected = t2 * m.drive_amplitude**2 * m.settings.signal_window_us
-        assert transmitted_photons(m, f, "e", "dim") == pytest.approx(expected, rel=1e-6)
+        expected = t2 * 40.0**2 * m.settings.signal_window_us
+        assert transmitted_photons(m, f, "e", drive(40.0)) == pytest.approx(expected, rel=1e-6)
 
     def test_bright_branch_state_independent_at_strong_drive(self):
-        rhs = 1.0e9
-        m = model(drive=math.sqrt(rhs / 0.13))
-        bright = {
-            lev: transmitted_photons(m, m.f_bare, lev, "bright") for lev in ("g", "e")
-        }
+        m, rhs = model(), 1.0e9
+        bright = {lev: transmitted_photons(m, m.f_bare, lev, rhs, "bright") for lev in ("g", "e")}
         assert bright["g"] == pytest.approx(bright["e"], rel=0.01)
 
     def test_bright_branch_difference_shrinks_monotonically(self):
         # beyond the last fold the g/e contrast decays toward zero with drive
-        m0 = model()
+        m = model()
         diffs = []
         for rhs in np.geomspace(1e7, 1e10, 10):
-            m = replace(m0, drive_amplitude=math.sqrt(rhs / 0.13))
-            g = transmitted_photons(m, m0.f_bare, "g", "bright")
-            e = transmitted_photons(m, m0.f_bare, "e", "bright")
+            g = transmitted_photons(m, m.f_bare, "g", rhs, "bright")
+            e = transmitted_photons(m, m.f_bare, "e", rhs, "bright")
             diffs.append(abs(g - e) / g)
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
         assert diffs[-1] < 1e-3
 
     def test_branch_rules_bracket_bistable_window(self):
-        rhs = 1.0e6
-        m = model(drive=math.sqrt(rhs / 0.13))
-        dim = transmitted_photons(m, m.f_bare, "e", "dim")
-        bright = transmitted_photons(m, m.f_bare, "e", "bright")
+        m, rhs = model(), 1.0e6
+        dim = transmitted_photons(m, m.f_bare, "e", rhs, "dim")
+        bright = transmitted_photons(m, m.f_bare, "e", rhs, "bright")
         assert bright > 10 * dim
 
     def test_continuity_along_dim_branch(self):
         # normalized transmission drifts smoothly with drive; no branch jumps
-        m0 = model()
+        m = model()
         f = shifted_frequency(CAVITY_II, "e")
         prev = None
         for rhs in np.geomspace(10.0, 1e4, 120):
-            m = replace(m0, drive_amplitude=math.sqrt(rhs / 0.13))
-            val = transmitted_photons(m, f, "e", "dim") / rhs
+            val = transmitted_photons(m, f, "e", rhs, "dim") / rhs
             if prev is not None:
                 assert abs(val - prev) < 0.05 * abs(prev) + 1e-9
             prev = val
@@ -356,15 +421,16 @@ class TestGainSweep:
 
 def test_build_model_from_settings():
     settings = SemiclassicalSettings()
-    m = build_model(CAVITY_II, settings, drive_amplitude=2.0)
+    m = build_model(CAVITY_II, settings)
     assert m.base == CAVITY_II
     assert m.settings is settings
     assert m.n_crit("e") == settings.n_crit_e
-    assert m.drive_amplitude == 2.0
 
 
 def test_settings_validation():
     with pytest.raises(ValueError):
         SemiclassicalSettings(n_crit_g=0.0)
     with pytest.raises(ValueError):
-        SaturableCavityModel(CAVITY_II, SemiclassicalSettings(), drive_amplitude=-1.0)
+        SemiclassicalSettings(photon_flux_conversion=0.0)
+    with pytest.raises(ValueError):
+        SemiclassicalSettings(signal_window_us=-1.0)
