@@ -31,7 +31,9 @@ from .errors import (
     NumericsError,
     UnphysicalInputError,
     UnsolvableCalibrationError,
+    fields,
     number,
+    read_json,
 )
 from .hilbert import mean_photon, with_cutoff
 
@@ -133,21 +135,11 @@ def _blocks(row: str, *columns):
 
 
 def load_protocol(path) -> protocol.ProtocolConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed protocol file {path}: {exc}") from exc
-    unknown = set(data) - set(_PROTOCOL_KEYS)
-    if unknown:
-        raise ValueError(f"unknown protocol fields: {sorted(unknown)}")
+    data = fields("protocol file", read_json(path, "protocol"), _PROTOCOL_KEYS)
     kwargs = {_PROTOCOL_KEYS[k]: v for k, v in data.items()}
     if "gate_pulse" in kwargs:
-        raw = kwargs.pop("gate_pulse")
-        unknown = set(raw) - set(PULSE_KEYS)
-        if unknown:
-            raise ValueError(f"unknown gate_pulse fields: {sorted(unknown)}")
-        kwargs["gate_pulse"] = PulseShape(**{attr: raw[k] for k, attr in PULSE_KEYS.items() if k in raw})
+        raw = fields("gate_pulse", kwargs["gate_pulse"], PULSE_KEYS, ("kind", "duration_ns"))
+        kwargs["gate_pulse"] = PulseShape(**{PULSE_KEYS[k]: v for k, v in raw.items()})
     return protocol.ProtocolConfig(**kwargs)
 
 
@@ -333,22 +325,22 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    with open(args.inputs, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed inputs file {args.inputs}: {exc}") from exc
     measured = [f.name for f in dataclasses.fields(analysis.CalibrationInputs)]
-    unknown = set(data) - {*measured, "eta", "p_s", "dark_flip", "beta_table"}
-    if unknown:
-        raise ValueError(f"unknown calibration fields: {sorted(unknown)}")
-
+    data = fields("calibration inputs", read_json(args.inputs, "calibration inputs"),
+                  {*measured, "eta", "p_s", "dark_flip", "beta_table"}, measured)
     values = {k: number(k, v) for k, v in data.items() if k != "beta_table"}
+    table = data.get("beta_table", [])
+    if not isinstance(table, list):
+        raise ValueError(f"beta_table must be a list of [n_g, beta] pairs, got {table!r}")
+    for i, row in enumerate(table):
+        if not (isinstance(row, list) and len(row) == 2):
+            raise ValueError(f"beta_table[{i}] must be an [n_g, beta] pair, got {row!r}")
+    table = [[number(f"beta_table[{i}]", v) for v in row] for i, row in enumerate(table)]
+
     dark = values.get("dark_flip")
     if "eta" in values:
         eta = values["eta"]
     elif "beta_table" in data:
-        table = [[number(f"beta_table[{i}]", v) for v in row] for i, row in enumerate(data["beta_table"])]
         eta, dark = analysis.fit_eta(table)
     else:
         raise ValueError("provide either 'eta' or a 'beta_table' to fit")

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from .cavity import CavityParams
-from .errors import number
+from .errors import fields, number, read_json
 from .measurement import DetectionModel
 from .qubit import QubitRates
 from .semiclassical import SemiclassicalSettings
@@ -161,15 +161,8 @@ def paper_defaults() -> DeviceParams:
     )
 
 
-def _unpack_section(section: str, raw: dict, keymap: dict[str, str], cls):
-    if not isinstance(raw, dict):
-        raise ValueError(f"section {section!r} must be an object")
-    unknown = set(raw) - set(keymap)
-    if unknown:
-        raise ValueError(f"unknown fields in {section!r}: {sorted(unknown)}")
-    missing = set(keymap) - set(raw)
-    if missing:
-        raise ValueError(f"missing fields in {section!r}: {sorted(missing)}")
+def _unpack_section(section: str, raw, keymap: dict[str, str], cls):
+    fields(section, raw, keymap, keymap)
     kwargs = {attr: number(f"{section}.{k}", raw[k]) for k, attr in keymap.items()}
     try:
         return cls(**kwargs)
@@ -188,18 +181,8 @@ def to_dict(d: DeviceParams) -> dict:
 
 def from_dict(data: dict) -> DeviceParams:
     top = {*_SCALARS, *_SECTIONS}
-    unknown = set(data) - top - {"provenance"}
-    if unknown:
-        raise ValueError(f"unknown top-level fields: {sorted(unknown)}")
-    missing = top - set(data)
-    if missing:
-        raise ValueError(f"missing top-level fields: {sorted(missing)}")
-    provenance = data.get("provenance", {})
-    if not isinstance(provenance, dict):
-        raise ValueError("provenance must be an object of field-path tags")
-    extra = set(provenance) - set(_LEAF_PATHS)
-    if extra:
-        raise ValueError(f"provenance tags for unknown fields: {sorted(extra)}")
+    fields("device file", data, {*top, "provenance"}, top)
+    provenance = fields("provenance", data.get("provenance", {}), _LEAF_PATHS)
     kwargs = {attr: number(k, data[k]) for k, attr in _SCALARS.items()}
     for section, (attr, keymap, cls) in _SECTIONS.items():
         kwargs[attr] = _unpack_section(section, data[section], keymap, cls)
@@ -214,9 +197,4 @@ def save(d: DeviceParams, path) -> None:
 
 
 def load(path) -> DeviceParams:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed device file {path}: {exc}") from exc
-    return from_dict(data)
+    return from_dict(read_json(path, "device"))

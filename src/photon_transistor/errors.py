@@ -1,6 +1,30 @@
-"""Exception and warning types, and the number rule for input files, shared across the package."""
+"""Exception and warning types, and the one rule for the device, protocol and calibration files.
 
+Each file is parsed by :func:`read_json`, each JSON object in it passes :func:`fields` and
+each numeric value :func:`number`; a breach is a ``ValueError`` naming its key (CLI exit code 2).
+"""
+
+import json
 import math
+
+
+def read_json(path, what: str):
+    """The parsed contents of the ``what`` file at ``path``; malformed JSON is a ``ValueError``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed {what} file {path}: {exc}") from exc
+
+
+def fields(where: str, raw, known, required=()) -> dict:
+    """``raw`` if it is a JSON object with no key outside ``known`` and every key in ``required``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(raw).__name__}")
+    for kind, keys in (("unknown", set(raw) - set(known)), ("missing", set(required) - set(raw))):
+        if keys:
+            raise ValueError(f"{kind} fields in {where}: {sorted(keys)}")
+    return raw
 
 
 def number(key: str, value) -> float:

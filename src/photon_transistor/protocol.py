@@ -32,7 +32,7 @@ from .cavity import (
     shifted_frequency,
     transmission_coeff,
 )
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, number
 from .hilbert import DEFAULT_FOCK_CUTOFF, QuantumState
 from .qubit import exponential_time
 
@@ -70,9 +70,10 @@ class ProtocolConfig:
     fock_cutoff: int = DEFAULT_FOCK_CUTOFF
 
     def __post_init__(self):
-        for name in ("theta", "n_g", "n_s", "signal_duration", "signal_flip_rate_per_photon"):
-            if not math.isfinite(value := getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("theta", "n_g", "n_s", "signal_duration", "signal_flip_rate_per_photon", "dark_flip",
+                     "eta_override"):
+            if name != "eta_override" or self.eta_override is not None:
+                object.__setattr__(self, name, number(name, getattr(self, name)))
         for name in ("fock_cutoff", "n_shots", "seed"):
             if isinstance(value := getattr(self, name), bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -364,6 +364,11 @@ class TestSwitch:
             ("n_shots", True, "n_shots"),
             ("seed", "321", "seed"),
             ("seed", False, "seed"),
+            # every float field, eta_override included, takes the input files' number rule
+            *[(key, value, key.removesuffix("_us"))
+              for key in ("theta", "n_g", "n_s", "signal_duration_us", "signal_flip_rate_per_photon",
+                          "dark_flip", "eta_override")
+              for value in (True, "0.5")],
         ],
     )
     def test_bad_protocol_value_exits_2_naming_it(self, tmp_path, device_file, protocol_file, capsys,
@@ -647,33 +652,69 @@ def test_load_protocol_accepts_every_field_and_rejects_unknown(tmp_path):
         load_protocol(path)
 
 
+#: the command run on a bad value in each device section (None: the top level); each loads the whole file
+_SECTION_COMMANDS = {None: "spectra", "cavity_i": "gain-sweep", "cavity_ii": "spectra", "qubit_rates": "switch",
+                     "detection": "gain-sweep", "semiclassical": "switch"}
+
+
 @pytest.mark.parametrize(
     "command, section, key",
-    [
-        ("gain-sweep", "cavity_i", "kappa_int_mhz"),
-        ("switch", "semiclassical", "n_crit_g"),
-        ("spectra", None, "f_q_mhz"),
-        ("spectra", None, "e_c_mhz"),
-    ],
+    [(_SECTION_COMMANDS[s or None], s or None, k) for s, _, k in (p.rpartition(".") for p in device_mod._LEAF_PATHS)],
 )
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), "5350", True])
 def test_device_value_not_a_finite_number_exits_2(tmp_path, protocol_file, capsys, command, section, key, value):
     data = device_mod.to_dict(device_mod.paper_defaults())
     (data[section] if section else data)[key] = value
+    path = f"{section}.{key}" if section else key
     dev = tmp_path / "device.json"
     dev.write_text(json.dumps(data))
     out = tmp_path / "out"
     args = {"gain-sweep": [], "switch": ["--protocol", str(protocol_file)], "spectra": ["--cavity", "II"]}[command]
     rc = main([command, "--device", str(dev), "--out", str(out), *args])
     assert rc == 2
-    assert key in capsys.readouterr().err
+    assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, edit, expected",
+    [
+        *[pytest.param(name, edit, what, id=f"{name}-{kind}")
+          for name, what in (("device", "device file"), ("protocol", "protocol file"), ("inputs", "calibration inputs"))
+          for kind, edit in (("list", lambda d: [d]), ("number", lambda d: 5))],
+        pytest.param("protocol", lambda d: {**d, "gate_pulse": 5}, "gate_pulse", id="gate_pulse-number"),
+        pytest.param("protocol", lambda d: {**d, "gate_pulse": "gaussian"}, "gate_pulse", id="gate_pulse-string"),
+        pytest.param("protocol", lambda d: {**d, "gate_pulse": {"kind": "gaussian"}}, "duration_ns",
+                     id="gate_pulse-no-duration"),
+        pytest.param("device", lambda d: {**d, "provenance": list(d["provenance"])}, "provenance",
+                     id="provenance-list"),
+        pytest.param("device", lambda d: {**d, "cavity_ii": list(d["cavity_ii"].values())}, "cavity_ii",
+                     id="section-list"),
+        pytest.param("inputs", lambda d: {k: v for k, v in d.items() if k != "n0_open"}, "n0_open",
+                     id="inputs-no-n0_open"),
+    ],
+)
+def test_input_not_an_object_or_missing_a_key_exits_2_naming_it(tmp_path, capsys, name, edit, expected):
+    files = {"device": CONFIGS / "device_paper.json", "protocol": CONFIGS / "protocol_paper_point.json",
+             "inputs": CONFIGS / "calibration_example.json"}
+    bad = tmp_path / f"{name}.json"
+    bad.write_text(json.dumps(edit(json.loads(files[name].read_text()))))
+    files[name] = bad
+    out = tmp_path / "out"
+    if name == "inputs":
+        argv = ["calibrate", "--inputs", str(files["inputs"])]
+    else:
+        argv = ["switch", "--device", str(files["device"]), "--protocol", str(files["protocol"]), "--shots", "50"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert expected in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "key, value",
     [("eta", "0.8"), ("beta", True), ("n0_open", float("nan")), ("p_s", "0.925"), ("dark_flip", None),
-     ("beta_table", [[0.1, "0.09"], [0.3, 0.2]])],
+     ("beta_table", [[0.1, "0.09"], [0.3, 0.2]]), ("beta_table", 5), ("beta_table", [[0.1], [0.3, 0.2]]),
+     ("beta_table", [[0.1, 0.09], {"n_g": 0.3}])],
 )
 def test_calibration_value_not_a_finite_number_exits_2(tmp_path, capsys, key, value):
     data = json.loads((CONFIGS / "calibration_example.json").read_text())
