@@ -10,7 +10,6 @@ absorbed.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, asdict
 
@@ -159,22 +158,21 @@ def predict_single_photon(r: CalibrationResult, eta: float) -> tuple[float, floa
     return n1, n0
 
 
-def gain_db(n1: float, n0: float) -> float:
-    """G = 10 log10 |n1 - n0|: signal photons controlled by one gate photon."""
-    diff = abs(n1 - n0)
-    if diff == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(diff)
+def gain_db(n1, n0):
+    """G = 10 log10 |n1 - n0|, elementwise: signal photons controlled by one gate photon
+    (-inf where n1 = n0)."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(np.abs(n1 - n0))
 
 
-def extinction_db(n_on: float, n_off: float) -> float:
-    """R = 10 log10 (max/min): on/off contrast, reported as a positive ratio."""
-    if n_on < 0 or n_off < 0:
+def extinction_db(n_on, n_off):
+    """R = 10 log10 (max/min), elementwise: on/off contrast, reported as a positive ratio
+    (inf where the smaller intensity is 0)."""
+    hi, lo = np.maximum(n_on, n_off), np.minimum(n_on, n_off)
+    if np.any(lo < 0):
         raise ValueError("intensities must be >= 0")
-    hi, lo = max(n_on, n_off), min(n_on, n_off)
-    if lo == 0.0:
-        return math.inf
-    return 10.0 * math.log10(hi / lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lo == 0.0, np.inf, 10.0 * np.log10(hi / lo))[()]
 
 
 def switching_probability(eta: float, p_s: float) -> float:

@@ -124,21 +124,18 @@ def transmission_coeff(c: CavityParams, f, qubit_level: str):
     return complex(t) if np.isscalar(f) else t
 
 
-def spectrum(c: CavityParams, f_grid, qubit_level: str, mode: str):
-    """Pointwise (frequency, complex amplitude) samples over a sorted grid."""
+def spectrum(c: CavityParams, f_grid, qubit_level: str, mode: str) -> np.ndarray:
+    """Complex amplitudes over a sorted frequency grid, one per grid point."""
     grid = np.asarray(f_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("frequency grid is empty")
     if np.any(np.diff(grid) < 0):
         raise ValueError("frequency grid must be sorted ascending")
     if mode == "reflect":
-        amps = reflection_coeff(c, grid, qubit_level)
-    elif mode == "transmit":
-        amps = transmission_coeff(c, grid, qubit_level)
-    else:
-        raise ValueError(f"unknown spectrum mode {mode!r}")
-    amps = np.atleast_1d(amps)
-    return list(zip(grid.tolist(), [complex(a) for a in amps]))
+        return reflection_coeff(c, grid, qubit_level)
+    if mode == "transmit":
+        return transmission_coeff(c, grid, qubit_level)
+    raise ValueError(f"unknown spectrum mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Command-line front end: run experiments from config files, emit plot-ready data.
 
-Every command writes CSV/JSON artifacts stamped with a manifest hash computed
-from the command, the device-file digest, the effective protocol settings,
-the seed and the package version, so identical manifests reproduce
-bit-identical numeric outputs.
+Every command writes CSV/JSON artifacts stamped with a manifest hash of the command, the
+device-file digest, the effective settings, the seed and the package and numpy versions.
+Equal hashes give equal bytes (JSON timestamps and output paths aside); across versions
+CSV values agree at their printed precision, bar values within an ulp of a rounding
+boundary.  The writer owns that precision: ``%.12g``, and ``%.11f`` for the Wigner W.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric or degenerate-data error.
 """
@@ -62,17 +63,19 @@ class RunManifest:
     seed: int | None
     timestamp: str
     outputs: tuple[str, ...]
-    # the package's version, read when the manifest is made
+    # the package's and numpy's versions, read when the manifest is made
     version: str = dataclasses.field(default_factory=lambda: sys.modules[__package__].__version__)
+    numpy: str = dataclasses.field(default_factory=lambda: np.__version__)
 
     def hash(self) -> str:
-        """Digest of everything that determines the numeric outputs, code version included."""
+        """Digest of everything that determines the numeric outputs, code and numpy versions included."""
         payload = {
             "command": self.command,
             "device_sha256": self.device_sha256,
             "protocol": self.protocol,
             "seed": self.seed,
             "version": self.version,
+            "numpy": self.numpy,
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -115,14 +118,14 @@ def _write_csv(path: Path, manifest: RunManifest, header: list[str], lines) -> N
 _BLOCK_ROWS = 64
 
 
-def _text(values, nan: str = "nan") -> list[str]:
-    """The ``%.12g`` strings of a float array; NaN is written as the string ``nan``.
+def _text(values, nan: str = "nan", fmt: str = "%.12g") -> list[str]:
+    """The ``fmt`` strings of a float array; NaN is written as the string ``nan``.
 
     Each distinct value is formatted once.  Values are told apart by their bits,
     not by float equality, which would merge -0.0 into 0.0."""
     bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.uint64), return_inverse=True)
     distinct = bits.view(np.float64)
-    text = np.array(list(map("%.12g".__mod__, distinct.tolist())), dtype=object)
+    text = np.array(list(map(fmt.__mod__, distinct.tolist())), dtype=object)
     text[np.isnan(distinct)] = nan
     return text[inverse.ravel()].tolist()
 
@@ -175,9 +178,9 @@ def cmd_spectra(args) -> int:
                                        settings={"f_min": lo, "f_max": hi, "points": args.points})
     lines = []
     for level in ("g", "e", "f"):
-        freqs, amps = zip(*spectrum(cav, grid, level, mode))
+        amps = spectrum(cav, grid, level, mode)
         lines += _blocks(f"%.12g,{level},{mode},%.12g,%.12g\r\n",
-                         freqs, [abs(a) for a in amps], [np.angle(a) for a in amps])
+                         grid.tolist(), np.abs(amps).tolist(), np.angle(amps).tolist())
     _write_csv(out_path, manifest, ["frequency_mhz", "level", "mode", "amplitude", "phase_rad"], lines)
     print(f"wrote {out_path}")
     return 0
@@ -235,7 +238,7 @@ def cmd_switch(args) -> int:
     _write_csv(shots_path, manifest, header,
                itertools.chain.from_iterable(_shot_lines(name, shots) for name, shots in runs))
     hist_lines = itertools.chain.from_iterable(
-        _blocks(name + ",%.12g,%d\r\n", *zip(*measurement.histogram(shots.reading, args.bins)))
+        _blocks(name + ",%.12g,%d\r\n", *(c.tolist() for c in measurement.histogram(shots.reading, args.bins)))
         for name, shots in runs
     )
     _write_csv(hist_path, manifest, ["run", "bin_center", "count"], hist_lines)
@@ -295,8 +298,9 @@ def _wigner_cutoff(extent: float, support: int) -> int:
 
 def _wigner_lines(xs, ps, w):
     """wigner_*.csv text of the map ``w[j, i]`` at (xs[i], ps[j]), x running fastest,
-    one string per grid row j."""
-    x_text, w_text = _text(xs), _text(w)
+    one string per grid row j; W is printed ``%.11f``, a W that rounds to zero unsigned
+    (the double nearest 5e-12 lies below 5e-12, so those are exactly |W| <= 5e-12)."""
+    x_text, w_text = _text(xs), _text(np.where(np.abs(w) <= 5e-12, 0.0, w), fmt="%.11f")
     for j, p in enumerate(_text(ps)):
         row = w_text[j * len(x_text) : (j + 1) * len(x_text)]
         yield "".join([f"{x},{p},{v}\r\n" for x, v in zip(x_text, row)])

@@ -103,19 +103,18 @@ def kmeans_1d(readings) -> KMeansFit:
     return KMeansFit(threshold, on, label_counts(on), iterations, converged)
 
 
-def histogram(readings, bins: int):
-    """Uniform binning over [min, max]; returns [(bin_center, count), ...]."""
+def histogram(readings, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform binning over [min, max]; returns the columns (bin_centers, counts)."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     x = np.asarray(readings, dtype=float)
     if x.size == 0:
-        return []
-    lo, hi = float(x.min()), float(x.max())
+        return np.empty(0), np.empty(0, dtype=int)
+    lo, hi = x.min(), x.max()
     if lo == hi:
-        return [(lo, int(x.size))]
+        return x[:1], np.array([x.size])
     counts, edges = np.histogram(x, bins=bins, range=(lo, hi))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return list(zip(centers.tolist(), counts.astype(int).tolist()))
+    return 0.5 * (edges[:-1] + edges[1:]), counts
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +196,8 @@ def wigner(field: QuantumState, grid) -> np.ndarray:
 
 
 def wigner_grid(extent: float, points: int):
-    """Square phase-space grid alpha = x + i p, |x|,|p| <= extent."""
-    xs = np.linspace(-extent, extent, points)
-    ps = np.linspace(-extent, extent, points)
-    return xs, ps, (xs[None, :] + 1j * ps[:, None]).ravel()
+    """Square grid alpha = x + i p, |x|,|p| <= extent, as (xs, ps, alphas); the axis is built
+    from integer offsets about 0, so xs == -xs[::-1] bit for bit (one point sits at 0)."""
+    half = (points - 1) / 2.0
+    xs = extent * ((np.arange(points) - half) / (half or 1.0))
+    return xs, xs, (xs[None, :] + 1j * xs[:, None]).ravel()

@@ -136,12 +136,8 @@ def _binomial_loss(s: float, d: int) -> np.ndarray:
     """
     m, n = np.triu_indices(d)
     comb = np.array([math.comb(a, b) for a, b in zip(n.tolist(), m.tolist())], dtype=float)
-    # scalar pow, not numpy's vector power (whose last bit can differ), so the
-    # weights equal the scalar formula C(n, m) * s**m * (1 - s)**k bit for bit
-    kept_pow = np.array([s**j for j in range(d)])
-    lost_pow = np.array([(1.0 - s) ** j for j in range(d)])
     out = np.zeros((d, d))
-    out[n, m] = comb * kept_pow[m] * lost_pow[n - m]
+    out[n, m] = comb * s**m * (1.0 - s) ** (n - m)
     return out
 
 

@@ -161,12 +161,9 @@ def gain_sweep(
     regimes = _classify(m, f_cand, excited, n_exc_root, n_g_root, flux)
     n_exc = n_exc_root * m.base.kappa_ext_out * window / conv
     n_g = n_g_root * m.base.kappa_ext_out * window / conv
-    # the prediction is elementwise, so each (point, candidate) entry gets the bits of a scalar call
     n1, n0 = predict_single_photon(CalibrationResult(0.0, 1.0, n_g, n_exc, 0.0), eta_eff)
-    out: list[SweepPoint] = []
-    for n_s, n1_row, n0_row, regime_row in zip(grid.tolist(), n1.tolist(), n0.tolist(), regimes.tolist()):
-        gains = [gain_db(a, b) for a, b in zip(n1_row, n0_row)]
-        # max keeps the first candidate among equal gains
-        k = max(range(len(gains)), key=gains.__getitem__)
-        out.append(SweepPoint(n_s, gains[k], extinction_db(n0_row[k], n1_row[k]), regime_row[k]))
-    return out
+    gains = gain_db(n1, n0)
+    # argmax picks the first candidate among equal gains
+    pick = (np.arange(grid.size), np.argmax(gains, axis=1))
+    columns = (grid, gains[pick], extinction_db(n0[pick], n1[pick]), regimes[pick])
+    return [SweepPoint(*row) for row in zip(*(c.tolist() for c in columns))]

@@ -161,6 +161,20 @@ class TestFiguresOfMerit:
     def test_extinction_sentinel(self):
         assert extinction_db(1.0, 0.0) == math.inf
 
+    def test_sentinels_for_scalars_and_arrays(self):
+        for x in (0.0, 2.5):
+            assert gain_db(x, x) == -math.inf
+        assert extinction_db(0.0, 0.0) == math.inf
+        assert np.ndim(gain_db(2.5, 2.5)) == np.ndim(extinction_db(0.0, 0.0)) == 0
+        np.testing.assert_array_equal(gain_db(np.array([0.0, 2.5, 3.0]), np.array([0.0, 2.5, 2.0])),
+                                      [-math.inf, -math.inf, 0.0])
+        np.testing.assert_array_equal(extinction_db(np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])),
+                                      [math.inf, math.inf, math.inf])
+
+    def test_extinction_rejects_a_negative_intensity(self):
+        with pytest.raises(ValueError):
+            extinction_db(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+
     def test_extinction_spectral_bound(self):
         # cavity-II closed-form contrast sits within 3 dB of the quoted 20 dB bound
         t2_on = (0.13 / 0.15) ** 2

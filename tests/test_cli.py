@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from photon_transistor.cli import (
     load_protocol,
     main,
 )
+from photon_transistor.errors import InsufficientDataError
 from photon_transistor.hilbert import with_cutoff
 from photon_transistor.protocol import (
     ProtocolConfig,
@@ -100,11 +102,28 @@ def oracle_shot_lines(name: str, shots):
     )
 
 
+def scalar_pow_loss(s: float, d: int) -> np.ndarray:
+    """protocol._binomial_loss as it was before it took numpy's vector power: scalar pow lists."""
+    m, n = np.triu_indices(d)
+    comb = np.array([math.comb(a, b) for a, b in zip(n.tolist(), m.tolist())], dtype=float)
+    kept_pow = np.array([s**j for j in range(d)])
+    lost_pow = np.array([(1.0 - s) ** j for j in range(d)])
+    out = np.zeros((d, d))
+    out[n, m] = comb * kept_pow[m] * lost_pow[n - m]
+    return out
+
+
+def w_text(v: float) -> str:
+    """W's text under the output contract: ``%.11f``, and a value that rounds to zero unsigned."""
+    text = f"{v:.11f}"
+    return "0.00000000000" if text == "-0.00000000000" else text
+
+
 def oracle_wigner_lines(xs, ps, w):
     """wigner_*.csv lines of a map, formatted one f-string per line."""
     x_text = [f"{x:.12g}" for x in xs.tolist()]
     return (
-        f"{x},{p_text},{v:.12g}\r\n"
+        f"{x},{p_text},{w_text(v)}\r\n"
         for p_text, row in zip((f"{p:.12g}" for p in ps.tolist()), w.tolist())
         for x, v in zip(x_text, row)
     )
@@ -138,6 +157,15 @@ class TestColumnFormatter:
         values = np.array([np.nan, 1.5, -np.nan, 1.5])
         assert _text(values) == ["nan", "1.5", "nan", "1.5"]
         assert _text(values, nan="") == ["", "1.5", "", "1.5"]
+
+    def test_w_prints_at_eleven_decimals_with_an_unsigned_zero(self):
+        w = np.array([[-1e-13, -0.0, 0.0, 2.0 / math.pi, -2.0 / math.pi, 5e-12, -5e-12,
+                       np.nextafter(5e-12, 1.0), -np.nextafter(5e-12, 1.0)]])
+        (line,) = _wigner_lines(np.zeros(w.shape[1]), np.zeros(1), w)
+        assert [row.split(",")[2] for row in line.splitlines()] == [
+            "0.00000000000", "0.00000000000", "0.00000000000", "0.63661977237", "-0.63661977237",
+            "0.00000000000", "0.00000000000", "0.00000000001", "-0.00000000001",
+        ]
 
     @settings(max_examples=60, deadline=None)
     @given(n=ROW_COUNTS, jumps=st.sampled_from(["none", "all", "mixed"]), seed=st.integers(0, 2**32 - 1))
@@ -230,9 +258,12 @@ class TestSpectra:
         assert main(["spectra", "--device", str(device_file), "--cavity", "I", "--out", str(out),
                      "--f-min", "6995", "--f-max", "7005", "--points", "201"]) == 0
         cav = device_mod.load(device_file).cavity_I
-        rows = [[f"{f:.12g}", level, "reflect", f"{abs(amp):.12g}", f"{float(np.angle(amp)):.12g}"]
-                for level in ("g", "e", "f")
-                for f, amp in spectrum(cav, np.linspace(6995.0, 7005.0, 201), level, "reflect")]
+        grid = np.linspace(6995.0, 7005.0, 201)
+        rows = []
+        for level in ("g", "e", "f"):
+            amps = spectrum(cav, grid, level, "reflect")
+            rows += [[f"{f:.12g}", level, "reflect", f"{amp:.12g}", f"{phase:.12g}"]
+                     for f, amp, phase in zip(grid.tolist(), np.abs(amps).tolist(), np.angle(amps).tolist())]
         manifest = RunManifest("spectra --cavity I", file_sha256(device_file),
                                {"f_min": 6995.0, "f_max": 7005.0, "points": 201}, None, "any time", ("any path",))
         expected = csv_writer_bytes(manifest, ["frequency_mhz", "level", "mode", "amplitude", "phase_rad"], rows)
@@ -325,7 +356,7 @@ class TestSwitch:
         dev = device_mod.load(device_file)
         rows = []
         for name, run_cfg in (("gated", cfg), ("ungated", dataclasses.replace(cfg, n_g=0.0, seed=cfg.seed + 1))):
-            for center, count in measurement.histogram(run_experiment(run_cfg, dev).reading, 25):
+            for center, count in zip(*measurement.histogram(run_experiment(run_cfg, dev).reading, 25)):
                 rows.append([name, f"{center:.12g}", count])
         manifest = RunManifest("switch", file_sha256(device_file), dataclasses.asdict(cfg), 77,
                                "any time", ("any path",))
@@ -499,8 +530,36 @@ class TestWigner:
         writer.writerow(["x", "p", "w"])
         for j, p in enumerate(ps):
             for i, x in enumerate(xs):
-                writer.writerow([f"{x:.12g}", f"{p:.12g}", f"{w[j, i]:.12g}"])
+                writer.writerow([f"{x:.12g}", f"{p:.12g}", w_text(w[j, i])])
         assert (out / "wigner_on.csv").read_bytes() == buf.getvalue().encode("utf-8")
+
+    @given(n_g=st.floats(0.05, 1.0), theta=st.sampled_from([0.0, math.pi]),
+           condition=st.sampled_from(["on", "off"]), seed=st.integers(1, 2**31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_w_text_matches_scalar_pow_loss(self, n_g, theta, condition, seed):
+        # the conditional field once took its loss weights from scalar pow.  The weights now
+        # differ by a few ulp and W by at most 1.1e-16, so a W line moves only where W lies
+        # that close to a rounding boundary of %.11f: about 1 value in 50,000.  Over 200
+        # random maps of 1681 lines no line moved; at most 2 per map may be boundary values.
+        dev = device_mod.load(CONFIGS / "device_paper.json")
+        cfg = dataclasses.replace(load_protocol(CONFIGS / "protocol_paper_point.json"),
+                                  n_g=n_g, theta=theta, n_shots=300, seed=seed)
+        shots, _, _ = label_records(run_experiment(cfg, dev))
+        xs, ps, pts = measurement.wigner_grid(2.5, 41)
+        maps = []
+        for loss in (scalar_pow_loss, photon_transistor.protocol._binomial_loss):
+            with mock.patch.object(photon_transistor.protocol, "_binomial_loss", loss):
+                try:
+                    state = conditional_gate_field(shots, condition, cfg, dev)
+                except InsufficientDataError:
+                    return
+            state = with_cutoff(state, _wigner_cutoff(2.5, state.dims[0]))
+            maps.append(measurement.wigner(state, pts).reshape(41, 41))
+        old, new = maps
+        assert np.max(np.abs(new - old)) <= 1e-15
+        moved = [(a, b) for a, b in zip(lines(_wigner_lines(xs, ps, old)), lines(_wigner_lines(xs, ps, new)))
+                 if a != b]
+        assert len(moved) <= 2, moved
 
     @pytest.mark.parametrize(
         "flags, name",
@@ -623,6 +682,14 @@ def test_manifest_hash_covers_package_version(monkeypatch):
     monkeypatch.setattr(photon_transistor, "__version__", "0.0.0+other")
     after = manifest()
     assert after.to_dict()["version"] == "0.0.0+other"
+    assert after.hash() != before.hash()
+
+
+def test_manifest_hash_covers_numpy_version():
+    before = RunManifest("switch", "ab12", {"n_g": 0.18}, 7, "t0", ("out.csv",))
+    assert before.to_dict()["numpy"] == np.__version__
+    after = dataclasses.replace(before, numpy="0.0.0+other")
+    assert after.to_dict()["numpy"] == "0.0.0+other"
     assert after.hash() != before.hash()
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import eval_laguerre
@@ -123,22 +123,60 @@ class TestKmeans:
         assert lo_center < thr < hi_center
 
 
+def tuple_histogram(readings, bins: int):
+    """The histogram as it was written before it returned columns: [(bin_center, count), ...]."""
+    x = np.asarray(readings, dtype=float)
+    if x.size == 0:
+        return []
+    lo, hi = float(x.min()), float(x.max())
+    if lo == hi:
+        return [(lo, int(x.size))]
+    counts, edges = np.histogram(x, bins=bins, range=(lo, hi))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return list(zip(centers.tolist(), counts.astype(int).tolist()))
+
+
 class TestHistogram:
     def test_single_bin_totals(self):
-        assert histogram([1.0, 2.0, 3.0], 1) == [(2.0, 3)]
+        centers, counts = histogram([1.0, 2.0, 3.0], 1)
+        assert centers.tolist() == [2.0] and counts.tolist() == [3]
 
     def test_counts_preserved(self):
         rng = np.random.default_rng(1)
         data = rng.normal(size=1000)
-        bins = histogram(data, 37)
-        assert sum(c for _, c in bins) == 1000
+        centers, counts = histogram(data, 37)
+        assert centers.shape == counts.shape == (37,)
+        assert counts.sum() == 1000
 
     def test_degenerate_range_guard(self):
-        assert histogram([5.0, 5.0], 10) == [(5.0, 2)]
+        centers, counts = histogram([5.0, 5.0], 10)
+        assert centers.tolist() == [5.0] and counts.tolist() == [2]
+
+    def test_empty_readings_give_empty_columns(self):
+        centers, counts = histogram([], 10)
+        assert centers.shape == counts.shape == (0,)
 
     def test_bad_bins(self):
         with pytest.raises(ValueError):
             histogram([1.0], 0)
+
+    @given(
+        n=st.integers(0, 3000),
+        bins=st.integers(1, 120),
+        repeat=st.booleans(),
+        scale=st.floats(1e-6, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_columns_print_as_tuple_histogram(self, n, bins, repeat, scale, seed):
+        # the same arithmetic as the tuple list it replaces, so no boundary values: the
+        # histogram.csv text of the columns is the text of the tuples
+        rng = np.random.default_rng(seed)
+        readings = np.full(n, scale) if repeat else scale * rng.normal(size=n)
+        centers, counts = histogram(readings, bins)
+        assert [f"{c:.12g},{k}" for c, k in zip(centers.tolist(), counts.tolist())] == [
+            f"{c:.12g},{k}" for c, k in tuple_histogram(readings, bins)
+        ]
 
 
 def displacement_operator(alpha: complex, d: int) -> np.ndarray:
@@ -394,3 +432,25 @@ class TestBandedWigner:
         monkeypatch.setattr(measurement, "_WIGNER_CHUNK", 7)
         state = with_cutoff(banded_density(np.random.default_rng(5), 6, band), 40)
         np.testing.assert_allclose(wigner(state, pts), loop_wigner(state, pts), rtol=0, atol=1e-12)
+
+
+class TestWignerGrid:
+    @given(st.floats(0.5, 6.0), st.integers(1, 101), st.integers(0, 2**32 - 1))
+    # np.linspace's axis at extent 2.0 and 41 points is not sign-symmetric bit for bit
+    @example(2.0, 41, 0)
+    @example(1.0, 2, 0)  # a two-point axis is (-extent, extent)
+    @settings(max_examples=40, deadline=None)
+    def test_axes_and_fock_diagonal_map_mirror_exactly(self, extent, points, seed):
+        xs, ps, pts = wigner_grid(extent, points)
+        assert xs.shape == (points,) and xs[-1] == (extent if points > 1 else 0.0)
+        np.testing.assert_array_equal(xs, -xs[::-1])
+        np.testing.assert_array_equal(ps, xs)
+        p = np.random.default_rng(seed).random(8)
+        state = with_cutoff(QuantumState((8,), np.diag(p / p.sum())), _wigner_cutoff(extent, 8))
+        w = wigner(state, pts).reshape(points, points)
+        np.testing.assert_array_equal(w, w[::-1, :])
+        np.testing.assert_array_equal(w, w[:, ::-1])
+
+    def test_one_point_grid_sits_at_the_origin(self):
+        xs, ps, pts = wigner_grid(2.0, 1)
+        assert xs.tolist() == ps.tolist() == [0.0] and pts.tolist() == [0j]

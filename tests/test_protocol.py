@@ -394,16 +394,22 @@ class TestFockLossKernel:
                     conditional_gate_field(shots, condition, cfg, dev)
                 continue
             out = conditional_gate_field(shots, condition, cfg, dev)
-            # same arithmetic in the same order, so the same bits
-            np.testing.assert_array_equal(out.rho, ref.rho)
+            # the same sums in the same order over loss weights a few ulp apart (see
+            # test_binomial_loss_rows_match_scalar_formula); 600 random fields differed by
+            # at most 2 ulp, and 8 are allowed
+            np.testing.assert_array_equal(out.rho, np.diag(np.diag(out.rho)))
+            np.testing.assert_array_max_ulp(np.diag(out.rho).real, np.diag(ref.rho).real, maxulp=8)
 
     @settings(max_examples=80, deadline=None)
     @given(s=hst.floats(0.0, 1.0) | hst.sampled_from([0.0, 1.0]), d=hst.integers(2, 16))
     def test_binomial_loss_rows_match_scalar_formula(self, s, d):
+        # numpy's vector power and Python's scalar pow differ by 1 ulp in about 5 % of the
+        # powers, so the products C(n, m) s^m (1 - s)^(n - m) differ by a few ulp: at most
+        # 5 over 9000 survivals at d = 16 (those near 0 give subnormal powers), and 8 are allowed
         loss = _binomial_loss(s, d)
         assert loss.shape == (d, d)
         for n in range(d):
-            np.testing.assert_array_equal(loss[n], _binomial_loss_diag(n, s, d))
+            np.testing.assert_array_max_ulp(loss[n], _binomial_loss_diag(n, s, d), maxulp=8)
         np.testing.assert_allclose(loss.sum(axis=1), np.ones(d), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.8278, 1.0])
