@@ -36,7 +36,7 @@ from .errors import (
     number,
     read_json,
 )
-from .hilbert import mean_photon, with_cutoff
+from .hilbert import mean_photon
 
 _CONFIG_ERRORS = (ValueError, TypeError, KeyError, FileNotFoundError, IsADirectoryError)
 _NUMERIC_ERRORS = (
@@ -290,12 +290,6 @@ def cmd_gain_sweep(args) -> int:
     return 0
 
 
-def _wigner_cutoff(extent: float, support: int) -> int:
-    """Fock cutoff for the window |x|, |p| <= extent: |alpha|^2 <= d/4 at its corner,
-    and six times the field's ``support`` levels, so the truncated displacement converges."""
-    return max(int(math.ceil(8.0 * extent**2)) + 2, 6 * support)
-
-
 def _wigner_lines(xs, ps, w):
     """wigner_*.csv text of the map ``w[j, i]`` at (xs[i], ps[j]), x running fastest,
     one string per grid row j; W is printed ``%.11f``, a W that rounds to zero unsigned
@@ -315,8 +309,6 @@ def cmd_wigner(args) -> int:
     cfg = _run_protocol(args)
     shots, _, _ = protocol.label_records(protocol.run_experiment(cfg, dev))
     state = protocol.conditional_gate_field(shots, args.condition, cfg, dev)
-
-    state = with_cutoff(state, _wigner_cutoff(args.extent, state.dims[0]))
     xs, ps, pts = measurement.wigner_grid(args.extent, args.points)
     w = measurement.wigner(state, pts).reshape(args.points, args.points)
 

@@ -2,8 +2,8 @@
 
 Density matrices are plain numpy complex arrays wrapped in a :class:`QuantumState`
 that records the subsystem dimensions.  All Hilbert spaces in this package are
-small (a 3-level qubit and a truncated bosonic mode, <= ~300 dimensions for
-phase-space work), so everything is dense and eager.
+small (a 3-level qubit and a truncated bosonic mode, whose cutoff no Wigner map
+has to raise), so everything is dense and eager.
 """
 
 from __future__ import annotations
@@ -125,20 +125,3 @@ def mean_photon(s: QuantumState, mode: int) -> float:
     if len(s.dims) > 1:
         diag = diag.reshape(s.dims).sum(axis=tuple(i for i in range(len(s.dims)) if i != mode))
     return float(np.dot(np.arange(s.dims[mode]), diag))
-
-
-def with_cutoff(s: QuantumState, d: int) -> QuantumState:
-    """Embed a single-mode state into a larger Fock cutoff (zero padding)."""
-    if len(s.dims) != 1:
-        raise ValueError("with_cutoff expects a single-mode state")
-    d0 = s.dims[0]
-    if d < d0:
-        raise CutoffError(f"target cutoff {d} smaller than current {d0}")
-    rho = np.zeros((d, d), dtype=complex)
-    rho[:d0, :d0] = s.rho
-    return QuantumState((d,), rho)
-
-
-def destroy(d: int) -> np.ndarray:
-    """Truncated annihilation operator."""
-    return np.diag(np.sqrt(np.arange(1, d)), 1)

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CutoffError, DegenerateDataError
-from .hilbert import QuantumState, destroy
+from .errors import DegenerateDataError
+from .hilbert import QuantumState
 
 ON, OFF = "on", "off"
 
@@ -118,81 +118,63 @@ def histogram(readings, bins: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Wigner function via Royer's displaced parity
+# Wigner function in closed form
 
-#: grid points per chunk of the per-point phase sum, and distinct radii per chunk of the radial sum
-_WIGNER_CHUNK = 512
-
-
-@functools.cache
-def _displacement_eigensystem(d: int):
-    """Eigendecomposition of H = -i(a^dag - a), cached per dimension.
-
-    exp(x*(a^dag - a)) = V diag(e^{i*lam*x}) V^dag, and a phase rotation maps
-    the real displacement onto an arbitrary complex alpha.
-    """
-    a = destroy(d)
-    return np.linalg.eigh(-1j * (a.conj().T - a))
+#: a recurrence entry above this is scaled down, its factor moved into the entry's log scale
+_RESCALE = 1e100
 
 
 def wigner(field: QuantumState, grid) -> np.ndarray:
-    """W(alpha) = (2/pi) Tr[rho D(alpha) P D(alpha)^dag] on a list of points.
+    """W(alpha) = (2/pi) Tr[rho D(2 alpha) P] on a list of points, exact for any single-mode rho.
 
-    Parity anticommutes with the truncated generator a^dag - a, so
-    D(alpha) P D(alpha)^dag = D(2 alpha) P holds exactly in the truncated space
-    (Royer, Phys. Rev. A 15, 449 (1977)).  With D(2 alpha) = Phi V e^{2i lam r} V^dag Phi^dag,
-    alpha = r e^{i phi}, the map is W = (2/pi) Re sum_q e^{i q phi} sum_j F[q, j] e^{2i lam_j r},
-    F[q, j] = sum_n (-1)^n rho[n, n+q] V[n+q, j] conj(V[n, j]), built once over the
-    state's Fock support s (zero padding adds nothing) and its band b = max |m - n| over
-    the nonzero rho[n, m], so |q| <= b.  The sum over j is taken once per distinct |alpha|
-    (per chunk of points sorted by radius), leaving 2b + 1 terms per point.  A
-    Fock-diagonal state (b = 0) has a real F[0], as rho's diagonal is real, and a
-    radial map W(r) = (2/pi) sum_j F[0, j] cos(2 lam_j r) with no per-point phase work,
-    so points of equal |alpha| get bit-equal W.
-
-    Raises CutoffError when any |alpha|^2 exceeds d/4 (truncated displacement
-    no longer trustworthy); embed the state in a larger cutoff first.
+    With alpha = r e^{i phi} and x = 4 r^2 (Cahill & Glauber, Phys. Rev. 177, 1882 (1969)),
+    W = (2/pi) Re sum_{k=0..b} c_k e^{i k phi} g_k(r), c_0 = 1 and c_k = 2 for k >= 1, where
+    g_k = sum_n (-1)^n rho[n, n+k] l_n^k(x) and l_n^k = sqrt(n!/(n+k)!) x^{k/2} e^{-x/2} L_n^{(k)}(x)
+    = <n+k| D(2 alpha) |n> e^{-i k phi}, so |l| <= 1.  The sums run over the state's Fock support
+    s and its band b = max |m - n| over the nonzero rho[n, m] (zero padding adds nothing), once
+    per distinct |alpha|, by the recurrence
+    l_n = [(2n - 1 + k - x) l_{n-1} - sqrt((n-1)(n-1+k)) l_{n-2}] / sqrt(n(n+k)) from
+    l_0^k = sqrt(x^k/k!) e^{-x/2}; row k leaves once n + k reaches s.  Each entry carries its
+    factor e^{-x/2} sqrt(x^k/k!) and every later rescaling as a log scale, so nothing under- or
+    overflows on the way.  What is left per point is a Horner sum in e^{i phi} of b terms; a
+    Fock-diagonal state (b = 0) skips it and gives a radial map, bit-equal at equal |alpha|.
     """
     if len(field.dims) != 1:
         raise ValueError("wigner expects a single bosonic mode")
-    d = field.dims[0]
     pts = np.asarray(grid, dtype=complex).ravel()
-    max_n = float(np.max(np.abs(pts) ** 2)) if pts.size else 0.0
-    if max_n > d / 4.0:
-        raise CutoffError(
-            f"|alpha|^2 up to {max_n:.3g} exceeds d/4 = {d / 4:.3g}; increase the cutoff"
-        )
-    lam, v = _displacement_eigensystem(d)
     rows, cols = np.nonzero(field.rho)
     s = int(max(rows.max(), cols.max())) + 1
     b = int(np.max(np.abs(cols - rows)))
-    rho, vs = field.rho[:s, :s], v[:s]
-    # row k = q + b of F; state row n contributes to q = m - n for |m - n| <= b, m < s
-    f = np.zeros((2 * b + 1, d), dtype=complex)
-    for n in range(s):
-        lo, hi = max(n - b, 0), min(n + b + 1, s)
-        f[lo - n + b : hi - n + b] += ((-1) ** n * rho[n, lo:hi])[:, None] * vs[lo:hi] * vs[n].conj()
     radii, inverse = np.unique(np.abs(pts), return_inverse=True)
-    if b == 0:
-        w = np.empty(radii.size, dtype=float)
-        for start in range(0, radii.size, _WIGNER_CHUNK):
-            chunk = radii[start : start + _WIGNER_CHUNK]
-            w[start : start + chunk.size] = np.cos(2.0 * np.outer(chunk, lam)) @ f[0].real
-        return (2.0 / np.pi) * w[inverse]
-    phi = np.angle(pts)
-    order = np.argsort(inverse)
-    out = np.empty(pts.size, dtype=float)
-    for start in range(0, pts.size, _WIGNER_CHUNK):
-        idx = order[start : start + _WIGNER_CHUNK]
-        lo, hi = inverse[idx[0]], inverse[idx[-1]] + 1
-        g = (f @ np.exp(2j * np.outer(lam, radii[lo:hi])))[:, inverse[idx] - lo]
-        # Horner in z = e^{i phi} over q = b ... -b, then the factor e^{-i b phi}
-        z = np.exp(1j * phi[idx])
-        acc = g[-1]
-        for row in g[-2::-1]:
-            acc = acc * z + row
-        out[idx] = (2.0 / np.pi) * (acc * np.exp(-1j * b * phi[idx])).real
-    return out
+    x = 4.0 * radii[:, None] ** 2
+    k = np.arange(b + 1)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in k])
+    log_scale = 0.5 * (k * np.log(np.where(x > 0, x, 1.0)) - log_fact - x)
+    log_scale[(x == 0) & (k > 0)] = -np.inf  # l_n^k(0) = 0 for k >= 1
+    prev, cur = np.zeros_like(log_scale), np.ones_like(log_scale)
+    g = np.zeros(log_scale.shape, dtype=complex)  # g_k in units of its entry's scale
+    for n in range(s):
+        w = min(b + 1, s - n)  # rows k with n + k < s
+        if n:
+            kk = k[:w]
+            prev, cur = cur[:, :w], ((2 * n - 1 + kk - x) * cur[:, :w]
+                                     - np.sqrt((n - 1) * (n - 1 + kk)) * prev[:, :w]) / np.sqrt(n * (n + kk))
+            big = np.abs(cur) > _RESCALE
+            if big.any():
+                m = np.where(big, np.abs(cur), 1.0)
+                cur, prev = cur / m, prev / m
+                g[:, :w] /= m
+                log_scale[:, :w] += np.log(m)
+        g[:, :w] += ((-1) ** n * field.rho[n, n : n + w]) * cur
+    g *= np.exp(log_scale)
+    g[:, 1:] *= 2.0
+    acc = g[inverse, b]
+    if b:
+        # sum_k c_k g_k z^k with z = e^{i phi}, by Horner from k = b down
+        z = np.exp(1j * np.angle(pts))
+        for j in range(b - 1, -1, -1):
+            acc = acc * z + g[inverse, j]
+    return (2.0 / np.pi) * acc.real
 
 
 def wigner_grid(extent: float, points: int):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_laguerre
 
 import photon_transistor
 from photon_transistor import device as device_mod
@@ -24,13 +25,11 @@ from photon_transistor.cli import (
     RunManifest,
     _shot_lines,
     _text,
-    _wigner_cutoff,
     _wigner_lines,
     load_protocol,
     main,
 )
 from photon_transistor.errors import InsufficientDataError
-from photon_transistor.hilbert import with_cutoff
 from photon_transistor.protocol import (
     ProtocolConfig,
     Shots,
@@ -519,7 +518,6 @@ class TestWigner:
         dev = device_mod.load(device_file)
         shots, _, _ = label_records(run_experiment(cfg, dev))
         state = conditional_gate_field(shots, "on", cfg, dev)
-        state = with_cutoff(state, _wigner_cutoff(1.5, state.dims[0]))
         xs, ps, pts = measurement.wigner_grid(1.5, 17)
         w = measurement.wigner(state, pts).reshape(17, 17)
         manifest = RunManifest("wigner --condition on", hashlib.sha256(device_file.read_bytes()).hexdigest(),
@@ -553,13 +551,38 @@ class TestWigner:
                     state = conditional_gate_field(shots, condition, cfg, dev)
                 except InsufficientDataError:
                     return
-            state = with_cutoff(state, _wigner_cutoff(2.5, state.dims[0]))
             maps.append(measurement.wigner(state, pts).reshape(41, 41))
         old, new = maps
         assert np.max(np.abs(new - old)) <= 1e-15
         moved = [(a, b) for a, b in zip(lines(_wigner_lines(xs, ps, old)), lines(_wigner_lines(xs, ps, new)))
                  if a != b]
         assert len(moved) <= 2, moved
+
+    @pytest.mark.parametrize("condition", ["on", "off"])
+    def test_two_level_field_prints_the_closed_form(self, tmp_path, condition):
+        # a field of cutoff 2 on a small window: a displacement truncated at
+        # max(ceil(8 * extent^2) + 2, 6 * 2) = 12 levels printed W off by up to 1.4e-4 here
+        proto = json.loads((CONFIGS / "protocol_paper_point.json").read_text())
+        proto.update({"fock_cutoff": 2, "gate_source": "single_photon", "n_g": 0.5})
+        proto_path = tmp_path / "protocol.json"
+        proto_path.write_text(json.dumps(proto))
+        device_path = CONFIGS / "device_paper.json"
+        out = tmp_path / "out"
+        assert main(["wigner", "--device", str(device_path), "--protocol", str(proto_path),
+                     "--condition", condition, "--out", str(out),
+                     "--extent", "1.0", "--points", "21", "--shots", "2000"]) == 0
+        cfg = dataclasses.replace(load_protocol(proto_path), n_shots=2000)
+        dev = device_mod.load(device_path)
+        shots, _, _ = label_records(run_experiment(cfg, dev))
+        p = np.real(np.diag(conditional_gate_field(shots, condition, cfg, dev).rho))
+        xs, ps, pts = measurement.wigner_grid(1.0, 21)
+        _, _, rows = read_csv(out / f"wigner_{condition}.csv")
+        assert [r[:2] for r in rows] == [[f"{x:.12g}", f"{y:.12g}"] for y in ps.tolist() for x in xs.tolist()]
+        # W = (2/pi) e^{-2|alpha|^2} sum_n (-1)^n p_n L_n(4|alpha|^2); %.11f rounds by up to 5e-12
+        r2 = np.abs(pts) ** 2
+        n = np.arange(p.size)
+        closed = (2.0 / np.pi) * np.exp(-2.0 * r2) * ((-1.0) ** n * p * eval_laguerre(n, 4.0 * r2[:, None])).sum(axis=1)
+        assert np.max(np.abs(np.array([float(r[2]) for r in rows]) - closed)) <= 6e-12
 
     @pytest.mark.parametrize(
         "flags, name",

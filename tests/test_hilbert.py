@@ -9,12 +9,10 @@ from photon_transistor.errors import CutoffError, CutoffWarning, StateInvariantE
 from photon_transistor.hilbert import (
     QuantumState,
     coherent_state,
-    destroy,
     fock_state,
     mean_photon,
     pure_state,
     qutrit_state,
-    with_cutoff,
 )
 
 
@@ -162,18 +160,3 @@ class TestInvariants:
         assert np.trace(s.rho) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(s.rho).min() > -1e-10
 
-
-def test_with_cutoff_preserves_content():
-    s = coherent_state(0.4, 6)
-    big = with_cutoff(s, 12)
-    assert big.dims == (12,)
-    np.testing.assert_allclose(big.rho[:6, :6], s.rho, atol=1e-15)
-    assert mean_photon(big, 0) == pytest.approx(mean_photon(s, 0), abs=1e-12)
-
-
-@pytest.mark.parametrize("d", [1, 2, 5, 9])
-def test_destroy_matches_loop(d):
-    ref = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        ref[n - 1, n] = math.sqrt(n)
-    np.testing.assert_array_equal(destroy(d), ref)

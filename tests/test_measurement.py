@@ -1,3 +1,5 @@
+import decimal
+import functools
 import math
 from pathlib import Path
 
@@ -10,19 +12,11 @@ from scipy.special import eval_laguerre
 
 from photon_transistor import device as device_mod
 from photon_transistor import measurement
-from photon_transistor.cli import _wigner_cutoff, load_protocol
-from photon_transistor.errors import CutoffError, DegenerateDataError
-from photon_transistor.hilbert import (
-    QuantumState,
-    coherent_state,
-    destroy,
-    fock_state,
-    pure_state,
-    with_cutoff,
-)
+from photon_transistor.cli import load_protocol
+from photon_transistor.errors import CutoffWarning, DegenerateDataError
+from photon_transistor.hilbert import QuantumState, coherent_state, fock_state, pure_state
 from photon_transistor.measurement import (
     DetectionModel,
-    _displacement_eigensystem,
     detect,
     histogram,
     kmeans_1d,
@@ -179,47 +173,98 @@ class TestHistogram:
         ]
 
 
+#: Fock cutoff of the Royer reference: |alpha|^2 <= 72, a corner of extent 6, stays below d/4
+REFERENCE_CUTOFF = 300
+
+
+@functools.cache
+def displacement_eigensystem(d: int):
+    """Eigendecomposition of H = -i(a^dag - a) in d levels: exp(x (a^dag - a)) = V diag(e^{i lam x}) V^dag."""
+    a = np.diag(np.sqrt(np.arange(1, d)), 1)
+    return np.linalg.eigh(-1j * (a.conj().T - a))
+
+
 def displacement_operator(alpha: complex, d: int) -> np.ndarray:
-    """Truncated D(alpha) = exp(alpha a^dag - conj(alpha) a) from the cached eigensystem."""
-    lam, v = _displacement_eigensystem(d)
+    """Truncated D(alpha) = exp(alpha a^dag - conj(alpha) a) from the eigensystem; a phase
+    rotation maps the real displacement onto an arbitrary complex alpha."""
+    lam, v = displacement_eigensystem(d)
     mag, phi = abs(alpha), np.angle(alpha)
     core = (v * np.exp(1j * lam * mag)) @ v.conj().T
     phase = np.exp(1j * phi * np.arange(d))
     return (core * phase[:, None]) * phase.conj()[None, :]
 
 
-def loop_wigner(field: QuantumState, grid) -> np.ndarray:
-    """The per-point displaced-parity loop that measurement.wigner replaced.
+def padded(state: QuantumState, d: int) -> QuantumState:
+    """A single-mode state zero-padded into a d-level cutoff."""
+    return QuantumState((d,), np.pad(state.rho, (0, d - state.dims[0])))
 
-    W(alpha) = (2/pi) sum_k w_k <psi_k| D(alpha) P D(alpha)^dag |psi_k> over the
-    eigenvectors of rho with eigenvalue > 1e-13.
+
+def loop_wigner(field: QuantumState, grid, d: int = REFERENCE_CUTOFF) -> np.ndarray:
+    """Royer's displaced parity (Phys. Rev. A 15, 449 (1977)), the form measurement.wigner
+    replaced, one point at a time in the field padded into d levels.
+
+    W(alpha) = (2/pi) sum_k w_k <psi_k| D(alpha) P D(alpha)^dag |psi_k> over every
+    eigenpair of rho, tiny or rounded-negative weights included, so that no dropped weight
+    shows as an error.  Exact only inside the truncated space, so |alpha|^2 must stay well
+    below d/4.
     """
-    d = field.dims[0]
     pts = np.asarray(grid, dtype=complex).ravel()
-    lam, v = _displacement_eigensystem(d)
+    lam, v = displacement_eigensystem(d)
     vd = v.conj().T
     parity = (-1.0) ** np.arange(d)
-    evals, evecs = np.linalg.eigh(field.rho)
-    keep = evals > 1e-13
-    weights = evals[keep]
-    vecs = evecs[:, keep]
+    weights, evecs = np.linalg.eigh(field.rho)
+    vecs = np.zeros((d, weights.size), dtype=complex)
+    vecs[: weights.size] = evecs
     n_idx = np.arange(d)
     out = np.empty(pts.size, dtype=float)
     for i, alpha in enumerate(pts):
         mag, phi = abs(alpha), np.angle(alpha)
         phase = np.exp(-1j * phi * n_idx)
         rot = np.exp(-1j * lam * mag)
-        # y = D(alpha)^dag psi, via the cached eigensystem
+        # y = D(alpha)^dag psi, via the eigensystem
         y = (phase.conj()[:, None]) * (v @ (rot[:, None] * (vd @ (phase[:, None] * vecs))))
         out[i] = (2.0 / np.pi) * float(np.real(np.sum(weights * (parity @ (np.abs(y) ** 2)))))
     return out
 
 
+def banded_density(rng, s: int, b: int) -> QuantumState:
+    """An s-level density matrix whose nonzero rho[n, m] have |m - n| <= b, b reached.
+
+    A random lower factor with its entries at n - m > b or m > n zeroed gives
+    rho = a a^dag, positive by construction and of band exactly b.
+    """
+    a = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+    n, m = np.indices((s, s))
+    a[(n - m > b) | (m > n)] = 0.0
+    rho = a @ a.conj().T
+    return QuantumState((s,), rho / np.trace(rho).real)
+
+
+def images(x: float, y: float) -> list[complex]:
+    """The 8 sign/swap images of x + iy, all of one radius."""
+    return [s * complex(u, t * v) for u, v in ((x, y), (y, x)) for s in (1, -1) for t in (1, -1)]
+
+
+def decimal_fock_wigner(n: int, r: float) -> float:
+    """W of the Fock state |n> at |alpha| = r, (2/pi) (-1)^n e^{-x/2} L_n(x) with x = 4 r^2,
+    by the three-term Laguerre recurrence in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = 4 * decimal.Decimal(r) ** 2
+        prev, cur = decimal.Decimal(0), decimal.Decimal(1)
+        for j in range(1, n + 1):
+            prev, cur = cur, ((2 * j - 1 - x) * cur - (j - 1) * prev) / j
+        value = (-1) ** n * cur * (-x / 2).exp()
+    return (2.0 / math.pi) * float(value)
+
+
 class TestDisplacement:
+    """The reference's truncated displacement is the matrix exponential."""
+
     @pytest.mark.parametrize("alpha", [0.3, -0.5j, 0.4 + 0.2j])
     def test_matches_scipy_expm(self, alpha):
         d = 12
-        a = destroy(d)
+        a = np.diag(np.sqrt(np.arange(1, d)), 1)
         ref = expm(alpha * a.conj().T - np.conj(alpha) * a)
         np.testing.assert_allclose(displacement_operator(alpha, d), ref, atol=1e-10)
 
@@ -265,9 +310,10 @@ class TestWigner:
             total = wigner(state, pts).sum() * cell
             assert total == pytest.approx(1.0, rel=0.02)
 
-    def test_cutoff_error(self):
-        with pytest.raises(CutoffError):
-            wigner(fock_state(0, 8), [2.0])  # |alpha|^2 = 4 > 8/4
+    def test_no_limit_at_a_quarter_of_the_cutoff(self):
+        # |alpha|^2 = 4 > 8/4, where a truncated displacement is no longer trustworthy
+        w = wigner(fock_state(0, 8), [2.0])
+        assert w[0] == pytest.approx((2.0 / math.pi) * math.exp(-8.0), rel=1e-15, abs=0)
 
     def test_phase_symmetric_state_symmetric_w(self):
         s = fock_state(1, 16)
@@ -276,51 +322,49 @@ class TestWigner:
         assert w1[0] == pytest.approx(w2[0], abs=1e-12)
 
 
-def random_density(rng, s: int) -> QuantumState:
-    """A full-rank s-level density matrix with complex off-diagonal terms."""
-    a = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
-    rho = a @ a.conj().T
-    return QuantumState((s,), rho / np.trace(rho))
-
-
 class TestWignerAgainstLoop:
-    @given(st.integers(1, 20), st.integers(0, 60), st.booleans(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=120, deadline=None)
-    def test_matches_per_point_loop(self, support, extra, embed, seed):
+    @given(st.integers(1, 40), st.data(), st.floats(0.5, 6.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_point_loop(self, support, data, extent, seed):
+        band = data.draw(st.integers(0, support - 1), label="band")
         rng = np.random.default_rng(seed)
-        state = random_density(rng, support)
-        d = support + extra if embed else support
-        if embed:
-            state = with_cutoff(state, d)
-        r_max = math.sqrt(0.99 * d / 4.0)
-        radii = r_max * np.sqrt(rng.random(40))
-        random_pts = radii * np.exp(2j * np.pi * rng.random(40))
-        x, y = r_max * rng.random(2) / math.sqrt(2.0)
-        # sign flips and the x <-> y swap repeat the radius exactly; rotations repeat it nearly
-        mirrored = [s * complex(u, t * v) for u, v in ((x, y), (y, x)) for s in (1, -1) for t in (1, -1)]
-        rotated = complex(x, y) * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7))
-        axes = [0.0, r_max, -r_max, 1j * r_max, -1j * r_max, 0.5 * r_max, 0.5j * r_max]
-        pts = np.concatenate([random_pts, mirrored, rotated, axes])
-        np.testing.assert_allclose(wigner(state, pts), loop_wigner(state, pts), rtol=0, atol=1e-12)
-
-    def test_chunk_boundaries(self, monkeypatch):
-        # 7-point chunks split the grid's repeated radii across chunk boundaries
-        monkeypatch.setattr(measurement, "_WIGNER_CHUNK", 7)
-        state = with_cutoff(random_density(np.random.default_rng(4), 6), 40)
-        _, _, pts = wigner_grid(2.0, 21)
-        np.testing.assert_allclose(wigner(state, pts), loop_wigner(state, pts), rtol=0, atol=1e-12)
+        state = banded_density(rng, support, band)
+        square = extent * (2.0 * rng.random((2, 24)) - 1.0)
+        x, y = extent * rng.random(2)
+        # sign flips and the x <-> y swap repeat the radius exactly; the corner is the largest |alpha|
+        axes = [0.0, extent, -1j * extent, extent * (1 + 1j)]
+        pts = np.concatenate([square[0] + 1j * square[1], images(x, y), axes])
+        np.testing.assert_allclose(wigner(state, pts), loop_wigner(state, pts), rtol=0, atol=1e-13)
 
     def test_empty_grid(self):
         assert wigner(fock_state(1, 10), []).shape == (0,)
         assert wigner(fock_state(1, 10), np.zeros((0, 3))).shape == (0,)
 
-    def test_cutoff_error_before_any_work(self, monkeypatch):
-        def no_eigensystem(d):
-            raise AssertionError("the cutoff must be checked first")
 
-        monkeypatch.setattr(measurement, "_displacement_eigensystem", no_eigensystem)
-        with pytest.raises(CutoffError):
-            wigner(with_cutoff(fock_state(1, 4), 20), [0.0, 2.3j])  # |alpha|^2 = 5.29 > 20/4
+class TestWignerBeyondTruncation:
+    """Where a truncated displacement needed matrices of thousands of levels."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.99])
+    def test_fock_500_matches_decimal_laguerre(self, scale):
+        r = scale * math.sqrt(500.0)
+        assert abs(wigner(fock_state(500, 501), [r])[0] - decimal_fock_wigner(500, r)) <= 1e-12
+
+    def test_coherent_peak_at_large_amplitude(self):
+        # support 1000 and band 999 at x = 4 |alpha|^2 = 2500: e^{-x/2} and sqrt(x^k/k!) lie far
+        # outside the double range, so they enter only as logs; d/4 < |alpha|^2 warns
+        with pytest.warns(CutoffWarning):
+            state = coherent_state(25.0, 1000)
+        with np.errstate(over="raise"):
+            w = wigner(state, [25.0])
+        assert w[0] == pytest.approx(2.0 / math.pi, abs=1e-9)
+
+    @given(st.integers(1, 12), st.data(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_padding_gives_bit_identical_map(self, support, data, extra, seed):
+        band = data.draw(st.integers(0, support - 1), label="band")
+        state = banded_density(np.random.default_rng(seed), support, band)
+        _, _, pts = wigner_grid(3.0, 15)
+        np.testing.assert_array_equal(wigner(padded(state, support + extra), pts), wigner(state, pts))
 
 
 def laguerre_wigner(p, pts):
@@ -332,11 +376,8 @@ def laguerre_wigner(p, pts):
 
 
 def cli_wigner_map(state, extent):
-    """measurement.wigner on the wigner command's 41 x 41 grid and cutoff."""
+    """measurement.wigner on the wigner command's 41 x 41 grid."""
     _, _, pts = wigner_grid(extent, 41)
-    need = _wigner_cutoff(extent, state.dims[0])
-    if need > state.dims[0]:
-        state = with_cutoff(state, need)
     return wigner(state, pts), pts
 
 
@@ -349,71 +390,30 @@ def paper_off_field():
 
 
 class TestWignerAgainstLaguerre:
-    # tolerances: at 2.5 the worst 8-level Fock state, |7>, is off by 7.7e-6; at 3.0 by 1.2e-10;
-    # at 1.0-2.0 the cutoff 6 * 8 = 48 leaves it within 2.9e-9
-    @pytest.mark.parametrize(
-        "extent, d, tol",
-        [(2.5, 52, 1e-5), (3.0, 74, 1e-9), (1.0, 48, 1e-8), (1.5, 48, 1e-8), (2.0, 48, 1e-8)],
-    )
+    @pytest.mark.parametrize("extent", [2.5, 3.0, 1.0, 1.5, 2.0])
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
-    def test_random_diagonal_state(self, extent, d, tol, seed):
+    def test_random_diagonal_state(self, extent, seed):
         p = np.random.default_rng(seed).random(8)
         p /= p.sum()
         w, pts = cli_wigner_map(QuantumState((8,), np.diag(p)), extent)
-        assert _wigner_cutoff(extent, 8) == d
-        np.testing.assert_allclose(w, laguerre_wigner(p, pts), rtol=0, atol=tol)
+        np.testing.assert_allclose(w, laguerre_wigner(p, pts), rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize(
-        "extent, tol", [(2.5, 1e-11), (3.0, 1e-13), (1.0, 1e-8), (1.5, 1e-8), (2.0, 1e-8)]
-    )
-    def test_paper_point_off_field(self, paper_off_field, extent, tol):
+    @pytest.mark.parametrize("extent", [2.5, 3.0, 1.0, 1.5, 2.0])
+    def test_paper_point_off_field(self, paper_off_field, extent):
         rho = paper_off_field.rho
         np.testing.assert_array_equal(rho, np.diag(np.diag(rho)))
         w, pts = cli_wigner_map(paper_off_field, extent)
-        np.testing.assert_allclose(w, laguerre_wigner(np.real(np.diag(rho)), pts), rtol=0, atol=tol)
-
-
-def banded_density(rng, s: int, b: int) -> QuantumState:
-    """An s-level density matrix whose nonzero rho[n, m] have |m - n| <= b, b reached.
-
-    A random lower factor with its entries at n - m > b or m > n zeroed gives
-    rho = a a^dag, positive by construction and of band exactly b.
-    """
-    a = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
-    n, m = np.indices((s, s))
-    a[(n - m > b) | (m > n)] = 0.0
-    rho = a @ a.conj().T
-    return QuantumState((s,), rho / np.trace(rho).real)
-
-
-def images(x: float, y: float) -> list[complex]:
-    """The 8 sign/swap images of x + iy, all of one radius."""
-    return [s * complex(u, t * v) for u, v in ((x, y), (y, x)) for s in (1, -1) for t in (1, -1)]
+        np.testing.assert_allclose(w, laguerre_wigner(np.real(np.diag(rho)), pts), rtol=0, atol=1e-13)
 
 
 class TestBandedWigner:
-    @given(st.integers(1, 20), st.data(), st.integers(0, 60), st.booleans(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=120, deadline=None)
-    def test_matches_per_point_loop(self, support, data, extra, embed, seed):
-        band = data.draw(st.integers(0, support - 1), label="band")
-        rng = np.random.default_rng(seed)
-        state = banded_density(rng, support, band)
-        d = support + extra if embed else support
-        if embed:
-            state = with_cutoff(state, d)
-        r_max = math.sqrt(0.99 * d / 4.0)
-        radii = r_max * np.sqrt(rng.random(40))
-        x, y = r_max * rng.random(2) / math.sqrt(2.0)
-        pts = np.concatenate([radii * np.exp(2j * np.pi * rng.random(40)), images(x, y), [0.0, r_max, -1j * r_max]])
-        np.testing.assert_allclose(wigner(state, pts), loop_wigner(state, pts), rtol=0, atol=1e-12)
-
     @given(st.integers(1, 20), st.integers(0, 60), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_fock_diagonal_images_bit_equal(self, support, extra, seed):
         rng = np.random.default_rng(seed)
         p = rng.random(support)
-        state = with_cutoff(QuantumState((support,), np.diag(p / p.sum())), support + extra)
+        state = padded(QuantumState((support,), np.diag(p / p.sum())), support + extra)
         x, y = math.sqrt(0.99 * state.dims[0] / 4.0) * rng.random(2) / math.sqrt(2.0)
         w = wigner(state, images(x, y))
         assert np.all(w == w[0])
@@ -424,14 +424,6 @@ class TestBandedWigner:
         w = w.reshape(41, 41)
         np.testing.assert_array_equal(w, w[::-1, :])
         np.testing.assert_array_equal(w, w[:, ::-1])
-
-    @pytest.mark.parametrize("band", [0, 2])
-    def test_chunks_split_radii(self, monkeypatch, band):
-        _, _, pts = wigner_grid(2.0, 21)
-        assert np.unique(np.abs(pts)).size > 7
-        monkeypatch.setattr(measurement, "_WIGNER_CHUNK", 7)
-        state = with_cutoff(banded_density(np.random.default_rng(5), 6, band), 40)
-        np.testing.assert_allclose(wigner(state, pts), loop_wigner(state, pts), rtol=0, atol=1e-12)
 
 
 class TestWignerGrid:
@@ -446,7 +438,7 @@ class TestWignerGrid:
         np.testing.assert_array_equal(xs, -xs[::-1])
         np.testing.assert_array_equal(ps, xs)
         p = np.random.default_rng(seed).random(8)
-        state = with_cutoff(QuantumState((8,), np.diag(p / p.sum())), _wigner_cutoff(extent, 8))
+        state = QuantumState((8,), np.diag(p / p.sum()))
         w = wigner(state, pts).reshape(points, points)
         np.testing.assert_array_equal(w, w[::-1, :])
         np.testing.assert_array_equal(w, w[:, ::-1])
