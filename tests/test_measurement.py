@@ -322,18 +322,23 @@ class TestWigner:
         assert w1[0] == pytest.approx(w2[0], abs=1e-12)
 
 
+def loop_test_points(rng, extent: float) -> np.ndarray:
+    """Random points in the square of half-width extent, the 8 images of one point and the axes."""
+    square = extent * (2.0 * rng.random((2, 24)) - 1.0)
+    x, y = extent * rng.random(2)
+    # sign flips and the x <-> y swap repeat the radius exactly; the corner is the largest |alpha|
+    axes = [0.0, extent, -1j * extent, extent * (1 + 1j)]
+    return np.concatenate([square[0] + 1j * square[1], images(x, y), axes])
+
+
 class TestWignerAgainstLoop:
-    @given(st.integers(1, 40), st.data(), st.floats(0.5, 6.0), st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_per_point_loop(self, support, data, extent, seed):
-        band = data.draw(st.integers(0, support - 1), label="band")
+    @given(st.integers(1, 40), st.floats(0.5, 6.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_point_loop(self, support, extent, seed):
+        # full density: every coherence rho[n, m] may be nonzero
         rng = np.random.default_rng(seed)
-        state = banded_density(rng, support, band)
-        square = extent * (2.0 * rng.random((2, 24)) - 1.0)
-        x, y = extent * rng.random(2)
-        # sign flips and the x <-> y swap repeat the radius exactly; the corner is the largest |alpha|
-        axes = [0.0, extent, -1j * extent, extent * (1 + 1j)]
-        pts = np.concatenate([square[0] + 1j * square[1], images(x, y), axes])
+        state = banded_density(rng, support, support - 1)
+        pts = loop_test_points(rng, extent)
         np.testing.assert_allclose(wigner(state, pts), loop_wigner(state, pts), rtol=0, atol=1e-13)
 
     def test_empty_grid(self):
@@ -408,6 +413,16 @@ class TestWignerAgainstLaguerre:
 
 
 class TestBandedWigner:
+    @given(st.integers(1, 40), st.data(), st.integers(0, 60), st.floats(0.5, 6.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_point_loop(self, support, data, extra, extent, seed):
+        # band b < support - 1 leaves only b + 1 phase terms; extra zero-padded levels must not matter
+        band = data.draw(st.integers(0, support - 1), label="band")
+        rng = np.random.default_rng(seed)
+        state = padded(banded_density(rng, support, band), support + extra)
+        pts = loop_test_points(rng, extent)
+        np.testing.assert_allclose(wigner(state, pts), loop_wigner(state, pts), rtol=0, atol=1e-13)
+
     @given(st.integers(1, 20), st.integers(0, 60), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_fock_diagonal_images_bit_equal(self, support, extra, seed):
