@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import hashlib
 import itertools
 import json
@@ -380,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-min", type=float, default=None)
     p.add_argument("--f-max", type=float, default=None)
     p.add_argument("--points", type=int, default=1201)
-    p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("switch", help="Monte Carlo single-shot switch statistics")
     p.add_argument("--device", required=True)
@@ -389,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bins", type=int, default=60)
-    p.set_defaults(func=cmd_switch)
 
     p = sub.add_parser("gain-sweep", help="semiclassical gain/extinction sweep")
     p.add_argument("--device", required=True)
@@ -399,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=60)
     p.add_argument("--eta", type=float, default=0.80)
     p.add_argument("--p-s", type=float, default=0.925)
-    p.set_defaults(func=cmd_gain_sweep)
 
     p = sub.add_parser("wigner", help="conditional gate-field Wigner map")
     p.add_argument("--device", required=True)
@@ -410,21 +408,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=41)
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_wigner)
 
     p = sub.add_parser("calibrate", help="four-intensity calibration and figures of merit")
     p.add_argument("--inputs", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_calibrate)
 
     return parser
 
 
+#: the parser, built on the first ``main`` call of the process and reused by every later one
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so that a wrapper patched in over a cmd_* function is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -73,14 +73,18 @@ def _steady_states(m: SaturableCavityModel, f, level: str, rhs):
     With u = n/n_crit, a = (k/2)^2 and d = f - f_bare, the flux balance times
     (1+u)^2 is the dispersive-bistability cubic (Drummond & Walls, J. Phys. A
     13, 725 (1980)) G(u) = n_crit*u*[a(1+u)^2 + (d*u + d - pull)^2] - rhs*(1+u)^2.
-    For rhs > 0, G < 0 on u <= 0 and the leading coefficient is positive, so
-    there are one or three real roots, all positive.  They are the eigenvalues
-    of stacked companion matrices.  At a root G' = (1+u)^2 * n_crit * (flux
-    balance)', so a root is stable where G' > 0.
+    For rhs > 0 the leading coefficient is positive and G(0) = -rhs < 0, so
+    there are one or three positive roots.  They are the eigenvalues of stacked
+    companion matrices.  The multiplication by (1+u)^2 can add negative ones:
+    with a zero pull G = (1+u)^2 * (n_crit*u*(a + d^2) - rhs), and u = -1 comes
+    back as a double root, which LAPACK may split into two nearby reals.  Only
+    the non-negative real eigenvalues are populations.  At a root G' = (1+u)^2 *
+    n_crit * (flux balance)', so a root is stable where G' > 0.
 
     Returns ``(n, stable)`` of shape broadcast(f, rhs) + (3,): ascending roots,
-    NaN in the slots of complex ones.  At zero drive the companion matrix has a
-    zero column, which LAPACK's balancing isolates as the exact root n = 0.
+    NaN in the slots of complex and negative ones.  At zero drive the companion
+    matrix has a zero column, which LAPACK's balancing isolates as the exact
+    root n = 0.
     """
     n_c = m.n_crit(level)
     a = (m.base.kappa_tot / 2.0) ** 2
@@ -96,7 +100,8 @@ def _steady_states(m: SaturableCavityModel, f, level: str, rhs):
     companion[..., 1, 0] = companion[..., 2, 1] = 1.0
     lam = np.linalg.eigvals(companion)
     # LAPACK returns the real eigenvalues of a real matrix with zero imaginary part
-    u = np.sort(np.where(lam.imag == 0.0, lam.real, np.nan), axis=-1)  # NaN slots last
+    populations = (lam.imag == 0.0) & (lam.real >= 0.0)
+    u = np.sort(np.where(populations, lam.real, np.nan), axis=-1)  # NaN slots last
     n = n_c * u
     stable = (3.0 * u + 2.0 * b2[..., None]) * u + b1[..., None] > 0.0
     return n, stable

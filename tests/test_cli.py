@@ -68,6 +68,13 @@ def protocol_file(tmp_path):
     return path
 
 
+def package_env() -> dict:
+    """The environment of a fresh interpreter that imports this tree's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def read_csv(path):
     lines = Path(path).read_text().splitlines()
     assert lines[0].startswith("# manifest_hash=")
@@ -493,6 +500,19 @@ class TestGainSweep:
         assert f"{flag} must be" in capsys.readouterr().err
         assert not (out / "gain_sweep.csv").exists()
 
+    def test_zero_bare_offset_device_sweeps(self, tmp_path, capsys):
+        # the g pull is then 0, and the mean-field cubic has the double root n = -n_crit, never a population
+        data = json.loads((CONFIGS / "device_paper.json").read_text())
+        data["semiclassical"]["bare_offset_mhz"] = 0.0
+        device = tmp_path / "device.json"
+        device.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["gain-sweep", "--device", str(device), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, _, rows = read_csv(out / "gain_sweep.csv")
+        assert len(rows) == 120
+        assert all(math.isfinite(float(r[2])) and math.isfinite(float(r[3])) for r in rows)
+
 
 class TestWigner:
     def test_grid_and_values(self, tmp_path, device_file, protocol_file):
@@ -857,8 +877,78 @@ for argv in runs:
     assert main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], env=package_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+class TestParserReuse:
+    """``main`` builds its parser on its first call and reuses it for every later call."""
+
+    def test_import_builds_no_parser_and_only_the_first_call_does(self, tmp_path):
+        script = f"""
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+import photon_transistor.cli as cli
+counts = [len(built)]
+for _ in range(2):
+    assert cli.main(["gain-sweep", "--device", {str(CONFIGS / "device_paper.json")!r}, "--points", "3",
+                     "--out", {str(tmp_path)!r}]) == 0
+    counts.append(len(built))
+print(counts)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], env=package_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # the program's parser and its five subparsers, once
+        assert proc.stdout.splitlines()[-1] == "[0, 6, 6]"
+
+    def test_shots_flag_does_not_carry_over(self, tmp_path, device_file, protocol_file):
+        runs = {}
+        for name, flags in (("flag", ["--shots", "100"]), ("file", [])):
+            out = tmp_path / name
+            assert main(["switch", "--device", str(device_file), "--protocol", str(protocol_file),
+                         "--out", str(out), *flags]) == 0
+            report = json.loads((out / "switch_report.json").read_text())
+            runs[name] = report["manifest"]["protocol"]["n_shots"], sum(report["gated"]["counts"].values())
+        assert runs == {"flag": (100, 100), "file": (800, 800)}
+
+    def test_points_flag_does_not_carry_over(self, tmp_path, device_file):
+        sizes = []
+        for name, flags in (("flag", ["--points", "5"]), ("default", [])):
+            out = tmp_path / name
+            assert main(["gain-sweep", "--device", str(device_file), "--out", str(out), *flags]) == 0
+            _, _, rows = read_csv(out / "gain_sweep.csv")
+            sizes.append(sum(r[1] == "ge" for r in rows))
+        assert sizes == [5, 60]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gain-sweep", "--points", "many"],
+            ["spectra", "--cavity", "III", "--device", "d", "--out", "o"],
+            ["sweep"],
+            [],
+        ],
+    )
+    def test_usage_error_leaves_the_next_call_working(self, tmp_path, device_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: photon-transistor" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["gain-sweep", "--device", str(device_file), "--out", str(out), "--points", "4"]) == 0
+        _, _, rows = read_csv(out / "gain_sweep.csv")
+        assert len(rows) == 8
+
+    def test_in_process_runs_match_the_console_script(self, tmp_path):
+        argv = ["gain-sweep", "--device", str(CONFIGS / "device_paper.json")]
+        for run in ("a", "b"):
+            assert main([*argv, "--out", str(tmp_path / run)]) == 0
+        proc = subprocess.run([sys.executable, "-m", "photon_transistor.cli", *argv, "--out", str(tmp_path / "script")],
+                              env=package_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        expected = (tmp_path / "script" / "gain_sweep.csv").read_bytes()
+        assert (tmp_path / "a" / "gain_sweep.csv").read_bytes() == expected
+        assert (tmp_path / "b" / "gain_sweep.csv").read_bytes() == expected

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photon_transistor.errors import CutoffError, CutoffWarning, StateInvariantError
 from photon_transistor.hilbert import (
+    TRACE_TOL,
     QuantumState,
     coherent_state,
     fock_state,
@@ -55,15 +57,29 @@ class TestCoherentState:
 
     def test_cutoff_adequacy_warning(self):
         with pytest.warns(CutoffWarning):
-            coherent_state(2.0, 8)  # |alpha|^2 = 4 > 8/4
+            coherent_state(2.0, 8)  # drops Poisson weight 0.051 beyond n = 7
+
+    def test_no_warning_where_the_dropped_weight_is_negligible(self):
+        # |alpha|^2 = 625 lies far above d/4 = 250, yet the weight beyond n = 999 is 1.8e-43
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CutoffWarning)
+            coherent_state(25.0, 1000)
 
     @given(st.floats(0.05, 0.5))
+    @example(0.28).via("the dropped weight is 7.3e-10")
+    @example(0.30).via("the dropped weight is 1.25e-9")
     @settings(max_examples=25, deadline=None)
     def test_mean_matches_nbar_within_truncation(self, nbar):
         d = 8
-        s = coherent_state(math.sqrt(nbar), d)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", CutoffWarning)
+            s = coherent_state(math.sqrt(nbar), d)
         bound = math.exp(-d) * d**d / math.factorial(d) + 1e-9
         assert abs(mean_photon(s, 0) - nbar) < bound
+        # it warns exactly where the Poisson weight beyond n = d - 1 exceeds TRACE_TOL, from n_bar ~ 0.29 on
+        dropped = 1.0 - math.fsum(poisson_weight(nbar, k) for k in range(d))
+        if abs(dropped - TRACE_TOL) > 1e-12:
+            assert any(w.category is CutoffWarning for w in caught) == (dropped > TRACE_TOL)
 
 
 def product(a: QuantumState, b: QuantumState) -> QuantumState:
@@ -73,6 +89,8 @@ def product(a: QuantumState, b: QuantumState) -> QuantumState:
 class TestTensorAndPartialTrace:
     """``mean_photon`` on states over tensor products: the diagonal summed over the other subsystems."""
 
+    # the d = 6 cutoff drops Poisson weight 6e-9 of this state, which both sides share
+    @pytest.mark.filterwarnings("ignore::photon_transistor.errors.CutoffWarning")
     def test_round_trip_product_state(self):
         a = coherent_state(0.3 + 0.2j, 6)
         b = qutrit_state("e")

@@ -174,9 +174,9 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("level", ["g", "e", "f"])
     def test_zero_drive_any_level_and_frequency(self, level):
-        m = model()
-        for f in (m.f_bare, shifted_frequency(CAVITY_II, level), 8990.0, 9010.0):
-            assert roots(m, f, level, 0.0) == [(0.0, True)]
+        for m in (model(), model(bare_offset=0.0)):
+            for f in (m.f_bare, shifted_frequency(CAVITY_II, level), 8990.0, 9010.0):
+                assert roots(m, f, level, 0.0) == [(0.0, True)]
 
 
 @st.composite
@@ -240,6 +240,43 @@ class TestAgainstScan:
         grid = np.geomspace(1.0, 1e7, 12)
         got = gain_sweep(m, 0.75, 0.9, grid, subspace)
         ref = scan_gain_sweep(m, 0.75, 0.9, grid, subspace)
+        assert [p.regime for p in got] == [p.regime for p in ref]
+        np.testing.assert_allclose([p.gain_db for p in got], [p.gain_db for p in ref], rtol=0, atol=1e-8)
+        np.testing.assert_allclose(
+            [p.extinction_db for p in got], [p.extinction_db for p in ref], rtol=0, atol=1e-8
+        )
+
+
+class TestZeroPull:
+    """With no bare offset the g pull is 0, and the cubic carries the double root u = -1."""
+
+    @pytest.mark.parametrize("level", ["g", "e", "f"])
+    def test_roots_match_scan(self, level):
+        m = model(bare_offset=0.0)
+        scale = (m.base.kappa_tot / 2.0) ** 2
+        for f in (m.f_bare - 0.5, m.f_bare, m.f_bare + 0.3, *(shifted_frequency(m.base, x) for x in "ef")):
+            for rhs in (1e-3, 3.25, 1e3, 1e6, 1e9):
+                got = roots(m, f, level, rhs)
+                ref = scan_steady_state_photons(m, f, level, rhs)
+                assert [r.stable for r in got] == [r.stable for r in ref]
+                for r, q in zip(got, ref):
+                    assert abs(r.n - q.n) <= 1e-8 * q.n + 1e-11 * rhs / scale
+
+    def test_no_negative_root(self):
+        m = model(bare_offset=0.0)
+        f = np.linspace(m.f_bare - 3.0, m.f_bare + 3.0, 61)
+        rhs = np.geomspace(1e-3, 1e9, 25)[:, None]
+        n, _ = _steady_states(m, f, "g", rhs)
+        assert not np.any(n < 0.0)
+        # one root per point, the unsaturated closed form: a zero pull makes the g response linear
+        assert np.all(np.isnan(n[..., 1:]))
+        np.testing.assert_allclose(n[..., 0], linear_root(m, f, "g", rhs), rtol=1e-9)
+
+    def test_gain_sweep_matches_scan(self):
+        m = model(bare_offset=0.0)
+        grid = np.geomspace(3.0, 1e8, 12)
+        got = gain_sweep(m, 0.80, 0.925, grid, "ge")
+        ref = scan_gain_sweep(m, 0.80, 0.925, grid, "ge")
         assert [p.regime for p in got] == [p.regime for p in ref]
         np.testing.assert_allclose([p.gain_db for p in got], [p.gain_db for p in ref], rtol=0, atol=1e-8)
         np.testing.assert_allclose(
