@@ -20,7 +20,10 @@ from .errors import UnphysicalInputError, UnsolvableCalibrationError
 
 @dataclass(frozen=True)
 class CalibrationInputs:
-    """Mean transmitted intensities (photons) for the four switch settings."""
+    """Mean transmitted intensities (photons) for the four switch settings, and beta: the
+    gate-induced change of P_g, gated minus ungated (+beta open, -beta closed), not the total
+    flip probability.  Intensities synthesized with beta = 0.1149 give P_g_open = 0.925 back;
+    with the total coherent_flip_probability(0.18, 0.80, 0.04) = 0.1549 it is 1.073, unphysical."""
 
     n0_open: float
     na_open: float

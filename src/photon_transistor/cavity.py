@@ -124,18 +124,17 @@ def transmission_coeff(c: CavityParams, f, qubit_level: str):
     return complex(t) if np.isscalar(f) else t
 
 
-def spectrum(c: CavityParams, f_grid, qubit_level: str, mode: str) -> np.ndarray:
-    """Complex amplitudes over a sorted frequency grid, one per grid point."""
+def spectrum(c: CavityParams, f_grid, qubit_level: str) -> np.ndarray:
+    """Complex amplitudes over a sorted frequency grid, one per grid point: the
+    reflection of a single-sided cavity, the transmission of a two-sided one."""
     grid = np.asarray(f_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("frequency grid is empty")
     if np.any(np.diff(grid) < 0):
         raise ValueError("frequency grid must be sorted ascending")
-    if mode == "reflect":
+    if c.single_sided:
         return reflection_coeff(c, grid, qubit_level)
-    if mode == "transmit":
-        return transmission_coeff(c, grid, qubit_level)
-    raise ValueError(f"unknown spectrum mode {mode!r}")
+    return transmission_coeff(c, grid, qubit_level)
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +238,18 @@ def pulse_survival(c: CavityParams, p: PulseShape) -> float:
     return 1.0 - loss * (a_g.real + a_e.real) / 2.0
 
 
-def internal_loss_for_efficiency(
-    c: CavityParams, p: PulseShape, eta_target: float, kappa_max: float | None = None
-) -> float:
+def internal_loss_for_efficiency(c: CavityParams, p: PulseShape, eta_target: float) -> float:
     """Root-find the internal loss rate at which gating_efficiency hits a target.
 
-    One moment rule serves the whole bracket [0, kappa_max], so each brentq
+    One moment rule serves the whole bracket [0, 2 kappa_ext], so each brentq
     step costs one exponential and one mat-vec.  The root need not be unique:
     for gaussians under about 200 ns eta(kappa_int) dips and rises again inside
     the bracket, so brentq may return another loss than the one that produced
-    the target.  Targets outside [eta(kappa_max), eta(0)] raise NumericsError.
+    the target.  Targets outside [eta(2 kappa_ext), eta(0)] raise NumericsError.
     """
     from scipy.optimize import brentq  # imported on use: scipy adds ~0.5 s to every start-up
 
-    lo = 0.0
-    hi = kappa_max if kappa_max is not None else 2.0 * c.kappa_ext_in
+    lo, hi = 0.0, 2.0 * c.kappa_ext_in
     rule = _moment_rule(c, p, replace(c, kappa_int=lo).kappa_tot, replace(c, kappa_int=hi).kappa_tot)
 
     def eta_of(k):
@@ -266,5 +262,5 @@ def internal_loss_for_efficiency(
             "no internal-loss solution"
         )
     if eta_of(hi) > eta_target:
-        raise NumericsError(f"eta({hi}) still above target {eta_target}; widen kappa_max")
+        raise NumericsError(f"eta({hi}) still above target {eta_target} at the bracket end 2 kappa_ext")
     return float(brentq(lambda k: eta_of(k) - eta_target, lo, hi, xtol=1e-12))

@@ -1,8 +1,8 @@
 """Command-line front end: run experiments from config files, emit plot-ready data.
 
-Every command writes CSV/JSON artifacts stamped with a manifest hash of the command, the
-device-file digest, the effective settings, the seed and the package and numpy versions.
-Equal hashes give equal bytes (JSON timestamps and output paths aside); across versions
+Every command writes CSV/JSON artifacts stamped with a manifest hash of the command, every
+flag but ``--out`` (an input file by its content) and the package and numpy versions.
+Equal hashes give equal bytes (JSON timestamps and file paths aside); across versions
 CSV values agree at their printed precision, bar values within an ulp of a rounding
 boundary.  The writer owns that precision: ``%.12g``, and ``%.11f`` for the Wigner W.
 
@@ -60,6 +60,8 @@ _PROTOCOL_KEYS = {
 class RunManifest:
     command: str
     device_sha256: str
+    #: the settings: every flag but ``--out`` and the input files, with the effective
+    #: ProtocolConfig laid over them for ``switch`` and ``wigner``; None if there are none
     protocol: dict | None
     seed: int | None
     timestamp: str
@@ -88,18 +90,22 @@ class RunManifest:
         return out
 
 
-def _artifacts(out: str, command: str, source: str, names: list[str], settings: dict | None = None,
-               seed: int | None = None) -> tuple[list[Path], RunManifest]:
-    """Make the ``--out`` directory; return the paths of the named outputs in it and
-    the manifest stamping them, which carries the digest of the input file ``source``."""
-    out_dir = Path(out)
+def _artifacts(args, names: list[str], cfg: protocol.ProtocolConfig | None = None) -> tuple[list[Path], RunManifest]:
+    """Make the ``--out`` directory; return the paths of the named outputs in it and the
+    manifest stamping them, which covers every parsed flag but ``--out``.  Input files enter
+    by content: ``--device`` and ``--inputs`` by their SHA-256, ``--protocol`` by ``cfg``,
+    the effective configuration, which is laid over the other flags."""
+    settings = {k: v for k, v in vars(args).items() if k not in ("command", "out", "device", "inputs", "protocol")}
+    if cfg is not None:
+        settings |= dataclasses.asdict(cfg)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / name for name in names]
     manifest = RunManifest(
-        command=command,
-        device_sha256=hashlib.sha256(Path(source).read_bytes()).hexdigest(),
-        protocol=settings,
-        seed=seed,
+        command=args.command,
+        device_sha256=hashlib.sha256(Path(getattr(args, "device", None) or args.inputs).read_bytes()).hexdigest(),
+        protocol=settings or None,
+        seed=None if cfg is None else cfg.seed,
         timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         outputs=tuple(str(p) for p in paths),
     )
@@ -174,12 +180,10 @@ def cmd_spectra(args) -> int:
         raise ValueError(f"--f-max must be >= --f-min, got {hi:g} < {lo:g} MHz")
     grid = np.linspace(lo, hi, args.points)
 
-    (out_path,), manifest = _artifacts(args.out, f"spectra --cavity {args.cavity}", args.device,
-                                       [f"spectra_cavity_{args.cavity}.csv"],
-                                       settings={"f_min": lo, "f_max": hi, "points": args.points})
+    (out_path,), manifest = _artifacts(args, [f"spectra_cavity_{args.cavity}.csv"])
     lines = []
     for level in ("g", "e", "f"):
-        amps = spectrum(cav, grid, level, mode)
+        amps = spectrum(cav, grid, level)
         lines += _blocks(f"%.12g,{level},{mode},%.12g,%.12g\r\n",
                          grid.tolist(), np.abs(amps).tolist(), np.angle(amps).tolist())
     _write_csv(out_path, manifest, ["frequency_mhz", "level", "mode", "amplitude", "phase_rad"], lines)
@@ -230,10 +234,8 @@ def cmd_switch(args) -> int:
         except InsufficientDataError:
             cond[f"mean_photon_{label}"] = None
 
-    (report_path, shots_path, hist_path), manifest = _artifacts(
-        args.out, "switch", args.device, ["switch_report.json", "shots.csv", "histogram.csv"],
-        settings=dataclasses.asdict(cfg), seed=cfg.seed,
-    )
+    names = ["switch_report.json", "shots.csv", "histogram.csv"]
+    (report_path, shots_path, hist_path), manifest = _artifacts(args, names, cfg)
     runs = (("gated", gated), ("ungated", ungated))
     header = ["run", "shot", "gate_flip", "level_at_signal_start", "jump_time_us", "true_photons", "reading", "label"]
     _write_csv(shots_path, manifest, header,
@@ -278,8 +280,7 @@ def cmd_gain_sweep(args) -> int:
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{flag} must be finite and in [0, 1], got {value}")
     grid = np.geomspace(args.n_min, args.n_max, args.points)
-    settings = {"n_min": args.n_min, "n_max": args.n_max, "points": args.points, "eta": args.eta, "p_s": args.p_s}
-    (out_path,), manifest = _artifacts(args.out, "gain-sweep", args.device, ["gain_sweep.csv"], settings=settings)
+    (out_path,), manifest = _artifacts(args, ["gain_sweep.csv"])
     # a SweepPoint's fields in order: n_s, gain_db, extinction_db, regime
     lines = itertools.chain.from_iterable(
         _blocks(f"%.12g,{subspace},%.12g,%.12g,%s\r\n",
@@ -313,9 +314,7 @@ def cmd_wigner(args) -> int:
     xs, ps, pts = measurement.wigner_grid(args.extent, args.points)
     w = measurement.wigner(state, pts).reshape(args.points, args.points)
 
-    (out_path,), manifest = _artifacts(args.out, f"wigner --condition {args.condition}", args.device,
-                                       [f"wigner_{args.condition}.csv"],
-                                       settings=dataclasses.asdict(cfg), seed=cfg.seed)
+    (out_path,), manifest = _artifacts(args, [f"wigner_{args.condition}.csv"], cfg)
     _write_csv(out_path, manifest, ["x", "p", "w"], _wigner_lines(xs, ps, w))
     print(f"wrote {out_path}")
     return 0
@@ -357,7 +356,7 @@ def cmd_calibrate(args) -> int:
         extinction_db=analysis.extinction_db(n0, n1),
         provenance={"inputs_file": str(args.inputs)},
     )
-    (out_path,), manifest = _artifacts(args.out, "calibrate", args.inputs, ["transistor_report.json"])
+    (out_path,), manifest = _artifacts(args, ["transistor_report.json"])
     payload = {"manifest": manifest.to_dict(), "report": report.to_dict()}
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out_path}")

@@ -72,6 +72,15 @@ class TestSolveCalibration:
         assert out.consistency_residual == pytest.approx(0.0, abs=1e-12)
         assert out.is_physical
 
+    def test_beta_is_the_gate_induced_change_not_the_total_flip(self):
+        inputs = synthesize_intensities(0.925, 30.0, 2.0, 0.1149)
+        assert solve_calibration(inputs).P_g_open == pytest.approx(0.925, abs=1e-12)
+        total = coherent_flip_probability(0.18, 0.80, 0.04)
+        assert total == pytest.approx(0.1549, abs=5e-5)
+        with pytest.raises(UnphysicalInputError, match="P_g_open = 1.07"):
+            solve_calibration(CalibrationInputs(inputs.n0_open, inputs.na_open, inputs.n0_close,
+                                                inputs.na_close, total))
+
     def test_thousand_random_tuples(self):
         # physical tuples keep both arms' flipped fractions inside [0, 1]
         rng = np.random.default_rng(4242)

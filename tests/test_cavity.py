@@ -215,27 +215,35 @@ class TestSpectrum:
     def test_matches_pointwise(self):
         c = cavity_two()
         grid = [8998.0, 9000.0, 9002.0]
-        amps = spectrum(c, grid, "e", "transmit")
+        amps = spectrum(c, grid, "e")
         assert amps.shape == (3,)
         for f, amp in zip(grid, amps):
             assert amp == transmission_coeff(c, f, "e")
 
     def test_lossless_reflection_flat_magnitude(self):
         c = cavity_one(kappa_int=0.0)
-        amps = spectrum(c, np.linspace(6990, 7010, 101), "g", "reflect")
+        amps = spectrum(c, np.linspace(6990, 7010, 101), "g")
         np.testing.assert_allclose(np.abs(amps), 1.0, rtol=0, atol=1e-12)
 
     def test_peak_positions_separated_by_full_pull(self):
         c = cavity_two()
         grid = np.linspace(8995.0, 9002.0, 14001)
-        t_g = np.abs(spectrum(c, grid, "g", "transmit"))
-        t_e = np.abs(spectrum(c, grid, "e", "transmit"))
+        t_g = np.abs(spectrum(c, grid, "g"))
+        t_e = np.abs(spectrum(c, grid, "e"))
         spacing = grid[np.argmax(t_g)] - grid[np.argmax(t_e)]
         assert spacing == pytest.approx(1.894, abs=1e-3)
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):
-            spectrum(cavity_two(), [], "g", "transmit")
+            spectrum(cavity_two(), [], "g")
+
+    def test_mode_follows_the_sidedness(self):
+        grid = np.linspace(6995.0, 7005.0, 11)
+        c = cavity_one(kappa_int=0.1)
+        assert spectrum(c, grid, "e").tolist() == reflection_coeff(c, grid, "e").tolist()
+        # an output port without an input port: neither reflects nor transmits
+        with pytest.raises(ValueError, match="two-sided"):
+            spectrum(CavityParams(9000.0, 0.0, 0.13, 0.04, -0.947, -1.759), grid, "g")
 
     @given(
         two_sided=st.booleans(),
@@ -254,11 +262,10 @@ class TestSpectrum:
         # paper cavities, numpy 2.4.6).  So a window of 3603 values expects 0.2 boundary
         # values; at most 7 are allowed.
         c = CavityParams(9000.0, k_ext, k_ext if two_sided else 0.0, k_int, chi, 2.0 * chi)
-        mode = "transmit" if two_sided else "reflect"
         grid = np.linspace(c.f0 + center - half, c.f0 + center + half, 1201)
         moved = 0
         for level in ("g", "e", "f"):
-            amps = spectrum(c, grid, level, mode)
+            amps = spectrum(c, grid, level)
             old = [complex(a) for a in amps]
             assert np.angle(amps).tolist() == [float(np.angle(a)) for a in old]
             moved += boundary_values(np.abs(amps), [abs(a) for a in old], ulps=2)
@@ -307,6 +314,12 @@ class TestGatingEfficiency:
         k_int = internal_loss_for_efficiency(c, GATE_PULSE, 0.80)
         eta = gating_efficiency(replace(c, kappa_int=k_int), GATE_PULSE)
         assert eta == pytest.approx(0.80, abs=1e-9)
+
+    def test_internal_loss_target_below_the_bracket_end(self):
+        c = cavity_one(kappa_ext=1.81, kappa_int=0.0)
+        assert gating_efficiency(replace(c, kappa_int=3.62), GATE_PULSE) > 0.05
+        with pytest.raises(NumericsError, match=r"eta\(3\.62\) still above target 0\.05 at the bracket end"):
+            internal_loss_for_efficiency(c, GATE_PULSE, 0.05)
 
     def test_survival_below_one_with_loss(self):
         c = cavity_one(kappa_ext=1.81, kappa_int=0.16)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -26,6 +27,7 @@ from photon_transistor.cli import (
     _shot_lines,
     _text,
     _wigner_lines,
+    build_parser,
     load_protocol,
     main,
 )
@@ -267,11 +269,11 @@ class TestSpectra:
         grid = np.linspace(6995.0, 7005.0, 201)
         rows = []
         for level in ("g", "e", "f"):
-            amps = spectrum(cav, grid, level, "reflect")
+            amps = spectrum(cav, grid, level)
             rows += [[f"{f:.12g}", level, "reflect", f"{amp:.12g}", f"{phase:.12g}"]
                      for f, amp, phase in zip(grid.tolist(), np.abs(amps).tolist(), np.angle(amps).tolist())]
-        manifest = RunManifest("spectra --cavity I", file_sha256(device_file),
-                               {"f_min": 6995.0, "f_max": 7005.0, "points": 201}, None, "any time", ("any path",))
+        settings = {"cavity": "I", "f_min": 6995.0, "f_max": 7005.0, "points": 201}
+        manifest = RunManifest("spectra", file_sha256(device_file), settings, None, "any time", ("any path",))
         expected = csv_writer_bytes(manifest, ["frequency_mhz", "level", "mode", "amplitude", "phase_rad"], rows)
         assert (out / "spectra_cavity_I.csv").read_bytes() == expected
 
@@ -364,8 +366,8 @@ class TestSwitch:
         for name, run_cfg in (("gated", cfg), ("ungated", dataclasses.replace(cfg, n_g=0.0, seed=cfg.seed + 1))):
             for center, count in zip(*measurement.histogram(run_experiment(run_cfg, dev).reading, 25)):
                 rows.append([name, f"{center:.12g}", count])
-        manifest = RunManifest("switch", file_sha256(device_file), dataclasses.asdict(cfg), 77,
-                               "any time", ("any path",))
+        settings = {"shots": 150, "seed": 77, "bins": 25} | dataclasses.asdict(cfg)
+        manifest = RunManifest("switch", file_sha256(device_file), settings, 77, "any time", ("any path",))
         expected = csv_writer_bytes(manifest, ["run", "bin_center", "count"], rows)
         assert (out / "histogram.csv").read_bytes() == expected
 
@@ -540,8 +542,9 @@ class TestWigner:
         state = conditional_gate_field(shots, "on", cfg, dev)
         xs, ps, pts = measurement.wigner_grid(1.5, 17)
         w = measurement.wigner(state, pts).reshape(17, 17)
-        manifest = RunManifest("wigner --condition on", hashlib.sha256(device_file.read_bytes()).hexdigest(),
-                               dataclasses.asdict(cfg), cfg.seed, "any time", ("any path",))
+        flags = {"condition": "on", "extent": 1.5, "points": 17, "shots": 400, "seed": None}
+        settings = flags | dataclasses.asdict(cfg)
+        manifest = RunManifest("wigner", file_sha256(device_file), settings, cfg.seed, "any time", ("any path",))
         buf = io.StringIO(newline="")
         buf.write(f"# manifest_hash={manifest.hash()}\n")
         writer = csv.writer(buf)
@@ -734,6 +737,77 @@ def test_manifest_hash_covers_numpy_version():
     after = dataclasses.replace(before, numpy="0.0.0+other")
     assert after.to_dict()["numpy"] == "0.0.0+other"
     assert after.hash() != before.hash()
+
+
+#: per command, every flag but --out: its value in a base run (None: not given) and in a second
+#: run that changes it alone; an input file is named by its key in TestManifestCoverage.files
+FLAG_CHANGES = {
+    "spectra": {"--device": ("device", "other_device"), "--cavity": ("I", "II"), "--f-min": (None, "6999"),
+                "--f-max": (None, "7001"), "--points": ("5", "6")},
+    "switch": {"--device": ("device", "other_device"), "--protocol": ("protocol", "other_protocol"),
+               "--shots": ("200", "201"), "--seed": (None, "7"), "--bins": (None, "10")},
+    "gain-sweep": {"--device": ("device", "other_device"), "--n-min": (None, "4"), "--n-max": (None, "1e5"),
+                   "--points": ("5", "6"), "--eta": (None, "0.7"), "--p-s": (None, "0.9")},
+    "wigner": {"--device": ("device", "other_device"), "--protocol": ("protocol", "other_protocol"),
+               "--condition": ("on", "off"), "--extent": (None, "1.0"), "--points": ("5", "7"),
+               "--shots": ("200", "201"), "--seed": (None, "7")},
+    "calibrate": {"--inputs": ("inputs", "other_inputs")},
+}
+
+
+class TestManifestCoverage:
+    """The manifest hash covers every flag but ``--out``, and an input file by its content."""
+
+    @staticmethod
+    def files(tmp_path, device_file, protocol_file) -> dict[str, Path]:
+        """Each input file, a byte copy of it at another path and a copy with one value edited."""
+        texts = {"device": device_file.read_text(), "protocol": protocol_file.read_text(),
+                 "inputs": (CONFIGS / "calibration_example.json").read_text()}
+        edits = {"device": ("detection", "baseline_sigma", 1.1), "protocol": (None, "n_g", 0.2),
+                 "inputs": (None, "p_s", 0.9)}
+        out = {}
+        for name, text in texts.items():
+            section, key, value = edits[name]
+            data = json.loads(text)
+            (data[section] if section else data)[key] = value
+            for prefix, content in (("", text), ("copy_", text), ("other_", json.dumps(data))):
+                out[prefix + name] = tmp_path / f"{prefix}{name}.json"
+                out[prefix + name].write_text(content)
+        return out
+
+    @staticmethod
+    def manifest_hash(out: Path) -> str:
+        """The one manifest hash stamped on every output of a run."""
+        hashes = {json.loads(path.read_text())["manifest"]["manifest_hash"] for path in out.glob("*.json")}
+        hashes |= {path.read_text().splitlines()[0].removeprefix("# manifest_hash=") for path in out.glob("*.csv")}
+        assert len(hashes) == 1, hashes
+        return hashes.pop()
+
+    @pytest.mark.parametrize("command", sorted(FLAG_CHANGES))
+    def test_every_flag_but_out_changes_the_hash(self, tmp_path, device_file, protocol_file, command):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(FLAG_CHANGES) == set(subparsers.choices)
+        parser_flags = {a.option_strings[0] for a in subparsers.choices[command]._actions if a.dest != "help"}
+        changes = FLAG_CHANGES[command]
+        assert set(changes) | {"--out"} == parser_flags
+        files = self.files(tmp_path, device_file, protocol_file)
+
+        def run(name: str, flag: str | None = None, value: str | None = None) -> str:
+            values = {f: value if f == flag else base for f, (base, _) in changes.items()}
+            argv = [command, "--out", str(tmp_path / name)]
+            for f, v in values.items():
+                argv += [f, str(files.get(v, v))] if v is not None else []
+            assert main(argv) == 0
+            return self.manifest_hash(tmp_path / name)
+
+        base = run("base")
+        assert run("base_again") == base  # the output directory alone
+        unchanged = [flag for flag, (_, changed) in changes.items() if run(flag.lstrip("-"), flag, changed) == base]
+        assert unchanged == []
+        # an input file enters by its bytes, not by its path
+        for flag, (name, _) in changes.items():
+            if name in files:
+                assert run("copy_" + name, flag, "copy_" + name) == base
 
 
 def test_load_protocol_accepts_every_field_and_rejects_unknown(tmp_path):
