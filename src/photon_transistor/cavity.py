@@ -183,6 +183,18 @@ def _moment_rule(c: CavityParams, p: PulseShape, kappa_lo: float, kappa_hi: floa
     return tau, weights * corr, 2.0 * math.pi / corr0, d
 
 
+def _phase_kernel(rule):
+    """The kappa-free half of the moments on ``rule``: the nodes tau and the 2 x N kernel
+    K_l(tau) = (2 pi / C(0)) * weights * C(tau) * exp(2 pi i d_l tau).
+
+    The decay factorises, exp(-2 pi (kappa/2 - i d_l) tau) = exp(-pi kappa tau) exp(2 pi i d_l tau),
+    so its complex half is built here once and every linewidth in the rule's range
+    costs one real exponential of the tau nodes and one mat-vec.
+    """
+    tau, weighted_corr, scale, d = rule
+    return tau, scale * np.exp(2j * math.pi * d[:, None] * tau) * weighted_corr
+
+
 def _pulse_moments(c: CavityParams, p: PulseShape, rule=None) -> tuple[complex, complex]:
     """<A_g> and <A_e> over the pulse's intensity spectrum, normalised to its full power.
 
@@ -192,10 +204,15 @@ def _pulse_moments(c: CavityParams, p: PulseShape, rule=None) -> tuple[complex, 
 
     where C(tau) = T - tau for a square pulse and
     exp(-tau^2/4 sigma^2) * erf((T - tau)/(2 sigma)) for the truncated gaussian
-    (up to a constant).  The sum runs over ``rule`` (see :func:`_moment_rule`),
-    by default the rule of this cavity's own linewidth.
+    (up to a constant).  The sum runs over the rule of this cavity's own
+    linewidth (see :func:`_moment_rule`); a ``rule`` given as a
+    :func:`_phase_kernel` pair (tau, kernel) is summed as kernel @ exp(-pi kappa tau).
     """
-    tau, weighted_corr, scale, d = rule if rule is not None else _moment_rule(c, p, c.kappa_tot, c.kappa_tot)
+    if rule is not None:
+        tau, kernel = rule
+        a_g, a_e = kernel @ np.exp(-math.pi * c.kappa_tot * tau)
+        return complex(a_g), complex(a_e)
+    tau, weighted_corr, scale, d = _moment_rule(c, p, c.kappa_tot, c.kappa_tot)
     decay = 2.0 * math.pi * (c.kappa_tot / 2.0 - 1j * d)
     a_g, a_e = scale * (np.exp(-decay[:, None] * tau) @ weighted_corr)
     return complex(a_g), complex(a_e)
@@ -211,7 +228,8 @@ def gating_efficiency(c: CavityParams, p: PulseShape, *, rule=None) -> float:
         <r_g conj(r_e)> = 1 - k_ext S + k_ext^2 S / (k_tot - i (f_e - f_g)).
 
     Approaches 1 for a narrowband pulse on a lossless cavity with
-    kappa_ext = 2|chi|.  Only the internal-loss root-find passes a shared ``rule``.
+    kappa_ext = 2|chi|.  Only the internal-loss root-find passes a ``rule``: the
+    (tau, kernel) pair of :func:`_phase_kernel`, built once for its whole bracket.
     """
     if not c.single_sided:
         raise ValueError("gating_efficiency requires a single-sided cavity")
@@ -241,19 +259,23 @@ def pulse_survival(c: CavityParams, p: PulseShape) -> float:
 def internal_loss_for_efficiency(c: CavityParams, p: PulseShape, eta_target: float) -> float:
     """Root-find the internal loss rate at which gating_efficiency hits a target.
 
-    One moment rule serves the whole bracket [0, 2 kappa_ext], so each brentq
-    step costs one exponential and one mat-vec.  The root need not be unique:
-    for gaussians under about 200 ns eta(kappa_int) dips and rises again inside
-    the bracket, so brentq may return another loss than the one that produced
-    the target.  Targets outside [eta(2 kappa_ext), eta(0)] raise NumericsError.
+    One moment rule and its kappa-free phase kernel serve the whole bracket
+    [0, 2 kappa_ext], so each brentq step costs one real exponential of the tau
+    nodes and one mat-vec.  The root need not be unique: for gaussians under
+    about 200 ns eta(kappa_int) dips and rises again inside the bracket, so
+    brentq may return another loss than the one that produced the target.
+    A target that is not a finite number is a ValueError; targets outside
+    [eta(2 kappa_ext), eta(0)] raise NumericsError.
     """
+    number("eta_target", eta_target)
     from scipy.optimize import brentq  # imported on use: scipy adds ~0.5 s to every start-up
 
     lo, hi = 0.0, 2.0 * c.kappa_ext_in
     rule = _moment_rule(c, p, replace(c, kappa_int=lo).kappa_tot, replace(c, kappa_int=hi).kappa_tot)
+    kernel = _phase_kernel(rule)
 
     def eta_of(k):
-        return gating_efficiency(replace(c, kappa_int=k), p, rule=rule)
+        return gating_efficiency(replace(c, kappa_int=k), p, rule=kernel)
 
     e_lo = eta_of(lo)
     if e_lo < eta_target:

@@ -452,6 +452,12 @@ def per_kappa_moments(c, p, rule=None):
     return complex(a_g), complex(a_e)
 
 
+def oracle_kernel(rule):
+    """_phase_kernel built from the 4-part rule with the phase exponent from np.outer."""
+    tau, weighted_corr, scale, d = rule
+    return tau, scale * np.exp(np.outer(2j * math.pi * d, tau)) * weighted_corr
+
+
 ROOT_RANGE = dict(
     kind=PULSE_RANGE["kind"],
     duration=PULSE_RANGE["duration"],
@@ -472,18 +478,20 @@ def test_own_rule_moments_bit_identical_to_per_kappa_oracle(kind, duration, kapp
 @given(**ROOT_RANGE, kappa_int=PULSE_RANGE["kappa_int"])
 @settings(max_examples=50, deadline=None)
 def test_moment_trims_keep_every_bit(kind, duration, kappa_ext, detuning, kappa_int):
-    # the erf column from one list-map and the exponent from a broadcast give the same IEEE results
+    # the erf column from one list-map and the exponents from a broadcast give the same IEEE results
     c = cavity_one(kappa_ext=kappa_ext, kappa_int=kappa_int)
     p = PulseShape(kind, duration, carrier_detuning=detuning)
     bracket = (kappa_ext, 3.0 * kappa_ext)  # kappa_tot over the root-find's [0, 2 kappa_ext]
     rule, oracle_rule = cavity._moment_rule(c, p, *bracket), old_moment_rule(c, p, *bracket)
     for part, oracle_part in zip(rule, oracle_rule):
         np.testing.assert_array_equal(part, oracle_part)
-    eta, survival, shared_eta = gating_efficiency(c, p), pulse_survival(c, p), gating_efficiency(c, p, rule=rule)
+    kernel, oracle = cavity._phase_kernel(rule), oracle_kernel(oracle_rule)
+    for part, oracle_part in zip(kernel, oracle):
+        np.testing.assert_array_equal(part, oracle_part)
+    eta, survival = gating_efficiency(c, p), pulse_survival(c, p)
     with mock.patch.object(cavity, "_pulse_moments", per_kappa_moments):
         assert gating_efficiency(c, p) == eta
         assert pulse_survival(c, p) == survival
-        assert gating_efficiency(c, p, rule=oracle_rule) == shared_eta
 
 
 @given(**ROOT_RANGE)
@@ -495,7 +503,7 @@ def test_shared_rule_eta_matches_per_kappa_eta_across_bracket(kind, duration, ka
     c = cavity_one(kappa_ext=kappa_ext)
     p = PulseShape(kind, duration, carrier_detuning=detuning)
     hi = 2.0 * kappa_ext
-    rule = cavity._moment_rule(c, p, kappa_ext, kappa_ext + hi)
+    rule = cavity._phase_kernel(cavity._moment_rule(c, p, kappa_ext, kappa_ext + hi))
     for k in np.linspace(0.0, hi, 9):
         at_k = replace(c, kappa_int=float(k))
         assert abs(gating_efficiency(at_k, p, rule=rule) - gating_efficiency(at_k, p)) <= 1e-14
@@ -527,6 +535,71 @@ def test_root_not_unique_for_broadband_gaussian():
     root = internal_loss_for_efficiency(c, p, target)
     assert abs(gating_efficiency(replace(c, kappa_int=root), p) - target) <= 1e-12
     assert root == pytest.approx(3.534, abs=1e-3)
+
+
+def shared_rule_root(c, p, eta_target):
+    """The root-find as it stood before the phase kernel: each brentq step sums its
+    moments on the bracket's 4-part _moment_rule, the oracle for the kernel's roots."""
+    from scipy.optimize import brentq
+
+    lo, hi = 0.0, 2.0 * c.kappa_ext_in
+    rule = cavity._moment_rule(c, p, replace(c, kappa_int=lo).kappa_tot, replace(c, kappa_int=hi).kappa_tot)
+
+    def eta_of(k):
+        return gating_efficiency(replace(c, kappa_int=k), p, rule=rule)
+
+    with mock.patch.object(cavity, "_pulse_moments", per_kappa_moments):
+        e_lo = eta_of(lo)
+        if e_lo < eta_target:
+            raise NumericsError(
+                f"eta({lo}) = {e_lo:.4f} already below target {eta_target}; "
+                "no internal-loss solution"
+            )
+        if eta_of(hi) > eta_target:
+            raise NumericsError(f"eta({hi}) still above target {eta_target} at the bracket end 2 kappa_ext")
+        return float(brentq(lambda k: eta_of(k) - eta_target, lo, hi, xtol=1e-12))
+
+
+@given(**ROOT_RANGE, share=st.floats(0.02, 0.98))
+@settings(max_examples=50, deadline=None)
+def test_kernel_root_matches_shared_rule_root(kind, duration, kappa_ext, detuning, share):
+    c = cavity_one(kappa_ext=kappa_ext)
+    p = PulseShape(kind, duration, carrier_detuning=detuning)
+    target = gating_efficiency(replace(c, kappa_int=share * 2.0 * kappa_ext), p)
+    try:
+        expected = shared_rule_root(c, p, target)
+    except NumericsError as exc:
+        with pytest.raises(NumericsError) as raised:
+            internal_loss_for_efficiency(c, p, target)
+        assert str(raised.value) == str(exc)
+        return
+    assert abs(internal_loss_for_efficiency(c, p, target) - expected) <= 2e-12
+
+
+@pytest.mark.parametrize("kind, duration", [("gaussian", 960.0), ("square", 230.0)])
+def test_root_builds_one_rule_and_steps_on_one_kernel(kind, duration):
+    c, p = cavity_one(kappa_ext=1.81), PulseShape(kind, duration)
+    target = gating_efficiency(replace(c, kappa_int=0.16), p)
+    with (mock.patch.object(cavity, "_moment_rule", wraps=cavity._moment_rule) as rules,
+          mock.patch.object(cavity, "gating_efficiency", wraps=gating_efficiency) as etas):
+        internal_loss_for_efficiency(c, p, target)
+    kernels = [call.kwargs.get("rule") for call in etas.call_args_list]
+    assert rules.call_count == 1
+    assert len(kernels) >= 3  # both bracket ends plus at least one brentq step
+    assert kernels[0] is not None and all(kernel is kernels[0] for kernel in kernels)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, True, "0.8", None])
+def test_root_rejects_a_target_that_is_not_a_finite_number(target):
+    with mock.patch.object(cavity, "_moment_rule", wraps=cavity._moment_rule) as rules:
+        with pytest.raises(ValueError, match=r"^eta_target must be a finite number"):
+            internal_loss_for_efficiency(cavity_one(), GATE_PULSE, target)
+    assert rules.call_count == 0
+
+
+def test_root_keeps_an_integer_target_in_its_message():
+    with pytest.raises(NumericsError, match=r"already below target 1; no internal-loss solution"):
+        internal_loss_for_efficiency(cavity_one(), GATE_PULSE, 1)
 
 
 def test_cavity_params_validation():
