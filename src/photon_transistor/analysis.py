@@ -65,7 +65,6 @@ class TransistorReport:
     n0_open: float
     gain_db: float
     extinction_db: float
-    counts: dict | None = None
     provenance: dict | None = None
 
     def to_dict(self) -> dict:

@@ -15,7 +15,7 @@ Conventions (pinned once, referenced by every phase test):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,13 +156,14 @@ def gate_carrier_frequency(c: CavityParams, p: PulseShape) -> float:
 
 
 def _moment_rule(c: CavityParams, p: PulseShape, kappa_lo: float, kappa_hi: float):
-    """The kappa-free half of the pulse moments, for every total linewidth in [kappa_lo, kappa_hi].
+    """The kappa-free half of the pulse moments, for every total linewidth in [kappa_lo, kappa_hi]:
+    the nodes tau and the 2 x N phase kernel K_l(tau) = (2 pi / C(0)) * weights * C(tau) * exp(2 pi i d_l tau).
 
-    Returns the nodes tau, weights * C(tau), 2 pi / C(0) and the d_l.  The
-    integrand has decayed below e^-80 by tau = 80/(pi kappa), so tau_max =
-    min(T, 80/(pi kappa_lo)).  Each panel spans about one unit of the
-    integrand's fastest rate at kappa_hi (decay, carrier offset and gaussian
-    width), which keeps the fixed 32-node rule at double precision.
+    The decay factorises, exp(-2 pi (kappa/2 - i d_l) tau) = exp(-pi kappa tau) exp(2 pi i d_l tau),
+    so each linewidth costs one real exponential of the tau nodes and one mat-vec.  The
+    integrand has decayed below e^-80 by tau = 80/(pi kappa), so tau_max = min(T, 80/(pi kappa_lo)).
+    Each panel spans about one unit of the integrand's fastest rate at kappa_hi (decay, carrier
+    offset and gaussian width), which keeps the fixed 32-node rule at double precision.
     """
     T = p.duration / 1000.0  # ns -> us, so that MHz * us counts cycles
     tau_max = min(T, 80.0 / (math.pi * kappa_lo))
@@ -180,22 +181,10 @@ def _moment_rule(c: CavityParams, p: PulseShape, kappa_lo: float, kappa_hi: floa
         two_sigma = 2.0 * p.sigma / 1000.0
         erfs = list(map(math.erf, ((T - tau) / two_sigma).tolist()))
         corr, corr0 = np.exp(-((tau / two_sigma) ** 2)) * erfs, math.erf(T / two_sigma)
-    return tau, weights * corr, 2.0 * math.pi / corr0, d
+    return tau, 2.0 * math.pi / corr0 * np.exp(2j * math.pi * d[:, None] * tau) * (weights * corr)
 
 
-def _phase_kernel(rule):
-    """The kappa-free half of the moments on ``rule``: the nodes tau and the 2 x N kernel
-    K_l(tau) = (2 pi / C(0)) * weights * C(tau) * exp(2 pi i d_l tau).
-
-    The decay factorises, exp(-2 pi (kappa/2 - i d_l) tau) = exp(-pi kappa tau) exp(2 pi i d_l tau),
-    so its complex half is built here once and every linewidth in the rule's range
-    costs one real exponential of the tau nodes and one mat-vec.
-    """
-    tau, weighted_corr, scale, d = rule
-    return tau, scale * np.exp(2j * math.pi * d[:, None] * tau) * weighted_corr
-
-
-def _pulse_moments(c: CavityParams, p: PulseShape, rule=None) -> tuple[complex, complex]:
+def _pulse_moments(c: CavityParams, p: PulseShape) -> tuple[complex, complex]:
     """<A_g> and <A_e> over the pulse's intensity spectrum, normalised to its full power.
 
     By Wiener-Khinchin, with d_l = f_c - f_l and C the envelope autocorrelation,
@@ -205,20 +194,32 @@ def _pulse_moments(c: CavityParams, p: PulseShape, rule=None) -> tuple[complex, 
     where C(tau) = T - tau for a square pulse and
     exp(-tau^2/4 sigma^2) * erf((T - tau)/(2 sigma)) for the truncated gaussian
     (up to a constant).  The sum runs over the rule of this cavity's own
-    linewidth (see :func:`_moment_rule`); a ``rule`` given as a
-    :func:`_phase_kernel` pair (tau, kernel) is summed as kernel @ exp(-pi kappa tau).
+    linewidth (see :func:`_moment_rule`), as kernel @ exp(-pi kappa tau).
     """
-    if rule is not None:
-        tau, kernel = rule
-        a_g, a_e = kernel @ np.exp(-math.pi * c.kappa_tot * tau)
-        return complex(a_g), complex(a_e)
-    tau, weighted_corr, scale, d = _moment_rule(c, p, c.kappa_tot, c.kappa_tot)
-    decay = 2.0 * math.pi * (c.kappa_tot / 2.0 - 1j * d)
-    a_g, a_e = scale * (np.exp(-decay[:, None] * tau) @ weighted_corr)
+    tau, kernel = _moment_rule(c, p, c.kappa_tot, c.kappa_tot)
+    a_g, a_e = kernel @ np.exp(-math.pi * c.kappa_tot * tau)
     return complex(a_g), complex(a_e)
 
 
-def gating_efficiency(c: CavityParams, p: PulseShape, *, rule=None) -> float:
+def _unit_interval(name: str, value: float) -> float:
+    """A probability clipped to [0, 1]; a value beyond rounding of that range is a NumericsError."""
+    if not -1e-12 <= value <= 1.0 + 1e-12:
+        raise NumericsError(f"{name} = {value!r} lies outside [0, 1] beyond rounding")
+    return min(max(value, 0.0), 1.0)
+
+
+def _eta(c: CavityParams, kappa_tot: float, a_g, a_e) -> float:
+    """eta of single-sided ``c`` at total linewidth ``kappa_tot`` from its pulse moments there."""
+    if not c.single_sided:
+        raise ValueError("gating_efficiency requires a single-sided cavity")
+    k_ext = c.kappa_ext_in
+    s = complex(a_g) + complex(a_e).conjugate()
+    pull = shifted_frequency(c, "e") - shifted_frequency(c, "g")
+    overlap = 1.0 - k_ext * s + k_ext**2 * s / (kappa_tot - 1j * pull)
+    return _unit_interval("eta", (1.0 - overlap.real) / 2.0)
+
+
+def gating_efficiency(c: CavityParams, p: PulseShape) -> float:
     """Probability that one reflected gate photon flips the qubit superposition.
 
     eta = (1 - Re <r_g(f) conj(r_e(f))>) / 2, averaged over the pulse's whole
@@ -228,17 +229,9 @@ def gating_efficiency(c: CavityParams, p: PulseShape, *, rule=None) -> float:
         <r_g conj(r_e)> = 1 - k_ext S + k_ext^2 S / (k_tot - i (f_e - f_g)).
 
     Approaches 1 for a narrowband pulse on a lossless cavity with
-    kappa_ext = 2|chi|.  Only the internal-loss root-find passes a ``rule``: the
-    (tau, kernel) pair of :func:`_phase_kernel`, built once for its whole bracket.
+    kappa_ext = 2|chi|.  A value outside [0, 1] beyond rounding is a NumericsError.
     """
-    if not c.single_sided:
-        raise ValueError("gating_efficiency requires a single-sided cavity")
-    a_g, a_e = _pulse_moments(c, p, rule)
-    k_ext = c.kappa_ext_in
-    s = a_g + a_e.conjugate()
-    pull = shifted_frequency(c, "e") - shifted_frequency(c, "g")
-    overlap = 1.0 - k_ext * s + k_ext**2 * s / (c.kappa_tot - 1j * pull)
-    return min(max((1.0 - overlap.real) / 2.0, 0.0), 1.0)
+    return _eta(c, c.kappa_tot, *_pulse_moments(c, p))
 
 
 def pulse_survival(c: CavityParams, p: PulseShape) -> float:
@@ -248,20 +241,23 @@ def pulse_survival(c: CavityParams, p: PulseShape) -> float:
     power C(0); only the internal loss port removes the photon:
 
         <|r_l|^2> = 1 - (2 k_ext k_int / k_tot) Re <A_l>.
+
+    A value outside [0, 1] beyond rounding is a NumericsError.
     """
     if not c.single_sided:
         raise ValueError("pulse_survival requires a single-sided cavity")
     a_g, a_e = _pulse_moments(c, p)
     loss = 2.0 * c.kappa_ext_in * c.kappa_int / c.kappa_tot
-    return 1.0 - loss * (a_g.real + a_e.real) / 2.0
+    return _unit_interval("survival", 1.0 - loss * (a_g.real + a_e.real) / 2.0)
 
 
 def internal_loss_for_efficiency(c: CavityParams, p: PulseShape, eta_target: float) -> float:
     """Root-find the internal loss rate at which gating_efficiency hits a target.
 
-    One moment rule and its kappa-free phase kernel serve the whole bracket
-    [0, 2 kappa_ext], so each brentq step costs one real exponential of the tau
-    nodes and one mat-vec.  The root need not be unique: for gaussians under
+    One moment rule serves the whole bracket [0, 2 kappa_ext], and each brentq step
+    is eta at the number kappa_tot = kappa_ext + kappa_int: one real exponential of
+    the tau nodes, one mat-vec against the rule's kappa-free phase kernel and the
+    eta formula of gating_efficiency.  The root need not be unique: for gaussians under
     about 200 ns eta(kappa_int) dips and rises again inside the bracket, so
     brentq may return another loss than the one that produced the target.
     A target that is not a finite number is a ValueError; targets outside
@@ -271,11 +267,13 @@ def internal_loss_for_efficiency(c: CavityParams, p: PulseShape, eta_target: flo
     from scipy.optimize import brentq  # imported on use: scipy adds ~0.5 s to every start-up
 
     lo, hi = 0.0, 2.0 * c.kappa_ext_in
-    rule = _moment_rule(c, p, replace(c, kappa_int=lo).kappa_tot, replace(c, kappa_int=hi).kappa_tot)
-    kernel = _phase_kernel(rule)
+    # kappa_tot's order of summation, so each step's kappa_tot is that cavity's to the bit
+    kappa_ext = c.kappa_ext_in + c.kappa_ext_out
+    tau, kernel = _moment_rule(c, p, kappa_ext + lo, kappa_ext + hi)
 
     def eta_of(k):
-        return gating_efficiency(replace(c, kappa_int=k), p, rule=kernel)
+        kappa_tot = kappa_ext + k
+        return _eta(c, kappa_tot, *kernel @ np.exp(-math.pi * kappa_tot * tau))
 
     e_lo = eta_of(lo)
     if e_lo < eta_target:

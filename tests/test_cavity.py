@@ -444,8 +444,9 @@ def old_moment_rule(c, p, kappa_lo, kappa_hi):
 
 def per_kappa_moments(c, p, rule=None):
     """The pulse moments on a rule fitted to c's own linewidth, as each eta evaluation
-    computed them before the root-find shared one rule across its bracket, with the
-    exponent built by np.outer; a given ``rule`` replaces the own-linewidth one."""
+    computed them before the root-find shared one rule across its bracket and before
+    every moment went through the phase kernel: one complex exponential of the 2 x N
+    exponents, built by np.outer.  A given 4-part ``rule`` replaces the own-linewidth one."""
     tau, weighted_corr, scale, d = rule if rule is not None else old_moment_rule(c, p, c.kappa_tot, c.kappa_tot)
     decay = 2.0 * math.pi * (c.kappa_tot / 2.0 - 1j * d)
     a_g, a_e = scale * (np.exp(-np.outer(decay, tau)) @ weighted_corr)
@@ -453,7 +454,8 @@ def per_kappa_moments(c, p, rule=None):
 
 
 def oracle_kernel(rule):
-    """_phase_kernel built from the 4-part rule with the phase exponent from np.outer."""
+    """_moment_rule's (tau, kernel) built from old_moment_rule's 4-part rule, with the
+    phase exponent from np.outer."""
     tau, weighted_corr, scale, d = rule
     return tau, scale * np.exp(np.outer(2j * math.pi * d, tau)) * weighted_corr
 
@@ -466,32 +468,37 @@ ROOT_RANGE = dict(
 )
 
 
+#: how far the phase-kernel sums may sit from the complex-exponential sums on one rule
+#: (up to 3.4e-15 over 1500 random cavities and pulses)
+ONE_PATH_BOUND = 1e-14
+
+
 @given(**ROOT_RANGE, kappa_int=PULSE_RANGE["kappa_int"])
 @settings(max_examples=50, deadline=None)
-def test_own_rule_moments_bit_identical_to_per_kappa_oracle(kind, duration, kappa_ext, detuning, kappa_int):
-    # every caller but the root-find keeps its eta and survival to the last bit
+def test_own_rule_moments_match_per_kappa_oracle(kind, duration, kappa_ext, detuning, kappa_int):
+    # the own-rule moments sum the phase kernel, the oracle one complex exponential per node
     c = cavity_one(kappa_ext=kappa_ext, kappa_int=kappa_int)
     p = PulseShape(kind, duration, carrier_detuning=detuning)
-    assert cavity._pulse_moments(c, p) == per_kappa_moments(c, p)
+    for moment, oracle in zip(cavity._pulse_moments(c, p), per_kappa_moments(c, p)):
+        assert abs(moment - oracle) <= ONE_PATH_BOUND
 
 
 @given(**ROOT_RANGE, kappa_int=PULSE_RANGE["kappa_int"])
 @settings(max_examples=50, deadline=None)
 def test_moment_trims_keep_every_bit(kind, duration, kappa_ext, detuning, kappa_int):
-    # the erf column from one list-map and the exponents from a broadcast give the same IEEE results
+    # the erf column from one list-map and the exponents from a broadcast give the same IEEE
+    # results, on the root-find's bracket and on the cavity's own linewidth
     c = cavity_one(kappa_ext=kappa_ext, kappa_int=kappa_int)
     p = PulseShape(kind, duration, carrier_detuning=detuning)
-    bracket = (kappa_ext, 3.0 * kappa_ext)  # kappa_tot over the root-find's [0, 2 kappa_ext]
-    rule, oracle_rule = cavity._moment_rule(c, p, *bracket), old_moment_rule(c, p, *bracket)
-    for part, oracle_part in zip(rule, oracle_rule):
-        np.testing.assert_array_equal(part, oracle_part)
-    kernel, oracle = cavity._phase_kernel(rule), oracle_kernel(oracle_rule)
-    for part, oracle_part in zip(kernel, oracle):
-        np.testing.assert_array_equal(part, oracle_part)
+    # kappa_tot over the root-find's [0, 2 kappa_ext], then the own rule
+    for bracket in ((kappa_ext, 3.0 * kappa_ext), (c.kappa_tot, c.kappa_tot)):
+        rule, oracle = cavity._moment_rule(c, p, *bracket), oracle_kernel(old_moment_rule(c, p, *bracket))
+        for part, oracle_part in zip(rule, oracle):
+            np.testing.assert_array_equal(part, oracle_part)
     eta, survival = gating_efficiency(c, p), pulse_survival(c, p)
     with mock.patch.object(cavity, "_pulse_moments", per_kappa_moments):
-        assert gating_efficiency(c, p) == eta
-        assert pulse_survival(c, p) == survival
+        assert abs(gating_efficiency(c, p) - eta) <= ONE_PATH_BOUND
+        assert abs(pulse_survival(c, p) - survival) <= ONE_PATH_BOUND
 
 
 @given(**ROOT_RANGE)
@@ -503,10 +510,11 @@ def test_shared_rule_eta_matches_per_kappa_eta_across_bracket(kind, duration, ka
     c = cavity_one(kappa_ext=kappa_ext)
     p = PulseShape(kind, duration, carrier_detuning=detuning)
     hi = 2.0 * kappa_ext
-    rule = cavity._phase_kernel(cavity._moment_rule(c, p, kappa_ext, kappa_ext + hi))
+    tau, kernel = cavity._moment_rule(c, p, kappa_ext, kappa_ext + hi)
     for k in np.linspace(0.0, hi, 9):
         at_k = replace(c, kappa_int=float(k))
-        assert abs(gating_efficiency(at_k, p, rule=rule) - gating_efficiency(at_k, p)) <= 1e-14
+        shared = cavity._eta(c, at_k.kappa_tot, *kernel @ np.exp(-math.pi * at_k.kappa_tot * tau))
+        assert abs(shared - gating_efficiency(at_k, p)) <= ONE_PATH_BOUND
 
 
 @given(**ROOT_RANGE, share=st.floats(0.02, 0.98))
@@ -539,25 +547,30 @@ def test_root_not_unique_for_broadband_gaussian():
 
 def shared_rule_root(c, p, eta_target):
     """The root-find as it stood before the phase kernel: each brentq step sums its
-    moments on the bracket's 4-part _moment_rule, the oracle for the kernel's roots."""
+    moments on the bracket's 4-part rule and writes eta out in full, the oracle for the
+    kernel's roots."""
     from scipy.optimize import brentq
 
     lo, hi = 0.0, 2.0 * c.kappa_ext_in
-    rule = cavity._moment_rule(c, p, replace(c, kappa_int=lo).kappa_tot, replace(c, kappa_int=hi).kappa_tot)
+    rule = old_moment_rule(c, p, replace(c, kappa_int=lo).kappa_tot, replace(c, kappa_int=hi).kappa_tot)
+    pull = shifted_frequency(c, "e") - shifted_frequency(c, "g")
 
     def eta_of(k):
-        return gating_efficiency(replace(c, kappa_int=k), p, rule=rule)
+        at_k = replace(c, kappa_int=k)
+        a_g, a_e = per_kappa_moments(at_k, p, rule)
+        s = a_g + a_e.conjugate()
+        overlap = 1.0 - c.kappa_ext_in * s + c.kappa_ext_in**2 * s / (at_k.kappa_tot - 1j * pull)
+        return min(max((1.0 - overlap.real) / 2.0, 0.0), 1.0)
 
-    with mock.patch.object(cavity, "_pulse_moments", per_kappa_moments):
-        e_lo = eta_of(lo)
-        if e_lo < eta_target:
-            raise NumericsError(
-                f"eta({lo}) = {e_lo:.4f} already below target {eta_target}; "
-                "no internal-loss solution"
-            )
-        if eta_of(hi) > eta_target:
-            raise NumericsError(f"eta({hi}) still above target {eta_target} at the bracket end 2 kappa_ext")
-        return float(brentq(lambda k: eta_of(k) - eta_target, lo, hi, xtol=1e-12))
+    e_lo = eta_of(lo)
+    if e_lo < eta_target:
+        raise NumericsError(
+            f"eta({lo}) = {e_lo:.4f} already below target {eta_target}; "
+            "no internal-loss solution"
+        )
+    if eta_of(hi) > eta_target:
+        raise NumericsError(f"eta({hi}) still above target {eta_target} at the bracket end 2 kappa_ext")
+    return float(brentq(lambda k: eta_of(k) - eta_target, lo, hi, xtol=1e-12))
 
 
 @given(**ROOT_RANGE, share=st.floats(0.02, 0.98))
@@ -581,12 +594,38 @@ def test_root_builds_one_rule_and_steps_on_one_kernel(kind, duration):
     c, p = cavity_one(kappa_ext=1.81), PulseShape(kind, duration)
     target = gating_efficiency(replace(c, kappa_int=0.16), p)
     with (mock.patch.object(cavity, "_moment_rule", wraps=cavity._moment_rule) as rules,
-          mock.patch.object(cavity, "gating_efficiency", wraps=gating_efficiency) as etas):
+          mock.patch.object(cavity, "_eta", wraps=cavity._eta) as steps,
+          mock.patch.object(cavity, "gating_efficiency", wraps=gating_efficiency) as etas,
+          mock.patch.object(CavityParams, "__post_init__", autospec=True,
+                            side_effect=CavityParams.__post_init__) as records):
         internal_loss_for_efficiency(c, p, target)
-    kernels = [call.kwargs.get("rule") for call in etas.call_args_list]
     assert rules.call_count == 1
-    assert len(kernels) >= 3  # both bracket ends plus at least one brentq step
-    assert kernels[0] is not None and all(kernel is kernels[0] for kernel in kernels)
+    assert steps.call_count >= 3  # both bracket ends plus at least one brentq step
+    assert etas.call_count == 0 and records.call_count == 0
+
+
+@pytest.mark.parametrize("moments", [(10.0, 10.0), (-10.0, -10.0), (math.nan, math.nan)])
+def test_eta_and_survival_out_of_range_raise(moments):
+    # both scalars are linear in the moments, so moments far from any pulse's push them out of [0, 1]
+    c = cavity_one(kappa_int=0.2)
+    with mock.patch.object(cavity, "_pulse_moments", return_value=tuple(map(complex, moments))):
+        with pytest.raises(NumericsError, match=r"^eta = \S+ lies outside \[0, 1\] beyond rounding$"):
+            gating_efficiency(c, GATE_PULSE)
+        with pytest.raises(NumericsError, match=r"^survival = \S+ lies outside \[0, 1\] beyond rounding$"):
+            pulse_survival(c, GATE_PULSE)
+
+
+@pytest.mark.parametrize(
+    "value, clipped",
+    [(0.5, 0.5), (0.0, 0.0), (1.0, 1.0), (-1e-12, 0.0), (1.0 + 1e-12, 1.0), (-3e-13, 0.0), (1.0 + 3e-13, 1.0),
+     (-2e-12, None), (1.0 + 2e-12, None), (math.inf, None), (math.nan, None)],
+)
+def test_unit_interval_clips_rounding_and_rejects_the_rest(value, clipped):
+    if clipped is None:
+        with pytest.raises(NumericsError, match=rf"^eta = {value!r} lies outside"):
+            cavity._unit_interval("eta", value)
+    else:
+        assert cavity._unit_interval("eta", value) == clipped
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, True, "0.8", None])

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -683,6 +684,11 @@ class TestCalibrate:
         assert report["p_sg"] == pytest.approx(0.74, abs=1e-12)
         assert report["n1_open"] == pytest.approx(5.05, abs=1e-9)
 
+    def test_report_has_no_counts_key(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["calibrate", "--inputs", str(CONFIGS / "calibration_example.json"), "--out", str(out)]) == 0
+        assert "counts" not in json.loads((out / "transistor_report.json").read_text())["report"]
+
     def test_beta_zero_exits_3(self, tmp_path):
         inp = tmp_path / "cal.json"
         inp.write_text(json.dumps({
@@ -923,6 +929,18 @@ def test_gate_pulse_value_not_a_finite_number_exits_2(tmp_path, device_file, pro
     rc = main(["switch", "--device", str(device_file), "--protocol", str(protocol_file), "--out", str(out)])
     assert rc == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eta_out_of_range_exits_3(tmp_path, capsys):
+    # the paper protocol takes eta and the survival from the gate stage; moments no pulse
+    # can give put both far out of [0, 1], and the first one computed stops the run
+    out = tmp_path / "out"
+    with mock.patch("photon_transistor.cavity._pulse_moments", return_value=(10j + 10.0, 10.0 - 10j)):
+        rc = main(["switch", "--device", str(CONFIGS / "device_paper.json"),
+                   "--protocol", str(CONFIGS / "protocol_paper_point.json"), "--shots", "50", "--out", str(out)])
+    assert rc == 3
+    assert re.match(r"error: (eta|survival) = \S+ lies outside \[0, 1\]", capsys.readouterr().err)
     assert not out.exists()
 
 
