@@ -15,7 +15,7 @@ Conventions (pinned once, referenced by every phase test):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,7 +184,7 @@ def _moment_rule(c: CavityParams, p: PulseShape, kappa_lo: float, kappa_hi: floa
     return tau, 2.0 * math.pi / corr0 * np.exp(2j * math.pi * d[:, None] * tau) * (weights * corr)
 
 
-def _pulse_moments(c: CavityParams, p: PulseShape) -> tuple[complex, complex]:
+def _pulse_moments(c: CavityParams, p: PulseShape, rule=None) -> tuple[complex, complex]:
     """<A_g> and <A_e> over the pulse's intensity spectrum, normalised to its full power.
 
     By Wiener-Khinchin, with d_l = f_c - f_l and C the envelope autocorrelation,
@@ -193,10 +193,11 @@ def _pulse_moments(c: CavityParams, p: PulseShape) -> tuple[complex, complex]:
 
     where C(tau) = T - tau for a square pulse and
     exp(-tau^2/4 sigma^2) * erf((T - tau)/(2 sigma)) for the truncated gaussian
-    (up to a constant).  The sum runs over the rule of this cavity's own
-    linewidth (see :func:`_moment_rule`), as kernel @ exp(-pi kappa tau).
+    (up to a constant).  The sum is kernel @ exp(-pi kappa tau) on the (tau, kernel) pair
+    of :func:`_moment_rule`: by default the rule of this cavity's own linewidth, or a
+    given ``rule`` built once for a range of linewidths.
     """
-    tau, kernel = _moment_rule(c, p, c.kappa_tot, c.kappa_tot)
+    tau, kernel = _moment_rule(c, p, c.kappa_tot, c.kappa_tot) if rule is None else rule
     a_g, a_e = kernel @ np.exp(-math.pi * c.kappa_tot * tau)
     return complex(a_g), complex(a_e)
 
@@ -208,18 +209,7 @@ def _unit_interval(name: str, value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _eta(c: CavityParams, kappa_tot: float, a_g, a_e) -> float:
-    """eta of single-sided ``c`` at total linewidth ``kappa_tot`` from its pulse moments there."""
-    if not c.single_sided:
-        raise ValueError("gating_efficiency requires a single-sided cavity")
-    k_ext = c.kappa_ext_in
-    s = complex(a_g) + complex(a_e).conjugate()
-    pull = shifted_frequency(c, "e") - shifted_frequency(c, "g")
-    overlap = 1.0 - k_ext * s + k_ext**2 * s / (kappa_tot - 1j * pull)
-    return _unit_interval("eta", (1.0 - overlap.real) / 2.0)
-
-
-def gating_efficiency(c: CavityParams, p: PulseShape) -> float:
+def gating_efficiency(c: CavityParams, p: PulseShape, *, rule=None) -> float:
     """Probability that one reflected gate photon flips the qubit superposition.
 
     eta = (1 - Re <r_g(f) conj(r_e(f))>) / 2, averaged over the pulse's whole
@@ -230,8 +220,17 @@ def gating_efficiency(c: CavityParams, p: PulseShape) -> float:
 
     Approaches 1 for a narrowband pulse on a lossless cavity with
     kappa_ext = 2|chi|.  A value outside [0, 1] beyond rounding is a NumericsError.
+    Only the internal-loss root-find passes a ``rule``: the (tau, kernel) pair of
+    :func:`_moment_rule`, built once for its whole bracket.
     """
-    return _eta(c, c.kappa_tot, *_pulse_moments(c, p))
+    if not c.single_sided:
+        raise ValueError("gating_efficiency requires a single-sided cavity")
+    a_g, a_e = _pulse_moments(c, p, rule)
+    k_ext = c.kappa_ext_in
+    s = a_g + a_e.conjugate()
+    pull = shifted_frequency(c, "e") - shifted_frequency(c, "g")
+    overlap = 1.0 - k_ext * s + k_ext**2 * s / (c.kappa_tot - 1j * pull)
+    return _unit_interval("eta", (1.0 - overlap.real) / 2.0)
 
 
 def pulse_survival(c: CavityParams, p: PulseShape) -> float:
@@ -254,10 +253,10 @@ def pulse_survival(c: CavityParams, p: PulseShape) -> float:
 def internal_loss_for_efficiency(c: CavityParams, p: PulseShape, eta_target: float) -> float:
     """Root-find the internal loss rate at which gating_efficiency hits a target.
 
-    One moment rule serves the whole bracket [0, 2 kappa_ext], and each brentq step
-    is eta at the number kappa_tot = kappa_ext + kappa_int: one real exponential of
-    the tau nodes, one mat-vec against the rule's kappa-free phase kernel and the
-    eta formula of gating_efficiency.  The root need not be unique: for gaussians under
+    One moment rule and its kappa-free phase kernel serve the whole bracket
+    [0, 2 kappa_ext], so each brentq step is gating_efficiency on that kernel: one
+    real exponential of the tau nodes and one mat-vec, the moment path every other
+    caller takes on its own rule.  The root need not be unique: for gaussians under
     about 200 ns eta(kappa_int) dips and rises again inside the bracket, so
     brentq may return another loss than the one that produced the target.
     A target that is not a finite number is a ValueError; targets outside
@@ -267,13 +266,10 @@ def internal_loss_for_efficiency(c: CavityParams, p: PulseShape, eta_target: flo
     from scipy.optimize import brentq  # imported on use: scipy adds ~0.5 s to every start-up
 
     lo, hi = 0.0, 2.0 * c.kappa_ext_in
-    # kappa_tot's order of summation, so each step's kappa_tot is that cavity's to the bit
-    kappa_ext = c.kappa_ext_in + c.kappa_ext_out
-    tau, kernel = _moment_rule(c, p, kappa_ext + lo, kappa_ext + hi)
+    rule = _moment_rule(c, p, replace(c, kappa_int=lo).kappa_tot, replace(c, kappa_int=hi).kappa_tot)
 
     def eta_of(k):
-        kappa_tot = kappa_ext + k
-        return _eta(c, kappa_tot, *kernel @ np.exp(-math.pi * kappa_tot * tau))
+        return gating_efficiency(replace(c, kappa_int=k), p, rule=rule)
 
     e_lo = eta_of(lo)
     if e_lo < eta_target:

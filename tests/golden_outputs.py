@@ -12,10 +12,7 @@ inputs by paths relative to the repository root, which the JSON files record.
 
 import os
 import sys
-from decimal import Decimal
 from pathlib import Path
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path("tests", "golden")
@@ -33,14 +30,10 @@ FILES = (
     "shots.csv", "histogram.csv", "switch_report.json", "wigner_on.csv", "wigner_off.csv",
     "gain_sweep.csv", "spectra_cavity_I.csv", "spectra_cavity_II.csv", "transistor_report.json",
 )
-#: CSV columns printed with a fixed number of decimals; every other number is printed ``%.12g``
-DECIMALS = {"w": 11}
 #: manifest fields that differ between equal runs
 UNCOMPARED = ("timestamp", "outputs")
 #: manifest fields that follow the package and numpy versions
 VERSIONED = ("version", "numpy", "manifest_hash")
-#: a JSON float is written in full, so on another numpy it may move by a few ulp
-JSON_ULPS = 4
 
 
 def write(out) -> None:
@@ -53,25 +46,9 @@ def write(out) -> None:
             raise RuntimeError(f"{' '.join(argv)} failed")
 
 
-def last_digit_pair(new: str, old: str, decimals: int | None = None) -> bool:
-    """Whether two printed numbers are neighbours in their last printed digit, as values
-    within an ulp of a rounding boundary print when another build computes them: at 12
-    significant digits (``%.12g``) or, given ``decimals``, at that many decimals."""
-    try:
-        a, b = Decimal(new), Decimal(old)
-    except ArithmeticError:
-        return False
-    if not (a.is_finite() and b.is_finite()):
-        return False
-    if decimals is None:
-        decimals = 11 - min((x.adjusted() for x in (a, b) if x), default=0)
-    return abs(a - b) <= Decimal(1).scaleb(-decimals)
-
-
 def csv_moves(new: str, old: str, same_build: bool) -> list:
-    """The (line, new field, old field) triples that moved between two CSV texts; below
-    the manifest-hash line every byte must match, and on another build a number may
-    also move to a neighbour in its last printed digit."""
+    """The (line, new field, old field) triples that moved between two CSV texts: every
+    byte below the manifest-hash line, and the hash line itself for the same build."""
     (new_hash, new_rows), (old_hash, old_rows) = (text.split("\n", 1) for text in (new, old))
     moves = [(0, new_hash, old_hash)] if same_build and new_hash != old_hash else []
     if new_rows == old_rows:
@@ -79,14 +56,12 @@ def csv_moves(new: str, old: str, same_build: bool) -> list:
     new_lines, old_lines = new_rows.split("\r\n"), old_rows.split("\r\n")
     if len(new_lines) != len(old_lines):
         return moves + [(None, len(new_lines), len(old_lines))]
-    decimals = [DECIMALS.get(column) for column in old_lines[0].split(",")]
     for i, (a, b) in enumerate(zip(new_lines, old_lines), start=1):
         fa, fb = a.split(","), b.split(",")
         if len(fa) != len(fb):
             moves.append((i, a, b))
-            continue
-        moves += [(i, x, y) for x, y, places in zip(fa, fb, decimals)
-                  if x != y and (same_build or not last_digit_pair(x, y, places))]
+        else:
+            moves += [(i, x, y) for x, y in zip(fa, fb) if x != y]
     return moves
 
 
@@ -104,9 +79,6 @@ def json_moves(new, old, same_build: bool, path: str = "") -> list:
                 for move in json_moves(new[key], old[key], same_build, f"{path}.{key}".lstrip("."))]
     if isinstance(new, list) and isinstance(old, list) and len(new) == len(old):
         return [move for i, (a, b) in enumerate(zip(new, old)) for move in json_moves(a, b, same_build, f"{path}[{i}]")]
-    if type(new) is type(old) is float and not same_build:
-        close = abs(new - old) <= JSON_ULPS * np.spacing(max(abs(new), abs(old)))
-        return [] if close else [(path, new, old)]
     return [] if type(new) is type(old) and new == old else [(path, new, old)]
 
 

@@ -476,11 +476,16 @@ ONE_PATH_BOUND = 1e-14
 @given(**ROOT_RANGE, kappa_int=PULSE_RANGE["kappa_int"])
 @settings(max_examples=50, deadline=None)
 def test_own_rule_moments_match_per_kappa_oracle(kind, duration, kappa_ext, detuning, kappa_int):
-    # the own-rule moments sum the phase kernel, the oracle one complex exponential per node
+    # the own-rule moments sum the phase kernel, the oracle one complex exponential per node;
+    # eta and the survival, rational in the moments, stay as close
     c = cavity_one(kappa_ext=kappa_ext, kappa_int=kappa_int)
     p = PulseShape(kind, duration, carrier_detuning=detuning)
     for moment, oracle in zip(cavity._pulse_moments(c, p), per_kappa_moments(c, p)):
         assert abs(moment - oracle) <= ONE_PATH_BOUND
+    eta, survival = gating_efficiency(c, p), pulse_survival(c, p)
+    with mock.patch.object(cavity, "_pulse_moments", per_kappa_moments):
+        assert abs(gating_efficiency(c, p) - eta) <= ONE_PATH_BOUND
+        assert abs(pulse_survival(c, p) - survival) <= ONE_PATH_BOUND
 
 
 @given(**ROOT_RANGE, kappa_int=PULSE_RANGE["kappa_int"])
@@ -495,10 +500,6 @@ def test_moment_trims_keep_every_bit(kind, duration, kappa_ext, detuning, kappa_
         rule, oracle = cavity._moment_rule(c, p, *bracket), oracle_kernel(old_moment_rule(c, p, *bracket))
         for part, oracle_part in zip(rule, oracle):
             np.testing.assert_array_equal(part, oracle_part)
-    eta, survival = gating_efficiency(c, p), pulse_survival(c, p)
-    with mock.patch.object(cavity, "_pulse_moments", per_kappa_moments):
-        assert abs(gating_efficiency(c, p) - eta) <= ONE_PATH_BOUND
-        assert abs(pulse_survival(c, p) - survival) <= ONE_PATH_BOUND
 
 
 @given(**ROOT_RANGE)
@@ -510,11 +511,10 @@ def test_shared_rule_eta_matches_per_kappa_eta_across_bracket(kind, duration, ka
     c = cavity_one(kappa_ext=kappa_ext)
     p = PulseShape(kind, duration, carrier_detuning=detuning)
     hi = 2.0 * kappa_ext
-    tau, kernel = cavity._moment_rule(c, p, kappa_ext, kappa_ext + hi)
+    rule = cavity._moment_rule(c, p, kappa_ext, kappa_ext + hi)
     for k in np.linspace(0.0, hi, 9):
         at_k = replace(c, kappa_int=float(k))
-        shared = cavity._eta(c, at_k.kappa_tot, *kernel @ np.exp(-math.pi * at_k.kappa_tot * tau))
-        assert abs(shared - gating_efficiency(at_k, p)) <= ONE_PATH_BOUND
+        assert abs(gating_efficiency(at_k, p, rule=rule) - gating_efficiency(at_k, p)) <= ONE_PATH_BOUND
 
 
 @given(**ROOT_RANGE, share=st.floats(0.02, 0.98))
@@ -594,14 +594,12 @@ def test_root_builds_one_rule_and_steps_on_one_kernel(kind, duration):
     c, p = cavity_one(kappa_ext=1.81), PulseShape(kind, duration)
     target = gating_efficiency(replace(c, kappa_int=0.16), p)
     with (mock.patch.object(cavity, "_moment_rule", wraps=cavity._moment_rule) as rules,
-          mock.patch.object(cavity, "_eta", wraps=cavity._eta) as steps,
-          mock.patch.object(cavity, "gating_efficiency", wraps=gating_efficiency) as etas,
-          mock.patch.object(CavityParams, "__post_init__", autospec=True,
-                            side_effect=CavityParams.__post_init__) as records):
+          mock.patch.object(cavity, "gating_efficiency", wraps=gating_efficiency) as etas):
         internal_loss_for_efficiency(c, p, target)
+    kernels = [call.kwargs.get("rule") for call in etas.call_args_list]
     assert rules.call_count == 1
-    assert steps.call_count >= 3  # both bracket ends plus at least one brentq step
-    assert etas.call_count == 0 and records.call_count == 0
+    assert len(kernels) >= 3  # both bracket ends plus at least one brentq step
+    assert kernels[0] is not None and all(kernel is kernels[0] for kernel in kernels)
 
 
 @pytest.mark.parametrize("moments", [(10.0, 10.0), (-10.0, -10.0), (math.nan, math.nan)])

@@ -4,8 +4,10 @@ A change that moves a number, however well formatted, fails here; a change meant
 numbers regenerates the files (``python tests/golden_outputs.py``), and the diff of
 ``tests/golden/`` lists what moved.  With the recorded package and numpy versions every
 byte below the CSV hash lines and every JSON value but the manifest's timestamp and output
-paths must match, the hashes too.  On another build a CSV field may move to a neighbour in
-its last printed digit and a JSON float by a few ulp, and nothing else may move.
+paths must match, the hashes too.  On another numpy every byte below the hash lines and
+every JSON value but the versioned manifest fields must match as well; since no other
+numpy has yet been compared with these files, a move there is reported as an expected
+failure listing what moved, not passed under a guessed tolerance.
 """
 
 import json
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import photon_transistor
-from golden_outputs import FILES, GOLDEN, JSON_ULPS, ROOT, csv_moves, json_moves, last_digit_pair, write
+from golden_outputs import FILES, GOLDEN, ROOT, csv_moves, json_moves, write
 
 
 @pytest.fixture(scope="module")
@@ -27,18 +29,21 @@ def fresh(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def same_build():
-    recorded = json.loads((ROOT / GOLDEN / "switch_report.json").read_text(encoding="utf-8"))["manifest"]
-    return (recorded["version"], recorded["numpy"]) == (photon_transistor.__version__, np.__version__)
+def recorded():
+    return json.loads((ROOT / GOLDEN / "switch_report.json").read_text(encoding="utf-8"))["manifest"]
 
 
 @pytest.mark.parametrize("name", FILES)
-def test_cli_output_matches_golden(name, fresh, same_build):
+def test_cli_output_matches_golden(name, fresh, recorded):
+    same_build = (recorded["version"], recorded["numpy"]) == (photon_transistor.__version__, np.__version__)
     new, old = ((where / name).read_text(encoding="utf-8") for where in (fresh, ROOT / GOLDEN))
     if name.endswith(".csv"):
         moves = csv_moves(new, old, same_build)
     else:
         moves = json_moves(json.loads(new), json.loads(old), same_build)
+    if moves and recorded["numpy"] != np.__version__:
+        pytest.xfail(f"{name} moved on numpy {np.__version__}, recorded with {recorded['numpy']} "
+                     f"(first 5 of {len(moves)}): {moves[:5]}")
     assert not moves, f"{name} moved against tests/golden (first 5 of {len(moves)}): {moves[:5]}"
 
 
@@ -46,50 +51,28 @@ def test_golden_files_are_the_nine_outputs():
     assert sorted(p.name for p in (ROOT / GOLDEN).iterdir()) == sorted(FILES)
 
 
-@pytest.mark.parametrize(
-    "new, old, decimals, pair",
-    [
-        ("0.259261151494", "0.259261151493", None, True),
-        ("1", "0.999999999999", None, True),
-        ("0.25", "0.250000000001", None, True),
-        ("1.23456789012e+06", "1.23456789013e+06", None, True),
-        ("-0", "0", None, True),
-        ("0.259261151494", "0.259261151492", None, False),
-        ("0.25", "0.26", None, False),
-        ("1e-17", "0", None, False),
-        ("-0.00000000001", "0.00000000000", 11, True),
-        ("0.12345678901", "0.12345678903", 11, False),
-        ("on", "off", None, False),
-        ("nan", "0.1", None, False),
-        ("", "0.1", None, False),
-    ],
-)
-def test_last_digit_pair(new, old, decimals, pair):
-    assert last_digit_pair(new, old, decimals) is pair
-
-
 def test_moves_on_another_build():
     head = "# manifest_hash=0123456789abcdef\nx,w\r\n"
     old = head + "0.5,0.12345678901\r\n1,on\r\n"
-    # the hash follows the versions, and a last-digit neighbour passes only on another build
+    # the hash follows the versions; every other byte must match on any build
     assert csv_moves(old.replace("0123", "4567"), old, same_build=False) == []
     assert csv_moves(old.replace("0123", "4567"), old, same_build=True) != []
     moved = old.replace("0.12345678901", "0.12345678902")
-    assert csv_moves(moved, old, same_build=False) == []
-    assert csv_moves(moved, old, same_build=True) == [(2, "0.12345678902", "0.12345678901")]
+    for same_build in (False, True):
+        assert csv_moves(moved, old, same_build) == [(2, "0.12345678902", "0.12345678901")]
     assert csv_moves(old.replace("on", "off"), old, same_build=False) == [(3, "off", "on")]
     assert csv_moves(old + "2,on\r\n", old, same_build=False) == [(None, 5, 4)]
 
     manifest = {"timestamp": "t0", "outputs": ["a"], "version": "0.9.0", "numpy": "2.4.6",
                 "manifest_hash": "0123", "seed": 7}
     doc = {"manifest": manifest, "threshold": 7.25, "counts": {"on": 3}}
-    other = {"manifest": manifest | {"timestamp": "t1", "outputs": ["b"], "numpy": "2.2.6", "manifest_hash": "4567"},
-             "threshold": float(np.nextafter(7.25, 8.0)), "counts": {"on": 3}}
-    assert json_moves(other, doc, same_build=False) == []
-    assert [path for path, _, _ in json_moves(other, doc, same_build=True)] == [
-        "manifest.manifest_hash", "manifest.numpy", "threshold"]
-    far = other | {"threshold": 7.25 + 2 * JSON_ULPS * float(np.spacing(7.25))}
-    assert [path for path, _, _ in json_moves(far, doc, same_build=False)] == ["threshold"]
-    assert json_moves(other | {"counts": {"on": 4}}, doc, same_build=False) == [("counts.on", 4, 3)]
-    extra = other | {"seed": 8}
+    other = manifest | {"timestamp": "t1", "outputs": ["b"], "numpy": "2.2.6", "manifest_hash": "4567"}
+    rebuilt = doc | {"manifest": other}
+    assert json_moves(rebuilt, doc, same_build=False) == []
+    assert [path for path, _, _ in json_moves(rebuilt, doc, same_build=True)] == [
+        "manifest.manifest_hash", "manifest.numpy"]
+    nudged = rebuilt | {"threshold": float(np.nextafter(7.25, 8.0))}
+    assert [path for path, _, _ in json_moves(nudged, doc, same_build=False)] == ["threshold"]
+    assert json_moves(rebuilt | {"counts": {"on": 4}}, doc, same_build=False) == [("counts.on", 4, 3)]
+    extra = rebuilt | {"seed": 8}
     assert json_moves(extra, doc, same_build=False) == [("", sorted(extra), sorted(doc))]
