@@ -33,7 +33,7 @@ from .protocol import (
 from .qubit import QubitRates, evolve_lindblad
 from .semiclassical import SaturableCavityModel, SemiclassicalSettings, gain_sweep
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "CalibrationInputs",

@@ -27,7 +27,6 @@ import numpy as np
 from . import analysis, device as device_mod, measurement, protocol, semiclassical
 from .cavity import PULSE_KEYS, PulseShape, spectrum
 from .errors import (
-    CutoffError,
     DegenerateDataError,
     InsufficientDataError,
     NumericsError,
@@ -46,7 +45,6 @@ _NUMERIC_ERRORS = (
     InsufficientDataError,
     UnsolvableCalibrationError,
     UnphysicalInputError,
-    CutoffError,
 )
 
 # protocol-file name -> ProtocolConfig field; only signal_duration carries its unit in the file

@@ -67,6 +67,11 @@ class SaturableCavityModel:
 build_model = SaturableCavityModel
 
 
+#: the trigonometric form's angle offsets, for ascending roots, and the slots of one real root
+_THIRDS = np.array([2.0, -2.0, 0.0]) * np.pi / 3.0
+_ONE_ROOT = np.array([0.0, np.nan, np.nan])
+
+
 def _steady_states(m: SaturableCavityModel, f, level: str, rhs):
     """Steady-state populations and their stability, broadcast over f and rhs.
 
@@ -74,17 +79,20 @@ def _steady_states(m: SaturableCavityModel, f, level: str, rhs):
     (1+u)^2 is the dispersive-bistability cubic (Drummond & Walls, J. Phys. A
     13, 725 (1980)) G(u) = n_crit*u*[a(1+u)^2 + (d*u + d - pull)^2] - rhs*(1+u)^2.
     For rhs > 0 the leading coefficient is positive and G(0) = -rhs < 0, so
-    there are one or three positive roots.  They are the eigenvalues of stacked
-    companion matrices.  The multiplication by (1+u)^2 can add negative ones:
-    with a zero pull G = (1+u)^2 * (n_crit*u*(a + d^2) - rhs), and u = -1 comes
-    back as a double root, which LAPACK may split into two nearby reals.  Only
-    the non-negative real eigenvalues are populations.  At a root G' = (1+u)^2 *
+    there are one or three positive roots.  In t = u + b2/3 the monic cubic
+    u^3 + b2 u^2 + b1 u + b0 is t^3 + p t + q, whose roots come in closed form:
+    Cardano's where the discriminant is positive (one real root), the
+    trigonometric form where it is not (three).  Three Newton steps on the cubic
+    polish each, and a root is kept only if it is non-negative and the last step
+    moved it by at most 1e-9 of itself.  The multiplication by (1+u)^2 can add
+    negative roots (a zero pull gives G = (1+u)^2 * (n_crit*u*(a + d^2) - rhs),
+    a double root u = -1), and at strong drive the trigonometric form can place
+    them at u >= 0, where Newton does not settle.  At a root G' = (1+u)^2 *
     n_crit * (flux balance)', so a root is stable where G' > 0.
 
     Returns ``(n, stable)`` of shape broadcast(f, rhs) + (3,): ascending roots,
-    NaN in the slots of complex and negative ones.  At zero drive the companion
-    matrix has a zero column, which LAPACK's balancing isolates as the exact
-    root n = 0.
+    NaN in the slots of complex, negative and dropped ones.  At zero drive the
+    only population is G's factor u, so n = 0 is set exactly.
     """
     n_c = m.n_crit(level)
     a = (m.base.kappa_tot / 2.0) ** 2
@@ -95,15 +103,23 @@ def _steady_states(m: SaturableCavityModel, f, level: str, rhs):
     b2 = (2.0 * n_c * (a + d * c) - rhs) / lead
     b1 = (n_c * (a + c * c) - 2.0 * rhs) / lead
     b0 = -rhs / lead
-    companion = np.zeros(d.shape + (3, 3))
-    companion[..., 0, :] = -np.stack([b2, b1, b0], axis=-1)
-    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-    lam = np.linalg.eigvals(companion)
-    # LAPACK returns the real eigenvalues of a real matrix with zero imaginary part
-    populations = (lam.imag == 0.0) & (lam.real >= 0.0)
-    u = np.sort(np.where(populations, lam.real, np.nan), axis=-1)  # NaN slots last
+    s = b2 / 3.0
+    p, q = b1 - b2 * s, s * (2.0 * s * s - b1) + b0
+    disc = 0.25 * q * q + p * p * p / 27.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.cbrt(-0.5 * q - np.copysign(np.sqrt(disc), q))  # the Cardano term free of cancellation
+        r = np.sqrt(-p / 3.0)
+        angle = np.arccos(np.clip(-0.5 * q / r**3, -1.0, 1.0))[..., None] / 3.0
+        trig = 2.0 * r[..., None] * np.cos(angle + _THIRDS)
+        u = np.where((disc > 0.0)[..., None], (w - p / (3.0 * w))[..., None] + _ONE_ROOT, trig) - s[..., None]
+        b2, b1, b0 = b2[..., None], b1[..., None], b0[..., None]
+        for _ in range(3):
+            step = (((u + b2) * u + b1) * u + b0) / ((3.0 * u + 2.0 * b2) * u + b1)
+            u = u - step
+        u = np.where((u >= 0.0) & (np.abs(step) <= 1e-9 * u), u, np.nan)
+    u = np.where(rhs[..., None] == 0.0, _ONE_ROOT, np.sort(u, axis=-1))  # NaN slots last
     n = n_c * u
-    stable = (3.0 * u + 2.0 * b2[..., None]) * u + b1[..., None] > 0.0
+    stable = (3.0 * u + 2.0 * b2) * u + b1 > 0.0
     return n, stable
 
 

@@ -1,10 +1,12 @@
+import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -282,6 +284,110 @@ class TestZeroPull:
         np.testing.assert_allclose(
             [p.extinction_db for p in got], [p.extinction_db for p in ref], rtol=0, atol=1e-8
         )
+
+
+def companion_steady_states(m, f, level, rhs):
+    """The solver the closed form replaced: the cubic's roots as the eigenvalues of stacked
+    3x3 companion matrices, the non-negative real ones kept.  Returns ``(n, stable, lam)``,
+    lam holding all three eigenvalues of u = n/n_crit."""
+    n_c = m.n_crit(level)
+    a = (m.base.kappa_tot / 2.0) ** 2
+    d, rhs = np.broadcast_arrays(np.asarray(f, dtype=float) - m.f_bare, np.asarray(rhs, dtype=float))
+    c = d - m.pull(level)
+    lead = n_c * (a + d * d)
+    b2 = (2.0 * n_c * (a + d * c) - rhs) / lead
+    b1 = (n_c * (a + c * c) - 2.0 * rhs) / lead
+    b0 = -rhs / lead
+    companion = np.zeros(d.shape + (3, 3))
+    companion[..., 0, :] = -np.stack([b2, b1, b0], axis=-1)
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    lam = np.linalg.eigvals(companion)
+    # LAPACK returns the real eigenvalues of a real matrix with zero imaginary part
+    populations = (lam.imag == 0.0) & (lam.real >= 0.0)
+    u = np.sort(np.where(populations, lam.real, np.nan), axis=-1)  # NaN slots last
+    stable = (3.0 * u + 2.0 * b2[..., None]) * u + b1[..., None] > 0.0
+    return n_c * u, stable, lam
+
+
+def near_fold(lam, gap=1e-3) -> bool:
+    """Whether two eigenvalues that could be populations lie within a relative ``gap``: a
+    fold of the response, where two roots merge and either solver may count them apart or
+    together.  Real parts below -1/4 are never populations, so the zero pull's double root
+    u = -1 is not a fold."""
+    return any(abs(x - y) <= gap * (abs(x) + abs(y))
+               for x, y in itertools.combinations(lam, 2) if min(x.real, y.real) > -0.25)
+
+
+def exact_sign_change(m, f, level, rhs, n, ulps=4) -> bool:
+    """Whether G(u) = n_crit*u*[a(1+u)^2 + (d*u + c)^2] - rhs*(1+u)^2, evaluated in exact
+    rationals on the solver's own float a, d and c, changes sign between n -/+ ulps*spacing(n)."""
+    d = f - m.f_bare
+    a, d, c, rhs, n_c = map(Fraction, ((m.base.kappa_tot / 2.0) ** 2, d, d - m.pull(level), rhs, m.n_crit(level)))
+
+    def G(x):
+        u = Fraction(x) / n_c
+        return Fraction(x) * (a * (1 + u) ** 2 + (d * u + c) ** 2) - rhs * (1 + u) ** 2
+
+    h = ulps * np.spacing(n)
+    return G(n - h) * G(n + h) <= 0
+
+
+@st.composite
+def cubic_points(draw):
+    """A device, a qubit level, a drive frequency and a drive strength R, zero pull and
+    zero drive included."""
+    m = model(
+        n_crit_g=10 ** draw(st.floats(3.0, 6.0)),
+        n_crit_e=10 ** draw(st.floats(3.0, 6.0)),
+        n_crit_f=10 ** draw(st.floats(3.0, 6.0)),
+        bare_offset=draw(st.just(0.0) | st.floats(2.0, 8.0)),
+    )
+    rhs = draw(st.just(0.0) | st.floats(-3.0, 10.0).map(lambda e: 10**e))
+    anchor = draw(st.sampled_from(["g", "e", "f", "bare"]))
+    f0 = m.f_bare if anchor == "bare" else shifted_frequency(m.base, anchor)
+    return m, f0 + draw(st.floats(-1.0, 1.0)), draw(st.sampled_from(["g", "e", "f"])), rhs
+
+
+class TestAgainstCompanion:
+    """The closed-form roots against the companion-matrix eigenvalues they replace."""
+
+    @given(cubic_points())
+    # at this strong drive the trigonometric form puts the complex pair near u = -1 at
+    # n = 1670, a root that only the Newton convergence rule drops
+    @example((model(n_crit_f=7082.034764311803, bare_offset=0.044854852170459175),
+              9000.045619476643, "f", 933492988.9141754))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_companion_away_from_folds(self, point):
+        m, f, level, rhs = point
+        n, stable = _steady_states(m, f, level, rhs)
+        ref_n, ref_stable, lam = companion_steady_states(m, f, level, rhs)
+        assume(not near_fold(lam))
+        kept, ref_kept = ~np.isnan(n), ~np.isnan(ref_n)
+        assert kept.tolist() == sorted(kept.tolist(), reverse=True)  # NaN slots last
+        assert stable[kept].tolist() == ref_stable[ref_kept].tolist()
+        assert not np.any(stable[~kept])
+        np.testing.assert_allclose(n[kept], ref_n[ref_kept], rtol=1e-10, atol=0.0)
+
+    def test_dim_roots_bracket_an_exact_sign_change(self):
+        # 20 jittered devices x 3 levels x 3 frequencies x 40 drives: 7200 dim-branch roots
+        rng = np.random.default_rng(2024)
+        rhs = (CAVITY_II.kappa_ext_in * 1.1 * np.geomspace(1.0, 1e8, 40))[:, None]
+        hits, total = {"closed": 0, "companion": 0}, 0
+        for _ in range(20):
+            m = model(n_crit_g=1.0e4 * rng.uniform(0.5, 2.0), n_crit_e=2.0e5 * rng.uniform(0.5, 2.0),
+                      n_crit_f=4.0e4 * rng.uniform(0.5, 2.0), bare_offset=5.0 * rng.uniform(0.8, 1.2))
+            f = np.array([shifted_frequency(m.base, "e"), shifted_frequency(m.base, "f"), m.f_bare])
+            for level in "gef":
+                ref_n, ref_stable, _ = companion_steady_states(m, f, level, rhs)
+                dims = {"closed": _dim_root(m, f, level, rhs),
+                        "companion": np.where(ref_stable, ref_n, np.inf).min(axis=-1)}
+                for i, j in np.ndindex(dims["closed"].shape):
+                    total += 1
+                    for name, dim in dims.items():
+                        hits[name] += exact_sign_change(m, float(f[j]), level, float(rhs[i, 0]), float(dim[i, j]))
+        assert total == 7200
+        assert hits["closed"] >= hits["companion"], hits
+        assert hits["closed"] >= 0.99 * total, hits
 
 
 def scalar_gain_db(n1: float, n0: float) -> float:
