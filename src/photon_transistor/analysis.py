@@ -10,6 +10,7 @@ absorbed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, asdict
 
@@ -85,9 +86,12 @@ def fit_eta(points) -> tuple[float, float]:
     pts = [(float(n), float(b)) for n, b in points]
     if len(pts) < 2:
         raise ValueError("need at least 2 points")
+    for i, (n, b) in enumerate(pts):
+        if not (math.isfinite(b) and math.isfinite(n) and n >= 0.0):
+            raise ValueError(f"pair {i} (n_g={n}, beta={b}) needs a finite beta and a finite n_g >= 0")
     n_vals = np.array([p[0] for p in pts])
     b_vals = np.array([p[1] for p in pts])
-    if np.unique(n_vals).size < 2:
+    if (n_vals == n_vals[0]).all():
         raise ValueError("fit is singular: all n_g values are equal")
     if np.any(n_vals > 0.5):
         raise ValueError("fit restricted to the linear regime n_g <= 0.5")

@@ -118,28 +118,44 @@ def _write_csv(path: Path, manifest: RunManifest, header: list[str], lines) -> N
         fh.writelines(lines)
 
 
-#: rows per ``%`` block; larger blocks format a little faster, but 2048-row blocks
-#: let the peak RSS of repeated in-process ``switch`` runs creep up by about 6 MB
-_BLOCK_ROWS = 64
+#: rows per chunk: a chunk's columns are formatted whole and joined into one string, so
+#: memory stays flat in the row count (4096-row chunks raise the benchmark's peak RSS)
+_CHUNK_ROWS = 2048
 
 
-def _text(values, nan: str = "nan", fmt: str = "%.12g") -> list[str]:
-    """The ``fmt`` strings of a float array; NaN is written as the string ``nan``.
+def _formatted(values, fmt: str) -> list[str]:
+    """The ``fmt`` strings of an array's values, from one ``%`` over all of them (faster than one per value)."""
+    return ((fmt + "\0") * len(values) % tuple(values.tolist())).split("\0")[:-1]
+
+
+def _text(values, fmt: str = "%.12g", nan: str | None = None) -> list[str]:
+    """The ``fmt`` strings of a float array, a NaN's replaced by ``nan`` if it is given.
 
     Each distinct value is formatted once.  Values are told apart by their bits,
     not by float equality, which would merge -0.0 into 0.0."""
     bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.uint64), return_inverse=True)
     distinct = bits.view(np.float64)
-    text = np.array(list(map(fmt.__mod__, distinct.tolist())), dtype=object)
-    text[np.isnan(distinct)] = nan
+    text = np.array(_formatted(distinct, fmt), dtype=object)
+    if nan is not None:
+        text[np.isnan(distinct)] = nan
     return text[inverse.ravel()].tolist()
 
 
-def _blocks(row: str, *columns):
-    """CSV text of the rows ``row % (c[i] for c in columns)``, one ``%`` per block of rows."""
-    rows = zip(*columns)
-    while block := tuple(itertools.chain.from_iterable(itertools.islice(rows, _BLOCK_ROWS))):
-        yield row * (len(block) // len(columns)) % block
+#: ",<gate_flip>,<level>," at 2 * ord(level) + flip, for one-character levels
+_FLIP_LEVEL = np.array([f",{i % 2},{chr(i // 2)}," for i in range(256)], dtype=object)
+_LABEL = np.array([f"{measurement.OFF}\r\n", f"{measurement.ON}\r\n"], dtype=object)
+
+
+def _chunks(*columns):
+    """CSV text whose row i joins the i-th texts of the columns, one string per chunk of
+    rows.  A column ``(fn, values, *args)`` gives the texts of the rows of a chunk as
+    ``fn(values[chunk], *args)``, with its separator folded in."""
+    for start in range(0, len(columns[0][1]), _CHUNK_ROWS):
+        texts = [fn(values[start : start + _CHUNK_ROWS], *args) for fn, values, *args in columns]
+        out = [""] * (len(columns) * len(texts[0]))
+        for j, text in enumerate(texts):
+            out[j :: len(columns)] = text
+        yield "".join(out)
 
 
 def load_protocol(path) -> protocol.ProtocolConfig:
@@ -182,8 +198,8 @@ def cmd_spectra(args) -> int:
     lines = []
     for level in ("g", "e", "f"):
         amps = spectrum(cav, grid, level)
-        lines += _blocks(f"%.12g,{level},{mode},%.12g,%.12g\r\n",
-                         grid.tolist(), np.abs(amps).tolist(), np.angle(amps).tolist())
+        lines += _chunks((_formatted, grid, f"%.12g,{level},{mode},"), (_formatted, np.abs(amps), "%.12g,"),
+                         (_formatted, np.angle(amps), "%.12g\r\n"))
     _write_csv(out_path, manifest, ["frequency_mhz", "level", "mode", "amplitude", "phase_rad"], lines)
     print(f"wrote {out_path}")
     return 0
@@ -203,10 +219,10 @@ def _class_stats(shots, detection, label):
 
 def _shot_lines(name: str, shots):
     """shots.csv text of one run: the bytes csv.writer gives, as no field needs quoting."""
-    label = np.where(shots.on, measurement.ON, measurement.OFF).tolist()
-    return _blocks(name + ",%d,%d,%s,%s,%s,%.12g,%s\r\n", range(len(shots)), shots.flip.tolist(),
-                   shots.level.tolist(), _text(shots.jump_time, nan=""), _text(shots.true_photons),
-                   shots.reading.tolist(), label)
+    return _chunks((_formatted, np.arange(len(shots)), name + ",%d"),
+                   (np.ndarray.tolist, _FLIP_LEVEL[2 * shots.level.view(np.uint32) + shots.flip]),
+                   (_text, shots.jump_time, "%.12g,", ","), (_text, shots.true_photons, "%.12g,"),
+                   (_formatted, shots.reading, "%.12g,"), (np.ndarray.tolist, _LABEL[shots.on.view(np.uint8)]))
 
 
 def cmd_switch(args) -> int:
@@ -238,10 +254,10 @@ def cmd_switch(args) -> int:
     header = ["run", "shot", "gate_flip", "level_at_signal_start", "jump_time_us", "true_photons", "reading", "label"]
     _write_csv(shots_path, manifest, header,
                itertools.chain.from_iterable(_shot_lines(name, shots) for name, shots in runs))
-    hist_lines = itertools.chain.from_iterable(
-        _blocks(name + ",%.12g,%d\r\n", *(c.tolist() for c in measurement.histogram(shots.reading, args.bins)))
-        for name, shots in runs
-    )
+    hist_lines = []
+    for name, shots in runs:
+        centers, counts = measurement.histogram(shots.reading, args.bins)
+        hist_lines += _chunks((_formatted, centers, name + ",%.12g,"), (_formatted, counts, "%d\r\n"))
     _write_csv(hist_path, manifest, ["run", "bin_center", "count"], hist_lines)
 
     report = {
@@ -279,25 +295,23 @@ def cmd_gain_sweep(args) -> int:
             raise ValueError(f"{flag} must be finite and in [0, 1], got {value}")
     grid = np.geomspace(args.n_min, args.n_max, args.points)
     (out_path,), manifest = _artifacts(args, ["gain_sweep.csv"])
-    # a SweepPoint's fields in order: n_s, gain_db, extinction_db, regime
-    lines = itertools.chain.from_iterable(
-        _blocks(f"%.12g,{subspace},%.12g,%.12g,%s\r\n",
-                *zip(*semiclassical.gain_sweep(model, args.eta, args.p_s, grid, subspace)))
-        for subspace in ("ge", "gf")
-    )
+    lines = []
+    for subspace in ("ge", "gf"):
+        # one column of whole rows, a SweepPoint's fields in order: n_s, gain_db, extinction_db, regime
+        row = f"%.12g,{subspace},%.12g,%.12g,%s\r\n"
+        lines += _chunks((list, [row % p for p in semiclassical.gain_sweep(model, args.eta, args.p_s, grid, subspace)]))
     _write_csv(out_path, manifest, ["n_s", "subspace", "gain_db", "extinction_db", "regime"], lines)
     print(f"wrote {out_path}")
     return 0
 
 
 def _wigner_lines(xs, ps, w):
-    """wigner_*.csv text of the map ``w[j, i]`` at (xs[i], ps[j]), x running fastest,
-    one string per grid row j; W is printed ``%.11f``, a W that rounds to zero unsigned
-    (the double nearest 5e-12 lies below 5e-12, so those are exactly |W| <= 5e-12)."""
-    x_text, w_text = _text(xs), _text(np.where(np.abs(w) <= 5e-12, 0.0, w), fmt="%.11f")
-    for j, p in enumerate(_text(ps)):
-        row = w_text[j * len(x_text) : (j + 1) * len(x_text)]
-        yield "".join([f"{x},{p},{v}\r\n" for x, v in zip(x_text, row)])
+    """wigner_*.csv text of the map ``w[j, i]`` at (xs[i], ps[j]), x running fastest; W is
+    printed ``%.11f``, a W that rounds to zero unsigned (the double nearest 5e-12 lies below
+    5e-12, so those are exactly |W| <= 5e-12)."""
+    x_text, p_text = (np.array(_text(v, "%.12g,"), dtype=object) for v in (xs, ps))
+    return _chunks((np.ndarray.tolist, np.tile(x_text, len(ps))), (np.ndarray.tolist, np.repeat(p_text, len(xs))),
+                   (_text, np.where(np.abs(w) <= 5e-12, 0.0, w).ravel(), "%.11f\r\n"))
 
 
 def cmd_wigner(args) -> int:

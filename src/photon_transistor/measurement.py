@@ -77,9 +77,10 @@ def kmeans_1d(readings) -> KMeansFit:
     or after KMEANS_MAX_ITER iterations with ``converged`` False.
     """
     x = np.asarray(readings, dtype=float)
-    if x.size < 2 or np.unique(x).size < 2:
+    if not np.isfinite(x).all():
+        raise DegenerateDataError("readings must be finite to classify")
+    if x.size < 2 or (span := float(x.max() - x.min())) == 0.0:
         raise DegenerateDataError("need at least 2 distinct readings to classify")
-    span = float(x.max() - x.min())
     c_lo, c_hi = np.percentile(x, [10.0, 90.0])
     if c_lo == c_hi:
         c_lo, c_hi = float(x.min()), float(x.max())

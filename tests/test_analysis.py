@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,19 @@ class TestFitEta:
     def test_singular_design(self):
         with pytest.raises(ValueError):
             fit_eta([(0.2, 0.1), (0.2, 0.12)])
+
+    @pytest.mark.parametrize("pair, named", [
+        ((math.nan, 0.1), "n_g=nan, beta=0.1"),
+        ((math.inf, 0.1), "n_g=inf, beta=0.1"),
+        ((0.2, math.nan), "n_g=0.2, beta=nan"),
+        ((0.2, math.inf), "n_g=0.2, beta=inf"),
+        ((0.2, -math.inf), "n_g=0.2, beta=-inf"),
+        ((-0.2, 0.05), "n_g=-0.2, beta=0.05"),
+    ])
+    def test_bad_pair_named(self, pair, named, capfd):
+        with pytest.raises(ValueError, match=re.escape(f"pair 1 ({named})")):
+            fit_eta([(0.1, 0.08), pair, (0.3, 0.2)])
+        assert capfd.readouterr().err == ""  # nothing reaches LAPACK
 
     def test_outside_linear_regime(self):
         with pytest.raises(ValueError):

@@ -14,11 +14,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
 import photon_transistor
+from photon_transistor import cli
 from photon_transistor import device as device_mod
 from photon_transistor import measurement, semiclassical
 from photon_transistor.analysis import synthesize_intensities
@@ -141,8 +142,9 @@ def oracle_wigner_lines(xs, ps, w):
 #: values whose text is easy to get wrong: signed zeros and NaNs, infinities,
 #: the smallest subnormal and a large finite value
 SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e300, -1e300])
-# row counts on and around the 64-row block edges
-ROW_COUNTS = st.one_of(st.sampled_from([1, 63, 64, 65, 129]), st.integers(1, 5000))
+CHUNK = cli._CHUNK_ROWS
+# row counts on and around the writer's chunk seams
+ROW_COUNTS = st.one_of(st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]), st.integers(1, 5000))
 
 
 def with_specials(rng, values, share=0.1):
@@ -166,6 +168,9 @@ class TestColumnFormatter:
         values = np.array([np.nan, 1.5, -np.nan, 1.5])
         assert _text(values) == ["nan", "1.5", "nan", "1.5"]
         assert _text(values, nan="") == ["", "1.5", "", "1.5"]
+        # a column's separator is folded into its text, a NaN's text included
+        assert _text(values, "%.12g,") == ["nan,", "1.5,", "nan,", "1.5,"]
+        assert _text(values, "%.12g,", nan=",") == [",", "1.5,", ",", "1.5,"]
 
     def test_w_prints_at_eleven_decimals_with_an_unsigned_zero(self):
         w = np.array([[-1e-13, -0.0, 0.0, 2.0 / math.pi, -2.0 / math.pi, 5e-12, -5e-12,
@@ -198,6 +203,7 @@ class TestColumnFormatter:
 
     @settings(max_examples=60, deadline=None)
     @given(nx=st.integers(1, 70), n_p=st.sampled_from([1, 63, 64, 65, 129]), seed=st.integers(0, 2**32 - 1))
+    @example(nx=65, n_p=65, seed=0)  # 4225 points: two chunk seams and a partial last chunk
     def test_wigner_lines_match_line_oracle(self, nx, n_p, seed):
         rng = np.random.default_rng(seed)
         xs = with_specials(rng, np.linspace(-2.5, 2.5, nx))
@@ -308,6 +314,17 @@ class TestSwitch:
         assert report["gated"]["counts"]["off"] > report["ungated"]["counts"]["off"]
         assert (out / "shots.csv").exists()
         assert (out / "histogram.csv").exists()
+
+    def test_shots_csv_across_chunk_seams_matches_line_oracle(self, tmp_path, device_file, protocol_file):
+        out = tmp_path / "out"
+        n = 2 * CHUNK + 1  # per arm: two chunk seams and a one-row last chunk
+        with mock.patch.object(cli, "_shot_lines", wraps=cli._shot_lines) as spy:
+            assert main(["switch", "--device", str(device_file), "--protocol", str(protocol_file),
+                         "--out", str(out), "--shots", str(n)]) == 0
+        runs = [call.args for call in spy.call_args_list]
+        assert [(name, len(shots)) for name, shots in runs] == [("gated", n), ("ungated", n)]
+        _, rows = (out / "shots.csv").read_bytes().decode("utf-8").split("\r\n", 1)  # hash line and header
+        assert lines(rows) == lines(line for name, shots in runs for line in oracle_shot_lines(name, shots))
 
     def test_seed_reproducibility(self, tmp_path, device_file, protocol_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -706,6 +723,16 @@ class TestCalibrate:
         }))
         rc = main(["calibrate", "--inputs", str(inp), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_negative_n_g_in_beta_table_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "cal.json"
+        data = json.loads((CONFIGS / "calibration_example.json").read_text())
+        del data["eta"]
+        inp.write_text(json.dumps({**data, "beta_table": [[0.1, 0.08], [-0.2, 0.05], [0.3, 0.2]]}))
+        out = tmp_path / "out"
+        assert main(["calibrate", "--inputs", str(inp), "--out", str(out)]) == 2
+        assert "pair 1 (n_g=-0.2, beta=0.05)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eta_from_beta_table(self, tmp_path):
         from photon_transistor.protocol import coherent_flip_probability

@@ -71,6 +71,34 @@ class TestDetect:
             DetectionModel(added_noise_photons=-1.0)
 
 
+def kmeans_1d_unique_check(readings) -> measurement.KMeansFit:
+    """measurement.kmeans_1d as it was when np.unique decided degeneracy: the reference."""
+    x = np.asarray(readings, dtype=float)
+    if x.size < 2 or np.unique(x).size < 2:
+        raise DegenerateDataError("need at least 2 distinct readings to classify")
+    span = float(x.max() - x.min())
+    c_lo, c_hi = np.percentile(x, [10.0, 90.0])
+    if c_lo == c_hi:
+        c_lo, c_hi = float(x.min()), float(x.max())
+    converged = False
+    for iterations in range(1, measurement.KMEANS_MAX_ITER + 1):
+        mid = 0.5 * (c_lo + c_hi)
+        lo = x[x < mid]
+        hi = x[x >= mid]
+        if lo.size == 0 or hi.size == 0:
+            lo = x[x <= x.min()]
+            hi = x[x > x.min()]
+        n_lo, n_hi = float(lo.mean()), float(hi.mean())
+        motion = abs(n_lo - c_lo) + abs(n_hi - c_hi)
+        c_lo, c_hi = n_lo, n_hi
+        if motion < 1e-9 * span:
+            converged = True
+            break
+    threshold = 0.5 * (c_lo + c_hi)
+    on = x >= threshold
+    return measurement.KMeansFit(threshold, on, measurement.label_counts(on), iterations, converged)
+
+
 class TestKmeans:
     def test_two_delta_clusters(self):
         readings = [0.0] * 40 + [100.0] * 60
@@ -99,6 +127,30 @@ class TestKmeans:
     def test_identical_values_degenerate(self):
         with pytest.raises(DegenerateDataError):
             kmeans_1d([3.0, 3.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reading_degenerate(self, bad):
+        data = np.concatenate([np.zeros(40), np.full(60, 100.0), [bad]])
+        with pytest.raises(DegenerateDataError, match="finite"):
+            kmeans_1d(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(readings=st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-0.0, 0.0, 1.0, 7.5])),
+                             max_size=60))
+    @example(readings=[0.0] * 40 + [100.0] * 60 + [30.0, 70.0])
+    @example(readings=[0.0, -0.0, 0.0])
+    def test_finite_fit_equals_distinct_value_check(self, readings):
+        """On finite readings the fit is the one of the np.unique degeneracy check, bit for bit."""
+        try:
+            want = kmeans_1d_unique_check(readings)
+        except DegenerateDataError:
+            with pytest.raises(DegenerateDataError):
+                kmeans_1d(readings)
+            return
+        got = kmeans_1d(readings)
+        assert np.float64(got.threshold).tobytes() == np.float64(want.threshold).tobytes()
+        assert np.array_equal(got.on, want.on)
+        assert (got.counts, got.iterations, got.converged) == (want.counts, want.iterations, want.converged)
 
     def test_deterministic_and_permutation_invariant_counts(self):
         rng = np.random.default_rng(3)
