@@ -3,7 +3,6 @@
 from .analysis import (
     CalibrationInputs,
     CalibrationResult,
-    TransistorReport,
     extinction_db,
     fit_eta,
     gain_db,
@@ -33,7 +32,7 @@ from .protocol import (
 from .qubit import QubitRates, evolve_lindblad
 from .semiclassical import SaturableCavityModel, SemiclassicalSettings, gain_sweep
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "CalibrationInputs",
@@ -48,7 +47,6 @@ __all__ = [
     "SaturableCavityModel",
     "SemiclassicalSettings",
     "Shots",
-    "TransistorReport",
     "coherent_flip_probability",
     "coherent_state",
     "conditional_gate_field",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,29 +51,6 @@ class CalibrationResult:
     @property
     def is_physical(self) -> bool:
         return 0.0 <= self.P_g_open <= 1.0 and 0.0 <= self.P_g_close <= 1.0
-
-
-@dataclass(frozen=True)
-class TransistorReport:
-    """Figures of merit plus the inputs they were derived from."""
-
-    calibration: CalibrationResult
-    eta: float
-    dark_flip: float | None
-    p_s: float | None
-    p_sg: float | None
-    n1_open: float
-    n0_open: float
-    gain_db: float
-    extinction_db: float
-    provenance: dict | None = None
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        cal = {k.lower(): v for k, v in out["calibration"].items()}
-        cal["is_physical"] = self.calibration.is_physical
-        out["calibration"] = cal
-        return out
 
 
 def fit_eta(points) -> tuple[float, float]:

@@ -148,6 +148,8 @@ def spectrum(c: CavityParams, f_grid, qubit_level: str) -> np.ndarray:
 
 #: 32-node Gauss-Legendre rule on [-1, 1], applied panel by panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+#: panels a moment rule may take: 2**20 nodes, whose complex 2 x N kernel alone is 32 MB
+_MAX_PANELS = 2**20 // _GL_NODES.size
 
 
 def gate_carrier_frequency(c: CavityParams, p: PulseShape) -> float:
@@ -164,6 +166,7 @@ def _moment_rule(c: CavityParams, p: PulseShape, kappa_lo: float, kappa_hi: floa
     integrand has decayed below e^-80 by tau = 80/(pi kappa), so tau_max = min(T, 80/(pi kappa_lo)).
     Each panel spans about one unit of the integrand's fastest rate at kappa_hi (decay, carrier
     offset and gaussian width), which keeps the fixed 32-node rule at double precision.
+    A rule of more than 2**20 nodes is a NumericsError, raised before anything is allocated.
     """
     T = p.duration / 1000.0  # ns -> us, so that MHz * us counts cycles
     tau_max = min(T, 80.0 / (math.pi * kappa_lo))
@@ -171,6 +174,10 @@ def _moment_rule(c: CavityParams, p: PulseShape, kappa_lo: float, kappa_hi: floa
     fastest = kappa_hi / 2.0 + float(np.abs(d).max())  # 1/us
     if p.kind == "gaussian":
         fastest += 250.0 / p.sigma  # 1/(4 sigma) in 1/us, sigma in ns
+    if not tau_max * fastest < _MAX_PANELS:
+        raise NumericsError(f"the pulse moments need {_GL_NODES.size * (1 + tau_max * fastest):.3g} quadrature "
+                            f"nodes, over the budget of 2**20: sigma_ns = {p.sigma} and carrier_detuning_mhz = "
+                            f"{p.carrier_detuning} vary too fast to resolve")
     panels = 1 + int(tau_max * fastest)
     h = tau_max / panels
     tau = (h * (np.arange(panels)[:, None] + (_GL_NODES + 1.0) / 2.0)).ravel()

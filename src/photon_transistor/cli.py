@@ -47,13 +47,6 @@ _NUMERIC_ERRORS = (
     UnphysicalInputError,
 )
 
-# protocol-file name -> ProtocolConfig field; only signal_duration carries its unit in the file
-_PROTOCOL_KEYS = {
-    {"signal_duration": "signal_duration_us"}.get(f.name, f.name): f.name
-    for f in dataclasses.fields(protocol.ProtocolConfig)
-}
-
-
 @dataclasses.dataclass(frozen=True)
 class RunManifest:
     command: str
@@ -118,6 +111,14 @@ def _write_csv(path: Path, manifest: RunManifest, header: list[str], lines) -> N
         fh.writelines(lines)
 
 
+def _write_json(path: Path, manifest: RunManifest, body: dict) -> None:
+    """The report ``body`` under its ``manifest``, as indented JSON with sorted keys.  JSON has
+    no Infinity or NaN (RFC 8259), so a non-finite float, at any depth, is written as null."""
+    text = json.dumps({"manifest": manifest.to_dict(), **body})
+    report = json.loads(text, parse_constant=lambda constant: None)  # Infinity, -Infinity, NaN -> null
+    path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+
+
 #: rows per chunk: a chunk's columns are formatted whole and joined into one string, so
 #: memory stays flat in the row count (4096-row chunks raise the benchmark's peak RSS)
 _CHUNK_ROWS = 2048
@@ -159,8 +160,8 @@ def _chunks(*columns):
 
 
 def load_protocol(path) -> protocol.ProtocolConfig:
-    data = fields("protocol file", read_json(path, "protocol"), _PROTOCOL_KEYS)
-    kwargs = {_PROTOCOL_KEYS[k]: v for k, v in data.items()}
+    data = fields("protocol file", read_json(path, "protocol"), protocol.PROTOCOL_KEYS)
+    kwargs = {protocol.PROTOCOL_KEYS[k]: v for k, v in data.items()}
     if "gate_pulse" in kwargs:
         raw = fields("gate_pulse", kwargs["gate_pulse"], PULSE_KEYS, ("kind", "duration_ns"))
         kwargs["gate_pulse"] = PulseShape(**{PULSE_KEYS[k]: v for k, v in raw.items()})
@@ -232,51 +233,40 @@ def cmd_switch(args) -> int:
     cfg = _run_protocol(args)
     ungated_cfg = dataclasses.replace(cfg, n_g=0.0, seed=cfg.seed + 1)
 
-    gated = protocol.run_experiment(cfg, dev)
-    ungated = protocol.run_experiment(ungated_cfg, dev)
-
+    runs = {"gated": protocol.run_experiment(cfg, dev), "ungated": protocol.run_experiment(ungated_cfg, dev)}
     # shared threshold from the pooled readings, as if both runs filled one histogram
-    fit = measurement.kmeans_1d(np.concatenate([gated.reading, ungated.reading]))
-    gated, _, counts_gated = protocol.label_records(gated, threshold=fit.threshold)
-    ungated, _, counts_ungated = protocol.label_records(ungated, threshold=fit.threshold)
+    fit = measurement.kmeans_1d(np.concatenate([shots.reading for shots in runs.values()]))
+    arms = {}
+    for name, shots in runs.items():
+        runs[name], _, counts = protocol.label_records(shots, threshold=fit.threshold)
+        arms[name] = {"counts": counts, **{label: _class_stats(runs[name], dev.detection, label)
+                                           for label in (measurement.ON, measurement.OFF)}}
 
     cond = {}
     for label in (measurement.ON, measurement.OFF):
         try:
-            state = protocol.conditional_gate_field(gated, label, cfg, dev)
+            state = protocol.conditional_gate_field(runs["gated"], label, cfg, dev)
             cond[f"mean_photon_{label}"] = mean_photon(state, 0)
         except InsufficientDataError:
             cond[f"mean_photon_{label}"] = None
 
     names = ["switch_report.json", "shots.csv", "histogram.csv"]
     (report_path, shots_path, hist_path), manifest = _artifacts(args, names, cfg)
-    runs = (("gated", gated), ("ungated", ungated))
     header = ["run", "shot", "gate_flip", "level_at_signal_start", "jump_time_us", "true_photons", "reading", "label"]
     _write_csv(shots_path, manifest, header,
-               itertools.chain.from_iterable(_shot_lines(name, shots) for name, shots in runs))
+               itertools.chain.from_iterable(_shot_lines(name, shots) for name, shots in runs.items()))
     hist_lines = []
-    for name, shots in runs:
+    for name, shots in runs.items():
         centers, counts = measurement.histogram(shots.reading, args.bins)
         hist_lines += _chunks((_formatted, centers, name + ",%.12g,"), (_formatted, counts, "%d\r\n"))
     _write_csv(hist_path, manifest, ["run", "bin_center", "count"], hist_lines)
 
-    report = {
-        "manifest": manifest.to_dict(),
+    _write_json(report_path, manifest, {
         "threshold": fit.threshold,
         "classification": {"iterations": fit.iterations, "converged": fit.converged},
-        "gated": {
-            "counts": counts_gated,
-            "on": _class_stats(gated, dev.detection, measurement.ON),
-            "off": _class_stats(gated, dev.detection, measurement.OFF),
-        },
-        "ungated": {
-            "counts": counts_ungated,
-            "on": _class_stats(ungated, dev.detection, measurement.ON),
-            "off": _class_stats(ungated, dev.detection, measurement.OFF),
-        },
+        **arms,
         "conditional_gate_field": cond,
-    }
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    })
     print(f"wrote {report_path}")
     return 0
 
@@ -345,32 +335,31 @@ def cmd_calibrate(args) -> int:
             raise ValueError(f"beta_table[{i}] must be an [n_g, beta] pair, got {row!r}")
     table = [[number(f"beta_table[{i}]", v) for v in row] for i, row in enumerate(table)]
 
-    dark = values.get("dark_flip")
-    if "eta" in values:
-        eta = values["eta"]
-    elif "beta_table" in data:
+    if "beta_table" in data:
+        if fitted := [key for key in ("eta", "dark_flip") if key in data]:
+            raise ValueError(f"beta_table sets eta and dark_flip by its fit; drop {' and '.join(fitted)} or the table")
         eta, dark = analysis.fit_eta(table)
+    elif "eta" in values:
+        eta, dark = values["eta"], values.get("dark_flip")
     else:
         raise ValueError("provide either 'eta' or a 'beta_table' to fit")
 
     cal = analysis.solve_calibration(analysis.CalibrationInputs(**{k: values[k] for k in measured}))
     n1, n0 = analysis.predict_single_photon(cal, eta)
     p_s = values.get("p_s")
-    report = analysis.TransistorReport(
-        calibration=cal,
-        eta=eta,
-        dark_flip=dark,
-        p_s=p_s,
-        p_sg=analysis.switching_probability(eta, p_s) if p_s is not None else None,
-        n1_open=n1,
-        n0_open=n0,
-        gain_db=analysis.gain_db(n1, n0),
-        extinction_db=analysis.extinction_db(n0, n1),
-        provenance={"inputs_file": str(args.inputs)},
-    )
     (out_path,), manifest = _artifacts(args, ["transistor_report.json"])
-    payload = {"manifest": manifest.to_dict(), "report": report.to_dict()}
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out_path, manifest, {"report": {
+        "calibration": {k.lower(): v for k, v in dataclasses.asdict(cal).items()} | {"is_physical": cal.is_physical},
+        "eta": eta,
+        "dark_flip": dark,
+        "p_s": p_s,
+        "p_sg": None if p_s is None else analysis.switching_probability(eta, p_s),
+        "n1_open": n1,
+        "n0_open": n0,
+        "gain_db": analysis.gain_db(n1, n0),
+        "extinction_db": analysis.extinction_db(n0, n1),
+        "provenance": {"inputs_file": str(args.inputs)},
+    }})
     print(f"wrote {out_path}")
     return 0
 

@@ -95,10 +95,11 @@ class DeviceParams:
 def paper_defaults() -> DeviceParams:
     """Device parameters at the published operating point.
 
-    Quantities the experiment never quotes (absolute cavity frequencies,
-    coherence times, the detection chain, the mean-field saturation scales)
-    are tagged "default"; the cavity-II internal loss and cavity-I internal
-    loss are "derived" (linewidth bookkeeping and the eta = 0.80 root-find).
+    Every leaf is tagged "default", as the quantities the experiment never quotes
+    are (absolute cavity frequencies, coherence times, the detection chain, the
+    mean-field saturation scales), but for the ten the paper quotes and three
+    "derived" ones: the cavity-II and cavity-I internal losses (linewidth
+    bookkeeping and the eta = 0.80 root-find) and the photon-flux conversion.
     """
     cavity_i = CavityParams(
         f0=7000.0,
@@ -119,36 +120,15 @@ def paper_defaults() -> DeviceParams:
     rates = QubitRates(T1_ge=30.0, T1_ef=15.0, T2_ge=20.0, T2_gf=12.0)
     detection = DetectionModel(efficiency=0.5, added_noise_photons=2.0, baseline_sigma=1.0)
     semi = SemiclassicalSettings()
-    provenance = {
-        "f_q_mhz": "paper",
-        "e_c_mhz": "paper",
-        "cavity_i.f0_mhz": "default",
-        "cavity_i.kappa_ext_in_mhz": "paper",
-        "cavity_i.kappa_ext_out_mhz": "paper",
-        "cavity_i.kappa_int_mhz": "derived",
-        "cavity_i.chi_ge_mhz": "paper",
-        "cavity_i.chi_gf_mhz": "default",
-        "cavity_ii.f0_mhz": "default",
-        "cavity_ii.kappa_ext_in_mhz": "paper",
-        "cavity_ii.kappa_ext_out_mhz": "paper",
-        "cavity_ii.kappa_int_mhz": "derived",
-        "cavity_ii.chi_ge_mhz": "paper",
-        "cavity_ii.chi_gf_mhz": "paper",
-        "qubit_rates.t1_ge_us": "default",
-        "qubit_rates.t1_ef_us": "default",
-        "qubit_rates.t2_ge_us": "default",
-        "qubit_rates.t2_gf_us": "default",
-        "qubit_rates.thermal_excitation_rate_per_us": "default",
-        "detection.efficiency": "default",
-        "detection.added_noise_photons": "default",
-        "detection.baseline_sigma": "default",
-        "semiclassical.n_crit_g": "default",
-        "semiclassical.n_crit_e": "default",
-        "semiclassical.n_crit_f": "default",
-        "semiclassical.bare_offset_mhz": "default",
-        "semiclassical.photon_flux_conversion": "derived",
-        "semiclassical.signal_window_us": "paper",
-    }
+    provenance = (
+        dict.fromkeys(_LEAF_PATHS, "default")
+        | dict.fromkeys(["f_q_mhz", "e_c_mhz",
+                         "cavity_i.kappa_ext_in_mhz", "cavity_i.kappa_ext_out_mhz", "cavity_i.chi_ge_mhz",
+                         "cavity_ii.kappa_ext_in_mhz", "cavity_ii.kappa_ext_out_mhz", "cavity_ii.chi_ge_mhz",
+                         "cavity_ii.chi_gf_mhz", "semiclassical.signal_window_us"], "paper")
+        | dict.fromkeys(["cavity_i.kappa_int_mhz", "cavity_ii.kappa_int_mhz",
+                         "semiclassical.photon_flux_conversion"], "derived")
+    )
     return DeviceParams(
         f_q=5350.0,
         E_c=249.0,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -70,15 +70,17 @@ class ProtocolConfig:
     fock_cutoff: int = DEFAULT_FOCK_CUTOFF
 
     def __post_init__(self):
-        for name in ("theta", "n_g", "n_s", "signal_duration", "signal_flip_rate_per_photon", "dark_flip",
-                     "eta_override"):
+        for key in ("theta", "n_g", "n_s", "signal_duration_us", "signal_flip_rate_per_photon", "dark_flip",
+                    "eta_override"):
+            name = PROTOCOL_KEYS[key]
             if name != "eta_override" or self.eta_override is not None:
-                object.__setattr__(self, name, number(name, getattr(self, name)))
+                object.__setattr__(self, name, number(key, getattr(self, name)))
         for name in ("fock_cutoff", "n_shots", "seed"):
             if isinstance(value := getattr(self, name), bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_g < 0 or self.n_s < 0:
-            raise ValueError("photon numbers must be >= 0")
+        for name in ("n_g", "n_s"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.n_shots < 1:
             raise ValueError("n_shots must be >= 1")
         if self.fock_cutoff < 2:
@@ -98,7 +100,11 @@ class ProtocolConfig:
         if self.gate_source == "single_photon" and self.n_g > 1.0:
             raise ValueError("single_photon source needs n_g <= 1")
         if self.signal_duration <= 0:
-            raise ValueError("signal_duration must be positive")
+            raise ValueError("signal_duration_us must be positive")
+
+
+#: protocol-file key -> ProtocolConfig field; only signal_duration carries its unit in the file
+PROTOCOL_KEYS = {{"signal_duration": "signal_duration_us"}.get(f.name, f.name): f.name for f in fields(ProtocolConfig)}
 
 
 @dataclass(frozen=True, eq=False)

@@ -333,6 +333,21 @@ class TestGatingEfficiency:
         with pytest.raises(ValueError):
             gating_efficiency(cavity_two(), GATE_PULSE)
 
+    @pytest.mark.parametrize(
+        "pulse",
+        [PulseShape("gaussian", 960.0, sigma=0.0037), PulseShape("square", 960.0, carrier_detuning=68_000.0)],
+        ids=["narrow-gaussian", "detuned-square"],
+    )
+    def test_moment_rule_over_budget_raises_before_allocating(self, pulse):
+        # each pulse asks for about 2 * 2**20 nodes; the rule must refuse before building any
+        c = cavity_one(kappa_ext=1.81, kappa_int=0.16)
+        for fn in (gating_efficiency, pulse_survival):
+            with mock.patch.object(cavity.np, "arange", side_effect=AssertionError("allocated")):
+                with pytest.raises(NumericsError, match=r"2\.\d+e\+06 quadrature nodes, over the budget of 2\*\*20"):
+                    fn(c, pulse)
+        with pytest.raises(NumericsError, match="over the budget"):
+            internal_loss_for_efficiency(c, pulse, 0.5)
+
 
 class TestPulseShape:
     def test_gaussian_sigma_default(self):

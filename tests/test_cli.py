@@ -410,7 +410,10 @@ class TestSwitch:
             ("theta", float("nan"), "theta"),
             ("n_g", float("nan"), "n_g"),
             ("n_s", float("nan"), "n_s"),
-            ("signal_duration_us", float("nan"), "signal_duration"),
+            ("signal_duration_us", float("nan"), "signal_duration_us"),
+            ("signal_duration_us", -1.0, "signal_duration_us"),
+            ("n_g", -0.1, "n_g"),
+            ("n_s", -1.0, "n_s"),
             ("signal_flip_rate_per_photon", -1.0, "signal_flip_rate_per_photon"),
             ("signal_flip_rate_per_photon", float("inf"), "signal_flip_rate_per_photon"),
             ("fock_cutoff", 0, "fock_cutoff"),
@@ -422,7 +425,7 @@ class TestSwitch:
             ("seed", "321", "seed"),
             ("seed", False, "seed"),
             # every float field, eta_override included, takes the input files' number rule
-            *[(key, value, key.removesuffix("_us"))
+            *[(key, value, key)
               for key in ("theta", "n_g", "n_s", "signal_duration_us", "signal_flip_rate_per_photon",
                           "dark_flip", "eta_override")
               for value in (True, "0.5")],
@@ -734,6 +737,36 @@ class TestCalibrate:
         assert "pair 1 (n_g=-0.2, beta=0.05)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fitted", [["eta"], ["dark_flip"], ["eta", "dark_flip"]])
+    def test_beta_table_with_a_value_it_fits_exits_2_naming_both(self, tmp_path, capsys, fitted):
+        data = json.loads((CONFIGS / "calibration_example.json").read_text())
+        data = {k: v for k, v in data.items() if k != "eta"} | dict.fromkeys(fitted, 0.5)
+        inp = tmp_path / "cal.json"
+        inp.write_text(json.dumps({**data, "beta_table": [[0.1, 0.09], [0.3, 0.2]]}))
+        out = tmp_path / "out"
+        assert main(["calibrate", "--inputs", str(inp), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in ["beta_table", *fitted])
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "intensities, eta, key",
+        [
+            # eta = 0: the single photon controls no signal photon, G = 10 log10 0
+            ({"n0_open": 26.65, "na_open": 23.14, "n0_close": 2.35, "na_close": 5.86}, 0.0, "gain_db"),
+            # n_e_state = 0 and P_g_open = 0: no signal passes ungated, R = 10 log10 (n1 / 0)
+            ({"n0_open": 0.0, "na_open": 3.64, "n0_close": 28.0, "na_close": 24.36}, 0.8, "extinction_db"),
+        ],
+    )
+    def test_non_finite_figure_of_merit_written_as_null(self, tmp_path, intensities, eta, key):
+        inp = tmp_path / "cal.json"
+        inp.write_text(json.dumps({**intensities, "beta": 0.13, "eta": eta}))
+        out = tmp_path / "out"
+        assert main(["calibrate", "--inputs", str(inp), "--out", str(out)]) == 0
+        report = strict_json((out / "transistor_report.json").read_text())["report"]
+        assert report[key] is None
+        assert all(v is not None for k, v in report.items() if k not in (key, "dark_flip", "p_s", "p_sg"))
+
     def test_eta_from_beta_table(self, tmp_path):
         from photon_transistor.protocol import coherent_flip_probability
 
@@ -750,6 +783,25 @@ class TestCalibrate:
         assert main(["calibrate", "--inputs", str(inp), "--out", str(out)]) == 0
         report = json.loads((out / "transistor_report.json").read_text())["report"]
         assert report["eta"] == pytest.approx(0.80, abs=1e-6)
+
+
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON: Infinity, -Infinity and NaN are errors."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_write_json_writes_non_finite_floats_as_null(tmp_path):
+    manifest = RunManifest("switch", "ab12", {"n_g": 0.18}, 7, "t0", ("report.json",))
+    body = {"a": math.inf, "b": [math.nan, -math.inf, 1.5, np.float64(2.5)], "c": {"d": np.float64(-np.inf)},
+            "e": None, "f": True, "g": (3, "x")}
+    cli._write_json(tmp_path / "report.json", manifest, body)
+    text = (tmp_path / "report.json").read_text()
+    assert strict_json(text) == {"manifest": manifest.to_dict() | {"outputs": ["report.json"]}, "a": None,
+                                 "b": [None, None, 1.5, 2.5], "c": {"d": None}, "e": None, "f": True, "g": [3, "x"]}
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_manifest_hash_covers_package_version(monkeypatch):
@@ -968,6 +1020,18 @@ def test_eta_out_of_range_exits_3(tmp_path, capsys):
                    "--protocol", str(CONFIGS / "protocol_paper_point.json"), "--shots", "50", "--out", str(out)])
     assert rc == 3
     assert re.match(r"error: (eta|survival) = \S+ lies outside \[0, 1\]", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_pulse_beyond_the_moment_rule_budget_exits_3(tmp_path, device_file, protocol_file, capsys):
+    # a 3.7 ps sigma asks for twice the 2**20 nodes the moment rule may take
+    data = json.loads(protocol_file.read_text())
+    data["gate_pulse"]["sigma_ns"] = 0.0037
+    protocol_file.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    rc = main(["switch", "--device", str(device_file), "--protocol", str(protocol_file), "--out", str(out)])
+    assert rc == 3
+    assert "over the budget of 2**20" in capsys.readouterr().err
     assert not out.exists()
 
 
