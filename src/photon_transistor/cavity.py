@@ -257,20 +257,71 @@ def pulse_survival(c: CavityParams, p: PulseShape) -> float:
     return _unit_interval("survival", 1.0 - loss * (a_g.real + a_e.real) / 2.0)
 
 
+#: Brent's absolute and relative x tolerances and step budget: the root-find's 1e-12, then scipy's defaults
+_XTOL, _RTOL, _MAXITER = 1e-12, 4.0 * np.finfo(float).eps, 100
+
+
+def _brentq(f, lo: float, hi: float) -> float:
+    """A root of f in [lo, hi] by Brent's method (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4), step for step as scipy's brentq.c takes it, so it evaluates f
+    at the same points and returns the same root as brentq(f, lo, hi, xtol=1e-12).
+
+    An end where f is exactly zero is returned as it is.  Ends where f has one sign, or no
+    convergence within _MAXITER steps, are a NumericsError.
+    """
+    xpre, xcur = lo, hi
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NumericsError(f"f({lo!r}) = {fpre!r} and f({hi!r}) = {fcur!r} have one sign; no root is bracketed")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolation step is taken below
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate; a zero denominator gives C an infinite step, which bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                if denom := dblk * dpre * (fblk - fpre):
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / denom
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NumericsError(f"Brent's method did not converge in {_MAXITER} steps; last value {xcur!r}")
+
+
 def internal_loss_for_efficiency(c: CavityParams, p: PulseShape, eta_target: float) -> float:
     """Root-find the internal loss rate at which gating_efficiency hits a target.
 
     One moment rule and its kappa-free phase kernel serve the whole bracket
-    [0, 2 kappa_ext], so each brentq step is gating_efficiency on that kernel: one
-    real exponential of the tau nodes and one mat-vec, the moment path every other
-    caller takes on its own rule.  The root need not be unique: for gaussians under
-    about 200 ns eta(kappa_int) dips and rises again inside the bracket, so
-    brentq may return another loss than the one that produced the target.
+    [0, 2 kappa_ext], so each step of the Brent solver :func:`_brentq` is
+    gating_efficiency on that kernel: one real exponential of the tau nodes and one
+    mat-vec, the moment path every other caller takes on its own rule.  The root need
+    not be unique: for gaussians under about 200 ns eta(kappa_int) dips and rises again
+    inside the bracket, so the solver may return another loss than the one that
+    produced the target.
     A target that is not a finite number is a ValueError; targets outside
     [eta(2 kappa_ext), eta(0)] raise NumericsError.
     """
     number("eta_target", eta_target)
-    from scipy.optimize import brentq  # imported on use: scipy adds ~0.5 s to every start-up
 
     lo, hi = 0.0, 2.0 * c.kappa_ext_in
     rule = _moment_rule(c, p, replace(c, kappa_int=lo).kappa_tot, replace(c, kappa_int=hi).kappa_tot)
@@ -286,4 +337,4 @@ def internal_loss_for_efficiency(c: CavityParams, p: PulseShape, eta_target: flo
         )
     if eta_of(hi) > eta_target:
         raise NumericsError(f"eta({hi}) still above target {eta_target} at the bracket end 2 kappa_ext")
-    return float(brentq(lambda k: eta_of(k) - eta_target, lo, hi, xtol=1e-12))
+    return _brentq(lambda k: eta_of(k) - eta_target, lo, hi)

@@ -7,9 +7,12 @@ Regenerate the files after a change that is meant to move numbers, from the repo
     python tests/golden_outputs.py OUT_DIR    # writes them to OUT_DIR instead
 
 ``diff -r tests/golden OUT_DIR`` then lists the rows that moved.  The runs take their
-inputs by paths relative to the repository root, which the JSON files record.
+inputs by paths relative to the repository root, which the JSON files record.  A JSON report
+that is rewritten keeps the manifest timestamp it recorded, so a regeneration that moves no
+value leaves ``tests/golden/`` as it was.
 """
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -44,6 +47,22 @@ def write(out) -> None:
     for argv in RUNS:
         if main([*argv, "--out", str(out)]) != 0:
             raise RuntimeError(f"{' '.join(argv)} failed")
+
+
+def write_keeping_timestamps(out) -> None:
+    """:func:`write`, then put back in each JSON report that ``out`` held before the manifest
+    timestamp it recorded, the one field that differs between equal runs into one directory."""
+    reports = [out / name for name in FILES if name.endswith(".json")]
+    recorded = {path: timestamp(path.read_text(encoding="utf-8")) for path in reports if path.exists()}
+    write(out)
+    for path, stamp in recorded.items():
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace(timestamp(text), stamp, 1), encoding="utf-8")
+
+
+def timestamp(text: str) -> str:
+    """The manifest timestamp line of a JSON report's text."""
+    return f'"timestamp": {json.dumps(json.loads(text)["manifest"]["timestamp"])}'
 
 
 def csv_moves(new: str, old: str, same_build: bool) -> list:
@@ -86,4 +105,4 @@ if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
     out = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else GOLDEN
     os.chdir(ROOT)
-    write(out)
+    write_keeping_timestamps(out)

@@ -5,9 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.optimize import brentq
 from scipy.special import wofz
 
 from photon_transistor import cavity
@@ -615,6 +616,83 @@ def test_root_builds_one_rule_and_steps_on_one_kernel(kind, duration):
     assert rules.call_count == 1
     assert len(kernels) >= 3  # both bracket ends plus at least one brentq step
     assert kernels[0] is not None and all(kernel is kernels[0] for kernel in kernels)
+
+
+def counted(f):
+    """f, counting its calls in ``.calls``."""
+    def g(x):
+        g.calls += 1
+        return f(x)
+    g.calls = 0
+    return g
+
+
+def same_root_as_scipy(f, lo, hi):
+    """cavity._brentq's root of f in [lo, hi], after checking that scipy's brentq at xtol=1e-12
+    returns the same float bit for bit after the same number of calls of f."""
+    expected, info = brentq(f, lo, hi, xtol=1e-12, full_output=True)
+    ours = counted(f)
+    root = cavity._brentq(ours, lo, hi)
+    assert root.hex() == float(expected).hex()
+    assert ours.calls == info.function_calls
+    return root
+
+
+@given(**ROOT_RANGE, share=st.floats(0.02, 0.98))
+@example(kind="gaussian", duration=163.0, kappa_ext=1.795, detuning=0.0, share=0.355 / 3.59)  # met three times
+@settings(max_examples=50, deadline=None)
+def test_brentq_port_matches_scipy_on_the_root_finds_own_f(kind, duration, kappa_ext, detuning, share):
+    c = cavity_one(kappa_ext=kappa_ext)
+    p = PulseShape(kind, duration, carrier_detuning=detuning)
+    target = gating_efficiency(replace(c, kappa_int=share * 2.0 * kappa_ext), p)
+    with mock.patch.object(cavity, "_brentq", wraps=cavity._brentq) as solver:
+        try:
+            root = internal_loss_for_efficiency(c, p, target)
+        except NumericsError:
+            assert solver.call_count == 0  # a target outside [eta(hi), eta(0)] stops before the solver
+            return
+    (f, lo, hi), = (call.args for call in solver.call_args_list)
+    assert same_root_as_scipy(f, lo, hi) == root
+
+
+@given(roots=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3, unique=True).map(sorted),
+       inside=st.sampled_from([1, 3]), margin=st.floats(1e-3, 5.0))
+@settings(max_examples=200, deadline=None)
+def test_brentq_port_matches_scipy_on_cubics(roots, inside, margin):
+    r1, r2, r3 = roots
+    assume(min(r2 - r1, r3 - r2) > 1e-6)
+    # three roots inside the bracket, or only the middle one, between the midpoints of its neighbours
+    lo, hi = (r1 - margin, r3 + margin) if inside == 3 else ((r1 + r2) / 2, (r2 + r3) / 2)
+    def f(x):
+        return (x - r1) * (x - r2) * (x - r3)
+    assume(f(lo) != 0 and f(hi) != 0 and (f(lo) < 0) != (f(hi) < 0))
+    root = same_root_as_scipy(f, lo, hi)
+    assert lo <= root <= hi
+
+
+@pytest.mark.parametrize("lo, hi, end", [(1.0, 3.0, 1.0), (-1.0, 1.0, 1.0)])
+def test_brentq_port_returns_an_end_where_f_is_zero(lo, hi, end):
+    assert same_root_as_scipy(lambda x: x - 1.0, lo, hi) == end
+
+
+@pytest.mark.parametrize("f", [lambda x: x * x + 1.0, lambda x: -x * x - 1.0])
+def test_brentq_port_raises_on_ends_of_one_sign(f):
+    with pytest.raises(NumericsError, match=r"have one sign; no root is bracketed$"):
+        cavity._brentq(f, -1.0, 1.0)
+
+
+def test_brentq_port_raises_at_the_step_cap():
+    # a step function defeats every interpolation, so each step bisects, and 100 halvings of
+    # [-1e300, 1e300] stay far wider than the tolerance.  The root-find cannot get here:
+    # bisecting [0, 2 kappa_ext] reaches 1e-12 in about 42 steps.
+    def step(x):
+        return 1.0 if x > 0.3 else -1.0
+    ours = counted(step)
+    with pytest.raises(NumericsError, match=r"^Brent's method did not converge in 100 steps"):
+        cavity._brentq(ours, -1e300, 1e300)
+    _, info = brentq(step, -1e300, 1e300, xtol=1e-12, full_output=True, disp=False)
+    assert not info.converged
+    assert ours.calls == info.function_calls == 2 + cavity._MAXITER
 
 
 @pytest.mark.parametrize("moments", [(10.0, 10.0), (-10.0, -10.0), (math.nan, math.nan)])

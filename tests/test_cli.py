@@ -1042,10 +1042,13 @@ def test_missing_device_file_exits_2(tmp_path):
 
 
 def test_commands_import_no_scipy(tmp_path):
-    # scipy is imported only by the internal-loss root-find and the Lindblad
-    # propagator, so none of the five commands pays its start-up cost
+    # no path of the package imports scipy: with every scipy import made to fail, the five
+    # commands and the internal-loss root-find still run
     script = f"""
 import sys
+sys.modules["scipy"] = None
+from photon_transistor import device
+from photon_transistor.cavity import PulseShape, gating_efficiency, internal_loss_for_efficiency
 from photon_transistor.cli import main
 dev, proto, out = {str(CONFIGS / "device_paper.json")!r}, {str(CONFIGS / "protocol_paper_point.json")!r}, {str(tmp_path)!r}
 runs = [
@@ -1058,11 +1061,15 @@ runs = [
 ]
 for argv in runs:
     assert main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+c = device.load(dev).cavity_I
+for pulse in (PulseShape("gaussian", 960.0), PulseShape("square", 230.0)):
+    root = internal_loss_for_efficiency(c, pulse, gating_efficiency(c, pulse))
+    assert abs(root - c.kappa_int) < 1e-9, (pulse, root)
+print("ok")
 """
     proc = subprocess.run([sys.executable, "-c", script], env=package_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-1] == "ok"
 
 
 class TestParserReuse:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import photon_transistor
-from golden_outputs import FILES, GOLDEN, ROOT, csv_moves, json_moves, write
+from golden_outputs import FILES, GOLDEN, ROOT, csv_moves, json_moves, write, write_keeping_timestamps
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +49,23 @@ def test_cli_output_matches_golden(name, fresh, recorded):
 
 def test_golden_files_are_the_nine_outputs():
     assert sorted(p.name for p in (ROOT / GOLDEN).iterdir()) == sorted(FILES)
+
+
+def test_rewriting_keeps_each_reports_recorded_timestamp(tmp_path, fresh):
+    # so a regeneration of tests/golden/ that moves no value leaves the files as they were
+    stamp = "2000-01-01T00:00:00+00:00"
+    reports = [name for name in FILES if name.endswith(".json")]
+    for name in reports:
+        report = json.loads((fresh / name).read_text(encoding="utf-8"))
+        report["manifest"]["timestamp"] = stamp
+        (tmp_path / name).write_text(json.dumps(report), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(ROOT)
+        write_keeping_timestamps(tmp_path)
+    for name in reports:
+        new, old = (json.loads((where / name).read_text(encoding="utf-8")) for where in (tmp_path, fresh))
+        assert new["manifest"]["timestamp"] == stamp
+        assert json_moves(new, old, same_build=True) == []
 
 
 def test_moves_on_another_build():
