@@ -15,7 +15,7 @@ Conventions (pinned once, referenced by every phase test):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,8 @@ class CavityParams:
     chi_gf: float
 
     def __post_init__(self):
+        for name in ("f0", "kappa_ext_in", "kappa_ext_out", "kappa_int", "chi_ge", "chi_gf"):
+            object.__setattr__(self, name, number(name, getattr(self, name)))
         for name in ("kappa_ext_in", "kappa_ext_out", "kappa_int"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -191,7 +193,7 @@ def _moment_rule(c: CavityParams, p: PulseShape, kappa_lo: float, kappa_hi: floa
     return tau, 2.0 * math.pi / corr0 * np.exp(2j * math.pi * d[:, None] * tau) * (weights * corr)
 
 
-def _pulse_moments(c: CavityParams, p: PulseShape, rule=None) -> tuple[complex, complex]:
+def _pulse_moments(c: CavityParams, p: PulseShape) -> tuple[complex, complex]:
     """<A_g> and <A_e> over the pulse's intensity spectrum, normalised to its full power.
 
     By Wiener-Khinchin, with d_l = f_c - f_l and C the envelope autocorrelation,
@@ -201,10 +203,9 @@ def _pulse_moments(c: CavityParams, p: PulseShape, rule=None) -> tuple[complex, 
     where C(tau) = T - tau for a square pulse and
     exp(-tau^2/4 sigma^2) * erf((T - tau)/(2 sigma)) for the truncated gaussian
     (up to a constant).  The sum is kernel @ exp(-pi kappa tau) on the (tau, kernel) pair
-    of :func:`_moment_rule`: by default the rule of this cavity's own linewidth, or a
-    given ``rule`` built once for a range of linewidths.
+    of :func:`_moment_rule` for this cavity's own linewidth.
     """
-    tau, kernel = _moment_rule(c, p, c.kappa_tot, c.kappa_tot) if rule is None else rule
+    tau, kernel = _moment_rule(c, p, c.kappa_tot, c.kappa_tot)
     a_g, a_e = kernel @ np.exp(-math.pi * c.kappa_tot * tau)
     return complex(a_g), complex(a_e)
 
@@ -216,7 +217,16 @@ def _unit_interval(name: str, value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def gating_efficiency(c: CavityParams, p: PulseShape, *, rule=None) -> float:
+def _eta(c: CavityParams, kappa_tot: float, a_g: complex, a_e: complex) -> float:
+    """:func:`gating_efficiency` of the single-sided cavity c at total linewidth kappa_tot, from its pulse moments."""
+    k_ext = c.kappa_ext_in
+    s = a_g + a_e.conjugate()
+    pull = shifted_frequency(c, "e") - shifted_frequency(c, "g")
+    overlap = 1.0 - k_ext * s + k_ext**2 * s / (kappa_tot - 1j * pull)
+    return _unit_interval("eta", (1.0 - overlap.real) / 2.0)
+
+
+def gating_efficiency(c: CavityParams, p: PulseShape) -> float:
     """Probability that one reflected gate photon flips the qubit superposition.
 
     eta = (1 - Re <r_g(f) conj(r_e(f))>) / 2, averaged over the pulse's whole
@@ -227,17 +237,10 @@ def gating_efficiency(c: CavityParams, p: PulseShape, *, rule=None) -> float:
 
     Approaches 1 for a narrowband pulse on a lossless cavity with
     kappa_ext = 2|chi|.  A value outside [0, 1] beyond rounding is a NumericsError.
-    Only the internal-loss root-find passes a ``rule``: the (tau, kernel) pair of
-    :func:`_moment_rule`, built once for its whole bracket.
     """
     if not c.single_sided:
         raise ValueError("gating_efficiency requires a single-sided cavity")
-    a_g, a_e = _pulse_moments(c, p, rule)
-    k_ext = c.kappa_ext_in
-    s = a_g + a_e.conjugate()
-    pull = shifted_frequency(c, "e") - shifted_frequency(c, "g")
-    overlap = 1.0 - k_ext * s + k_ext**2 * s / (c.kappa_tot - 1j * pull)
-    return _unit_interval("eta", (1.0 - overlap.real) / 2.0)
+    return _eta(c, c.kappa_tot, *_pulse_moments(c, p))
 
 
 def pulse_survival(c: CavityParams, p: PulseShape) -> float:
@@ -313,21 +316,27 @@ def internal_loss_for_efficiency(c: CavityParams, p: PulseShape, eta_target: flo
 
     One moment rule and its kappa-free phase kernel serve the whole bracket
     [0, 2 kappa_ext], so each step of the Brent solver :func:`_brentq` is
-    gating_efficiency on that kernel: one real exponential of the tau nodes and one
+    :func:`_eta` on that kernel: one real exponential of the tau nodes and one
     mat-vec, the moment path every other caller takes on its own rule.  The root need
     not be unique: for gaussians under about 200 ns eta(kappa_int) dips and rises again
     inside the bracket, so the solver may return another loss than the one that
     produced the target.
-    A target that is not a finite number is a ValueError; targets outside
-    [eta(2 kappa_ext), eta(0)] raise NumericsError.
+    A target that is not a finite number, a two-sided cavity or kappa_ext = 0 is a
+    ValueError; targets outside [eta(2 kappa_ext), eta(0)] raise NumericsError.
     """
     number("eta_target", eta_target)
+    if not c.single_sided:
+        raise ValueError("gating_efficiency requires a single-sided cavity")
+    k_ext = c.kappa_ext_in  # single-sided: kappa_tot = k_ext + kappa_int
+    if not k_ext > 0:
+        raise ValueError("total linewidth must be positive")
 
-    lo, hi = 0.0, 2.0 * c.kappa_ext_in
-    rule = _moment_rule(c, p, replace(c, kappa_int=lo).kappa_tot, replace(c, kappa_int=hi).kappa_tot)
+    lo, hi = 0.0, 2.0 * k_ext
+    tau, kernel = _moment_rule(c, p, k_ext, k_ext + hi)
 
-    def eta_of(k):
-        return gating_efficiency(replace(c, kappa_int=k), p, rule=rule)
+    def eta_of(k):  # the moment sum of _pulse_moments at kappa_tot = k_ext + k
+        a_g, a_e = kernel @ np.exp(-math.pi * (k_ext + k) * tau)
+        return _eta(c, k_ext + k, complex(a_g), complex(a_e))
 
     e_lo = eta_of(lo)
     if e_lo < eta_target:

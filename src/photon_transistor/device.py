@@ -81,6 +81,8 @@ class DeviceParams:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("f_q", "E_c"):
+            object.__setattr__(self, name, number(name, getattr(self, name)))
         if self.f_q <= 0 or self.E_c <= 0:
             raise ValueError("qubit frequency and anharmonicity must be positive")
         if not self.cavity_I.single_sided:

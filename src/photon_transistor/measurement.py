@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, number
 from .hilbert import QuantumState
 
 ON, OFF = "on", "off"
@@ -28,6 +28,8 @@ class DetectionModel:
     baseline_sigma: float = 1.0
 
     def __post_init__(self):
+        for name in ("efficiency", "added_noise_photons", "baseline_sigma"):
+            object.__setattr__(self, name, number(name, getattr(self, name)))
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must be in (0, 1]")
         if self.added_noise_photons < 0:

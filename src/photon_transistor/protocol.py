@@ -156,7 +156,7 @@ def coherent_flip_probability(n_g: float, eta: float, dark_flip: float = 0.0) ->
     """
     if not 0.0 <= eta <= 1.0 or not 0.0 <= dark_flip <= 1.0:
         raise ValueError("eta and dark_flip must be probabilities")
-    if n_g < 0:
+    if number("n_g", n_g) < 0:
         raise ValueError("n_g must be >= 0")
     odd = (1.0 - math.exp(-2.0 * n_g)) / 2.0
     return eta * odd + dark_flip * (1.0 - odd)

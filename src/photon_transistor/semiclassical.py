@@ -25,6 +25,7 @@ import numpy as np
 
 from .analysis import CalibrationResult, extinction_db, gain_db, predict_single_photon
 from .cavity import CavityParams, shifted_frequency, transmission_coeff
+from .errors import number
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,9 @@ class SemiclassicalSettings:
     signal_window_us: float = 10.0
 
     def __post_init__(self):
+        for name in ("n_crit_g", "n_crit_e", "n_crit_f", "bare_offset", "photon_flux_conversion",
+                     "signal_window_us"):
+            object.__setattr__(self, name, number(name, getattr(self, name)))
         if min(self.n_crit_g, self.n_crit_e, self.n_crit_f) <= 0:
             raise ValueError("critical photon numbers must be positive")
         if self.photon_flux_conversion <= 0 or self.signal_window_us <= 0:

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 from scipy.special import wofz
 
 from photon_transistor import cavity
-from photon_transistor.errors import NumericsError
+from photon_transistor.errors import NumericsError, number
 from photon_transistor.cavity import (
     CavityParams,
     PulseShape,
@@ -523,14 +523,21 @@ def test_moment_trims_keep_every_bit(kind, duration, kappa_ext, detuning, kappa_
 @example(kind="gaussian", duration=20_000.0, kappa_ext=1.5, detuning=0.0)
 @example(kind="square", duration=20_000.0, kappa_ext=2.0, detuning=0.5)
 def test_shared_rule_eta_matches_per_kappa_eta_across_bracket(kind, duration, kappa_ext, detuning):
-    # the 20 us examples are cut at tau_max = 80/(pi kappa) < T, which the bracket's smallest kappa must set
+    # the 20 us examples are cut at tau_max = 80/(pi kappa) < T, which the bracket's smallest kappa must set.
+    # The root's own eta is the f it hands the solver, plus the target.  A target between the bracket
+    # ends' eta reaches the solver; where eta(2 kappa_ext) > eta(0) (gaussians near 150 ns) none does
     c = cavity_one(kappa_ext=kappa_ext)
     p = PulseShape(kind, duration, carrier_detuning=detuning)
     hi = 2.0 * kappa_ext
-    rule = cavity._moment_rule(c, p, kappa_ext, kappa_ext + hi)
+    eta_lo, eta_hi = gating_efficiency(c, p), gating_efficiency(replace(c, kappa_int=hi), p)
+    assume(eta_hi <= eta_lo)
+    target = (eta_lo + eta_hi) / 2.0
+    with mock.patch.object(cavity, "_brentq", return_value=0.0) as solver:
+        internal_loss_for_efficiency(c, p, target)
+    (f, _, _), = (call.args for call in solver.call_args_list)
     for k in np.linspace(0.0, hi, 9):
-        at_k = replace(c, kappa_int=float(k))
-        assert abs(gating_efficiency(at_k, p, rule=rule) - gating_efficiency(at_k, p)) <= ONE_PATH_BOUND
+        eta = gating_efficiency(replace(c, kappa_int=float(k)), p)
+        assert abs(f(float(k)) + target - eta) <= ONE_PATH_BOUND
 
 
 @given(**ROOT_RANGE, share=st.floats(0.02, 0.98))
@@ -607,15 +614,83 @@ def test_kernel_root_matches_shared_rule_root(kind, duration, kappa_ext, detunin
 
 @pytest.mark.parametrize("kind, duration", [("gaussian", 960.0), ("square", 230.0)])
 def test_root_builds_one_rule_and_steps_on_one_kernel(kind, duration):
+    # each step takes eta at a plain linewidth on the bracket's one kernel: no cavity record, no public eta
     c, p = cavity_one(kappa_ext=1.81), PulseShape(kind, duration)
     target = gating_efficiency(replace(c, kappa_int=0.16), p)
     with (mock.patch.object(cavity, "_moment_rule", wraps=cavity._moment_rule) as rules,
-          mock.patch.object(cavity, "gating_efficiency", wraps=gating_efficiency) as etas):
+          mock.patch.object(cavity, "_eta", wraps=cavity._eta) as steps,
+          mock.patch.object(cavity, "gating_efficiency", wraps=gating_efficiency) as etas,
+          mock.patch.object(CavityParams, "__post_init__", autospec=True,
+                            side_effect=CavityParams.__post_init__) as records):
         internal_loss_for_efficiency(c, p, target)
-    kernels = [call.kwargs.get("rule") for call in etas.call_args_list]
     assert rules.call_count == 1
-    assert len(kernels) >= 3  # both bracket ends plus at least one brentq step
-    assert kernels[0] is not None and all(kernel is kernels[0] for kernel in kernels)
+    assert steps.call_count >= 3  # both bracket ends plus at least one solver step
+    assert etas.call_count == 0
+    assert records.call_count == 0
+
+
+def record_per_step_root(c, p, eta_target):
+    """The root-find as it stood before it stepped on numbers: a new CavityParams by ``replace`` at
+    each step, and eta written out as gating_efficiency took it on the bracket's _moment_rule kernel.
+    The oracle for the root on plain linewidths."""
+    number("eta_target", eta_target)
+
+    lo, hi = 0.0, 2.0 * c.kappa_ext_in
+    tau, kernel = cavity._moment_rule(c, p, replace(c, kappa_int=lo).kappa_tot, replace(c, kappa_int=hi).kappa_tot)
+
+    def eta_of(k):
+        at_k = replace(c, kappa_int=k)
+        if not at_k.single_sided:
+            raise ValueError("gating_efficiency requires a single-sided cavity")
+        a_g, a_e = kernel @ np.exp(-math.pi * at_k.kappa_tot * tau)
+        a_g, a_e = complex(a_g), complex(a_e)
+        k_ext = at_k.kappa_ext_in
+        s = a_g + a_e.conjugate()
+        pull = shifted_frequency(at_k, "e") - shifted_frequency(at_k, "g")
+        overlap = 1.0 - k_ext * s + k_ext**2 * s / (at_k.kappa_tot - 1j * pull)
+        return cavity._unit_interval("eta", (1.0 - overlap.real) / 2.0)
+
+    e_lo = eta_of(lo)
+    if e_lo < eta_target:
+        raise NumericsError(
+            f"eta({lo}) = {e_lo:.4f} already below target {eta_target}; "
+            "no internal-loss solution"
+        )
+    if eta_of(hi) > eta_target:
+        raise NumericsError(f"eta({hi}) still above target {eta_target} at the bracket end 2 kappa_ext")
+    return cavity._brentq(lambda k: eta_of(k) - eta_target, lo, hi)
+
+
+@given(**ROOT_RANGE, share=st.floats(0.02, 0.98))
+@example(kind="gaussian", duration=163.0, kappa_ext=1.795, detuning=0.0, share=0.355 / 3.59)  # met three times
+@settings(max_examples=200, deadline=None)
+def test_root_on_numbers_matches_the_per_step_record_root(kind, duration, kappa_ext, detuning, share):
+    c = cavity_one(kappa_ext=kappa_ext)
+    p = PulseShape(kind, duration, carrier_detuning=detuning)
+    target = gating_efficiency(replace(c, kappa_int=share * 2.0 * kappa_ext), p)
+    try:
+        expected = record_per_step_root(c, p, target)
+    except NumericsError as exc:
+        with pytest.raises(NumericsError) as raised:
+            internal_loss_for_efficiency(c, p, target)
+        assert str(raised.value) == str(exc)
+        return
+    assert internal_loss_for_efficiency(c, p, target).hex() == expected.hex()
+
+
+@pytest.mark.parametrize(
+    "c, message",
+    [(CavityParams(7000.0, 1.81, 0.1, 0.0, -0.865, -1.73), "gating_efficiency requires a single-sided cavity"),
+     (CavityParams(7000.0, 0.0, 0.0, 0.16, -0.865, -1.73), "total linewidth must be positive")],
+    ids=["two-sided", "no-external-coupling"],
+)
+def test_root_rejects_a_cavity_without_a_bracket(c, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        internal_loss_for_efficiency(c, GATE_PULSE, 0.8)
+    # and before it builds any moment rule
+    with mock.patch.object(cavity, "_moment_rule", side_effect=AssertionError("a moment rule was built")):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            internal_loss_for_efficiency(c, GATE_PULSE, 0.8)
 
 
 def counted(f):
@@ -737,3 +812,10 @@ def test_cavity_params_validation():
         CavityParams(9000.0, -0.1, 0.0, 0.0, -1.0, -2.0)
     with pytest.raises(ValueError):
         CavityParams(9000.0, 0.0, 0.0, 0.0, -1.0, -2.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["f0", "kappa_ext_in", "kappa_ext_out", "kappa_int", "chi_ge", "chi_gf"])
+def test_cavity_params_reject_a_value_that_is_not_a_finite_number(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got"):
+        replace(cavity_one(kappa_int=0.16), **{name: value})

@@ -1043,13 +1043,19 @@ def test_missing_device_file_exits_2(tmp_path):
 
 def test_commands_import_no_scipy(tmp_path):
     # no path of the package imports scipy: with every scipy import made to fail, the five
-    # commands and the internal-loss root-find still run
+    # commands, the internal-loss root-find, the qubit evolution, the Wigner map of a state with
+    # coherences and a wide mean-field sweep of both subspaces still run
     script = f"""
-import sys
+import math, sys
 sys.modules["scipy"] = None
+import numpy as np
 from photon_transistor import device
 from photon_transistor.cavity import PulseShape, gating_efficiency, internal_loss_for_efficiency
 from photon_transistor.cli import main
+from photon_transistor.hilbert import coherent_state, pure_state
+from photon_transistor.measurement import wigner, wigner_grid
+from photon_transistor.qubit import QubitRates, evolve_lindblad
+from photon_transistor.semiclassical import SaturableCavityModel, gain_sweep
 dev, proto, out = {str(CONFIGS / "device_paper.json")!r}, {str(CONFIGS / "protocol_paper_point.json")!r}, {str(tmp_path)!r}
 runs = [
     ["spectra", "--device", dev, "--cavity", "I", "--out", out, "--points", "51"],
@@ -1061,10 +1067,18 @@ runs = [
 ]
 for argv in runs:
     assert main(argv) == 0, argv
-c = device.load(dev).cavity_I
+paper = device.load(dev)
+c = paper.cavity_I
 for pulse in (PulseShape("gaussian", 960.0), PulseShape("square", 230.0)):
     root = internal_loss_for_efficiency(c, pulse, gating_efficiency(c, pulse))
     assert abs(root - c.kappa_int) < 1e-9, (pulse, root)
+psi = np.zeros(3 * 8, dtype=complex)
+psi[0] = psi[8] = 1.0 / math.sqrt(2.0)  # (|g> + |e>)/sqrt2 (x) |0>
+evolve_lindblad(pure_state(psi, (3, 8)), 0.96, QubitRates(30.0, 15.0, 20.0, 12.0))
+wigner(coherent_state(1.0, 40), wigner_grid(2.0, 11)[2])  # off-diagonal: the per-point phase sum
+model = SaturableCavityModel(paper.cavity_II, paper.semiclassical)
+for subspace in ("ge", "gf"):
+    assert len(gain_sweep(model, 0.80, 0.925, np.geomspace(3.0, 1e8, 120), subspace)) == 120
 print("ok")
 """
     proc = subprocess.run([sys.executable, "-c", script], env=package_env(), capture_output=True, text=True)

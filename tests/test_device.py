@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,12 @@ class TestInvariants:
         dev = paper_defaults()
         with pytest.raises(ValueError):
             dataclasses.replace(dev, f_q=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["f_q", "E_c"])
+    def test_qubit_scalars_reject_a_value_that_is_not_a_finite_number(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got"):
+            dataclasses.replace(paper_defaults(), **{name: value})
 
     def test_bad_provenance_tag(self):
         dev = paper_defaults()

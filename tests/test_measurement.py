@@ -70,6 +70,12 @@ class TestDetect:
         with pytest.raises(ValueError):
             DetectionModel(added_noise_photons=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["efficiency", "added_noise_photons", "baseline_sigma"])
+    def test_model_rejects_a_value_that_is_not_a_finite_number(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got"):
+            DetectionModel(**{name: value})
+
 
 def kmeans_1d_unique_check(readings) -> measurement.KMeansFit:
     """measurement.kmeans_1d as it was when np.unique decided degeneracy: the reference."""

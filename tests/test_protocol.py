@@ -110,6 +110,11 @@ class TestCoherentFlipProbability:
         with pytest.raises(ValueError):
             coherent_flip_probability(-0.1, 0.5, 0.0)
 
+    @pytest.mark.parametrize("n_g", [math.nan, math.inf, -math.inf])
+    def test_non_finite_photon_number_rejected(self, n_g):
+        with pytest.raises(ValueError, match=r"^n_g must be a finite number, got"):
+            coherent_flip_probability(n_g, 0.8, 0.04)
+
 
 class TestRunShot:
     def test_fock_gate_source_switches_off(self):

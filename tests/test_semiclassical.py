@@ -597,3 +597,11 @@ def test_settings_validation():
         SemiclassicalSettings(photon_flux_conversion=0.0)
     with pytest.raises(ValueError):
         SemiclassicalSettings(signal_window_us=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["n_crit_g", "n_crit_e", "n_crit_f", "bare_offset", "photon_flux_conversion",
+                                  "signal_window_us"])
+def test_settings_reject_a_value_that_is_not_a_finite_number(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got"):
+        SemiclassicalSettings(**{name: value})
