@@ -14,6 +14,7 @@ Conventions (pinned once, referenced by every phase test):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -317,7 +318,8 @@ def internal_loss_for_efficiency(c: CavityParams, p: PulseShape, eta_target: flo
     One moment rule and its kappa-free phase kernel serve the whole bracket
     [0, 2 kappa_ext], so each step of the Brent solver :func:`_brentq` is
     :func:`_eta` on that kernel: one real exponential of the tau nodes and one
-    mat-vec, the moment path every other caller takes on its own rule.  The root need
+    mat-vec, the moment path every other caller takes on its own rule.  Each kappa is
+    evaluated once: the bracket checks' two values serve Brent's first two steps.  The root need
     not be unique: for gaussians under about 200 ns eta(kappa_int) dips and rises again
     inside the bracket, so the solver may return another loss than the one that
     produced the target.
@@ -334,16 +336,13 @@ def internal_loss_for_efficiency(c: CavityParams, p: PulseShape, eta_target: flo
     lo, hi = 0.0, 2.0 * k_ext
     tau, kernel = _moment_rule(c, p, k_ext, k_ext + hi)
 
+    @functools.cache
     def eta_of(k):  # the moment sum of _pulse_moments at kappa_tot = k_ext + k
         a_g, a_e = kernel @ np.exp(-math.pi * (k_ext + k) * tau)
         return _eta(c, k_ext + k, complex(a_g), complex(a_e))
 
-    e_lo = eta_of(lo)
-    if e_lo < eta_target:
-        raise NumericsError(
-            f"eta({lo}) = {e_lo:.4f} already below target {eta_target}; "
-            "no internal-loss solution"
-        )
+    if (e_lo := eta_of(lo)) < eta_target:
+        raise NumericsError(f"eta({lo}) = {e_lo:.4f} already below target {eta_target}; no internal-loss solution")
     if eta_of(hi) > eta_target:
         raise NumericsError(f"eta({hi}) still above target {eta_target} at the bracket end 2 kappa_ext")
     return _brentq(lambda k: eta_of(k) - eta_target, lo, hi)

@@ -341,6 +341,8 @@ def cmd_calibrate(args) -> int:
         eta, dark = analysis.fit_eta(table)
     elif "eta" in values:
         eta, dark = values["eta"], values.get("dark_flip")
+        if dark is not None and not 0.0 <= dark <= 1.0:
+            raise ValueError(f"dark_flip must be a probability in [0, 1], got {dark}")
     else:
         raise ValueError("provide either 'eta' or a 'beta_table' to fit")
 

@@ -8,10 +8,10 @@ photon number through the linear detection chain.
 
 The gate stage is one parity surrogate: an odd number of gate photons flips
 the qubit with probability eta, an even number with probability dark_flip.
-eta and the per-photon survival carry the pulse-bandwidth and internal-loss
-imperfections computed in :mod:`photon_transistor.cavity`; the conditional
-gate field is the Bayesian photon-number posterior passed through one
-binomial-loss matrix.
+:func:`run_experiment` resolves eta once per run, from the pulse moments of
+:mod:`photon_transistor.cavity` unless overridden, and records it on its :class:`Shots`;
+the conditional gate field, a Bayesian photon-number posterior passed through one
+binomial-loss matrix of the per-photon survival, reads it there.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class ProtocolConfig:
         for name in ("fock_cutoff", "n_shots", "seed"):
             if isinstance(value := getattr(self, name), bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("n_g", "n_s"):
+        for name in ("n_g", "n_s", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.n_shots < 1:
@@ -109,14 +109,14 @@ PROTOCOL_KEYS = {{"signal_duration": "signal_duration_us"}.get(f.name, f.name): 
 
 @dataclass(frozen=True, eq=False)
 class Shots:
-    """Outcomes of a batch of Monte Carlo trials, one numpy column per quantity.
+    """Outcomes of a batch of Monte Carlo trials: one numpy column per per-shot quantity, plus the run's eta.
 
     Row i of every column belongs to shot i.  ``flip``: the gate flipped the
     qubit superposition; ``level``: qubit level ("g", "e" or "f") at the start
     of the signal window; ``jump_time``: time of the in-window qubit jump in us,
     NaN when there is none; ``true_photons``: transmitted signal photons;
     ``reading``: detected reading; ``on``: the on/off label (True = on), None
-    until :func:`label_records` has run.
+    until :func:`label_records` has run; ``eta``: the one-photon flip probability the flips were drawn with.
     """
 
     flip: np.ndarray
@@ -124,6 +124,7 @@ class Shots:
     jump_time: np.ndarray
     true_photons: np.ndarray
     reading: np.ndarray
+    eta: float
     on: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -175,12 +176,6 @@ def _signal_frequency(cfg: ProtocolConfig, device: "DeviceParams") -> float:
     return c.f0 + device.semiclassical.bare_offset
 
 
-def resolve_eta(cfg: ProtocolConfig, device: "DeviceParams") -> float:
-    if cfg.eta_override is not None:
-        return cfg.eta_override
-    return gating_efficiency(device.cavity_I, cfg.gate_pulse)
-
-
 def _flip_probability(photons, eta: float, dark_flip: float):
     """Parity model per shot: odd photon numbers flip with prob eta, even with dark_flip."""
     return np.where(photons % 2 == 1, eta, dark_flip)
@@ -191,11 +186,12 @@ def run_experiment(cfg: ProtocolConfig, device: "DeviceParams") -> Shots:
 
     One ``default_rng(cfg.seed)`` stream supplies, in this order, an array of
     n_shots each of gate photon numbers, flip uniforms, level uniforms, jump
-    uniforms and detector noise, so the outcome depends only on the seed.
+    uniforms and detector noise, so the outcome depends only on the seed.  The flips are
+    drawn with, and the shots carry, eta = ``cfg.eta_override`` or else cavity I's gating efficiency.
     """
     n = cfg.n_shots
     rng = np.random.default_rng(cfg.seed)
-    eta = resolve_eta(cfg, device)
+    eta = cfg.eta_override if cfg.eta_override is not None else gating_efficiency(device.cavity_I, cfg.gate_pulse)
 
     if cfg.gate_source == "single_photon":
         photons = (rng.random(n) < cfg.n_g).astype(np.int64)
@@ -231,6 +227,7 @@ def run_experiment(cfg: ProtocolConfig, device: "DeviceParams") -> Shots:
         jump_time=np.where(jumped, t_jump, np.nan),
         true_photons=true_tx,
         reading=measurement.detect(true_tx, device.detection, rng),
+        eta=eta,
     )
 
 
@@ -274,8 +271,8 @@ def conditional_gate_field(
     """Reflected gate-field state conditioned on the transistor label.
 
     Bayesian mixture over the source photon-number distribution: the label
-    likelihood P(label | n) combines the parity flip model with the empirical
-    per-branch label rates P(label | flip) estimated from the shots, and the
+    likelihood P(label | n) combines the parity flip model at the run's ``shots.eta`` with the
+    empirical per-branch label rates P(label | flip) estimated from the shots, and the
     per-Fock reflected states carry the pulse-averaged reflection loss.
     """
     if condition not in (measurement.ON, measurement.OFF):
@@ -293,10 +290,9 @@ def conditional_gate_field(
     p_cond_flip = match_flip / n_flip if n_flip else 0.0
     p_cond_noflip = match_noflip / n_noflip if n_noflip else 0.0
 
-    eta = resolve_eta(cfg, device)
     d = cfg.fock_cutoff
     prior = _photon_prior(cfg, d)
-    q = _flip_probability(np.arange(d), eta, cfg.dark_flip)
+    q = _flip_probability(np.arange(d), shots.eta, cfg.dark_flip)
     likelihood = q * p_cond_flip + (1.0 - q) * p_cond_noflip
     post = prior * likelihood
     total = post.sum()

@@ -624,7 +624,10 @@ def test_root_builds_one_rule_and_steps_on_one_kernel(kind, duration):
                             side_effect=CavityParams.__post_init__) as records):
         internal_loss_for_efficiency(c, p, target)
     assert rules.call_count == 1
-    assert steps.call_count >= 3  # both bracket ends plus at least one solver step
+    # the bracket checks' eta at kappa_ext and 3 kappa_ext are Brent's first two evaluations, not repeats
+    kappas = [call.args[1] for call in steps.call_args_list]
+    assert kappas[:2] == [1.81, 1.81 + 2 * 1.81]
+    assert len(set(kappas)) == len(kappas) == 9
     assert etas.call_count == 0
     assert records.call_count == 0
 

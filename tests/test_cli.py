@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
 import photon_transistor
-from photon_transistor import cli
+from photon_transistor import cavity, cli
 from photon_transistor import device as device_mod
 from photon_transistor import measurement, semiclassical
 from photon_transistor.analysis import synthesize_intensities
@@ -197,6 +197,7 @@ class TestColumnFormatter:
             jump_time=jump_time,
             true_photons=with_specials(rng, rng.poisson(20.0, n).astype(float)),
             reading=with_specials(rng, rng.normal(2.0, 4.0, n)),
+            eta=0.8,
             on=rng.random(n) < 0.5,
         )
         assert lines(_shot_lines("gated", shots)) == lines(oracle_shot_lines("gated", shots))
@@ -456,6 +457,19 @@ class TestSwitch:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, builds", [
+    # eta once per run (gated and ungated), the survival once per conditional field (on and off)
+    ("switch", ["--bins", "20"], 4),
+    ("wigner", ["--condition", "off", "--points", "5"], 2),
+])
+def test_paper_gate_stage_builds_one_moment_rule_per_scalar_and_run(tmp_path, command, flags, builds):
+    argv = [command, "--device", str(CONFIGS / "device_paper.json"),
+            "--protocol", str(CONFIGS / "protocol_paper_point.json"), "--shots", "300", "--out", str(tmp_path)]
+    with mock.patch.object(cavity, "_moment_rule", wraps=cavity._moment_rule) as rules:
+        assert main([*argv, *flags]) == 0
+    assert rules.call_count == builds
+
+
 class TestGainSweep:
     def test_rows_and_regimes(self, tmp_path, device_file):
         out = tmp_path / "out"
@@ -651,6 +665,15 @@ class TestWigner:
         assert name in capsys.readouterr().err
         assert not (out / "wigner_off.csv").exists()
 
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["wigner", "--device", str(CONFIGS / "device_paper.json"),
+                   "--protocol", str(CONFIGS / "protocol_paper_point.json"), "--condition", "on",
+                   "--seed", "-3", "--out", str(out)])
+        assert rc == 2
+        assert "config error: seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_off_center_negative_for_fock_like_state(self, tmp_path):
         # strong off-conditioned field: near-Fock-1 mixture has W(0) < 0.
         # needs a quiet detection chain so off labels track the gate flips
@@ -748,6 +771,19 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert all(key in err for key in ["beta_table", *fitted])
         assert not out.exists()
+
+    @pytest.mark.parametrize("dark, rc", [(7.5, 2), (-0.1, 2), (1.0 + 1e-9, 2), (0.0, 0), (1.0, 0)])
+    def test_given_dark_flip_must_be_a_probability(self, tmp_path, capsys, dark, rc):
+        data = json.loads((CONFIGS / "calibration_example.json").read_text())
+        inp = tmp_path / "cal.json"
+        inp.write_text(json.dumps({**data, "eta": 0.8, "dark_flip": dark}))
+        out = tmp_path / "out"
+        assert main(["calibrate", "--inputs", str(inp), "--out", str(out)]) == rc
+        if rc:
+            assert "dark_flip" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert json.loads((out / "transistor_report.json").read_text())["report"]["dark_flip"] == dark
 
     @pytest.mark.parametrize(
         "intensities, eta, key",

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -265,10 +266,34 @@ class TestOneGateModel:
         dev = paper_defaults()
         cfg = ProtocolConfig(gate_source="single_photon", n_g=1.0, n_shots=40_000, seed=5)
         eta = gating_efficiency(dev.cavity_I, cfg.gate_pulse)
-        assert protocol.resolve_eta(cfg, dev) == eta
-        frac = np.mean(run_experiment(cfg, dev).flip)
+        shots = run_experiment(cfg, dev)
+        assert shots.eta == eta
+        frac = np.mean(shots.flip)
         sigma = math.sqrt(eta * (1 - eta) / cfg.n_shots)
         assert abs(frac - eta) < 4 * sigma
+
+    def test_eta_override_is_the_runs_eta_and_computes_none(self):
+        dev = paper_defaults()
+        cfg = ProtocolConfig(gate_source="single_photon", n_g=1.0, eta_override=0.3, n_shots=40_000, seed=5)
+        with mock.patch.object(protocol, "gating_efficiency", side_effect=AssertionError("eta was computed")):
+            shots = run_experiment(cfg, dev)
+        assert shots.eta == 0.3
+        sigma = math.sqrt(0.3 * 0.7 / cfg.n_shots)
+        assert abs(np.mean(shots.flip) - 0.3) < 4 * sigma
+
+    @pytest.mark.parametrize("eta_override", [None, 0.5])
+    def test_conditional_gate_field_takes_the_runs_eta(self, eta_override):
+        # the field's flip likelihood is the eta the shots were drawn with, whatever the cfg it is handed says
+        dev = paper_defaults()
+        cfg = ProtocolConfig(n_g=0.5, eta_override=eta_override, n_shots=2000, seed=8)
+        shots, _, _ = label_records(run_experiment(cfg, dev))
+        other = replace(cfg, eta_override=0.9)
+        with mock.patch.object(protocol, "gating_efficiency", wraps=gating_efficiency) as etas:
+            states = [conditional_gate_field(shots, "off", c, dev) for c in (cfg, other)]
+        assert etas.call_count == 0
+        np.testing.assert_array_equal(states[0].rho, states[1].rho)
+        moved = conditional_gate_field(replace(shots, eta=0.9), "off", cfg, dev)
+        assert not np.array_equal(moved.rho, states[0].rho)
 
 
 class TestConditionalGateField:
@@ -336,6 +361,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ProtocolConfig(n_shots=0)
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -5$"):
+            ProtocolConfig(seed=-5)
+        assert ProtocolConfig(seed=0).seed == 0
+
 
 # Reference path: the per-Fock-level loop that the binomial-loss matrix replaced.
 
@@ -359,10 +389,9 @@ def loop_conditional_gate_field(shots, condition, cfg, device):
     p_cond_flip = match_flip / n_flip if n_flip else 0.0
     p_cond_noflip = match_noflip / n_noflip if n_noflip else 0.0
 
-    eta = protocol.resolve_eta(cfg, device)
     d = cfg.fock_cutoff
     prior = protocol._photon_prior(cfg, d)
-    q = np.where(np.arange(d) % 2 == 1, eta, cfg.dark_flip)
+    q = np.where(np.arange(d) % 2 == 1, shots.eta, cfg.dark_flip)
     post = prior * (q * p_cond_flip + (1.0 - q) * p_cond_noflip)
     total = post.sum()
     if total <= 0:
