@@ -6,6 +6,13 @@ Equal hashes give equal bytes (JSON timestamps and file paths aside); across ver
 CSV values agree at their printed precision, bar values within an ulp of a rounding
 boundary.  The writer owns that precision: ``%.12g``, and ``%.11f`` for the Wigner W.
 
+Every CSV is written by one record assembler, in chunks of rows: a chunk is a numpy
+structured array of zero-padded fixed-width byte fields, the separators among them, and
+its text is its bytes with every NUL dropped.  ``%.12g`` of the high-cardinality columns
+and ``%d`` of the shot index come from a vectorised kernel exact to the byte, which hands
+the values it cannot settle (near a rounding tie, out of its range, not finite) to ``%``;
+the columns whose values repeat format each distinct value once with ``%``.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric or degenerate-data error.
 """
 
@@ -16,7 +23,6 @@ import dataclasses
 import datetime
 import functools
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -103,12 +109,12 @@ def _artifacts(args, names: list[str], cfg: protocol.ProtocolConfig | None = Non
     return paths, manifest
 
 
-def _write_csv(path: Path, manifest: RunManifest, header: list[str], lines) -> None:
-    """The manifest-hash line, the header, then the text of the CRLF-terminated rows:
+def _write_csv(path: Path, manifest: RunManifest, header: list[str], chunks) -> None:
+    """The manifest-hash line, the header, then the bytes of the CRLF-terminated rows:
     the bytes csv.writer gives, as no field needs quoting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# manifest_hash={manifest.hash()}\n{','.join(header)}\r\n")
-        fh.writelines(lines)
+    with open(path, "wb") as fh:
+        fh.write(f"# manifest_hash={manifest.hash()}\n{','.join(header)}\r\n".encode())
+        fh.writelines(chunks)
 
 
 def _write_json(path: Path, manifest: RunManifest, body: dict) -> None:
@@ -119,9 +125,12 @@ def _write_json(path: Path, manifest: RunManifest, body: dict) -> None:
     path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
-#: rows per chunk: a chunk's columns are formatted whole and joined into one string, so
-#: memory stays flat in the row count (4096-row chunks raise the benchmark's peak RSS)
+#: rows per chunk: a chunk's fields are formatted whole and laid into one record array, so
+#: memory stays flat in the row count
 _CHUNK_ROWS = 2048
+
+#: the most cells a ``--points`` grid may have: 2**22 points of a 1-D grid, 2048**2 of the Wigner map
+_GRID_BUDGET = 2**22
 
 
 def _formatted(values, fmt: str) -> list[str]:
@@ -129,34 +138,114 @@ def _formatted(values, fmt: str) -> list[str]:
     return ((fmt + "\0") * len(values) % tuple(values.tolist())).split("\0")[:-1]
 
 
-def _text(values, fmt: str = "%.12g", nan: str | None = None) -> list[str]:
-    """The ``fmt`` strings of a float array, a NaN's replaced by ``nan`` if it is given.
+def _text(values, fmt: str = "%.12g", nan: str | None = None) -> np.ndarray:
+    """The ``fmt`` texts of a float array as an ``S`` array, a NaN's text replaced by ``nan`` if it is given.
 
-    Each distinct value is formatted once.  Values are told apart by their bits,
-    not by float equality, which would merge -0.0 into 0.0."""
+    Each distinct value is formatted once, for the columns whose values repeat.  Values are
+    told apart by their bits, not by float equality, which would merge -0.0 into 0.0."""
     bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.uint64), return_inverse=True)
     distinct = bits.view(np.float64)
     text = np.array(_formatted(distinct, fmt), dtype=object)
     if nan is not None:
         text[np.isnan(distinct)] = nan
-    return text[inverse.ravel()].tolist()
+    return text.astype("S")[inverse.ravel()]
 
 
-#: ",<gate_flip>,<level>," at 2 * ord(level) + flip, for one-character levels
-_FLIP_LEVEL = np.array([f",{i % 2},{chr(i // 2)}," for i in range(256)], dtype=object)
-_LABEL = np.array([f"{measurement.OFF}\r\n", f"{measurement.ON}\r\n"], dtype=object)
+#: the ASCII digits of 000 to 999: row c holds digit c of each, so the table is 3 KB
+_DIGITS = (np.arange(1000, dtype=np.int16) // np.array([[100], [10], [1]], dtype=np.int16) % 10 + 48).astype(np.uint8)
+#: 10.0**k, k = 0..16, each exact
+_POW10 = (10 ** np.arange(17)).astype(float)
+#: the 12 digit places of a %.12g text, as a column to set against a row of exponents
+_SLOT = np.arange(12, dtype=np.int8)[:, None]
 
 
-def _chunks(*columns):
-    """CSV text whose row i joins the i-th texts of the columns, one string per chunk of
-    rows.  A column ``(fn, values, *args)`` gives the texts of the rows of a chunk as
-    ``fn(values[chunk], *args)``, with its separator folded in."""
-    for start in range(0, len(columns[0][1]), _CHUNK_ROWS):
-        texts = [fn(values[start : start + _CHUNK_ROWS], *args) for fn, values, *args in columns]
-        out = [""] * (len(columns) * len(texts[0]))
-        for j, text in enumerate(texts):
-            out[j :: len(columns)] = text
-        yield "".join(out)
+def _digits(v, groups: int) -> np.ndarray:
+    """The ASCII digits of integers 0 <= v < 1000**groups, zero-filled: row k holds digit k of
+    every value (the most significant first), so that each row is one contiguous array."""
+    index = np.empty((groups, len(v)), dtype=np.intp)
+    for j in range(groups - 1, -1, -1):
+        v, index[j] = np.divmod(v, 1000)
+    out = np.empty((groups, 3, len(v)), dtype=np.uint8)
+    for c in range(3):
+        np.take(_DIGITS[c], index, out=out[:, c])
+    return out.reshape(3 * groups, len(v))
+
+
+def _d(values) -> np.ndarray:
+    """``'%d' % v`` of each v of an array of non-negative integers, as zero-padded ``S``
+    records: the text is a record with its NUL bytes dropped."""
+    v = np.asarray(values, dtype=np.int64)
+    digits = _digits(v, (len(str(int(v.max()))) + 2) // 3)
+    lead = np.ones(len(v), dtype=bool)
+    for row in digits[:-1]:  # the zeros left of a value's first digit; its last digit stays
+        lead &= row == 48
+        row *= ~lead
+    return digits.T.copy().view(f"S{len(digits)}").ravel()
+
+
+def _g12(values) -> np.ndarray:
+    """``'%.12g' % v`` of each v of a float array, as zero-padded ``S`` records: the text is a
+    record with its NUL bytes dropped.
+
+    A finite |v| in [1e-4, 1e10) with decimal exponent E prints in fixed point, from the 12
+    digits of r = rint(y), y = |v|·10^(11−E) in [1e11, 1e12).  E comes from log10 and is then
+    corrected by y's range, so the bits of log10 never matter.  10^(11−E) is exact, so y is off
+    by under 2^-13 and r is the correctly rounded digit string unless y lies within 1e-3 of a
+    tie.  Those rows, an r that reaches 1e12, zeros, NaNs, infinities and every value out of
+    range are formatted by ``%``, whose dtoa rounds correctly.  A record holds the sign, "0"
+    if E < 0, the digits up to E, the point, the zeros after it if E < 0, and the digits after
+    E up to the last nonzero one; a slot left empty is NUL."""
+    x = np.asarray(values, dtype=float)
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e10)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y = a * _POW10[11 - e]
+    if ((y < 1e11) | (y >= 1e12)).any():
+        e += (y >= 1e12).astype(np.int64) - (y < 1e11)
+        y = a * _POW10[11 - e]
+    r = np.rint(y)
+    fast &= (np.abs(y - r) < 0.499) & (y >= 1e11) & (r < 1e12)  # |frac(y) - 1/2| > 1e-3
+    r[~fast] = 1e11
+    digits = _digits(r.astype(np.int64), 4)
+    e = e.astype(np.int8)
+    kept = np.max((_SLOT + 1) * (digits != 48), axis=0)  # digits up to the last nonzero one
+    whole = _SLOT <= e
+    # one row per byte of the records, laid out whole and then transposed
+    out = np.empty((30, len(x)), dtype=np.uint8)
+    np.multiply(x < 0, 45, out=out[0], dtype=np.uint8)  # "-"
+    np.multiply(e < 0, 48, out=out[1], dtype=np.uint8)
+    np.multiply(digits, whole, out=out[2:14])
+    np.multiply(kept > e + 1, 46, out=out[14], dtype=np.uint8)  # the point, unless no digit after it is kept
+    np.multiply(_SLOT[:3] < -1 - e, 48, out=out[15:18], dtype=np.uint8)
+    np.multiply(digits, ~whole & (_SLOT < kept), out=out[18:])
+    text = out.T.copy().view("S30").ravel()
+    if not fast.all():
+        text[~fast] = _formatted(x[~fast], "%.12g")
+    return text
+
+
+def _records(n: int, *columns):
+    """The CSV text of rows 0..n-1 of the columns, as one byte array per chunk of rows.
+
+    A column is a bytes constant or a function that takes a chunk's slice of rows and returns
+    their texts as an ``S`` array.  A chunk is one record array of zero-padded fixed-width
+    fields, the texts with the separators ("," and CRLF) as constant fields between them; no
+    text holds a NUL byte, so the chunk's text is its bytes with every NUL dropped."""
+    seps = [b","] * (len(columns) - 1) + [b"\r\n"]
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, n))
+        fields = [f for col, sep in zip(columns, seps) for f in (col if isinstance(col, bytes) else col(rows), sep)]
+        chunk = np.zeros(rows.stop - start, [("", np.asarray(f).dtype) for f in fields])
+        for name, field in zip(chunk.dtype.names, fields):
+            chunk[name] = field
+        buf = chunk.view(np.uint8)
+        yield buf[buf != 0]
+
+
+#: the texts of a flip and of an on/off label, by the bool's byte
+_BIT = np.array([b"0", b"1"])
+_LABEL = np.array([measurement.OFF, measurement.ON], dtype="S")
 
 
 def load_protocol(path) -> protocol.ProtocolConfig:
@@ -179,9 +268,24 @@ def _run_protocol(args) -> protocol.ProtocolConfig:
 # commands
 
 
+def _check_points(points: int, cells: int) -> None:
+    """Reject a ``--points`` below 1, or one whose grid of ``cells`` cells is over the budget."""
+    if points < 1:
+        raise ValueError(f"--points must be >= 1, got {points}")
+    if cells > _GRID_BUDGET:
+        raise ValueError(f"--points {points} gives a grid of {cells} cells, over the budget of 2**22 = {_GRID_BUDGET}")
+
+
+def _spectrum_lines(cav, grid, level: str, mode: str):
+    """spectra_cavity_*.csv bytes of one level's spectrum over the frequency grid."""
+    amps = spectrum(cav, grid, level)
+    mag, phase = np.abs(amps), np.angle(amps)
+    return _records(len(grid), lambda r: _g12(grid[r]), level.encode(), mode.encode(),
+                    lambda r: _g12(mag[r]), lambda r: _g12(phase[r]))
+
+
 def cmd_spectra(args) -> int:
-    if args.points < 1:
-        raise ValueError(f"--points must be >= 1, got {args.points}")
+    _check_points(args.points, args.points)
     for flag, value in (("--f-min", args.f_min), ("--f-max", args.f_max)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
@@ -196,12 +300,8 @@ def cmd_spectra(args) -> int:
     grid = np.linspace(lo, hi, args.points)
 
     (out_path,), manifest = _artifacts(args, [f"spectra_cavity_{args.cavity}.csv"])
-    lines = []
-    for level in ("g", "e", "f"):
-        amps = spectrum(cav, grid, level)
-        lines += _chunks((_formatted, grid, f"%.12g,{level},{mode},"), (_formatted, np.abs(amps), "%.12g,"),
-                         (_formatted, np.angle(amps), "%.12g\r\n"))
-    _write_csv(out_path, manifest, ["frequency_mhz", "level", "mode", "amplitude", "phase_rad"], lines)
+    _write_csv(out_path, manifest, ["frequency_mhz", "level", "mode", "amplitude", "phase_rad"],
+               (chunk for level in ("g", "e", "f") for chunk in _spectrum_lines(cav, grid, level, mode)))
     print(f"wrote {out_path}")
     return 0
 
@@ -219,11 +319,15 @@ def _class_stats(shots, detection, label):
 
 
 def _shot_lines(name: str, shots):
-    """shots.csv text of one run: the bytes csv.writer gives, as no field needs quoting."""
-    return _chunks((_formatted, np.arange(len(shots)), name + ",%d"),
-                   (np.ndarray.tolist, _FLIP_LEVEL[2 * shots.level.view(np.uint32) + shots.flip]),
-                   (_text, shots.jump_time, "%.12g,", ","), (_text, shots.true_photons, "%.12g,"),
-                   (_formatted, shots.reading, "%.12g,"), (np.ndarray.tolist, _LABEL[shots.on.view(np.uint8)]))
+    """shots.csv bytes of one run: the bytes csv.writer gives, as no field needs quoting."""
+    return _records(len(shots), name.encode(),
+                    lambda r: _d(np.arange(r.start, r.stop)),
+                    lambda r: _BIT[shots.flip[r].view(np.uint8)],
+                    lambda r: shots.level[r].view(np.uint32).astype(np.uint8).view("S1"),  # one ASCII letter
+                    lambda r: _text(shots.jump_time[r], nan=""),
+                    lambda r: _text(shots.true_photons[r]),
+                    lambda r: _g12(shots.reading[r]),
+                    lambda r: _LABEL[shots.on[r].view(np.uint8)])
 
 
 def cmd_switch(args) -> int:
@@ -254,12 +358,13 @@ def cmd_switch(args) -> int:
     (report_path, shots_path, hist_path), manifest = _artifacts(args, names, cfg)
     header = ["run", "shot", "gate_flip", "level_at_signal_start", "jump_time_us", "true_photons", "reading", "label"]
     _write_csv(shots_path, manifest, header,
-               itertools.chain.from_iterable(_shot_lines(name, shots) for name, shots in runs.items()))
-    hist_lines = []
+               (chunk for name, shots in runs.items() for chunk in _shot_lines(name, shots)))
+    hist_chunks = []
     for name, shots in runs.items():
         centers, counts = measurement.histogram(shots.reading, args.bins)
-        hist_lines += _chunks((_formatted, centers, name + ",%.12g,"), (_formatted, counts, "%d\r\n"))
-    _write_csv(hist_path, manifest, ["run", "bin_center", "count"], hist_lines)
+        hist_chunks += _records(len(centers), name.encode(), lambda r, c=centers: _text(c[r]),
+                                lambda r, c=counts: _text(c[r], "%d"))
+    _write_csv(hist_path, manifest, ["run", "bin_center", "count"], hist_chunks)
 
     _write_json(report_path, manifest, {
         "threshold": fit.threshold,
@@ -272,43 +377,42 @@ def cmd_switch(args) -> int:
 
 
 def cmd_gain_sweep(args) -> int:
+    _check_points(args.points, args.points)
     dev = device_mod.load(args.device)
     model = semiclassical.SaturableCavityModel(dev.cavity_II, dev.semiclassical)
     if not (math.isfinite(args.n_min) and args.n_min > 0):
         raise ValueError(f"--n-min must be finite and > 0, got {args.n_min}")
     if not (math.isfinite(args.n_max) and args.n_max >= args.n_min):
         raise ValueError(f"--n-max must be finite and >= --n-min, got {args.n_max}")
-    if args.points < 1:
-        raise ValueError(f"--points must be >= 1, got {args.points}")
     for flag, value in (("--eta", args.eta), ("--p-s", args.p_s)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{flag} must be finite and in [0, 1], got {value}")
     grid = np.geomspace(args.n_min, args.n_max, args.points)
     (out_path,), manifest = _artifacts(args, ["gain_sweep.csv"])
-    lines = []
-    for subspace in ("ge", "gf"):
-        # one column of whole rows, a SweepPoint's fields in order: n_s, gain_db, extinction_db, regime
-        row = f"%.12g,{subspace},%.12g,%.12g,%s\r\n"
-        lines += _chunks((list, [row % p for p in semiclassical.gain_sweep(model, args.eta, args.p_s, grid, subspace)]))
-    _write_csv(out_path, manifest, ["n_s", "subspace", "gain_db", "extinction_db", "regime"], lines)
+    # one column of whole rows, a SweepPoint's fields in order: n_s, gain_db, extinction_db, regime
+    rows = np.array([f"%.12g,{subspace},%.12g,%.12g,%s" % p for subspace in ("ge", "gf")
+                     for p in semiclassical.gain_sweep(model, args.eta, args.p_s, grid, subspace)], dtype="S")
+    _write_csv(out_path, manifest, ["n_s", "subspace", "gain_db", "extinction_db", "regime"],
+               _records(len(rows), rows.__getitem__))
     print(f"wrote {out_path}")
     return 0
 
 
 def _wigner_lines(xs, ps, w):
-    """wigner_*.csv text of the map ``w[j, i]`` at (xs[i], ps[j]), x running fastest; W is
+    """wigner_*.csv bytes of the map ``w[j, i]`` at (xs[i], ps[j]), x running fastest; W is
     printed ``%.11f``, a W that rounds to zero unsigned (the double nearest 5e-12 lies below
     5e-12, so those are exactly |W| <= 5e-12)."""
-    x_text, p_text = (np.array(_text(v, "%.12g,"), dtype=object) for v in (xs, ps))
-    return _chunks((np.ndarray.tolist, np.tile(x_text, len(ps))), (np.ndarray.tolist, np.repeat(p_text, len(xs))),
-                   (_text, np.where(np.abs(w) <= 5e-12, 0.0, w).ravel(), "%.11f\r\n"))
+    # a map repeats each W many times over (a radial map once per |alpha|), so its distinct values
+    # are formatted once for the whole map rather than once per chunk
+    x_text, p_text, w_text = _text(xs), _text(ps), _text(np.where(np.abs(w) <= 5e-12, 0.0, w), "%.11f")
+    return _records(w.size, lambda r: x_text[np.arange(r.start, r.stop) % len(xs)],
+                    lambda r: p_text[np.arange(r.start, r.stop) // len(xs)], w_text.__getitem__)
 
 
 def cmd_wigner(args) -> int:
     if not (math.isfinite(args.extent) and args.extent > 0):
         raise ValueError(f"--extent must be finite and > 0, got {args.extent}")
-    if args.points < 1:
-        raise ValueError(f"--points must be >= 1, got {args.points}")
+    _check_points(args.points, args.points**2)
     dev = device_mod.load(args.device)
     cfg = _run_protocol(args)
     shots, _, _ = protocol.label_records(protocol.run_experiment(cfg, dev))

@@ -70,6 +70,16 @@ def label_counts(on: np.ndarray) -> dict:
     return {ON: n_on, OFF: int(np.size(on)) - n_on}
 
 
+def _percentile(s, q: float) -> float:
+    """``np.percentile(s, q)`` of sorted readings ``s``, bit for bit: numpy's default linear
+    rule, read off ``s`` with no copy or partition."""
+    v = (len(s) - 1) * (q / 100)
+    i = int(v)
+    a, b = float(s[i]), float(s[min(i + 1, len(s) - 1)])
+    g = v - i
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+
+
 def kmeans_1d(readings) -> KMeansFit:
     """Two-cluster Lloyd iteration with deterministic percentile initialization.
 
@@ -77,30 +87,60 @@ def kmeans_1d(readings) -> KMeansFit:
     reproducible by construction; the threshold is the midpoint of the final
     centers.  Stops when the centers move by less than 1e-9 of the data span,
     or after KMEANS_MAX_ITER iterations with ``converged`` False.
+
+    The readings are sorted once (Lloyd, IEEE Trans. Inf. Theory 28, 129
+    (1982); sorted 1-D data as in Wang & Song, The R Journal 3(2), 29 (2011)).
+    A partition at a midpoint is then the k smallest readings, found by one
+    binary search, and each cluster is a slice of the sorted copy, summed in
+    place.  Those means differ from the masked means of the clusters, copied
+    out of the readings in their own order, in the last bits only.  Where a
+    reading lies within that slack of a midpoint, or the centers' motion within
+    it of the tolerance, the pass takes the masked means instead; so do the
+    final centers.  Every partition, the pass count and the threshold's bits
+    are then those of the masked means alone.
     """
     x = np.asarray(readings, dtype=float)
     if not np.isfinite(x).all():
         raise DegenerateDataError("readings must be finite to classify")
     if x.size < 2 or (span := float(x.max() - x.min())) == 0.0:
         raise DegenerateDataError("need at least 2 distinct readings to classify")
-    c_lo, c_hi = np.percentile(x, [10.0, 90.0])
+    s = np.sort(x)
+    n = s.size
+    c_lo, c_hi = _percentile(s, 10.0), _percentile(s, 90.0)
     if c_lo == c_hi:
-        c_lo, c_hi = float(x.min()), float(x.max())
+        c_lo, c_hi = float(s[0]), float(s[-1])
+    # a mean of k readings summed in any order is off by under (k + 1) ulp of the largest
+    # |reading|; a midpoint or a motion adds up at most four such errors
+    slack = 4.0 * (n + 64) * np.finfo(float).eps * max(-s[0], s[-1])
+    tolerance = 1e-9 * span
+
+    def masked_means(k):
+        lo = x <= s[k - 1]
+        return float(x[lo].mean()), float(x[~lo].mean())
+
+    k = 0  # no partition yet: the first centers are exact
     converged = False
     for iterations in range(1, KMEANS_MAX_ITER + 1):
         mid = 0.5 * (c_lo + c_hi)
-        lo = x[x < mid]
-        hi = x[x >= mid]
-        if lo.size == 0 or hi.size == 0:
+        if k and np.searchsorted(s, mid - slack) < np.searchsorted(s, mid + slack, side="right"):
+            c_lo, c_hi = masked_means(k)
+            mid = 0.5 * (c_lo + c_hi)
+        last, k = k, int(np.searchsorted(s, mid))  # the readings below the midpoint
+        if k in (0, n):
             # midpoint fell outside the data; fall back to extreme centers
-            lo = x[x <= x.min()]
-            hi = x[x > x.min()]
-        n_lo, n_hi = float(lo.mean()), float(hi.mean())
+            k = int(np.searchsorted(s, s[0], side="right"))
+        n_lo, n_hi = float(s[:k].mean()), float(s[k:].mean())
         motion = abs(n_lo - c_lo) + abs(n_hi - c_hi)
+        if abs(motion - tolerance) <= slack:
+            if last:
+                c_lo, c_hi = masked_means(last)
+            n_lo, n_hi = masked_means(k)
+            motion = abs(n_lo - c_lo) + abs(n_hi - c_hi)
         c_lo, c_hi = n_lo, n_hi
-        if motion < 1e-9 * span:
+        if motion < tolerance:
             converged = True
             break
+    c_lo, c_hi = masked_means(k)
     threshold = 0.5 * (c_lo + c_hi)
     on = x >= threshold
     return KMeansFit(threshold, on, label_counts(on), iterations, converged)

@@ -160,22 +160,32 @@ def lines(text) -> list[str]:
     return "".join(text).splitlines(keepends=True)
 
 
+def written(chunks) -> str:
+    """The text of the byte chunks a CSV row writer yields."""
+    return b"".join(chunks).decode("utf-8")
+
+
+def stripped(records) -> list[bytes]:
+    """The texts of zero-padded ``S`` records: each record with its NUL bytes dropped."""
+    return [record.replace(b"\0", b"") for record in records.tolist()]
+
+
 class TestColumnFormatter:
     def test_text_keeps_signed_zeros_apart(self):
-        assert _text(np.array([0.0, -0.0, 0.0, -0.0])) == ["0", "-0", "0", "-0"]
+        assert _text(np.array([0.0, -0.0, 0.0, -0.0])).tolist() == [b"0", b"-0", b"0", b"-0"]
 
     def test_text_nan(self):
         values = np.array([np.nan, 1.5, -np.nan, 1.5])
-        assert _text(values) == ["nan", "1.5", "nan", "1.5"]
-        assert _text(values, nan="") == ["", "1.5", "", "1.5"]
-        # a column's separator is folded into its text, a NaN's text included
-        assert _text(values, "%.12g,") == ["nan,", "1.5,", "nan,", "1.5,"]
-        assert _text(values, "%.12g,", nan=",") == [",", "1.5,", ",", "1.5,"]
+        assert _text(values).tolist() == [b"nan", b"1.5", b"nan", b"1.5"]
+        assert _text(values, nan="").tolist() == [b"", b"1.5", b"", b"1.5"]
+        # a NaN's text replaces the format's, whatever the format
+        assert _text(values, "%.11f").tolist() == [b"nan", b"1.50000000000", b"nan", b"1.50000000000"]
+        assert _text(values, "%.11f", nan="").tolist() == [b"", b"1.50000000000", b"", b"1.50000000000"]
 
     def test_w_prints_at_eleven_decimals_with_an_unsigned_zero(self):
         w = np.array([[-1e-13, -0.0, 0.0, 2.0 / math.pi, -2.0 / math.pi, 5e-12, -5e-12,
                        np.nextafter(5e-12, 1.0), -np.nextafter(5e-12, 1.0)]])
-        (line,) = _wigner_lines(np.zeros(w.shape[1]), np.zeros(1), w)
+        line = written(_wigner_lines(np.zeros(w.shape[1]), np.zeros(1), w))
         assert [row.split(",")[2] for row in line.splitlines()] == [
             "0.00000000000", "0.00000000000", "0.00000000000", "0.63661977237", "-0.63661977237",
             "0.00000000000", "0.00000000000", "0.00000000001", "-0.00000000001",
@@ -200,7 +210,7 @@ class TestColumnFormatter:
             eta=0.8,
             on=rng.random(n) < 0.5,
         )
-        assert lines(_shot_lines("gated", shots)) == lines(oracle_shot_lines("gated", shots))
+        assert lines(written(_shot_lines("gated", shots))) == lines(oracle_shot_lines("gated", shots))
 
     @settings(max_examples=60, deadline=None)
     @given(nx=st.integers(1, 70), n_p=st.sampled_from([1, 63, 64, 65, 129]), seed=st.integers(0, 2**32 - 1))
@@ -212,7 +222,55 @@ class TestColumnFormatter:
         # a map holds many near-repeats: round part of it so values recur exactly
         w = rng.normal(0.0, 0.2, (n_p, nx))
         w = with_specials(rng, np.where(rng.random(w.shape) < 0.5, np.round(w, 3), w))
-        assert lines(_wigner_lines(xs, ps, w)) == lines(oracle_wigner_lines(xs, ps, w))
+        assert lines(written(_wigner_lines(xs, ps, w))) == lines(oracle_wigner_lines(xs, ps, w))
+
+
+def near_ties():
+    """Doubles whose %.12g text is hard to get right: 13-significant-digit decimals ending in 5
+    (halfway between two 12-digit texts before the double's own rounding), powers of ten and
+    the ends of the kernel's range [1e-4, 1e10), each 1 ulp either side, and either sign."""
+    sign = st.sampled_from([1.0, -1.0])
+    ends = st.sampled_from([1e-4, 1e10, *(10.0**k for k in range(-6, 13))])
+    return st.one_of(
+        st.builds(lambda m, k, s: s * float(f"{m}5e{k}"), st.integers(10**11, 10**12 - 1), st.integers(-18, 0), sign),
+        st.builds(lambda v, d, s: s * float(np.nextafter(v, v * 2.0**d)), ends, st.integers(-1, 1), sign),
+    )
+
+
+SPECIAL_DOUBLES = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308])
+
+
+class TestNumberKernel:
+    """cli._g12 and cli._d against Python's % formatting (correctly rounded dtoa)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(), st.floats(-1e10, 1e10), st.floats(-1e-3, 1e-3), near_ties(),
+                                      SPECIAL_DOUBLES, st.floats(-1e-307, 1e-307)), min_size=1, max_size=40))
+    @example(values=[0.0001, 1e10, 9999999999.99, 0.000123456789012, 123456789012.0, 1234567.0, -0.5])
+    def test_g12_matches_percent_format(self, values):
+        assert stripped(cli._g12(np.array(values))) == [b"%.12g" % v for v in values]
+
+    def test_g12_matches_percent_format_on_random_columns(self):
+        rng = np.random.default_rng(20240)
+        n = 40000
+        columns = [
+            rng.normal(2.0, 4.0, n),  # detector readings
+            np.exp(rng.uniform(math.log(1e-6), math.log(1e12), n)) * rng.choice([-1.0, 1.0], n),
+            rng.integers(-(2**63), 2**63, n, dtype=np.int64).view(np.float64),  # every bit pattern
+            rng.integers(0, 10**6, n) / 10.0 ** rng.integers(-3, 9, n),  # few digits: trailing zeros
+            np.array([float(f"{m}5e{k}") for m, k in zip(rng.integers(10**11, 10**12, n // 10).tolist(),
+                                                       rng.integers(-16, -1, n // 10).tolist())]),
+        ]
+        for values in columns:
+            assert stripped(cli._g12(values)) == [b"%.12g" % v for v in values.tolist()]
+
+    def test_d_matches_percent_across_every_power_of_ten(self):
+        edges = [0, 1, 2**63 - 1] + [10**k + d for k in range(1, 19) for d in (-1, 0, 1)]
+        assert stripped(cli._d(np.array(edges))) == [b"%d" % v for v in edges]
+        for k in range(1, 19):  # arrays whose largest value sets the record width
+            values = [0, 10**k - 1, 10**k]
+            assert stripped(cli._d(np.array(values))) == [b"%d" % v for v in values]
+            assert stripped(cli._d(np.array(values[:2]))) == [b"%d" % v for v in values[:2]]
 
 
 class TestSpectra:
@@ -317,15 +375,22 @@ class TestSwitch:
         assert (out / "histogram.csv").exists()
 
     def test_shots_csv_across_chunk_seams_matches_line_oracle(self, tmp_path, device_file, protocol_file):
-        out = tmp_path / "out"
-        n = 2 * CHUNK + 1  # per arm: two chunk seams and a one-row last chunk
-        with mock.patch.object(cli, "_shot_lines", wraps=cli._shot_lines) as spy:
+        # per arm: a short chunk, one whole chunk, a one-row last chunk and two seams
+        dev = device_mod.load(device_file)
+        for n in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1):
+            out = tmp_path / str(n)
             assert main(["switch", "--device", str(device_file), "--protocol", str(protocol_file),
                          "--out", str(out), "--shots", str(n)]) == 0
-        runs = [call.args for call in spy.call_args_list]
-        assert [(name, len(shots)) for name, shots in runs] == [("gated", n), ("ungated", n)]
-        _, rows = (out / "shots.csv").read_bytes().decode("utf-8").split("\r\n", 1)  # hash line and header
-        assert lines(rows) == lines(line for name, shots in runs for line in oracle_shot_lines(name, shots))
+            threshold = json.loads((out / "switch_report.json").read_text())["threshold"]
+            cfg = dataclasses.replace(load_protocol(protocol_file), n_shots=n)
+            head, rows = (out / "shots.csv").read_bytes().decode("utf-8").split("\r\n", 1)  # hash line, header
+            assert head.endswith("\nrun,shot,gate_flip,level_at_signal_start,jump_time_us,true_photons,reading,label")
+            expected = []
+            for name, run_cfg in (("gated", cfg), ("ungated", dataclasses.replace(cfg, n_g=0.0, seed=cfg.seed + 1))):
+                shots, _, _ = label_records(run_experiment(run_cfg, dev), threshold=threshold)
+                expected += oracle_shot_lines(name, shots)
+            assert len(expected) == 2 * n
+            assert lines(rows) == lines(expected)
 
     def test_seed_reproducibility(self, tmp_path, device_file, protocol_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -455,6 +520,30 @@ class TestSwitch:
         assert rc == 2
         assert "--bins" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    # 2049**2 = 4198401 cells, the first Wigner grid over 2**22
+    ("wigner", ["--protocol", str(CONFIGS / "protocol_paper_point.json"), "--condition", "on", "--points", "2049"]),
+    ("spectra", ["--cavity", "I", "--points", str(2**22 + 1)]),
+    ("gain-sweep", ["--points", str(2**22 + 1)]),
+])
+def test_points_over_the_grid_budget_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, flags):
+    def no_work(*args, **kwargs):
+        raise AssertionError("--points must be checked before the device is even loaded")
+
+    monkeypatch.setattr(device_mod, "load", no_work)
+    out = tmp_path / "out"
+    rc = main([command, "--device", str(CONFIGS / "device_paper.json"), "--out", str(out), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--points" in err and "over the budget of 2**22 = 4194304" in err
+    assert not out.exists()
+
+
+def test_points_at_the_grid_budget_pass_the_check():
+    cli._check_points(2048, 2048**2)
+    cli._check_points(2**22, 2**22)
 
 
 @pytest.mark.parametrize("command, flags, builds", [
@@ -612,8 +701,8 @@ class TestWigner:
             maps.append(measurement.wigner(state, pts).reshape(41, 41))
         old, new = maps
         assert np.max(np.abs(new - old)) <= 1e-15
-        moved = [(a, b) for a, b in zip(lines(_wigner_lines(xs, ps, old)), lines(_wigner_lines(xs, ps, new)))
-                 if a != b]
+        moved = [(a, b) for a, b in zip(lines(written(_wigner_lines(xs, ps, old))),
+                                        lines(written(_wigner_lines(xs, ps, new)))) if a != b]
         assert len(moved) <= 2, moved
 
     @pytest.mark.parametrize("condition", ["on", "off"])

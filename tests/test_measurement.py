@@ -105,6 +105,98 @@ def kmeans_1d_unique_check(readings) -> measurement.KMeansFit:
     return measurement.KMeansFit(threshold, on, measurement.label_counts(on), iterations, converged)
 
 
+def lloyd_kmeans(readings) -> measurement.KMeansFit:
+    """measurement.kmeans_1d as it was before it ran on sorted prefix sums: each pass copies
+    both clusters out of the readings and takes their means.  The reference."""
+    x = np.asarray(readings, dtype=float)
+    if not np.isfinite(x).all():
+        raise DegenerateDataError("readings must be finite to classify")
+    if x.size < 2 or (span := float(x.max() - x.min())) == 0.0:
+        raise DegenerateDataError("need at least 2 distinct readings to classify")
+    c_lo, c_hi = np.percentile(x, [10.0, 90.0])
+    if c_lo == c_hi:
+        c_lo, c_hi = float(x.min()), float(x.max())
+    converged = False
+    for iterations in range(1, measurement.KMEANS_MAX_ITER + 1):
+        mid = 0.5 * (c_lo + c_hi)
+        lo = x[x < mid]
+        hi = x[x >= mid]
+        if lo.size == 0 or hi.size == 0:
+            lo = x[x <= x.min()]
+            hi = x[x > x.min()]
+        n_lo, n_hi = float(lo.mean()), float(hi.mean())
+        motion = abs(n_lo - c_lo) + abs(n_hi - c_hi)
+        c_lo, c_hi = n_lo, n_hi
+        if motion < 1e-9 * span:
+            converged = True
+            break
+    threshold = 0.5 * (c_lo + c_hi)
+    on = x >= threshold
+    return measurement.KMeansFit(threshold, on, measurement.label_counts(on), iterations, converged)
+
+
+def assert_same_fit(readings):
+    """kmeans_1d and the Lloyd reference agree bit for bit, or both reject the readings."""
+    try:
+        want = lloyd_kmeans(readings)
+    except DegenerateDataError as exc:
+        with pytest.raises(DegenerateDataError, match=str(exc)):
+            kmeans_1d(readings)
+        return
+    got = kmeans_1d(readings)
+    assert np.float64(got.threshold).tobytes() == np.float64(want.threshold).tobytes()
+    assert np.array_equal(got.on, want.on)
+    assert (got.counts, got.iterations, got.converged) == (want.counts, want.iterations, want.converged)
+
+
+@st.composite
+def gaussian_mixtures(draw):
+    """Two Gaussian clusters of any sizes, spreads and overlap, in random order, some of them
+    rounded so that readings repeat."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.tuples(st.integers(0, 3000), st.integers(1, 3000)))
+    centers = draw(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)))
+    spreads = draw(st.tuples(st.floats(1e-3, 20.0), st.floats(1e-3, 20.0)))
+    x = np.concatenate([rng.normal(c, s, n) for c, s, n in zip(centers, spreads, sizes)])
+    rng.shuffle(x)
+    decimals = draw(st.sampled_from([None, 0, 1, 3]))
+    return x if decimals is None else np.round(x, decimals)
+
+
+class TestKmeansOnSortedReadings:
+    @settings(max_examples=300, deadline=None)
+    @given(readings=st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 1.0, 7.5])),
+                             min_size=1, max_size=200),
+           q=st.one_of(st.sampled_from([0.0, 10.0, 90.0, 100.0]), st.floats(0.0, 100.0)))
+    def test_percentile_of_sorted_readings_is_numpys(self, readings, q):
+        # equal as numbers: a sort may put -0.0 and 0.0 in either order
+        assert measurement._percentile(np.sort(readings), q) == np.percentile(readings, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(readings=gaussian_mixtures())
+    def test_gaussian_mixtures_match_lloyd_reference(self, readings):
+        assert_same_fit(readings)
+
+    @settings(max_examples=300, deadline=None)
+    @given(readings=st.lists(st.sampled_from([-3.0, -0.0, 0.0, 1.0, 1.0 + 2**-52, 2.5, 7.0, 1e6]), max_size=80))
+    @example(readings=[5.0] * 9 + [6.0])  # the midpoint falls below every reading but one
+    @example(readings=[1.0, 1.0, 1.0])
+    @example(readings=[])
+    def test_tied_and_degenerate_data_match_lloyd_reference(self, readings):
+        assert_same_fit(readings)
+
+    def test_capped_iterations_match_lloyd_reference(self, monkeypatch):
+        # overlapping clusters of unequal size: the midpoint creeps over many passes
+        rng = np.random.default_rng(7)
+        data = np.concatenate([rng.normal(0.0, 3.0, 900), rng.normal(5.0, 3.0, 100)])
+        passes = kmeans_1d(data).iterations
+        assert passes == 10
+        for cap in range(1, passes):
+            monkeypatch.setattr(measurement, "KMEANS_MAX_ITER", cap)
+            assert not kmeans_1d(data).converged
+            assert_same_fit(data)
+
+
 class TestKmeans:
     def test_two_delta_clusters(self):
         readings = [0.0] * 40 + [100.0] * 60
