@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,8 +262,10 @@ def pulse_survival(c: CavityParams, p: PulseShape) -> float:
     return _unit_interval("survival", 1.0 - loss * (a_g.real + a_e.real) / 2.0)
 
 
-#: Brent's absolute and relative x tolerances and step budget: the root-find's 1e-12, then scipy's defaults
-_XTOL, _RTOL, _MAXITER = 1e-12, 4.0 * np.finfo(float).eps, 100
+#: Brent's absolute and relative x tolerances and step budget: the root-find's 1e-12, then scipy's
+#: defaults.  Each is a Python number: a numpy scalar here would reach f's argument through the
+#: step, and numpy's complex division rounds otherwise than CPython's
+_XTOL, _RTOL, _MAXITER = 1e-12, 4.0 * sys.float_info.epsilon, 100
 
 
 def _brentq(f, lo: float, hi: float) -> float:

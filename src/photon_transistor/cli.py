@@ -1,7 +1,8 @@
 """Command-line front end: run experiments from config files, emit plot-ready data.
 
-Every command writes CSV/JSON artifacts stamped with a manifest hash of the command, every
-flag but ``--out`` (an input file by its content) and the package and numpy versions.
+Every command writes CSV/JSON artifacts stamped with one manifest record, a plain dict that
+``_artifacts`` builds once per run: its hash covers the command, every flag but ``--out`` (an
+input file by its content) and the package and numpy versions.
 Equal hashes give equal bytes (JSON timestamps and file paths aside); across versions
 CSV values agree at their printed precision, bar values within an ulp of a rounding
 boundary.  The writer owns that precision: ``%.12g``, and ``%.11f`` for the Wigner W.
@@ -53,74 +54,49 @@ _NUMERIC_ERRORS = (
     UnphysicalInputError,
 )
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    command: str
-    device_sha256: str
-    #: the settings: every flag but ``--out`` and the input files, with the effective
-    #: ProtocolConfig laid over them for ``switch`` and ``wigner``; None if there are none
-    protocol: dict | None
-    seed: int | None
-    timestamp: str
-    outputs: tuple[str, ...]
-    # the package's and numpy's versions, read when the manifest is made
-    version: str = dataclasses.field(default_factory=lambda: sys.modules[__package__].__version__)
-    numpy: str = dataclasses.field(default_factory=lambda: np.__version__)
-
-    def hash(self) -> str:
-        """Digest of everything that determines the numeric outputs, code and numpy versions included."""
-        payload = {
-            "command": self.command,
-            "device_sha256": self.device_sha256,
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "version": self.version,
-            "numpy": self.numpy,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["outputs"] = list(self.outputs)
-        out["manifest_hash"] = self.hash()
-        return out
-
-
-def _artifacts(args, names: list[str], cfg: protocol.ProtocolConfig | None = None) -> tuple[list[Path], RunManifest]:
+def _artifacts(args, names: list[str], cfg: protocol.ProtocolConfig | None = None) -> tuple[list[Path], dict]:
     """Make the ``--out`` directory; return the paths of the named outputs in it and the
-    manifest stamping them, which covers every parsed flag but ``--out``.  Input files enter
-    by content: ``--device`` and ``--inputs`` by their SHA-256, ``--protocol`` by ``cfg``,
-    the effective configuration, which is laid over the other flags."""
+    manifest stamping them, built here once per run.
+
+    Its ``manifest_hash`` digests six fields: the command, the input file's SHA-256
+    (``--device``, or ``--inputs``), the settings (``protocol``: every flag but ``--out``
+    and the input files, with ``cfg``, the effective ProtocolConfig of ``switch`` and
+    ``wigner``, laid over them; None if there are none), the seed, and the package's and
+    numpy's versions, read at call time.  ``timestamp`` and ``outputs`` are not hashed."""
     settings = {k: v for k, v in vars(args).items() if k not in ("command", "out", "device", "inputs", "protocol")}
     if cfg is not None:
         settings |= dataclasses.asdict(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / name for name in names]
-    manifest = RunManifest(
-        command=args.command,
-        device_sha256=hashlib.sha256(Path(getattr(args, "device", None) or args.inputs).read_bytes()).hexdigest(),
-        protocol=settings or None,
-        seed=None if cfg is None else cfg.seed,
-        timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        outputs=tuple(str(p) for p in paths),
-    )
-    return paths, manifest
+    manifest = {
+        "command": args.command,
+        "device_sha256": hashlib.sha256(Path(getattr(args, "device", None) or args.inputs).read_bytes()).hexdigest(),
+        "protocol": settings or None,
+        "seed": None if cfg is None else cfg.seed,
+        "version": sys.modules[__package__].__version__,
+        "numpy": np.__version__,
+    }
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    return paths, manifest | {
+        "manifest_hash": hashlib.sha256(blob.encode()).hexdigest()[:16],
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "outputs": [str(p) for p in paths],
+    }
 
 
-def _write_csv(path: Path, manifest: RunManifest, header: list[str], chunks) -> None:
+def _write_csv(path: Path, manifest: dict, header: list[str], chunks) -> None:
     """The manifest-hash line, the header, then the bytes of the CRLF-terminated rows:
     the bytes csv.writer gives, as no field needs quoting."""
     with open(path, "wb") as fh:
-        fh.write(f"# manifest_hash={manifest.hash()}\n{','.join(header)}\r\n".encode())
+        fh.write(f"# manifest_hash={manifest['manifest_hash']}\n{','.join(header)}\r\n".encode())
         fh.writelines(chunks)
 
 
-def _write_json(path: Path, manifest: RunManifest, body: dict) -> None:
+def _write_json(path: Path, manifest: dict, body: dict) -> None:
     """The report ``body`` under its ``manifest``, as indented JSON with sorted keys.  JSON has
     no Infinity or NaN (RFC 8259), so a non-finite float, at any depth, is written as null."""
-    text = json.dumps({"manifest": manifest.to_dict(), **body})
+    text = json.dumps({"manifest": manifest, **body})
     report = json.loads(text, parse_constant=lambda constant: None)  # Infinity, -Infinity, NaN -> null
     path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
@@ -129,7 +105,7 @@ def _write_json(path: Path, manifest: RunManifest, body: dict) -> None:
 #: memory stays flat in the row count
 _CHUNK_ROWS = 2048
 
-#: the most cells a ``--points`` grid may have: 2**22 points of a 1-D grid, 2048**2 of the Wigner map
+#: the most cells a grid may have: 2**22 ``--points`` of a 1-D grid or ``--bins``, 2048**2 of the Wigner map
 _GRID_BUDGET = 2**22
 
 
@@ -268,12 +244,12 @@ def _run_protocol(args) -> protocol.ProtocolConfig:
 # commands
 
 
-def _check_points(points: int, cells: int) -> None:
-    """Reject a ``--points`` below 1, or one whose grid of ``cells`` cells is over the budget."""
-    if points < 1:
-        raise ValueError(f"--points must be >= 1, got {points}")
+def _check_grid(flag: str, n: int, cells: int) -> None:
+    """Reject a ``--points`` or ``--bins`` n below 1, or one whose grid of ``cells`` cells is over the budget."""
+    if n < 1:
+        raise ValueError(f"{flag} must be >= 1, got {n}")
     if cells > _GRID_BUDGET:
-        raise ValueError(f"--points {points} gives a grid of {cells} cells, over the budget of 2**22 = {_GRID_BUDGET}")
+        raise ValueError(f"{flag} {n} gives a grid of {cells} cells, over the budget of 2**22 = {_GRID_BUDGET}")
 
 
 def _spectrum_lines(cav, grid, level: str, mode: str):
@@ -285,7 +261,7 @@ def _spectrum_lines(cav, grid, level: str, mode: str):
 
 
 def cmd_spectra(args) -> int:
-    _check_points(args.points, args.points)
+    _check_grid("--points", args.points, args.points)
     for flag, value in (("--f-min", args.f_min), ("--f-max", args.f_max)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
@@ -331,8 +307,7 @@ def _shot_lines(name: str, shots):
 
 
 def cmd_switch(args) -> int:
-    if args.bins < 1:
-        raise ValueError(f"--bins must be >= 1, got {args.bins}")
+    _check_grid("--bins", args.bins, args.bins)
     dev = device_mod.load(args.device)
     cfg = _run_protocol(args)
     ungated_cfg = dataclasses.replace(cfg, n_g=0.0, seed=cfg.seed + 1)
@@ -377,7 +352,7 @@ def cmd_switch(args) -> int:
 
 
 def cmd_gain_sweep(args) -> int:
-    _check_points(args.points, args.points)
+    _check_grid("--points", args.points, args.points)
     dev = device_mod.load(args.device)
     model = semiclassical.SaturableCavityModel(dev.cavity_II, dev.semiclassical)
     if not (math.isfinite(args.n_min) and args.n_min > 0):
@@ -388,10 +363,10 @@ def cmd_gain_sweep(args) -> int:
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{flag} must be finite and in [0, 1], got {value}")
     grid = np.geomspace(args.n_min, args.n_max, args.points)
-    (out_path,), manifest = _artifacts(args, ["gain_sweep.csv"])
     # one column of whole rows, a SweepPoint's fields in order: n_s, gain_db, extinction_db, regime
     rows = np.array([f"%.12g,{subspace},%.12g,%.12g,%s" % p for subspace in ("ge", "gf")
                      for p in semiclassical.gain_sweep(model, args.eta, args.p_s, grid, subspace)], dtype="S")
+    (out_path,), manifest = _artifacts(args, ["gain_sweep.csv"])
     _write_csv(out_path, manifest, ["n_s", "subspace", "gain_db", "extinction_db", "regime"],
                _records(len(rows), rows.__getitem__))
     print(f"wrote {out_path}")
@@ -412,7 +387,7 @@ def _wigner_lines(xs, ps, w):
 def cmd_wigner(args) -> int:
     if not (math.isfinite(args.extent) and args.extent > 0):
         raise ValueError(f"--extent must be finite and > 0, got {args.extent}")
-    _check_points(args.points, args.points**2)
+    _check_grid("--points", args.points, args.points**2)
     dev = device_mod.load(args.device)
     cfg = _run_protocol(args)
     shots, _, _ = protocol.label_records(protocol.run_experiment(cfg, dev))

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDataError, number
+from .errors import DegenerateDataError, NumericsError, number
 from .hilbert import QuantumState
 
 ON, OFF = "on", "off"
@@ -181,6 +181,7 @@ def wigner(field: QuantumState, grid) -> np.ndarray:
     factor e^{-x/2} sqrt(x^k/k!) and every later rescaling as a log scale, so nothing under- or
     overflows on the way.  What is left per point is a Horner sum in e^{i phi} of b terms; a
     Fock-diagonal state (b = 0) skips it and gives a radial map, bit-equal at equal |alpha|.
+    A W that is not finite (x overflows from |alpha| of about 6.7e153 on) is a NumericsError.
     """
     if len(field.dims) != 1:
         raise ValueError("wigner expects a single bosonic mode")
@@ -217,7 +218,11 @@ def wigner(field: QuantumState, grid) -> np.ndarray:
         z = np.exp(1j * np.angle(pts))
         for j in range(b - 1, -1, -1):
             acc = acc * z + g[inverse, j]
-    return (2.0 / np.pi) * acc.real
+    w = (2.0 / np.pi) * acc.real
+    if not np.isfinite(w).all():
+        r = float(np.abs(pts[~np.isfinite(w)]).min())
+        raise NumericsError(f"W is not finite at |alpha| = {r!r}: x = 4 |alpha|^2 overflows")
+    return w
 
 
 def wigner_grid(extent: float, points: int):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import CalibrationResult, extinction_db, gain_db, predict_single_photon
 from .cavity import CavityParams, shifted_frequency, transmission_coeff
-from .errors import number
+from .errors import NumericsError, number
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,9 @@ def gain_sweep(
     policy of a frequency-optimized experiment.  Gain folds through the
     ideal-single-photon prediction with the effective switching probability
     eta * p_s.  The steady states of the whole grid are solved in one batch
-    per qubit level.
+    per qubit level.  A grid point without a finite dim-branch population (the
+    cubic overflows, for the paper's device from n_s of about 1e107 on) is a
+    NumericsError naming the first.
     """
     if subspace not in ("ge", "gf"):
         raise ValueError(f"unknown subspace {subspace!r}")
@@ -183,6 +185,10 @@ def gain_sweep(
     rhs = (m.base.kappa_ext_in * flux)[:, None]
     n_exc_root = _dim_root(m, f_cand, excited, rhs)
     n_g_root = _dim_root(m, f_cand, "g", rhs)
+    finite = np.isfinite(n_exc_root).all(axis=1) & np.isfinite(n_g_root).all(axis=1)
+    if not finite.all():
+        raise NumericsError(f"no finite dim-branch population at n_s = {float(grid[np.argmin(finite)])!r}: "
+                            "the mean-field cubic overflows")
     regimes = _classify(m, f_cand, excited, n_exc_root, n_g_root, flux)
     n_exc = n_exc_root * m.base.kappa_ext_out * window / conv
     n_g = n_g_root * m.base.kappa_ext_out * window / conv

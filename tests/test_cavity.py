@@ -666,6 +666,9 @@ def record_per_step_root(c, p, eta_target):
 
 @given(**ROOT_RANGE, share=st.floats(0.02, 0.98))
 @example(kind="gaussian", duration=163.0, kappa_ext=1.795, detuning=0.0, share=0.355 / 3.59)  # met three times
+# a numpy-scalar tolerance once leaked into the steps, and numpy's complex division left eta 2 ulp low
+@example(kind="gaussian", duration=150.0, kappa_ext=1.5486985780947808, detuning=0.15188654216330771,
+         share=0.5662534535450134)
 @settings(max_examples=200, deadline=None)
 def test_root_on_numbers_matches_the_per_step_record_root(kind, duration, kappa_ext, detuning, share):
     c = cavity_one(kappa_ext=kappa_ext)
@@ -678,7 +681,9 @@ def test_root_on_numbers_matches_the_per_step_record_root(kind, duration, kappa_
             internal_loss_for_efficiency(c, p, target)
         assert str(raised.value) == str(exc)
         return
-    assert internal_loss_for_efficiency(c, p, target).hex() == expected.hex()
+    root = internal_loss_for_efficiency(c, p, target)
+    assert type(root) is float
+    assert root.hex() == expected.hex()
 
 
 @pytest.mark.parametrize(

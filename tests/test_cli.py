@@ -25,7 +25,6 @@ from photon_transistor import measurement, semiclassical
 from photon_transistor.analysis import synthesize_intensities
 from photon_transistor.cavity import PulseShape, spectrum
 from photon_transistor.cli import (
-    RunManifest,
     _shot_lines,
     _text,
     _wigner_lines,
@@ -86,10 +85,17 @@ def read_csv(path):
     return lines[0], rows[0], rows[1:]
 
 
+def manifest_of(tmp_path, command: str, device_file, cfg=None, **flags) -> dict:
+    """The manifest ``cli._artifacts`` builds for ``command`` run with ``flags`` (by dest, every
+    one but --out and the input files) on ``device_file`` and the effective protocol ``cfg``."""
+    args = argparse.Namespace(command=command, out=str(tmp_path / "manifest"), device=str(device_file), **flags)
+    return cli._artifacts(args, ["any name"], cfg)[1]
+
+
 def csv_writer_bytes(manifest, header, rows) -> bytes:
     """Reference bytes: the manifest-hash line, then csv.writer rows."""
     buf = io.StringIO(newline="")
-    buf.write(f"# manifest_hash={manifest.hash()}\n")
+    buf.write(f"# manifest_hash={manifest['manifest_hash']}\n")
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
@@ -338,8 +344,7 @@ class TestSpectra:
             amps = spectrum(cav, grid, level)
             rows += [[f"{f:.12g}", level, "reflect", f"{amp:.12g}", f"{phase:.12g}"]
                      for f, amp, phase in zip(grid.tolist(), np.abs(amps).tolist(), np.angle(amps).tolist())]
-        settings = {"cavity": "I", "f_min": 6995.0, "f_max": 7005.0, "points": 201}
-        manifest = RunManifest("spectra", file_sha256(device_file), settings, None, "any time", ("any path",))
+        manifest = manifest_of(tmp_path, "spectra", device_file, cavity="I", f_min=6995.0, f_max=7005.0, points=201)
         expected = csv_writer_bytes(manifest, ["frequency_mhz", "level", "mode", "amplitude", "phase_rad"], rows)
         assert (out / "spectra_cavity_I.csv").read_bytes() == expected
 
@@ -450,8 +455,7 @@ class TestSwitch:
         for name, run_cfg in (("gated", cfg), ("ungated", dataclasses.replace(cfg, n_g=0.0, seed=cfg.seed + 1))):
             for center, count in zip(*measurement.histogram(run_experiment(run_cfg, dev).reading, 25)):
                 rows.append([name, f"{center:.12g}", count])
-        settings = {"shots": 150, "seed": 77, "bins": 25} | dataclasses.asdict(cfg)
-        manifest = RunManifest("switch", file_sha256(device_file), settings, 77, "any time", ("any path",))
+        manifest = manifest_of(tmp_path, "switch", device_file, cfg, shots=150, seed=77, bins=25)
         expected = csv_writer_bytes(manifest, ["run", "bin_center", "count"], rows)
         assert (out / "histogram.csv").read_bytes() == expected
 
@@ -542,8 +546,22 @@ def test_points_over_the_grid_budget_exits_2_before_any_work(tmp_path, capsys, m
 
 
 def test_points_at_the_grid_budget_pass_the_check():
-    cli._check_points(2048, 2048**2)
-    cli._check_points(2**22, 2**22)
+    cli._check_grid("--points", 2048, 2048**2)
+    cli._check_grid("--points", 2**22, 2**22)
+
+
+@pytest.mark.parametrize("bins", [str(2**22 + 1), "1000000000000"])
+def test_bins_over_the_grid_budget_exits_2_before_any_work(tmp_path, capsys, monkeypatch, bins):
+    def no_work(*args, **kwargs):
+        raise AssertionError("--bins must be checked before the device is even loaded")
+
+    monkeypatch.setattr(device_mod, "load", no_work)
+    out = tmp_path / "out"
+    rc = main(["switch", "--device", str(CONFIGS / "device_paper.json"),
+               "--protocol", str(CONFIGS / "protocol_paper_point.json"), "--out", str(out), "--bins", bins])
+    assert rc == 2
+    assert f"--bins {bins} gives a grid of {bins} cells, over the budget of 2**22 = 4194304" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flags, builds", [
@@ -591,8 +609,7 @@ class TestGainSweep:
         rows = [[f"{pt.n_s:.12g}", subspace, f"{pt.gain_db:.12g}", f"{pt.extinction_db:.12g}", pt.regime]
                 for subspace in ("ge", "gf")
                 for pt in semiclassical.gain_sweep(model, 0.75, 0.9, np.geomspace(3.0, 1e7, 25), subspace)]
-        settings = {"n_min": 3.0, "n_max": 1e7, "points": 25, "eta": 0.75, "p_s": 0.9}
-        manifest = RunManifest("gain-sweep", file_sha256(device_file), settings, None, "any time", ("any path",))
+        manifest = manifest_of(tmp_path, "gain-sweep", device_file, n_min=3.0, n_max=1e7, points=25, eta=0.75, p_s=0.9)
         expected = csv_writer_bytes(manifest, ["n_s", "subspace", "gain_db", "extinction_db", "regime"], rows)
         assert (out / "gain_sweep.csv").read_bytes() == expected
 
@@ -625,6 +642,16 @@ class TestGainSweep:
         assert rc == 2
         assert f"{flag} must be" in capsys.readouterr().err
         assert not (out / "gain_sweep.csv").exists()
+
+    def test_overflowing_sweep_exits_3_before_any_output(self, tmp_path, capsys):
+        # from n_s of about 1e107 on the mean-field cubic overflows; the rows once read nan,nan
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            rc = main(["gain-sweep", "--device", str(CONFIGS / "device_paper.json"), "--out", str(out),
+                       "--n-max", "1e300"])
+        assert rc == 3
+        assert "no finite dim-branch population at n_s = 1.2216855924364995e+107" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_bare_offset_device_sweeps(self, tmp_path, capsys):
         # the g pull is then 0, and the mean-field cubic has the double root n = -n_crit, never a population
@@ -666,11 +693,10 @@ class TestWigner:
         state = conditional_gate_field(shots, "on", cfg, dev)
         xs, ps, pts = measurement.wigner_grid(1.5, 17)
         w = measurement.wigner(state, pts).reshape(17, 17)
-        flags = {"condition": "on", "extent": 1.5, "points": 17, "shots": 400, "seed": None}
-        settings = flags | dataclasses.asdict(cfg)
-        manifest = RunManifest("wigner", file_sha256(device_file), settings, cfg.seed, "any time", ("any path",))
+        manifest = manifest_of(tmp_path, "wigner", device_file, cfg, condition="on", extent=1.5, points=17,
+                               shots=400, seed=None)
         buf = io.StringIO(newline="")
-        buf.write(f"# manifest_hash={manifest.hash()}\n")
+        buf.write(f"# manifest_hash={manifest['manifest_hash']}\n")
         writer = csv.writer(buf)
         writer.writerow(["x", "p", "w"])
         for j, p in enumerate(ps):
@@ -753,6 +779,16 @@ class TestWigner:
         assert rc == 2
         assert name in capsys.readouterr().err
         assert not (out / "wigner_off.csv").exists()
+
+    def test_overflowing_extent_exits_3_before_any_output(self, tmp_path, device_file, protocol_file, capsys):
+        # x = 4 |alpha|^2 overflows on most of this grid; W once read nan there
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            rc = main(["wigner", "--device", str(device_file), "--protocol", str(protocol_file),
+                       "--condition", "on", "--out", str(out), "--extent", "1e200", "--points", "5", "--shots", "200"])
+        assert rc == 3
+        assert "W is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -919,34 +955,42 @@ def strict_json(text):
 
 
 def test_write_json_writes_non_finite_floats_as_null(tmp_path):
-    manifest = RunManifest("switch", "ab12", {"n_g": 0.18}, 7, "t0", ("report.json",))
+    manifest = manifest_of(tmp_path, "switch", CONFIGS / "device_paper.json", n_g=0.18)
     body = {"a": math.inf, "b": [math.nan, -math.inf, 1.5, np.float64(2.5)], "c": {"d": np.float64(-np.inf)},
             "e": None, "f": True, "g": (3, "x")}
     cli._write_json(tmp_path / "report.json", manifest, body)
     text = (tmp_path / "report.json").read_text()
-    assert strict_json(text) == {"manifest": manifest.to_dict() | {"outputs": ["report.json"]}, "a": None,
+    assert strict_json(text) == {"manifest": manifest, "a": None,
                                  "b": [None, None, 1.5, 2.5], "c": {"d": None}, "e": None, "f": True, "g": [3, "x"]}
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
-def test_manifest_hash_covers_package_version(monkeypatch):
-    def manifest():
-        return RunManifest("switch", "ab12", {"n_g": 0.18}, 7, "t0", ("out.csv",))
-
-    before = manifest()
-    assert before.to_dict()["version"] == photon_transistor.__version__
+def test_manifest_hash_covers_package_version(tmp_path, monkeypatch):
+    before = manifest_of(tmp_path, "switch", CONFIGS / "device_paper.json", n_g=0.18)
+    assert before["version"] == photon_transistor.__version__
     monkeypatch.setattr(photon_transistor, "__version__", "0.0.0+other")
-    after = manifest()
-    assert after.to_dict()["version"] == "0.0.0+other"
-    assert after.hash() != before.hash()
+    after = manifest_of(tmp_path, "switch", CONFIGS / "device_paper.json", n_g=0.18)
+    assert after["version"] == "0.0.0+other"
+    assert after["manifest_hash"] != before["manifest_hash"]
 
 
-def test_manifest_hash_covers_numpy_version():
-    before = RunManifest("switch", "ab12", {"n_g": 0.18}, 7, "t0", ("out.csv",))
-    assert before.to_dict()["numpy"] == np.__version__
-    after = dataclasses.replace(before, numpy="0.0.0+other")
-    assert after.to_dict()["numpy"] == "0.0.0+other"
-    assert after.hash() != before.hash()
+def test_manifest_hash_covers_numpy_version(tmp_path, monkeypatch):
+    before = manifest_of(tmp_path, "switch", CONFIGS / "device_paper.json", n_g=0.18)
+    assert before["numpy"] == np.__version__
+    monkeypatch.setattr(np, "__version__", "0.0.0+other")
+    after = manifest_of(tmp_path, "switch", CONFIGS / "device_paper.json", n_g=0.18)
+    assert after["numpy"] == "0.0.0+other"
+    assert after["manifest_hash"] != before["manifest_hash"]
+
+
+def test_manifest_hash_digests_the_six_run_fields(tmp_path):
+    manifest = manifest_of(tmp_path, "switch", CONFIGS / "device_paper.json", n_g=0.18)
+    hashed = {k: manifest[k] for k in ("command", "device_sha256", "protocol", "seed", "version", "numpy")}
+    blob = json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
+    assert manifest["manifest_hash"] == hashlib.sha256(blob).hexdigest()[:16]
+    assert set(manifest) == {*hashed, "manifest_hash", "timestamp", "outputs"}
+    assert manifest["device_sha256"] == file_sha256(CONFIGS / "device_paper.json")
+    assert manifest["outputs"] == [str(tmp_path / "manifest" / "any name")]
 
 
 #: per command, every flag but --out: its value in a base run (None: not given) and in a second

@@ -13,7 +13,7 @@ from scipy.special import eval_laguerre
 from photon_transistor import device as device_mod
 from photon_transistor import measurement
 from photon_transistor.cli import load_protocol
-from photon_transistor.errors import DegenerateDataError
+from photon_transistor.errors import DegenerateDataError, NumericsError
 from photon_transistor.hilbert import QuantumState, coherent_state, fock_state, pure_state
 from photon_transistor.measurement import (
     DetectionModel,
@@ -427,6 +427,13 @@ class TestWigner:
     def test_vacuum_center(self):
         w = wigner(fock_state(0, 10), [0.0])
         assert w[0] == pytest.approx(2.0 / math.pi, abs=1e-12)
+
+    def test_non_finite_w_is_a_numerics_error(self):
+        # x = 4 |alpha|^2 overflows past |alpha| of about 6.7e153, and W came out NaN
+        w = wigner(fock_state(2, 10), [6e153, -6e153j])
+        assert np.isfinite(w).all()
+        with np.errstate(all="ignore"), pytest.raises(NumericsError, match=r"^W is not finite at \|alpha\| = 1e\+155"):
+            wigner(fock_state(2, 10), [0.5, 1e155, -1e200j])
 
     def test_fock_one_center_negative(self):
         w = wigner(fock_state(1, 10), [0.0])

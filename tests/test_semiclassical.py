@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 
 from photon_transistor.analysis import CalibrationResult, extinction_db, gain_db, predict_single_photon
 from photon_transistor.cavity import CavityParams, shifted_frequency, transmission_coeff
+from photon_transistor.errors import NumericsError
 from photon_transistor.semiclassical import (
     SaturableCavityModel,
     SemiclassicalSettings,
@@ -580,6 +581,20 @@ class TestGainSweep:
     def test_zero_signal_point(self):
         pt = gain_sweep(model(), 0.8, 0.9, [0.0, 10.0], "ge")[0]
         assert pt.n_s == 0.0 and pt.gain_db == -math.inf and pt.regime == "linear"
+
+    @pytest.mark.parametrize("subspace", ["ge", "gf"])
+    def test_overflowing_cubic_is_a_numerics_error_naming_the_first_n_s(self, subspace):
+        # the cubic's coefficients overflow at huge drives, and a dim root came out inf or NaN,
+        # giving nan gain and extinction rows
+        grid = np.geomspace(3.0, 1e300, 60)
+        with np.errstate(all="ignore"), pytest.raises(NumericsError, match="no finite dim-branch population") as raised:
+            gain_sweep(model(), 0.8, 0.925, grid, subspace)
+        first = float(str(raised.value).split("n_s = ")[1].split(":")[0])
+        k = grid.tolist().index(first)
+        assert k > 0
+        with np.errstate(all="ignore"):
+            pts = gain_sweep(model(), 0.8, 0.925, grid[:k], subspace)
+        assert not any(math.isnan(p.gain_db) or math.isnan(p.extinction_db) for p in pts)
 
 
 def test_build_model_from_settings():
