@@ -363,9 +363,10 @@ def cmd_gain_sweep(args) -> int:
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{flag} must be finite and in [0, 1], got {value}")
     grid = np.geomspace(args.n_min, args.n_max, args.points)
-    # one column of whole rows, a SweepPoint's fields in order: n_s, gain_db, extinction_db, regime
-    rows = np.array([f"%.12g,{subspace},%.12g,%.12g,%s" % p for subspace in ("ge", "gf")
-                     for p in semiclassical.gain_sweep(model, args.eta, args.p_s, grid, subspace)], dtype="S")
+    # one column of whole rows, both subspaces' from one sweep: n_s, subspace, gain_db, extinction_db, regime
+    n_s, *columns = (c.tolist() for c in semiclassical._sweep(model, args.eta, args.p_s, grid, ("ge", "gf")))
+    rows = np.array([f"%.12g,{subspace},%.12g,%.12g,%s" % row for subspace, *sweep in zip(("ge", "gf"), *columns)
+                     for row in zip(n_s, *sweep)], dtype="S")
     (out_path,), manifest = _artifacts(args, ["gain_sweep.csv"])
     _write_csv(out_path, manifest, ["n_s", "subspace", "gain_db", "extinction_db", "regime"],
                _records(len(rows), rows.__getitem__))

@@ -167,6 +167,7 @@ def histogram(readings, bins: int) -> tuple[np.ndarray, np.ndarray]:
 _RESCALE = 1e100
 
 
+@np.errstate(all="ignore")  # a W the arithmetic leaves non-finite is the NumericsError at the end
 def wigner(field: QuantumState, grid) -> np.ndarray:
     """W(alpha) = (2/pi) Tr[rho D(2 alpha) P] on a list of points, exact for any single-mode rho.
 

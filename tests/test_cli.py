@@ -643,15 +643,22 @@ class TestGainSweep:
         assert f"{flag} must be" in capsys.readouterr().err
         assert not (out / "gain_sweep.csv").exists()
 
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning would come before the error line
     def test_overflowing_sweep_exits_3_before_any_output(self, tmp_path, capsys):
         # from n_s of about 1e107 on the mean-field cubic overflows; the rows once read nan,nan
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            rc = main(["gain-sweep", "--device", str(CONFIGS / "device_paper.json"), "--out", str(out),
-                       "--n-max", "1e300"])
+        rc = main(["gain-sweep", "--device", str(CONFIGS / "device_paper.json"), "--out", str(out),
+                   "--n-max", "1e300"])
         assert rc == 3
-        assert "no finite dim-branch population at n_s = 1.2216855924364995e+107" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no finite dim-branch population at n_s = 1.2216855924364995e+107: the mean-field cubic overflows"]
         assert not out.exists()
+
+    def test_one_solve_per_command(self, tmp_path, device_file):
+        # every subspace, qubit level and candidate frequency of the sweep comes from one pass
+        with mock.patch.object(semiclassical, "_steady_states", wraps=semiclassical._steady_states) as solve:
+            assert main(["gain-sweep", "--device", str(device_file), "--out", str(tmp_path / "out")]) == 0
+        assert solve.call_count == 1
 
     def test_zero_bare_offset_device_sweeps(self, tmp_path, capsys):
         # the g pull is then 0, and the mean-field cubic has the double root n = -n_crit, never a population
@@ -780,14 +787,15 @@ class TestWigner:
         assert name in capsys.readouterr().err
         assert not (out / "wigner_off.csv").exists()
 
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning would come before the error line
     def test_overflowing_extent_exits_3_before_any_output(self, tmp_path, device_file, protocol_file, capsys):
         # x = 4 |alpha|^2 overflows on most of this grid; W once read nan there
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            rc = main(["wigner", "--device", str(device_file), "--protocol", str(protocol_file),
-                       "--condition", "on", "--out", str(out), "--extent", "1e200", "--points", "5", "--shots", "200"])
+        rc = main(["wigner", "--device", str(device_file), "--protocol", str(protocol_file),
+                   "--condition", "on", "--out", str(out), "--extent", "1e200", "--points", "5", "--shots", "200"])
         assert rc == 3
-        assert "W is not finite" in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: W is not finite")
         assert not out.exists()
 
     def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):

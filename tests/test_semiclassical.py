@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from photon_transistor import semiclassical
 from photon_transistor.analysis import CalibrationResult, extinction_db, gain_db, predict_single_photon
 from photon_transistor.cavity import CavityParams, shifted_frequency, transmission_coeff
 from photon_transistor.errors import NumericsError
@@ -20,6 +22,7 @@ from photon_transistor.semiclassical import (
     _classify,
     _dim_root,
     _steady_states,
+    _sweep,
     build_model,
     gain_sweep,
 )
@@ -470,6 +473,98 @@ class TestBatchedPrediction:
         assert moved <= 1
 
 
+def subspace_gain_sweep(m, eta, p_s, n_s_grid, subspace):
+    """The sweep as it was written before every subspace came from one pass: per subspace,
+    one batched solve per qubit level (the level named, as a str), then the elementwise tail."""
+    grid = np.asarray(n_s_grid, dtype=float)
+    excited = "e" if subspace == "ge" else "f"
+    eta_eff = eta * p_s
+    f_cand = np.array([shifted_frequency(m.base, excited), m.f_bare])
+    conv, window = m.settings.photon_flux_conversion, m.settings.signal_window_us
+    flux = conv * grid / window
+    rhs = (m.base.kappa_ext_in * flux)[:, None]
+    n_exc_root = _dim_root(m, f_cand, excited, rhs)
+    n_g_root = _dim_root(m, f_cand, "g", rhs)
+    finite = np.isfinite(n_exc_root).all(axis=1) & np.isfinite(n_g_root).all(axis=1)
+    if not finite.all():
+        raise NumericsError(f"no finite dim-branch population at n_s = {float(grid[np.argmin(finite)])!r}: "
+                            "the mean-field cubic overflows")
+    regimes = _classify(m, f_cand, excited, n_exc_root, n_g_root, flux)
+    n_exc = n_exc_root * m.base.kappa_ext_out * window / conv
+    n_g = n_g_root * m.base.kappa_ext_out * window / conv
+    n1, n0 = predict_single_photon(CalibrationResult(0.0, 1.0, n_g, n_exc, 0.0), eta_eff)
+    gains = gain_db(n1, n0)
+    pick = (np.arange(grid.size), np.argmax(gains, axis=1))
+    columns = (grid, gains[pick], extinction_db(n0[pick], n1[pick]), regimes[pick])
+    return [SweepPoint(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def hex_rows(points):
+    return [(p.n_s.hex(), p.gain_db.hex(), p.extinction_db.hex(), p.regime) for p in points]
+
+
+def swept(sweep, *args):
+    """``sweep(*args)``'s value, or the message of the NumericsError it raises."""
+    try:
+        return sweep(*args)
+    except NumericsError as exc:
+        return str(exc)
+
+
+@st.composite
+def one_pass_cases(draw):
+    """A device jittered as the benchmark's are, eta and p_s, subspaces in some order, and an
+    ascending grid: n_s = 0 points, and points past the cubic's overflow near 1e107, included."""
+    m = model(
+        n_crit_g=1.0e4 * draw(st.floats(0.8, 1.25)),
+        n_crit_e=2.0e5 * draw(st.floats(0.8, 1.25)),
+        n_crit_f=4.0e4 * draw(st.floats(0.8, 1.25)),
+        bare_offset=5.0 * draw(st.floats(0.9, 1.1)),
+        photon_flux_conversion=11.0 * draw(st.floats(0.9, 1.1)),
+    )
+    probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    zeros = [0.0] * draw(st.integers(0, 2))
+    grid = [10**e for e in draw(st.lists(st.floats(-2.0, 12.0), max_size=40))]
+    tail = [10**e for e in draw(st.lists(st.floats(100.0, 300.0), max_size=3))]
+    subspaces = draw(st.sampled_from([("ge",), ("gf",), ("ge", "gf"), ("gf", "ge")]))
+    return m, draw(probability), draw(probability), sorted(zeros + grid + tail) or [0.0], subspaces
+
+
+class TestOnePass:
+    """``_sweep``'s one pass over every subspace, level and candidate against the sweep it
+    replaces, one subspace and one qubit level at a time: bit for bit, and the same error."""
+
+    @given(one_pass_cases())
+    @example((model(), 0.80, 0.925, np.geomspace(3.0, 1e300, 60).tolist(), ("ge", "gf")))
+    @example((model(bare_offset=0.0), 0.0, 0.925, [0.0, 3.0, 1.0e5, 1.6e6], ("ge", "gf")))
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("error")  # the one pass warns of no overflow: the error names it
+    def test_matches_one_subspace_at_a_time(self, case):
+        m, eta, p_s, grid, subspaces = case
+        ref = [swept(subspace_gain_sweep, m, eta, p_s, grid, subspace) for subspace in subspaces]
+        errors = [r for r in ref if isinstance(r, str)]
+        got = swept(_sweep, m, eta, p_s, grid, subspaces)
+        if errors:
+            assert got == errors[0]
+        else:
+            n_s, gains, extinctions, regimes = got
+            rows = [[SweepPoint(*row) for row in zip(n_s.tolist(), *(c.tolist() for c in columns))]
+                    for columns in zip(gains, extinctions, regimes)]
+            assert [hex_rows(r) for r in rows] == [hex_rows(r) for r in ref]
+        for subspace, r in zip(subspaces, ref):
+            one = swept(gain_sweep, m, eta, p_s, grid, subspace)
+            assert one == r if isinstance(r, str) else hex_rows(one) == hex_rows(r)
+
+    def test_one_solve_per_sweep(self):
+        with mock.patch.object(semiclassical, "_steady_states", wraps=semiclassical._steady_states) as solve:
+            gain_sweep(model(), 0.80, 0.925, np.geomspace(3.0, 1e8, 24), "gf")
+        assert solve.call_count == 1
+
+    def test_unknown_subspace(self):
+        with pytest.raises(ValueError, match="unknown subspace 'ef'"):
+            _sweep(model(), 0.8, 0.9, [1.0], ("ge", "ef"))
+
+
 def transmitted_photons(m: SaturableCavityModel, f: float, level: str, rhs: float, branch: str = "dim") -> float:
     """Output photons over the signal window, n_stable * kappa_out * window, on the dim
     (lowest stable) or bright (highest stable) branch of ``_steady_states``."""
@@ -583,17 +678,17 @@ class TestGainSweep:
         assert pt.n_s == 0.0 and pt.gain_db == -math.inf and pt.regime == "linear"
 
     @pytest.mark.parametrize("subspace", ["ge", "gf"])
+    @pytest.mark.filterwarnings("error")  # and no overflow is warned of on the way
     def test_overflowing_cubic_is_a_numerics_error_naming_the_first_n_s(self, subspace):
         # the cubic's coefficients overflow at huge drives, and a dim root came out inf or NaN,
         # giving nan gain and extinction rows
         grid = np.geomspace(3.0, 1e300, 60)
-        with np.errstate(all="ignore"), pytest.raises(NumericsError, match="no finite dim-branch population") as raised:
+        with pytest.raises(NumericsError, match="no finite dim-branch population") as raised:
             gain_sweep(model(), 0.8, 0.925, grid, subspace)
         first = float(str(raised.value).split("n_s = ")[1].split(":")[0])
         k = grid.tolist().index(first)
         assert k > 0
-        with np.errstate(all="ignore"):
-            pts = gain_sweep(model(), 0.8, 0.925, grid[:k], subspace)
+        pts = gain_sweep(model(), 0.8, 0.925, grid[:k], subspace)
         assert not any(math.isnan(p.gain_db) or math.isnan(p.extinction_db) for p in pts)
 
 
