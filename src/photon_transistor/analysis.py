@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnphysicalInputError, UnsolvableCalibrationError
+from .errors import UnphysicalInputError, UnsolvableCalibrationError, check, spec
 
 
 @dataclass(frozen=True)
@@ -26,18 +26,14 @@ class CalibrationInputs:
     flip probability.  Intensities synthesized with beta = 0.1149 give P_g_open = 0.925 back;
     with the total coherent_flip_probability(0.18, 0.80, 0.04) = 0.1549 it is 1.073, unphysical."""
 
-    n0_open: float
-    na_open: float
-    n0_close: float
-    na_close: float
-    beta: float
+    n0_open: float = spec(bound=">= 0")
+    na_open: float = spec(bound=">= 0")
+    n0_close: float = spec(bound=">= 0")
+    na_close: float = spec(bound=">= 0")
+    beta: float = spec(bound="in [0, 1]")
 
     def __post_init__(self):
-        for name in ("n0_open", "na_open", "n0_close", "na_close"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must be a probability")
+        check(self)
 
 
 @dataclass(frozen=True)

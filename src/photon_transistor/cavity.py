@@ -21,12 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, number
+from .errors import NumericsError, bounded, check, number, spec
 
 QUBIT_LEVELS = ("g", "e", "f")
-#: protocol-file key -> PulseShape field; the numeric keys carry their units
-PULSE_KEYS = {"kind": "kind", "duration_ns": "duration", "sigma_ns": "sigma",
-              "carrier_detuning_mhz": "carrier_detuning"}
 
 
 @dataclass(frozen=True)
@@ -39,19 +36,15 @@ class CavityParams:
     resonances sit at f0 + 2*chi_ge and f0 + 2*chi_gf.
     """
 
-    f0: float
-    kappa_ext_in: float
-    kappa_ext_out: float
-    kappa_int: float
-    chi_ge: float
-    chi_gf: float
+    f0: float = spec("mhz")
+    kappa_ext_in: float = spec("mhz", ">= 0")
+    kappa_ext_out: float = spec("mhz", ">= 0")
+    kappa_int: float = spec("mhz", ">= 0")
+    chi_ge: float = spec("mhz")
+    chi_gf: float = spec("mhz")
 
     def __post_init__(self):
-        for name in ("f0", "kappa_ext_in", "kappa_ext_out", "kappa_int", "chi_ge", "chi_gf"):
-            object.__setattr__(self, name, number(name, getattr(self, name)))
-        for name in ("kappa_ext_in", "kappa_ext_out", "kappa_int"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        check(self)
         if self.kappa_tot <= 0:
             raise ValueError("total linewidth must be positive")
 
@@ -77,23 +70,15 @@ class PulseShape:
     carrier from the g/e midpoint frequency.
     """
 
-    kind: str
-    duration: float
-    sigma: float | None = None
-    carrier_detuning: float = 0.0
+    kind: str = spec(choices=("gaussian", "square"))
+    duration: float = spec("ns", "> 0")
+    sigma: float | None = spec("ns", "> 0", default=None)
+    carrier_detuning: float = spec("mhz", default=0.0)
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "square"):
-            raise ValueError(f"unknown pulse kind {self.kind!r}")
-        for key, attr in PULSE_KEYS.items():
-            if attr != "kind" and (value := getattr(self, attr)) is not None:
-                object.__setattr__(self, attr, number(key, value))
-        if self.duration <= 0:
-            raise ValueError("pulse duration must be positive")
+        check(self)
         if self.kind == "gaussian" and self.sigma is None:
-            object.__setattr__(self, "sigma", self.duration / 6.0)
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("pulse sigma must be positive")
+            object.__setattr__(self, "sigma", bounded("sigma_ns", self.duration / 6.0, "> 0"))
 
 
 def shifted_frequency(c: CavityParams, qubit_level: str) -> float:

@@ -32,14 +32,16 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, device as device_mod, measurement, protocol, semiclassical
-from .cavity import PULSE_KEYS, PulseShape, spectrum
+from .cavity import PulseShape, spectrum
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
     NumericsError,
     UnphysicalInputError,
     UnsolvableCalibrationError,
+    bounded,
     fields,
+    file_keys,
     number,
     read_json,
 )
@@ -54,15 +56,17 @@ _NUMERIC_ERRORS = (
     UnphysicalInputError,
 )
 
-def _artifacts(args, names: list[str], cfg: protocol.ProtocolConfig | None = None) -> tuple[list[Path], dict]:
+def _artifacts(args, names: list[str], digest: str,
+               cfg: protocol.ProtocolConfig | None = None) -> tuple[list[Path], dict]:
     """Make the ``--out`` directory; return the paths of the named outputs in it and the
     manifest stamping them, built here once per run.
 
-    Its ``manifest_hash`` digests six fields: the command, the input file's SHA-256
-    (``--device``, or ``--inputs``), the settings (``protocol``: every flag but ``--out``
-    and the input files, with ``cfg``, the effective ProtocolConfig of ``switch`` and
-    ``wigner``, laid over them; None if there are none), the seed, and the package's and
-    numpy's versions, read at call time.  ``timestamp`` and ``outputs`` are not hashed."""
+    Its ``manifest_hash`` digests six fields: the command, ``digest`` (the SHA-256 of the
+    bytes parsed from the input file, ``--device`` or ``--inputs``), the settings
+    (``protocol``: every flag but ``--out`` and the input files, with ``cfg``, the effective
+    ProtocolConfig of ``switch`` and ``wigner``, laid over them; None if there are none), the
+    seed, and the package's and numpy's versions, read at call time.  ``timestamp`` and
+    ``outputs`` are not hashed."""
     settings = {k: v for k, v in vars(args).items() if k not in ("command", "out", "device", "inputs", "protocol")}
     if cfg is not None:
         settings |= dataclasses.asdict(cfg)
@@ -71,7 +75,7 @@ def _artifacts(args, names: list[str], cfg: protocol.ProtocolConfig | None = Non
     paths = [out_dir / name for name in names]
     manifest = {
         "command": args.command,
-        "device_sha256": hashlib.sha256(Path(getattr(args, "device", None) or args.inputs).read_bytes()).hexdigest(),
+        "device_sha256": digest,
         "protocol": settings or None,
         "seed": None if cfg is None else cfg.seed,
         "version": sys.modules[__package__].__version__,
@@ -225,11 +229,12 @@ _LABEL = np.array([measurement.OFF, measurement.ON], dtype="S")
 
 
 def load_protocol(path) -> protocol.ProtocolConfig:
-    data = fields("protocol file", read_json(path, "protocol"), protocol.PROTOCOL_KEYS)
-    kwargs = {protocol.PROTOCOL_KEYS[k]: v for k, v in data.items()}
+    keys, pulse_keys = file_keys(protocol.ProtocolConfig), file_keys(PulseShape)
+    data = fields("protocol file", read_json(path, "protocol")[0], keys)
+    kwargs = {keys[k]: v for k, v in data.items()}
     if "gate_pulse" in kwargs:
-        raw = fields("gate_pulse", kwargs["gate_pulse"], PULSE_KEYS, ("kind", "duration_ns"))
-        kwargs["gate_pulse"] = PulseShape(**{PULSE_KEYS[k]: v for k, v in raw.items()})
+        raw = fields("gate_pulse", kwargs["gate_pulse"], pulse_keys, ("kind", "duration_ns"))
+        kwargs["gate_pulse"] = PulseShape(**{pulse_keys[k]: v for k, v in raw.items()})
     return protocol.ProtocolConfig(**kwargs)
 
 
@@ -265,7 +270,7 @@ def cmd_spectra(args) -> int:
     for flag, value in (("--f-min", args.f_min), ("--f-max", args.f_max)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
-    dev = device_mod.load(args.device)
+    dev, digest = device_mod.load_and_hash(args.device)
     cav = dev.cavity_I if args.cavity == "I" else dev.cavity_II
     mode = "reflect" if cav.single_sided else "transmit"
     span = 4.0 * max(abs(2.0 * cav.chi_ge), abs(2.0 * cav.chi_gf), cav.kappa_tot)
@@ -275,7 +280,7 @@ def cmd_spectra(args) -> int:
         raise ValueError(f"--f-max must be >= --f-min, got {hi:g} < {lo:g} MHz")
     grid = np.linspace(lo, hi, args.points)
 
-    (out_path,), manifest = _artifacts(args, [f"spectra_cavity_{args.cavity}.csv"])
+    (out_path,), manifest = _artifacts(args, [f"spectra_cavity_{args.cavity}.csv"], digest)
     _write_csv(out_path, manifest, ["frequency_mhz", "level", "mode", "amplitude", "phase_rad"],
                (chunk for level in ("g", "e", "f") for chunk in _spectrum_lines(cav, grid, level, mode)))
     print(f"wrote {out_path}")
@@ -308,7 +313,7 @@ def _shot_lines(name: str, shots):
 
 def cmd_switch(args) -> int:
     _check_grid("--bins", args.bins, args.bins)
-    dev = device_mod.load(args.device)
+    dev, digest = device_mod.load_and_hash(args.device)
     cfg = _run_protocol(args)
     ungated_cfg = dataclasses.replace(cfg, n_g=0.0, seed=cfg.seed + 1)
 
@@ -330,7 +335,7 @@ def cmd_switch(args) -> int:
             cond[f"mean_photon_{label}"] = None
 
     names = ["switch_report.json", "shots.csv", "histogram.csv"]
-    (report_path, shots_path, hist_path), manifest = _artifacts(args, names, cfg)
+    (report_path, shots_path, hist_path), manifest = _artifacts(args, names, digest, cfg)
     header = ["run", "shot", "gate_flip", "level_at_signal_start", "jump_time_us", "true_photons", "reading", "label"]
     _write_csv(shots_path, manifest, header,
                (chunk for name, shots in runs.items() for chunk in _shot_lines(name, shots)))
@@ -353,7 +358,7 @@ def cmd_switch(args) -> int:
 
 def cmd_gain_sweep(args) -> int:
     _check_grid("--points", args.points, args.points)
-    dev = device_mod.load(args.device)
+    dev, digest = device_mod.load_and_hash(args.device)
     model = semiclassical.SaturableCavityModel(dev.cavity_II, dev.semiclassical)
     if not (math.isfinite(args.n_min) and args.n_min > 0):
         raise ValueError(f"--n-min must be finite and > 0, got {args.n_min}")
@@ -367,7 +372,7 @@ def cmd_gain_sweep(args) -> int:
     n_s, *columns = (c.tolist() for c in semiclassical._sweep(model, args.eta, args.p_s, grid, ("ge", "gf")))
     rows = np.array([f"%.12g,{subspace},%.12g,%.12g,%s" % row for subspace, *sweep in zip(("ge", "gf"), *columns)
                      for row in zip(n_s, *sweep)], dtype="S")
-    (out_path,), manifest = _artifacts(args, ["gain_sweep.csv"])
+    (out_path,), manifest = _artifacts(args, ["gain_sweep.csv"], digest)
     _write_csv(out_path, manifest, ["n_s", "subspace", "gain_db", "extinction_db", "regime"],
                _records(len(rows), rows.__getitem__))
     print(f"wrote {out_path}")
@@ -389,24 +394,25 @@ def cmd_wigner(args) -> int:
     if not (math.isfinite(args.extent) and args.extent > 0):
         raise ValueError(f"--extent must be finite and > 0, got {args.extent}")
     _check_grid("--points", args.points, args.points**2)
-    dev = device_mod.load(args.device)
+    dev, digest = device_mod.load_and_hash(args.device)
     cfg = _run_protocol(args)
     shots, _, _ = protocol.label_records(protocol.run_experiment(cfg, dev))
     state = protocol.conditional_gate_field(shots, args.condition, cfg, dev)
     xs, ps, pts = measurement.wigner_grid(args.extent, args.points)
     w = measurement.wigner(state, pts).reshape(args.points, args.points)
 
-    (out_path,), manifest = _artifacts(args, [f"wigner_{args.condition}.csv"], cfg)
+    (out_path,), manifest = _artifacts(args, [f"wigner_{args.condition}.csv"], digest, cfg)
     _write_csv(out_path, manifest, ["x", "p", "w"], _wigner_lines(xs, ps, w))
     print(f"wrote {out_path}")
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    measured = [f.name for f in dataclasses.fields(analysis.CalibrationInputs)]
-    data = fields("calibration inputs", read_json(args.inputs, "calibration inputs"),
-                  {*measured, "eta", "p_s", "dark_flip", "beta_table"}, measured)
-    values = {k: number(k, v) for k, v in data.items() if k != "beta_table"}
+    raw, digest = read_json(args.inputs, "calibration inputs")
+    measured = file_keys(analysis.CalibrationInputs)
+    data = fields("calibration inputs", raw, {*measured, "eta", "p_s", "dark_flip", "beta_table"}, measured)
+    inputs = analysis.CalibrationInputs(**{name: data[k] for k, name in measured.items()})
+    given = {k: bounded(k, number(k, data[k]), "in [0, 1]") for k in ("eta", "p_s", "dark_flip") if k in data}
     table = data.get("beta_table", [])
     if not isinstance(table, list):
         raise ValueError(f"beta_table must be a list of [n_g, beta] pairs, got {table!r}")
@@ -419,17 +425,15 @@ def cmd_calibrate(args) -> int:
         if fitted := [key for key in ("eta", "dark_flip") if key in data]:
             raise ValueError(f"beta_table sets eta and dark_flip by its fit; drop {' and '.join(fitted)} or the table")
         eta, dark = analysis.fit_eta(table)
-    elif "eta" in values:
-        eta, dark = values["eta"], values.get("dark_flip")
-        if dark is not None and not 0.0 <= dark <= 1.0:
-            raise ValueError(f"dark_flip must be a probability in [0, 1], got {dark}")
+    elif "eta" in given:
+        eta, dark = given["eta"], given.get("dark_flip")
     else:
         raise ValueError("provide either 'eta' or a 'beta_table' to fit")
 
-    cal = analysis.solve_calibration(analysis.CalibrationInputs(**{k: values[k] for k in measured}))
+    cal = analysis.solve_calibration(inputs)
     n1, n0 = analysis.predict_single_photon(cal, eta)
-    p_s = values.get("p_s")
-    (out_path,), manifest = _artifacts(args, ["transistor_report.json"])
+    p_s = given.get("p_s")
+    (out_path,), manifest = _artifacts(args, ["transistor_report.json"], digest)
     _write_json(out_path, manifest, {"report": {
         "calibration": {k.lower(): v for k, v in dataclasses.asdict(cal).items()} | {"is_physical": cal.is_physical},
         "eta": eta,

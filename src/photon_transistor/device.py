@@ -11,10 +11,11 @@ explicit tag.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, is_dataclass
 
 from .cavity import CavityParams
-from .errors import fields, number, read_json
+from .errors import check, fields, file_keys, number, read_json, spec
 from .measurement import DetectionModel
 from .qubit import QubitRates
 from .semiclassical import SemiclassicalSettings
@@ -27,52 +28,11 @@ PROVENANCE_TAGS = ("paper", "derived", "default", "user")
 #: kappa_int (see tests/test_device.py, which re-derives it)
 KAPPA_I_INT_FOR_ETA_080 = 0.15871527810
 
-_CAVITY_KEYS = {
-    "f0_mhz": "f0",
-    "kappa_ext_in_mhz": "kappa_ext_in",
-    "kappa_ext_out_mhz": "kappa_ext_out",
-    "kappa_int_mhz": "kappa_int",
-    "chi_ge_mhz": "chi_ge",
-    "chi_gf_mhz": "chi_gf",
-}
-_RATE_KEYS = {
-    "t1_ge_us": "T1_ge",
-    "t1_ef_us": "T1_ef",
-    "t2_ge_us": "T2_ge",
-    "t2_gf_us": "T2_gf",
-    "thermal_excitation_rate_per_us": "thermal_excitation_rate",
-}
-_DETECTION_KEYS = {
-    "efficiency": "efficiency",
-    "added_noise_photons": "added_noise_photons",
-    "baseline_sigma": "baseline_sigma",
-}
-_SEMI_KEYS = {
-    "n_crit_g": "n_crit_g",
-    "n_crit_e": "n_crit_e",
-    "n_crit_f": "n_crit_f",
-    "bare_offset_mhz": "bare_offset",
-    "photon_flux_conversion": "photon_flux_conversion",
-    "signal_window_us": "signal_window_us",
-}
-#: top-level file key -> DeviceParams field
-_SCALARS = {"f_q_mhz": "f_q", "e_c_mhz": "E_c"}
-#: file section -> (DeviceParams field, file key -> record field, record type)
-_SECTIONS = {
-    "cavity_i": ("cavity_I", _CAVITY_KEYS, CavityParams),
-    "cavity_ii": ("cavity_II", _CAVITY_KEYS, CavityParams),
-    "qubit_rates": ("qubit_rates", _RATE_KEYS, QubitRates),
-    "detection": ("detection", _DETECTION_KEYS, DetectionModel),
-    "semiclassical": ("semiclassical", _SEMI_KEYS, SemiclassicalSettings),
-}
-#: every leaf's path in the file, the keys of the provenance map
-_LEAF_PATHS = [*_SCALARS] + [f"{section}.{k}" for section, (_, keys, _) in _SECTIONS.items() for k in keys]
-
 
 @dataclass(frozen=True)
 class DeviceParams:
-    f_q: float  # qubit frequency, MHz
-    E_c: float  # anharmonicity, MHz
+    f_q: float = spec("mhz", "> 0")  # qubit frequency
+    E_c: float = spec("mhz", "> 0")  # anharmonicity
     cavity_I: CavityParams
     cavity_II: CavityParams
     qubit_rates: QubitRates
@@ -81,10 +41,7 @@ class DeviceParams:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("f_q", "E_c"):
-            object.__setattr__(self, name, number(name, getattr(self, name)))
-        if self.f_q <= 0 or self.E_c <= 0:
-            raise ValueError("qubit frequency and anharmonicity must be positive")
+        check(self)
         if not self.cavity_I.single_sided:
             raise ValueError("cavity_I must be single-sided (kappa_ext_out = 0)")
         if not self.cavity_II.two_sided:
@@ -92,6 +49,16 @@ class DeviceParams:
         bad = [t for t in self.provenance.values() if t not in PROVENANCE_TAGS]
         if bad:
             raise ValueError(f"unknown provenance tags: {bad}")
+
+
+_TYPES = typing.get_type_hints(DeviceParams)
+#: top-level file key -> DeviceParams field, for the numbers at the top of the file
+_SCALARS = {k: name for k, name in file_keys(DeviceParams).items() if _TYPES[name] is float}
+#: file section -> (DeviceParams field, record type)
+_SECTIONS = {k: (name, _TYPES[name]) for k, name in file_keys(DeviceParams).items()
+             if is_dataclass(_TYPES[name])}
+#: every leaf's path in the file, the keys of the provenance map
+_LEAF_PATHS = [*_SCALARS] + [f"{section}.{k}" for section, (_, cls) in _SECTIONS.items() for k in file_keys(cls)]
 
 
 def paper_defaults() -> DeviceParams:
@@ -143,8 +110,10 @@ def paper_defaults() -> DeviceParams:
     )
 
 
-def _unpack_section(section: str, raw, keymap: dict[str, str], cls):
+def _unpack_section(section: str, raw, cls):
+    keymap = file_keys(cls)
     fields(section, raw, keymap, keymap)
+    # the number rule again, here to name each value by its path in the file
     kwargs = {attr: number(f"{section}.{k}", raw[k]) for k, attr in keymap.items()}
     try:
         return cls(**kwargs)
@@ -154,9 +123,9 @@ def _unpack_section(section: str, raw, keymap: dict[str, str], cls):
 
 def to_dict(d: DeviceParams) -> dict:
     out = {k: getattr(d, attr) for k, attr in _SCALARS.items()}
-    for section, (attr, keymap, _) in _SECTIONS.items():
+    for section, (attr, cls) in _SECTIONS.items():
         record = getattr(d, attr)
-        out[section] = {k: getattr(record, a) for k, a in keymap.items()}
+        out[section] = {k: getattr(record, a) for k, a in file_keys(cls).items()}
     out["provenance"] = dict(sorted(d.provenance.items()))
     return out
 
@@ -165,9 +134,9 @@ def from_dict(data: dict) -> DeviceParams:
     top = {*_SCALARS, *_SECTIONS}
     fields("device file", data, {*top, "provenance"}, top)
     provenance = fields("provenance", data.get("provenance", {}), _LEAF_PATHS)
-    kwargs = {attr: number(k, data[k]) for k, attr in _SCALARS.items()}
-    for section, (attr, keymap, cls) in _SECTIONS.items():
-        kwargs[attr] = _unpack_section(section, data[section], keymap, cls)
+    kwargs = {attr: data[k] for k, attr in _SCALARS.items()}
+    for section, (attr, cls) in _SECTIONS.items():
+        kwargs[attr] = _unpack_section(section, data[section], cls)
     # fields present in the file but untagged are treated as user-supplied
     return DeviceParams(**kwargs, provenance={p: provenance.get(p, "user") for p in _LEAF_PATHS})
 
@@ -178,5 +147,11 @@ def save(d: DeviceParams, path) -> None:
         fh.write("\n")
 
 
+def load_and_hash(path) -> tuple[DeviceParams, str]:
+    """The device file's parameters and the SHA-256 of the bytes they were parsed from, from one read."""
+    raw, digest = read_json(path, "device")
+    return from_dict(raw), digest
+
+
 def load(path) -> DeviceParams:
-    return from_dict(read_json(path, "device"))
+    return load_and_hash(path)[0]

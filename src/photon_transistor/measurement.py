@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDataError, NumericsError, number
+from .errors import DegenerateDataError, NumericsError, check, spec
 from .hilbert import QuantumState
 
 ON, OFF = "on", "off"
@@ -23,19 +23,12 @@ class DetectionModel:
     Readings may be negative and are never clipped.
     """
 
-    efficiency: float = 0.5
-    added_noise_photons: float = 2.0
-    baseline_sigma: float = 1.0
+    efficiency: float = spec(bound="in (0, 1]", default=0.5)
+    added_noise_photons: float = spec(bound=">= 0", default=2.0)
+    baseline_sigma: float = spec(bound=">= 0", default=1.0)
 
     def __post_init__(self):
-        for name in ("efficiency", "added_noise_photons", "baseline_sigma"):
-            object.__setattr__(self, name, number(name, getattr(self, name)))
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in (0, 1]")
-        if self.added_noise_photons < 0:
-            raise ValueError("added_noise_photons must be >= 0")
-        if self.baseline_sigma < 0:
-            raise ValueError("baseline_sigma must be >= 0")
+        check(self)
 
 
 def detect(true_photons, m: DetectionModel, rng):

@@ -17,8 +17,7 @@ binomial-loss matrix of the per-photon survival, reads it there.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,7 +31,7 @@ from .cavity import (
     shifted_frequency,
     transmission_coeff,
 )
-from .errors import InsufficientDataError, number
+from .errors import InsufficientDataError, check, number, spec
 from .hilbert import DEFAULT_FOCK_CUTOFF, QuantumState
 from .qubit import exponential_time
 
@@ -55,56 +54,24 @@ class ProtocolConfig:
     """
 
     theta: float = 0.0
-    subspace: str = "ge"
-    n_g: float = 0.18
+    subspace: str = spec(choices=("ge", "gf"), default="ge")
+    n_g: float = spec(bound=">= 0", default=0.18)
     gate_pulse: PulseShape = field(default_factory=lambda: PulseShape("gaussian", 960.0))
-    n_s: float = 37.2
-    signal_duration: float = 10.0  # us
-    signal_detuning_target: str = "resonant_with_e"
-    eta_override: float | None = None
-    dark_flip: float = 0.04
-    n_shots: int = 10000
-    seed: int = 12345
-    gate_source: str = "coherent"
-    signal_flip_rate_per_photon: float = 1e-7  # 1/(us * signal photon)
-    fock_cutoff: int = DEFAULT_FOCK_CUTOFF
+    n_s: float = spec(bound=">= 0", default=37.2)
+    signal_duration: float = spec("us", "> 0", default=10.0)
+    signal_detuning_target: str = spec(choices=SIGNAL_TARGETS, default="resonant_with_e")
+    eta_override: float | None = spec(bound="in [0, 1]", default=None)
+    dark_flip: float = spec(bound="in [0, 1]", default=0.04)
+    n_shots: int = spec(bound=">= 1", default=10000)
+    seed: int = spec(bound=">= 0", default=12345)
+    gate_source: str = spec(choices=GATE_SOURCES, default="coherent")
+    signal_flip_rate_per_photon: float = spec(bound=">= 0", default=1e-7)  # 1/(us * signal photon)
+    fock_cutoff: int = spec(bound=">= 2", default=DEFAULT_FOCK_CUTOFF)
 
     def __post_init__(self):
-        for key in ("theta", "n_g", "n_s", "signal_duration_us", "signal_flip_rate_per_photon", "dark_flip",
-                    "eta_override"):
-            name = PROTOCOL_KEYS[key]
-            if name != "eta_override" or self.eta_override is not None:
-                object.__setattr__(self, name, number(key, getattr(self, name)))
-        for name in ("fock_cutoff", "n_shots", "seed"):
-            if isinstance(value := getattr(self, name), bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("n_g", "n_s", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.n_shots < 1:
-            raise ValueError("n_shots must be >= 1")
-        if self.fock_cutoff < 2:
-            raise ValueError(f"fock_cutoff must be >= 2, got {self.fock_cutoff}")
-        if self.signal_flip_rate_per_photon < 0:
-            raise ValueError("signal_flip_rate_per_photon must be >= 0")
-        if self.subspace not in ("ge", "gf"):
-            raise ValueError(f"unknown subspace {self.subspace!r}")
-        if self.gate_source not in GATE_SOURCES:
-            raise ValueError(f"unknown gate_source {self.gate_source!r}")
-        if self.signal_detuning_target not in SIGNAL_TARGETS:
-            raise ValueError(f"unknown signal_detuning_target {self.signal_detuning_target!r}")
-        if not 0.0 <= self.dark_flip <= 1.0:
-            raise ValueError("dark_flip must be a probability")
-        if self.eta_override is not None and not 0.0 <= self.eta_override <= 1.0:
-            raise ValueError("eta_override must be a probability")
+        check(self)
         if self.gate_source == "single_photon" and self.n_g > 1.0:
             raise ValueError("single_photon source needs n_g <= 1")
-        if self.signal_duration <= 0:
-            raise ValueError("signal_duration_us must be positive")
-
-
-#: protocol-file key -> ProtocolConfig field; only signal_duration carries its unit in the file
-PROTOCOL_KEYS = {{"signal_duration": "signal_duration_us"}.get(f.name, f.name): f.name for f in fields(ProtocolConfig)}
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import number
+from .errors import check, spec
 from .hilbert import QuantumState
 
 
@@ -25,22 +25,16 @@ class QubitRates:
     pure-dephasing rates stay nonnegative.
     """
 
-    T1_ge: float
-    T1_ef: float
-    T2_ge: float
-    T2_gf: float
-    thermal_excitation_rate: float = 0.0
+    T1_ge: float = spec("us", "> 0")
+    T1_ef: float = spec("us", "> 0")
+    T2_ge: float = spec("us", "> 0")
+    T2_gf: float = spec("us", "> 0")
+    thermal_excitation_rate: float = spec("per_us", ">= 0", default=0.0)
 
     _PHYS_TOL = 1e-9
 
     def __post_init__(self):
-        for name in ("T1_ge", "T1_ef", "T2_ge", "T2_gf", "thermal_excitation_rate"):
-            object.__setattr__(self, name, number(name, getattr(self, name)))
-        for name in ("T1_ge", "T1_ef", "T2_ge", "T2_gf"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.thermal_excitation_rate < 0:
-            raise ValueError("thermal_excitation_rate must be >= 0")
+        check(self)
         if self.T2_ge > 2.0 * self.T1_ge * (1.0 + self._PHYS_TOL):
             raise ValueError("T2_ge exceeds 2*T1_ge (unphysical dephasing)")
         if self.T2_gf > 2.0 * self.T1_ef * (1.0 + self._PHYS_TOL):

@@ -25,28 +25,22 @@ import numpy as np
 
 from .analysis import CalibrationResult, extinction_db, gain_db, predict_single_photon
 from .cavity import CavityParams, shifted_frequency, transmission_coeff
-from .errors import NumericsError, number
+from .errors import NumericsError, check, spec
 
 
 @dataclass(frozen=True)
 class SemiclassicalSettings:
     """Saturation parameters detached from any particular cavity/drive."""
 
-    n_crit_g: float = 1.0e4
-    n_crit_e: float = 2.0e5
-    n_crit_f: float = 4.0e4
-    bare_offset: float = 5.0  # MHz; bare resonance sits this far above f0
-    photon_flux_conversion: float = 11.0  # model flux units per (photon/us)
-    signal_window_us: float = 10.0
+    n_crit_g: float = spec(bound="> 0", default=1.0e4)
+    n_crit_e: float = spec(bound="> 0", default=2.0e5)
+    n_crit_f: float = spec(bound="> 0", default=4.0e4)
+    bare_offset: float = spec("mhz", default=5.0)  # bare resonance sits this far above f0
+    photon_flux_conversion: float = spec(bound="> 0", default=11.0)  # model flux units per (photon/us)
+    signal_window_us: float = spec(bound="> 0", default=10.0)
 
     def __post_init__(self):
-        for name in ("n_crit_g", "n_crit_e", "n_crit_f", "bare_offset", "photon_flux_conversion",
-                     "signal_window_us"):
-            object.__setattr__(self, name, number(name, getattr(self, name)))
-        if min(self.n_crit_g, self.n_crit_e, self.n_crit_f) <= 0:
-            raise ValueError("critical photon numbers must be positive")
-        if self.photon_flux_conversion <= 0 or self.signal_window_us <= 0:
-            raise ValueError("conversion constant and window must be positive")
+        check(self)
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,15 @@ class TestSolveCalibration:
         with pytest.raises(ValueError):
             CalibrationInputs(1.0, 1.0, 1.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index, name", enumerate(["n0_open", "na_open", "n0_close", "na_close", "beta"]))
+    def test_inputs_reject_a_value_that_is_not_a_finite_number(self, index, name, value):
+        # a NaN intensity was once accepted here and failed later, as a nan P_g_open
+        args = [26.65, 23.14, 2.35, 5.86, 0.13]
+        args[index] = value
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got {value!r}$"):
+            CalibrationInputs(*args)
+
 
 class TestPredictSinglePhoton:
     CAL = CalibrationResult(0.05, 0.95, 1.0, 28.0, 0.0)

@@ -825,5 +825,5 @@ def test_cavity_params_validation():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["f0", "kappa_ext_in", "kappa_ext_out", "kappa_int", "chi_ge", "chi_gf"])
 def test_cavity_params_reject_a_value_that_is_not_a_finite_number(name, value):
-    with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got"):
+    with pytest.raises(ValueError, match=rf"^{name}_mhz must be a finite number, got"):
         replace(cavity_one(kappa_int=0.16), **{name: value})

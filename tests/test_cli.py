@@ -87,9 +87,10 @@ def read_csv(path):
 
 def manifest_of(tmp_path, command: str, device_file, cfg=None, **flags) -> dict:
     """The manifest ``cli._artifacts`` builds for ``command`` run with ``flags`` (by dest, every
-    one but --out and the input files) on ``device_file`` and the effective protocol ``cfg``."""
+    one but --out and the input files) on ``device_file``, as the commands load and hash it, and
+    the effective protocol ``cfg``."""
     args = argparse.Namespace(command=command, out=str(tmp_path / "manifest"), device=str(device_file), **flags)
-    return cli._artifacts(args, ["any name"], cfg)[1]
+    return cli._artifacts(args, ["any name"], device_mod.load_and_hash(device_file)[1], cfg)[1]
 
 
 def csv_writer_bytes(manifest, header, rows) -> bytes:
@@ -1017,6 +1018,46 @@ FLAG_CHANGES = {
 }
 
 
+@pytest.mark.parametrize("command", ["spectra", "switch", "gain-sweep", "wigner", "calibrate"])
+def test_each_input_file_is_opened_once_and_hashed_as_parsed(tmp_path, device_file, protocol_file, command):
+    inputs = tmp_path / "inputs.json"
+    inputs.write_bytes((CONFIGS / "calibration_example.json").read_bytes())
+    argv = {"spectra": ["--device", device_file, "--cavity", "I", "--points", "5"],
+            "switch": ["--device", device_file, "--protocol", protocol_file, "--shots", "50"],
+            "gain-sweep": ["--device", device_file, "--points", "3"],
+            "wigner": ["--device", device_file, "--protocol", protocol_file, "--condition", "on", "--points", "5",
+                       "--shots", "50"],
+            "calibrate": ["--inputs", inputs]}[command]
+    files = [arg for arg in argv if isinstance(arg, Path)]
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    # pathlib opens through io.open, everything else through the builtin
+    with mock.patch("builtins.open", counting_open), mock.patch("io.open", counting_open), \
+            mock.patch.object(cli, "_artifacts", wraps=cli._artifacts) as artifacts:
+        assert main([command, *map(str, argv), "--out", str(tmp_path / "out")]) == 0
+    paths = [Path(f) for f in opened if isinstance(f, (str, os.PathLike))]
+    assert [paths.count(path) for path in files] == [1] * len(files)
+    # the manifest's digest is of the one read: the bytes of the device file, or of the calibration inputs
+    assert artifacts.call_args.args[2] == file_sha256(files[0])
+
+
+@pytest.mark.parametrize("key", ["p_s", "eta"])
+@pytest.mark.parametrize("value", [1.5, -0.1])
+def test_calibration_probability_outside_the_unit_interval_exits_2_before_any_output(tmp_path, capsys, key, value):
+    data = json.loads((CONFIGS / "calibration_example.json").read_text())
+    inp = tmp_path / "cal.json"
+    inp.write_text(json.dumps({**data, key: value}))
+    out = tmp_path / "out"
+    assert main(["calibrate", "--inputs", str(inp), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {key} must be in [0, 1], got {value!r}\n"
+    assert not out.exists()
+
+
 class TestManifestCoverage:
     """The manifest hash covers every flag but ``--out``, and an input file by its content."""
 
@@ -1159,6 +1200,7 @@ def test_input_not_an_object_or_missing_a_key_exits_2_naming_it(tmp_path, capsys
 @pytest.mark.parametrize(
     "key, value",
     [("eta", "0.8"), ("beta", True), ("n0_open", float("nan")), ("p_s", "0.925"), ("dark_flip", None),
+     ("na_open", float("inf")), ("n0_close", "2.35"), ("na_close", -float("inf")), ("beta", None),
      ("beta_table", [[0.1, "0.09"], [0.3, 0.2]]), ("beta_table", 5), ("beta_table", [[0.1], [0.3, 0.2]]),
      ("beta_table", [[0.1, 0.09], {"n_g": 0.3}])],
 )

@@ -193,7 +193,7 @@ class TestInvariants:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["f_q", "E_c"])
     def test_qubit_scalars_reject_a_value_that_is_not_a_finite_number(self, name, value):
-        with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got"):
+        with pytest.raises(ValueError, match=rf"^{name.lower()}_mhz must be a finite number, got"):
             dataclasses.replace(paper_defaults(), **{name: value})
 
     def test_bad_provenance_tag(self):

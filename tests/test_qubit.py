@@ -262,7 +262,8 @@ class TestRatesValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, name, value):
         fields = dict(T1_ge=10.0, T1_ef=10.0, T2_ge=10.0, T2_gf=10.0, thermal_excitation_rate=0.0)
-        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        key = {"thermal_excitation_rate": "thermal_excitation_rate_per_us"}.get(name, f"{name.lower()}_us")
+        with pytest.raises(ValueError, match=f"{key} must be a finite number"):
             QubitRates(**{**fields, name: value})
 
 
