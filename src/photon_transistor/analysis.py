@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnphysicalInputError, UnsolvableCalibrationError, check, spec
+from .errors import UnphysicalInputError, UnsolvableCalibrationError, bounded, check, number, spec
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,7 @@ def solve_calibration(c: CalibrationInputs) -> CalibrationResult:
 
 def predict_single_photon(r: CalibrationResult, eta: float) -> tuple[float, float]:
     """(n1_open, n0_open): transmissions gated by an ideal single photon vs vacuum."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must be a probability")
+    eta = bounded("eta", number("eta", eta), "in [0, 1]")
     p = r.P_g_open
     if p + eta > 1.0:
         warnings.warn(
@@ -156,6 +155,4 @@ def extinction_db(n_on, n_off):
 
 def switching_probability(eta: float, p_s: float) -> float:
     """P_sg = eta * P_s: single-photon gating times conditional switching."""
-    if not 0.0 <= eta <= 1.0 or not 0.0 <= p_s <= 1.0:
-        raise ValueError("eta and P_s must be probabilities")
-    return eta * p_s
+    return bounded("eta", number("eta", eta), "in [0, 1]") * bounded("p_s", number("p_s", p_s), "in [0, 1]")

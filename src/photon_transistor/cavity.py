@@ -189,11 +189,14 @@ def _pulse_moments(c: CavityParams, p: PulseShape) -> tuple[complex, complex]:
 
     where C(tau) = T - tau for a square pulse and
     exp(-tau^2/4 sigma^2) * erf((T - tau)/(2 sigma)) for the truncated gaussian
-    (up to a constant).  The sum is kernel @ exp(-pi kappa tau) on the (tau, kernel) pair
-    of :func:`_moment_rule` for this cavity's own linewidth.
+    (up to a constant): :func:`_moment_sum` on the rule of this cavity's own linewidth.
     """
-    tau, kernel = _moment_rule(c, p, c.kappa_tot, c.kappa_tot)
-    a_g, a_e = kernel @ np.exp(-math.pi * c.kappa_tot * tau)
+    return _moment_sum(*_moment_rule(c, p, c.kappa_tot, c.kappa_tot), c.kappa_tot)
+
+
+def _moment_sum(tau, kernel, kappa: float) -> tuple[complex, complex]:
+    """<A_g> and <A_e> at total linewidth kappa from a :func:`_moment_rule`: kernel @ exp(-pi kappa tau)."""
+    a_g, a_e = kernel @ np.exp(-math.pi * kappa * tau)
     return complex(a_g), complex(a_e)
 
 
@@ -325,9 +328,8 @@ def internal_loss_for_efficiency(c: CavityParams, p: PulseShape, eta_target: flo
     tau, kernel = _moment_rule(c, p, k_ext, k_ext + hi)
 
     @functools.cache
-    def eta_of(k):  # the moment sum of _pulse_moments at kappa_tot = k_ext + k
-        a_g, a_e = kernel @ np.exp(-math.pi * (k_ext + k) * tau)
-        return _eta(c, k_ext + k, complex(a_g), complex(a_e))
+    def eta_of(k):
+        return _eta(c, k_ext + k, *_moment_sum(tau, kernel, k_ext + k))
 
     if (e_lo := eta_of(lo)) < eta_target:
         raise NumericsError(f"eta({lo}) = {e_lo:.4f} already below target {eta_target}; no internal-loss solution")

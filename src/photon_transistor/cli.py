@@ -25,7 +25,6 @@ import datetime
 import functools
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -251,8 +250,7 @@ def _run_protocol(args) -> protocol.ProtocolConfig:
 
 def _check_grid(flag: str, n: int, cells: int) -> None:
     """Reject a ``--points`` or ``--bins`` n below 1, or one whose grid of ``cells`` cells is over the budget."""
-    if n < 1:
-        raise ValueError(f"{flag} must be >= 1, got {n}")
+    bounded(flag, n, ">= 1")
     if cells > _GRID_BUDGET:
         raise ValueError(f"{flag} {n} gives a grid of {cells} cells, over the budget of 2**22 = {_GRID_BUDGET}")
 
@@ -268,8 +266,8 @@ def _spectrum_lines(cav, grid, level: str, mode: str):
 def cmd_spectra(args) -> int:
     _check_grid("--points", args.points, args.points)
     for flag, value in (("--f-min", args.f_min), ("--f-max", args.f_max)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
+        if value is not None:
+            number(flag, value)
     dev, digest = device_mod.load_and_hash(args.device)
     cav = dev.cavity_I if args.cavity == "I" else dev.cavity_II
     mode = "reflect" if cav.single_sided else "transmit"
@@ -358,15 +356,13 @@ def cmd_switch(args) -> int:
 
 def cmd_gain_sweep(args) -> int:
     _check_grid("--points", args.points, args.points)
+    bounded("--n-min", number("--n-min", args.n_min), "> 0")
+    if number("--n-max", args.n_max) < args.n_min:
+        raise ValueError(f"--n-max must be >= --n-min, got {args.n_max!r} < {args.n_min!r}")
+    for flag, value in (("--eta", args.eta), ("--p-s", args.p_s)):
+        bounded(flag, number(flag, value), "in [0, 1]")
     dev, digest = device_mod.load_and_hash(args.device)
     model = semiclassical.SaturableCavityModel(dev.cavity_II, dev.semiclassical)
-    if not (math.isfinite(args.n_min) and args.n_min > 0):
-        raise ValueError(f"--n-min must be finite and > 0, got {args.n_min}")
-    if not (math.isfinite(args.n_max) and args.n_max >= args.n_min):
-        raise ValueError(f"--n-max must be finite and >= --n-min, got {args.n_max}")
-    for flag, value in (("--eta", args.eta), ("--p-s", args.p_s)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{flag} must be finite and in [0, 1], got {value}")
     grid = np.geomspace(args.n_min, args.n_max, args.points)
     # one column of whole rows, both subspaces' from one sweep: n_s, subspace, gain_db, extinction_db, regime
     n_s, *columns = (c.tolist() for c in semiclassical._sweep(model, args.eta, args.p_s, grid, ("ge", "gf")))
@@ -391,8 +387,7 @@ def _wigner_lines(xs, ps, w):
 
 
 def cmd_wigner(args) -> int:
-    if not (math.isfinite(args.extent) and args.extent > 0):
-        raise ValueError(f"--extent must be finite and > 0, got {args.extent}")
+    bounded("--extent", number("--extent", args.extent), "> 0")
     _check_grid("--points", args.points, args.points**2)
     dev, digest = device_mod.load_and_hash(args.device)
     cfg = _run_protocol(args)

@@ -15,7 +15,7 @@ import typing
 from dataclasses import dataclass, field, is_dataclass
 
 from .cavity import CavityParams
-from .errors import check, fields, file_keys, number, read_json, spec
+from .errors import Breach, check, fields, file_keys, read_json, spec
 from .measurement import DetectionModel
 from .qubit import QubitRates
 from .semiclassical import SemiclassicalSettings
@@ -111,12 +111,13 @@ def paper_defaults() -> DeviceParams:
 
 
 def _unpack_section(section: str, raw, cls):
+    """The ``cls`` record of a section; a field's breach names its path, ``cavity_i.kappa_int_mhz``."""
     keymap = file_keys(cls)
     fields(section, raw, keymap, keymap)
-    # the number rule again, here to name each value by its path in the file
-    kwargs = {attr: number(f"{section}.{k}", raw[k]) for k, attr in keymap.items()}
     try:
-        return cls(**kwargs)
+        return cls(**{attr: raw[k] for k, attr in keymap.items()})
+    except Breach as exc:
+        raise Breach(f"{section}.{exc.key}", exc.bound, exc.value) from exc
     except ValueError as exc:
         raise ValueError(f"invalid value in {section!r}: {exc}") from exc
 

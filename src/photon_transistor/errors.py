@@ -1,7 +1,8 @@
-"""Exception and warning types, and the one rule for the device, protocol and calibration files.
+"""Exception and warning types, and the one value rule for input files, CLI flags and library arguments.
 
-Each file is parsed by :func:`read_json`, each JSON object in it passes :func:`fields` and
-each numeric value :func:`number`; a breach is a ``ValueError`` naming its key (CLI exit code 2).
+Each file is parsed by :func:`read_json` and each JSON object in it passes :func:`fields`.  Each
+numeric value, whether a file's, a flag's or a library argument's, passes :func:`number` and
+:func:`bounded`; a breach is a :class:`Breach` naming its key (CLI exit code 2).
 
 A record states each field's unit, bound and choices once, in its :func:`spec`.  The field's
 file key is its name in lower case plus ``_<unit>`` (:func:`file_keys`), and :func:`check`
@@ -47,21 +48,25 @@ def fields(where: str, raw, known, required=()) -> dict:
     return raw
 
 
-def _breach(key: str, bound: str, value) -> ValueError:
-    return ValueError(f"{key} must be {bound}, got {value!r}")
+class Breach(ValueError):
+    """A value outside its rule, "<key> must be <bound>, got <value>", keeping the three to re-key it."""
+
+    def __init__(self, key: str, bound: str, value):
+        super().__init__(f"{key} must be {bound}, got {value!r}")
+        self.key, self.bound, self.value = key, bound, value
 
 
 def number(key: str, value) -> float:
     """``value`` as a float if it is a JSON number: not a bool, not a string, and finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise _breach(key, "a finite number", value)
+        raise Breach(key, "a finite number", value)
     return float(value)
 
 
 def bounded(key: str, value, bound: str):
     """``value`` if it lies within ``bound``, one of :data:`BOUNDS`."""
     if not BOUNDS[bound](value):
-        raise _breach(key, bound, value)
+        raise Breach(key, bound, value)
     return value
 
 
@@ -109,9 +114,9 @@ def check(record) -> None:
             value = number(key, value)
             object.__setattr__(record, name, value)
         elif kind == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise _breach(key, "an integer", value)
+            raise Breach(key, "an integer", value)
         if choices is not None and value not in choices:
-            raise _breach(key, f"one of {choices}", value)
+            raise Breach(key, f"one of {choices}", value)
         if bound is not None:
             bounded(key, value, bound)
 

@@ -48,13 +48,14 @@ class QuantumState:
             raise StateInvariantError(
                 f"rho shape {rho.shape} does not match prod(dims) = {n}"
             )
+        # "not within its bound" fails on NaN, so a non-finite entry (inf - inf is NaN) stops here
         tr = np.trace(rho)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise StateInvariantError(f"trace(rho) = {tr:.12g}, expected 1 within {TRACE_TOL}")
-        if np.max(np.abs(rho - rho.conj().T)) > HERM_TOL:
+        if not np.max(np.abs(rho - rho.conj().T)) <= HERM_TOL:
             raise StateInvariantError("rho is not Hermitian within tolerance")
         evals = np.linalg.eigvalsh(rho)
-        if evals.min() < EIG_FLOOR:
+        if not evals.min() >= EIG_FLOOR:
             raise StateInvariantError(
                 f"rho has eigenvalue {evals.min():.3e} below floor {EIG_FLOOR}"
             )

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDataError, NumericsError, check, spec
+from .errors import DegenerateDataError, NumericsError, bounded, check, spec
 from .hilbert import QuantumState
 
 ON, OFF = "on", "off"
@@ -141,8 +141,7 @@ def kmeans_1d(readings) -> KMeansFit:
 
 def histogram(readings, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform binning over [min, max]; returns the columns (bin_centers, counts)."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    bounded("bins", bins, ">= 1")
     x = np.asarray(readings, dtype=float)
     if x.size == 0:
         return np.empty(0), np.empty(0, dtype=int)

@@ -31,7 +31,7 @@ from .cavity import (
     shifted_frequency,
     transmission_coeff,
 )
-from .errors import InsufficientDataError, check, number, spec
+from .errors import InsufficientDataError, bounded, check, number, spec
 from .hilbert import DEFAULT_FOCK_CUTOFF, QuantumState
 from .qubit import exponential_time
 
@@ -122,10 +122,9 @@ def coherent_flip_probability(n_g: float, eta: float, dark_flip: float = 0.0) ->
     (flip-per-photon parity model).  The odd Poisson weights sum to
     (1 - e^{-2 n_g}) / 2, the model analysis.fit_eta inverts.
     """
-    if not 0.0 <= eta <= 1.0 or not 0.0 <= dark_flip <= 1.0:
-        raise ValueError("eta and dark_flip must be probabilities")
-    if number("n_g", n_g) < 0:
-        raise ValueError("n_g must be >= 0")
+    eta = bounded("eta", number("eta", eta), "in [0, 1]")
+    dark_flip = bounded("dark_flip", number("dark_flip", dark_flip), "in [0, 1]")
+    n_g = bounded("n_g", number("n_g", n_g), ">= 0")
     odd = (1.0 - math.exp(-2.0 * n_g)) / 2.0
     return eta * odd + dark_flip * (1.0 - odd)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check, spec
+from .errors import bounded, check, number, spec
 from .hilbert import QuantumState
 
 
@@ -81,8 +81,7 @@ def evolve_lindblad(s: QuantumState, dt: float, r: QubitRates) -> QuantumState:
     size, no renormalisation: the QuantumState checks on trace, Hermiticity and
     positivity guard the result.
     """
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
+    dt = bounded("dt", number("dt", dt), ">= 0")
     if dt == 0:
         return s
     if s.dims[0] != 3:

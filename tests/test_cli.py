@@ -644,6 +644,13 @@ class TestGainSweep:
         assert f"{flag} must be" in capsys.readouterr().err
         assert not (out / "gain_sweep.csv").exists()
 
+    def test_flags_are_checked_before_the_device_is_read(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["gain-sweep", "--device", str(tmp_path / "missing.json"), "--out", str(out), "--eta", "1.5"])
+        assert rc == 2
+        assert capsys.readouterr().err == "config error: --eta must be in [0, 1], got 1.5\n"
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")  # a numpy overflow warning would come before the error line
     def test_overflowing_sweep_exits_3_before_any_output(self, tmp_path, capsys):
         # from n_s of about 1e107 on the mean-field cubic overflows; the rows once read nan,nan

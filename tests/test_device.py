@@ -1,12 +1,18 @@
+import contextlib
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import photon_transistor
+from photon_transistor import errors
 from photon_transistor.cavity import CavityParams, PulseShape, gating_efficiency, internal_loss_for_efficiency
 from photon_transistor.device import (
     DeviceParams,
@@ -209,3 +215,16 @@ class TestInvariants:
                 semiclassical=dev.semiclassical,
                 provenance={"f_q_mhz": "guessed"},
             )
+
+
+def test_loading_the_paper_device_applies_the_number_rule_once_per_float_leaf():
+    # counted at every name the package holds for the rule, so that a module's own copy of it is seen too
+    modules = [importlib.import_module(f"photon_transistor.{m.name}")
+               for m in pkgutil.iter_modules(photon_transistor.__path__)]
+    rule = mock.Mock(wraps=errors.number)
+    with contextlib.ExitStack() as stack:
+        for module in modules:
+            if getattr(module, "number", None) is errors.number:
+                stack.enter_context(mock.patch.object(module, "number", rule))
+        load(CONFIGS / "device_paper.json")
+    assert rule.call_count == len(LEAF_PATHS) == 28

@@ -1,17 +1,25 @@
-"""The one record schema: each bound, integer rule and file key, read from the records' own field specs."""
+"""The one value rule: each record's bounds, integer rules and file keys, read from its own field specs, and the
+same rule and message for the CLI flags, the library's scalar arguments and every device-section leaf."""
 
 import dataclasses
 import math
 
 import pytest
 
-from photon_transistor.analysis import CalibrationInputs
+from photon_transistor.analysis import (
+    CalibrationInputs,
+    CalibrationResult,
+    predict_single_photon,
+    switching_probability,
+)
 from photon_transistor.cavity import CavityParams, PulseShape
-from photon_transistor.device import DeviceParams, paper_defaults
-from photon_transistor.errors import file_keys, spec
-from photon_transistor.measurement import DetectionModel
-from photon_transistor.protocol import ProtocolConfig
-from photon_transistor.qubit import QubitRates
+from photon_transistor.cli import main
+from photon_transistor.device import DeviceParams, from_dict, paper_defaults, to_dict
+from photon_transistor.errors import Breach, file_keys, spec
+from photon_transistor.hilbert import pure_state
+from photon_transistor.measurement import DetectionModel, histogram
+from photon_transistor.protocol import ProtocolConfig, coherent_flip_probability
+from photon_transistor.qubit import QubitRates, evolve_lindblad
 from photon_transistor.semiclassical import SemiclassicalSettings
 
 #: a valid instance of each record that states its fields' rules
@@ -89,3 +97,88 @@ def test_only_a_none_default_admits_none():
 def test_unknown_bound_is_refused_where_it_is_stated():
     with pytest.raises(ValueError, match="unknown bound '< 0'"):
         spec(bound="< 0")
+
+
+# ---------------------------------------------------------------------------
+# the same rule, and the same message, for CLI flags, library arguments and device sections
+
+
+def _cli_error(argv, tmp_path, capsys) -> str:
+    """The one line a command prints for ``argv``, which must exit 2 before reading the input files
+    (the device and protocol paths given do not exist) or making ``--out``."""
+    missing, out = str(tmp_path / "missing.json"), tmp_path / "out"
+    files = {"spectra": ["--cavity", "I"], "gain-sweep": [],
+             "switch": ["--protocol", missing], "wigner": ["--protocol", missing, "--condition", "on"]}
+    assert main([argv[0], "--device", missing, "--out", str(out), *files[argv[0]], *argv[1:]]) == 2
+    assert not out.exists()
+    (line,) = capsys.readouterr().err.splitlines()
+    return line.removeprefix("config error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectra", "--points", "0"], "--points must be >= 1, got 0"),
+    (["spectra", "--f-min", "nan"], "--f-min must be a finite number, got nan"),
+    (["spectra", "--f-max", "inf"], "--f-max must be a finite number, got inf"),
+    (["switch", "--bins", "0"], "--bins must be >= 1, got 0"),
+    (["gain-sweep", "--points", "-2"], "--points must be >= 1, got -2"),
+    (["gain-sweep", "--n-min", "0"], "--n-min must be > 0, got 0.0"),
+    (["gain-sweep", "--n-min=-inf"], "--n-min must be a finite number, got -inf"),
+    (["gain-sweep", "--n-max", "inf"], "--n-max must be a finite number, got inf"),
+    (["gain-sweep", "--eta", "1.5"], "--eta must be in [0, 1], got 1.5"),
+    (["gain-sweep", "--eta", "nan"], "--eta must be a finite number, got nan"),
+    (["gain-sweep", "--p-s", "-0.5"], "--p-s must be in [0, 1], got -0.5"),
+    (["wigner", "--extent", "0"], "--extent must be > 0, got 0.0"),
+    (["wigner", "--extent", "nan"], "--extent must be a finite number, got nan"),
+    (["wigner", "--points", "0"], "--points must be >= 1, got 0"),
+])
+def test_flag_breach_reads_the_template_before_any_file_is_read(tmp_path, capsys, argv, message):
+    assert _cli_error(argv, tmp_path, capsys) == message
+
+
+def _evolve(dt):
+    return evolve_lindblad(pure_state([1.0, 1.0, 0.0], (3,)), dt, paper_defaults().qubit_rates)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: coherent_flip_probability(0.1, 1.2, 0.0), "eta must be in [0, 1], got 1.2"),
+    (lambda: coherent_flip_probability(0.1, 0.8, -0.1), "dark_flip must be in [0, 1], got -0.1"),
+    (lambda: coherent_flip_probability(-0.1, 0.8, 0.0), "n_g must be >= 0, got -0.1"),
+    (lambda: coherent_flip_probability(0.1, math.nan, 0.0), "eta must be a finite number, got nan"),
+    (lambda: predict_single_photon(CalibrationResult(0.5, 0.5, 1.0, 0.0, 0.0), 1.5), "eta must be in [0, 1], got 1.5"),
+    (lambda: predict_single_photon(CalibrationResult(0.5, 0.5, 1.0, 0.0, 0.0), math.inf),
+     "eta must be a finite number, got inf"),
+    (lambda: switching_probability(1.2, 0.5), "eta must be in [0, 1], got 1.2"),
+    (lambda: switching_probability(0.5, -0.1), "p_s must be in [0, 1], got -0.1"),
+    (lambda: switching_probability(0.5, True), "p_s must be a finite number, got True"),
+    (lambda: histogram([1.0, 2.0], 0), "bins must be >= 1, got 0"),
+    (lambda: _evolve(-1.0), "dt must be >= 0, got -1.0"),
+    (lambda: _evolve(math.nan), "dt must be a finite number, got nan"),
+    (lambda: _evolve(math.inf), "dt must be a finite number, got inf"),
+])
+def test_library_argument_breach_reads_the_template(call, message):
+    with pytest.raises(Breach) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("value, message", [
+    (-1.0, "cavity_i.kappa_int_mhz must be >= 0, got -1.0"),
+    ("tiny", "cavity_i.kappa_int_mhz must be a finite number, got 'tiny'"),
+    (math.inf, "cavity_i.kappa_int_mhz must be a finite number, got inf"),
+])
+def test_device_section_breach_names_the_leaf_by_its_path(value, message):
+    data = to_dict(paper_defaults())
+    data["cavity_i"]["kappa_int_mhz"] = value
+    with pytest.raises(Breach) as raised:
+        from_dict(data)
+    assert str(raised.value) == message
+    assert (raised.value.key, raised.value.value) == ("cavity_i.kappa_int_mhz", value)
+
+
+def test_device_section_cross_field_error_keeps_its_section_wrapper():
+    data = to_dict(paper_defaults())
+    data["cavity_i"].update(kappa_ext_in_mhz=0.0, kappa_int_mhz=0.0)
+    with pytest.raises(ValueError) as raised:
+        from_dict(data)
+    assert not isinstance(raised.value, Breach)
+    assert str(raised.value) == "invalid value in 'cavity_i': total linewidth must be positive"

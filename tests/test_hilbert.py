@@ -164,6 +164,22 @@ class TestInvariants:
         with pytest.raises(StateInvariantError):
             QuantumState((2,), rho)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # numpy's inf - inf
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["every entry", "off-diagonal pair", "diagonal entry", "diagonal pair"])
+    def test_non_finite_entries_rejected(self, where, value):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        if where == "every entry":
+            rho[:] = value
+        elif where == "off-diagonal pair":
+            rho[0, 1] = rho[1, 0] = value
+        elif where == "diagonal entry":
+            rho[0, 0] = value
+        else:  # diag(v, -v): a trace of inf - inf, or of nan
+            rho[0, 0], rho[1, 1] = value, -value
+        with pytest.raises(StateInvariantError):
+            QuantumState((2,), rho)
+
     def test_rho_is_immutable(self):
         s = fock_state(0, 3)
         with pytest.raises(ValueError):
