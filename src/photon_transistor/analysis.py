@@ -10,13 +10,12 @@ absorbed.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnphysicalInputError, UnsolvableCalibrationError, bounded, check, number, spec
+from .errors import Breach, UnphysicalInputError, UnsolvableCalibrationError, bounded, check, number, spec
 
 
 @dataclass(frozen=True)
@@ -54,24 +53,25 @@ def fit_eta(points) -> tuple[float, float]:
 
     The parity model is linear in (eta, dark): beta = eta*(1-e^{-2n})/2
     + dark*(1+e^{-2n})/2, so the fit is one linear least-squares solve (SVD,
-    via ``np.linalg.lstsq``) on the two-column design matrix.
+    via ``np.linalg.lstsq``) on the two-column design matrix.  Each n_g must be a finite
+    number >= 0 and each beta a finite number; a breach names its pair, ``points[1].n_g``.
     """
-    pts = [(float(n), float(b)) for n, b in points]
-    if len(pts) < 2:
+    n_g, beta = [], []
+    try:
+        for n, b in points:
+            n_g.append(bounded("n_g", number("n_g", n), ">= 0"))
+            beta.append(number("beta", b))
+    except Breach as exc:
+        raise Breach(f"points[{len(beta)}].{exc.key}", exc.bound, exc.value) from exc
+    if len(beta) < 2:
         raise ValueError("need at least 2 points")
-    for i, (n, b) in enumerate(pts):
-        if not (math.isfinite(b) and math.isfinite(n) and n >= 0.0):
-            raise ValueError(f"pair {i} (n_g={n}, beta={b}) needs a finite beta and a finite n_g >= 0")
-    n_vals = np.array([p[0] for p in pts])
-    b_vals = np.array([p[1] for p in pts])
-    if (n_vals == n_vals[0]).all():
+    if min(n_g) == max(n_g):
         raise ValueError("fit is singular: all n_g values are equal")
-    if np.any(n_vals > 0.5):
+    if max(n_g) > 0.5:
         raise ValueError("fit restricted to the linear regime n_g <= 0.5")
-    odd = (1.0 - np.exp(-2.0 * n_vals)) / 2.0
-    even = (1.0 + np.exp(-2.0 * n_vals)) / 2.0
-    design = np.column_stack([odd, even])
-    coef, *_ = np.linalg.lstsq(design, b_vals, rcond=None)
+    vacuum = np.exp(-2.0 * np.array(n_g))
+    design = np.column_stack([(1.0 - vacuum) / 2.0, (1.0 + vacuum) / 2.0])
+    coef, *_ = np.linalg.lstsq(design, np.array(beta), rcond=None)
     eta, dark = float(coef[0]), float(coef[1])
     return eta, dark
 

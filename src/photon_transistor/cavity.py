@@ -139,6 +139,8 @@ def spectrum(c: CavityParams, f_grid, qubit_level: str) -> np.ndarray:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 #: panels a moment rule may take: 2**20 nodes, whose complex 2 x N kernel alone is 32 MB
 _MAX_PANELS = 2**20 // _GL_NODES.size
+#: the nodes' offsets within a panel, in units of its width
+_GL_OFFSETS = (_GL_NODES + 1.0) / 2.0
 
 
 def gate_carrier_frequency(c: CavityParams, p: PulseShape) -> float:
@@ -159,8 +161,8 @@ def _moment_rule(c: CavityParams, p: PulseShape, kappa_lo: float, kappa_hi: floa
     """
     T = p.duration / 1000.0  # ns -> us, so that MHz * us counts cycles
     tau_max = min(T, 80.0 / (math.pi * kappa_lo))
-    d = gate_carrier_frequency(c, p) - np.array([shifted_frequency(c, "g"), shifted_frequency(c, "e")])
-    fastest = kappa_hi / 2.0 + float(np.abs(d).max())  # 1/us
+    d_g, d_e = (gate_carrier_frequency(c, p) - shifted_frequency(c, level) for level in "ge")
+    fastest = kappa_hi / 2.0 + max(abs(d_g), abs(d_e))  # 1/us
     if p.kind == "gaussian":
         fastest += 250.0 / p.sigma  # 1/(4 sigma) in 1/us, sigma in ns
     if not tau_max * fastest < _MAX_PANELS:
@@ -169,19 +171,21 @@ def _moment_rule(c: CavityParams, p: PulseShape, kappa_lo: float, kappa_hi: floa
                             f"{p.carrier_detuning} vary too fast to resolve")
     panels = 1 + int(tau_max * fastest)
     h = tau_max / panels
-    tau = (h * (np.arange(panels)[:, None] + (_GL_NODES + 1.0) / 2.0)).ravel()
-    weights = np.tile(_GL_WEIGHTS * (h / 2.0), panels)
+    tau = (h * (np.arange(panels)[:, None] + _GL_OFFSETS)).ravel()
     if p.kind == "square":
         corr, corr0 = T - tau, T
     else:
         two_sigma = 2.0 * p.sigma / 1000.0
-        erfs = list(map(math.erf, ((T - tau) / two_sigma).tolist()))
+        erfs = np.fromiter(map(math.erf, ((T - tau) / two_sigma).tolist()), float, tau.size)
         corr, corr0 = np.exp(-((tau / two_sigma) ** 2)) * erfs, math.erf(T / two_sigma)
-    return tau, 2.0 * math.pi / corr0 * np.exp(2j * math.pi * d[:, None] * tau) * (weights * corr)
+    weighted = (_GL_WEIGHTS * (h / 2.0) * corr.reshape(panels, -1)).ravel()
+    return tau, 2.0 * math.pi / corr0 * np.exp(2j * math.pi * np.array([[d_g], [d_e]]) * tau) * weighted
 
 
+@functools.lru_cache(maxsize=1)
 def _pulse_moments(c: CavityParams, p: PulseShape) -> tuple[complex, complex]:
-    """<A_g> and <A_e> over the pulse's intensity spectrum, normalised to its full power.
+    """<A_g> and <A_e> over the pulse's intensity spectrum, normalised to its full power; memoised for the
+    last (cavity, pulse) pair, which gating_efficiency and pulse_survival share (-0.0 keys as 0.0, same bits).
 
     By Wiener-Khinchin, with d_l = f_c - f_l and C the envelope autocorrelation,
 

@@ -33,6 +33,7 @@ import numpy as np
 from . import analysis, device as device_mod, measurement, protocol, semiclassical
 from .cavity import PulseShape, spectrum
 from .errors import (
+    Breach,
     DegenerateDataError,
     InsufficientDataError,
     NumericsError,
@@ -205,7 +206,7 @@ def _g12(values) -> np.ndarray:
 
 
 def _records(n: int, *columns):
-    """The CSV text of rows 0..n-1 of the columns, as one byte array per chunk of rows.
+    """The CSV text of rows 0..n-1 of the columns, as one bytes object per chunk of rows.
 
     A column is a bytes constant or a function that takes a chunk's slice of rows and returns
     their texts as an ``S`` array.  A chunk is one record array of zero-padded fixed-width
@@ -218,8 +219,7 @@ def _records(n: int, *columns):
         chunk = np.zeros(rows.stop - start, [("", np.asarray(f).dtype) for f in fields])
         for name, field in zip(chunk.dtype.names, fields):
             chunk[name] = field
-        buf = chunk.view(np.uint8)
-        yield buf[buf != 0]
+        yield chunk.tobytes().translate(None, b"\0")
 
 
 #: the texts of a flip and of an on/off label, by the bool's byte
@@ -381,7 +381,8 @@ def _wigner_lines(xs, ps, w):
     5e-12, so those are exactly |W| <= 5e-12)."""
     # a map repeats each W many times over (a radial map once per |alpha|), so its distinct values
     # are formatted once for the whole map rather than once per chunk
-    x_text, p_text, w_text = _text(xs), _text(ps), _text(np.where(np.abs(w) <= 5e-12, 0.0, w), "%.11f")
+    x_text, w_text = _text(xs), _text(np.where(np.abs(w) <= 5e-12, 0.0, w), "%.11f")
+    p_text = x_text if ps is xs else _text(ps)  # wigner_grid's square grid shares one axis
     return _records(w.size, lambda r: x_text[np.arange(r.start, r.stop) % len(xs)],
                     lambda r: p_text[np.arange(r.start, r.stop) // len(xs)], w_text.__getitem__)
 
@@ -414,12 +415,14 @@ def cmd_calibrate(args) -> int:
     for i, row in enumerate(table):
         if not (isinstance(row, list) and len(row) == 2):
             raise ValueError(f"beta_table[{i}] must be an [n_g, beta] pair, got {row!r}")
-    table = [[number(f"beta_table[{i}]", v) for v in row] for i, row in enumerate(table)]
 
     if "beta_table" in data:
         if fitted := [key for key in ("eta", "dark_flip") if key in data]:
             raise ValueError(f"beta_table sets eta and dark_flip by its fit; drop {' and '.join(fitted)} or the table")
-        eta, dark = analysis.fit_eta(table)
+        try:
+            eta, dark = analysis.fit_eta(table)
+        except Breach as exc:  # fit_eta names a pair "points[1]"; the file calls it "beta_table[1]"
+            raise Breach("beta_table" + exc.key.removeprefix("points"), exc.bound, exc.value) from exc
     elif "eta" in given:
         eta, dark = given["eta"], given.get("dark_flip")
     else:

@@ -11,7 +11,8 @@ the qubit with probability eta, an even number with probability dark_flip.
 :func:`run_experiment` resolves eta once per run, from the pulse moments of
 :mod:`photon_transistor.cavity` unless overridden, and records it on its :class:`Shots`;
 the conditional gate field, a Bayesian photon-number posterior passed through one
-binomial-loss matrix of the per-photon survival, reads it there.
+binomial-loss matrix of the per-photon survival, reads it there.  The survival reads
+the same memoised pulse moments, so a run integrates the gate pulse's spectrum once.
 """
 
 from __future__ import annotations

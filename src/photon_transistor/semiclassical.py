@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import CalibrationResult, extinction_db, gain_db, predict_single_photon
+from .analysis import CalibrationResult, extinction_db, gain_db, predict_single_photon, switching_probability
 from .cavity import CavityParams, shifted_frequency, transmission_coeff
 from .errors import NumericsError, check, spec
 
@@ -151,6 +151,7 @@ def _sweep(m: SaturableCavityModel, eta: float, p_s: float, n_s_grid, subspaces)
     """``gain_sweep`` of each of ``subspaces`` as columns: the grid, and gain, extinction and regime of
     shape (subspace, n_s).  One ``_steady_states`` call solves on axes (level: excited, g; subspace; n_s;
     candidate), each element as a one-level solve would.  The NumericsError names the first subspace's."""
+    p_sg = switching_probability(eta, p_s)
     if unknown := [subspace for subspace in subspaces if subspace not in ("ge", "gf")]:
         raise ValueError(f"unknown subspace {unknown[0]!r}")
     grid = np.asarray(n_s_grid, dtype=float)
@@ -171,7 +172,7 @@ def _sweep(m: SaturableCavityModel, eta: float, p_s: float, n_s_grid, subspaces)
                                 "the mean-field cubic overflows")
     regimes = _classify(m, f_cand, excited, *dim, flux)
     n_exc, n_g = dim * m.base.kappa_ext_out * window / conv
-    n1, n0 = predict_single_photon(CalibrationResult(0.0, 1.0, n_g, n_exc, 0.0), eta * p_s)
+    n1, n0 = predict_single_photon(CalibrationResult(0.0, 1.0, n_g, n_exc, 0.0), p_sg)
     gains = gain_db(n1, n0)
     # argmax picks the first candidate among equal gains
     pick = (*np.indices(gains.shape[:-1], sparse=True), np.argmax(gains, axis=-1))

@@ -15,7 +15,7 @@ from photon_transistor.analysis import (
     switching_probability,
     synthesize_intensities,
 )
-from photon_transistor.errors import UnphysicalInputError, UnsolvableCalibrationError
+from photon_transistor.errors import Breach, UnphysicalInputError, UnsolvableCalibrationError
 from photon_transistor.protocol import coherent_flip_probability
 
 
@@ -56,18 +56,26 @@ class TestFitEta:
         with pytest.raises(ValueError):
             fit_eta([(0.2, 0.1), (0.2, 0.12)])
 
-    @pytest.mark.parametrize("pair, named", [
-        ((math.nan, 0.1), "n_g=nan, beta=0.1"),
-        ((math.inf, 0.1), "n_g=inf, beta=0.1"),
-        ((0.2, math.nan), "n_g=0.2, beta=nan"),
-        ((0.2, math.inf), "n_g=0.2, beta=inf"),
-        ((0.2, -math.inf), "n_g=0.2, beta=-inf"),
-        ((-0.2, 0.05), "n_g=-0.2, beta=0.05"),
+    @pytest.mark.parametrize("pair, message", [
+        ((math.nan, 0.1), "points[1].n_g must be a finite number, got nan"),
+        ((math.inf, 0.1), "points[1].n_g must be a finite number, got inf"),
+        ((0.2, math.nan), "points[1].beta must be a finite number, got nan"),
+        ((0.2, math.inf), "points[1].beta must be a finite number, got inf"),
+        ((0.2, -math.inf), "points[1].beta must be a finite number, got -inf"),
+        ((-0.2, 0.05), "points[1].n_g must be >= 0, got -0.2"),
+        (("0.05", 0.03), "points[1].n_g must be a finite number, got '0.05'"),
+        ((False, 0.04), "points[1].n_g must be a finite number, got False"),
+        ((0.2, True), "points[1].beta must be a finite number, got True"),
     ])
-    def test_bad_pair_named(self, pair, named, capfd):
-        with pytest.raises(ValueError, match=re.escape(f"pair 1 ({named})")):
+    def test_bad_pair_named(self, pair, message, capfd):
+        with pytest.raises(Breach, match=rf"^{re.escape(message)}$"):
             fit_eta([(0.1, 0.08), pair, (0.3, 0.2)])
         assert capfd.readouterr().err == ""  # nothing reaches LAPACK
+
+    def test_first_bad_pair_named(self):
+        # strings and bools are not numbers, however float() reads them
+        with pytest.raises(Breach, match=r"^points\[0\]\.n_g must be a finite number, got '0\.05'$"):
+            fit_eta([("0.05", "0.03"), (False, 0.04), (0.2, 0.17)])
 
     def test_outside_linear_regime(self):
         with pytest.raises(ValueError):

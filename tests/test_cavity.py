@@ -1,6 +1,6 @@
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -515,7 +515,7 @@ def test_moment_trims_keep_every_bit(kind, duration, kappa_ext, detuning, kappa_
     for bracket in ((kappa_ext, 3.0 * kappa_ext), (c.kappa_tot, c.kappa_tot)):
         rule, oracle = cavity._moment_rule(c, p, *bracket), oracle_kernel(old_moment_rule(c, p, *bracket))
         for part, oracle_part in zip(rule, oracle):
-            np.testing.assert_array_equal(part, oracle_part)
+            assert part.tobytes() == oracle_part.tobytes()  # -0.0 and 0.0 told apart
 
 
 @given(**ROOT_RANGE)
@@ -630,6 +630,50 @@ def test_root_builds_one_rule_and_steps_on_one_kernel(kind, duration):
     assert len(set(kappas)) == len(kappas) == 9
     assert etas.call_count == 0
     assert records.call_count == 0
+
+
+@pytest.mark.parametrize("kind, duration", [("gaussian", 960.0), ("square", 230.0)])
+def test_eta_and_survival_of_one_pair_build_one_rule(kind, duration):
+    # the memo serves the survival from eta's rule; the root-find builds its own bracket rule
+    c, p = cavity_one(kappa_int=0.16), PulseShape(kind, duration)
+    with mock.patch.object(cavity, "_moment_rule", wraps=cavity._moment_rule) as rules:
+        eta = gating_efficiency(c, p)
+        pulse_survival(c, p)
+        assert rules.call_count == 1
+        internal_loss_for_efficiency(c, p, eta)
+        assert rules.call_count == 2
+
+
+def flip_zeros(record):
+    """``record`` with the sign of each zero float field flipped: an equal key with other bits."""
+    return replace(record, **{f.name: -v for f in fields(record) if isinstance(v := getattr(record, f.name), float)
+                              and v == 0.0})
+
+
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@given(kind=PULSE_RANGE["kind"], duration=PULSE_RANGE["duration"],
+       kappa_int=st.one_of(SIGNED_ZERO, PULSE_RANGE["kappa_int"]),
+       detuning=st.one_of(SIGNED_ZERO, PULSE_RANGE["detuning"]),
+       f0=st.one_of(SIGNED_ZERO, st.just(7000.0)), chi_ge=st.one_of(SIGNED_ZERO, st.floats(-2.0, 2.0)))
+@settings(max_examples=50, deadline=None)
+@example(kind="gaussian", duration=960.0, kappa_int=-0.0, detuning=-0.0, f0=-0.0, chi_ge=-0.0)
+@example(kind="square", duration=230.0, kappa_int=0.0, detuning=0.0, f0=0.0, chi_ge=0.0)
+def test_memoised_eta_and_survival_match_cold_calls(kind, duration, kappa_int, detuning, f0, chi_ge):
+    # the memo answers for the twin whose zeros carry the other sign; eta and the survival keep every bit
+    c = replace(cavity_one(kappa_int=kappa_int, chi_ge=chi_ge), f0=f0)
+    p = PulseShape(kind, duration, carrier_detuning=detuning)
+    cold = []
+    for fn in (gating_efficiency, pulse_survival):
+        cavity._pulse_moments.cache_clear()
+        cold.append(fn(c, p).hex())
+    twin_c, twin_p = flip_zeros(c), flip_zeros(p)
+    assert (twin_c, twin_p) == (c, p)
+    cavity._pulse_moments.cache_clear()
+    gating_efficiency(twin_c, twin_p)
+    assert [fn(c, p).hex() for fn in (gating_efficiency, pulse_survival)] == cold
+    assert cavity._pulse_moments.cache_info()[:2] == (2, 1)  # hits, misses
 
 
 def record_per_step_root(c, p, eta_target):

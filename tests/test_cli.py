@@ -565,17 +565,20 @@ def test_bins_over_the_grid_budget_exits_2_before_any_work(tmp_path, capsys, mon
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, flags, builds", [
+@pytest.mark.parametrize("command, flags, moment_calls", [
     # eta once per run (gated and ungated), the survival once per conditional field (on and off)
     ("switch", ["--bins", "20"], 4),
     ("wigner", ["--condition", "off", "--points", "5"], 2),
 ])
-def test_paper_gate_stage_builds_one_moment_rule_per_scalar_and_run(tmp_path, command, flags, builds):
+def test_paper_gate_stage_builds_one_moment_rule_per_command(tmp_path, command, flags, moment_calls):
+    # every eta and survival of a command is of one (cavity, pulse) pair, so the memo builds its one rule
     argv = [command, "--device", str(CONFIGS / "device_paper.json"),
             "--protocol", str(CONFIGS / "protocol_paper_point.json"), "--shots", "300", "--out", str(tmp_path)]
     with mock.patch.object(cavity, "_moment_rule", wraps=cavity._moment_rule) as rules:
         assert main([*argv, *flags]) == 0
-    assert rules.call_count == builds
+    assert rules.call_count == 1
+    info = cavity._pulse_moments.cache_info()
+    assert (info.misses, info.hits) == (1, moment_calls - 1)
 
 
 class TestGainSweep:
@@ -898,7 +901,7 @@ class TestCalibrate:
         inp.write_text(json.dumps({**data, "beta_table": [[0.1, 0.08], [-0.2, 0.05], [0.3, 0.2]]}))
         out = tmp_path / "out"
         assert main(["calibrate", "--inputs", str(inp), "--out", str(out)]) == 2
-        assert "pair 1 (n_g=-0.2, beta=0.05)" in capsys.readouterr().err
+        assert "beta_table[1].n_g must be >= 0, got -0.2" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("fitted", [["eta"], ["dark_flip"], ["eta", "dark_flip"]])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -14,7 +15,7 @@ from scipy.optimize import brentq
 from photon_transistor import semiclassical
 from photon_transistor.analysis import CalibrationResult, extinction_db, gain_db, predict_single_photon
 from photon_transistor.cavity import CavityParams, shifted_frequency, transmission_coeff
-from photon_transistor.errors import NumericsError
+from photon_transistor.errors import Breach, NumericsError
 from photon_transistor.semiclassical import (
     SaturableCavityModel,
     SemiclassicalSettings,
@@ -563,6 +564,17 @@ class TestOnePass:
     def test_unknown_subspace(self):
         with pytest.raises(ValueError, match="unknown subspace 'ef'"):
             _sweep(model(), 0.8, 0.9, [1.0], ("ge", "ef"))
+
+    @pytest.mark.parametrize("eta, p_s, message", [
+        (1.5, 0.5, "eta must be in [0, 1], got 1.5"),  # eta * p_s = 0.75 would pass
+        (0.8, 1.5, "p_s must be in [0, 1], got 1.5"),  # not eta, for the product 1.2
+        (math.nan, 0.5, "eta must be a finite number, got nan"),
+        (0.8, True, "p_s must be a finite number, got True"),
+    ])
+    def test_eta_and_p_s_checked_before_solving(self, eta, p_s, message):
+        with mock.patch.object(semiclassical, "_steady_states", side_effect=AssertionError("solved")):
+            with pytest.raises(Breach, match=rf"^{re.escape(message)}$"):
+                gain_sweep(model(), eta, p_s, [1.0, 10.0])
 
 
 def transmitted_photons(m: SaturableCavityModel, f: float, level: str, rhs: float, branch: str = "dim") -> float:
