@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, device as device_mod, measurement, protocol, semiclassical
-from .cavity import PulseShape, spectrum
+from .cavity import spectrum
 from .errors import (
     Breach,
     DegenerateDataError,
@@ -44,6 +44,8 @@ from .errors import (
     file_keys,
     number,
     read_json,
+    record,
+    to_file,
 )
 from .hilbert import mean_photon
 
@@ -228,13 +230,7 @@ _LABEL = np.array([measurement.OFF, measurement.ON], dtype="S")
 
 
 def load_protocol(path) -> protocol.ProtocolConfig:
-    keys, pulse_keys = file_keys(protocol.ProtocolConfig), file_keys(PulseShape)
-    data = fields("protocol file", read_json(path, "protocol")[0], keys)
-    kwargs = {keys[k]: v for k, v in data.items()}
-    if "gate_pulse" in kwargs:
-        raw = fields("gate_pulse", kwargs["gate_pulse"], pulse_keys, ("kind", "duration_ns"))
-        kwargs["gate_pulse"] = PulseShape(**{pulse_keys[k]: v for k, v in raw.items()})
-    return protocol.ProtocolConfig(**kwargs)
+    return record(protocol.ProtocolConfig, read_json(path, "protocol")[0], "protocol file")
 
 
 def _run_protocol(args) -> protocol.ProtocolConfig:
@@ -364,13 +360,14 @@ def cmd_gain_sweep(args) -> int:
     dev, digest = device_mod.load_and_hash(args.device)
     model = semiclassical.SaturableCavityModel(dev.cavity_II, dev.semiclassical)
     grid = np.geomspace(args.n_min, args.n_max, args.points)
-    # one column of whole rows, both subspaces' from one sweep: n_s, subspace, gain_db, extinction_db, regime
-    n_s, *columns = (c.tolist() for c in semiclassical._sweep(model, args.eta, args.p_s, grid, ("ge", "gf")))
-    rows = np.array([f"%.12g,{subspace},%.12g,%.12g,%s" % row for subspace, *sweep in zip(("ge", "gf"), *columns)
-                     for row in zip(n_s, *sweep)], dtype="S")
+    # both subspaces from one sweep, a row per (subspace, n_s); the numbers of every row take one kernel pass
+    n_s, gains, extinctions, regimes = semiclassical._sweep(model, args.eta, args.p_s, grid, ("ge", "gf"))
+    numbers = _g12(np.concatenate([n_s, n_s, gains.ravel(), extinctions.ravel()])).reshape(3, -1)
+    subspaces, regimes = np.repeat(np.array([b"ge", b"gf"]), len(n_s)), regimes.ravel().astype("S")
     (out_path,), manifest = _artifacts(args, ["gain_sweep.csv"], digest)
     _write_csv(out_path, manifest, ["n_s", "subspace", "gain_db", "extinction_db", "regime"],
-               _records(len(rows), rows.__getitem__))
+               _records(len(subspaces), numbers[0].__getitem__, subspaces.__getitem__, numbers[1].__getitem__,
+                        numbers[2].__getitem__, regimes.__getitem__))
     print(f"wrote {out_path}")
     return 0
 
@@ -433,7 +430,7 @@ def cmd_calibrate(args) -> int:
     p_s = given.get("p_s")
     (out_path,), manifest = _artifacts(args, ["transistor_report.json"], digest)
     _write_json(out_path, manifest, {"report": {
-        "calibration": {k.lower(): v for k, v in dataclasses.asdict(cal).items()} | {"is_physical": cal.is_physical},
+        "calibration": to_file(cal) | {"is_physical": cal.is_physical},
         "eta": eta,
         "dark_flip": dark,
         "p_s": p_s,

@@ -11,11 +11,10 @@ explicit tag.
 from __future__ import annotations
 
 import json
-import typing
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 
 from .cavity import CavityParams
-from .errors import Breach, check, fields, file_keys, read_json, spec
+from .errors import check, fields, file_keys, leaf_paths, read_json, record, spec, to_file
 from .measurement import DetectionModel
 from .qubit import QubitRates
 from .semiclassical import SemiclassicalSettings
@@ -51,14 +50,8 @@ class DeviceParams:
             raise ValueError(f"unknown provenance tags: {bad}")
 
 
-_TYPES = typing.get_type_hints(DeviceParams)
-#: top-level file key -> DeviceParams field, for the numbers at the top of the file
-_SCALARS = {k: name for k, name in file_keys(DeviceParams).items() if _TYPES[name] is float}
-#: file section -> (DeviceParams field, record type)
-_SECTIONS = {k: (name, _TYPES[name]) for k, name in file_keys(DeviceParams).items()
-             if is_dataclass(_TYPES[name])}
-#: every leaf's path in the file, the keys of the provenance map
-_LEAF_PATHS = [*_SCALARS] + [f"{section}.{k}" for section, (_, cls) in _SECTIONS.items() for k in file_keys(cls)]
+#: every leaf's path in the file, "<section>.<key>" within a section: the keys of the provenance map
+_LEAF_PATHS = [path for path in leaf_paths(DeviceParams) if path != "provenance"]
 
 
 def paper_defaults() -> DeviceParams:
@@ -110,36 +103,16 @@ def paper_defaults() -> DeviceParams:
     )
 
 
-def _unpack_section(section: str, raw, cls):
-    """The ``cls`` record of a section; a field's breach names its path, ``cavity_i.kappa_int_mhz``."""
-    keymap = file_keys(cls)
-    fields(section, raw, keymap, keymap)
-    try:
-        return cls(**{attr: raw[k] for k, attr in keymap.items()})
-    except Breach as exc:
-        raise Breach(f"{section}.{exc.key}", exc.bound, exc.value) from exc
-    except ValueError as exc:
-        raise ValueError(f"invalid value in {section!r}: {exc}") from exc
-
-
 def to_dict(d: DeviceParams) -> dict:
-    out = {k: getattr(d, attr) for k, attr in _SCALARS.items()}
-    for section, (attr, cls) in _SECTIONS.items():
-        record = getattr(d, attr)
-        out[section] = {k: getattr(record, a) for k, a in file_keys(cls).items()}
-    out["provenance"] = dict(sorted(d.provenance.items()))
-    return out
+    return to_file(d) | {"provenance": dict(sorted(d.provenance.items()))}
 
 
 def from_dict(data: dict) -> DeviceParams:
-    top = {*_SCALARS, *_SECTIONS}
-    fields("device file", data, {*top, "provenance"}, top)
-    provenance = fields("provenance", data.get("provenance", {}), _LEAF_PATHS)
-    kwargs = {attr: data[k] for k, attr in _SCALARS.items()}
-    for section, (attr, cls) in _SECTIONS.items():
-        kwargs[attr] = _unpack_section(section, data[section], cls)
-    # fields present in the file but untagged are treated as user-supplied
-    return DeviceParams(**kwargs, provenance={p: provenance.get(p, "user") for p in _LEAF_PATHS})
+    """The device file's parameters: every leaf is required, and a leaf the file leaves untagged is "user"."""
+    fields("device file", data, file_keys(DeviceParams))
+    tags = fields("provenance", data.get("provenance", {}), _LEAF_PATHS)
+    provenance = {path: tags.get(path, "user") for path in _LEAF_PATHS}
+    return record(DeviceParams, data | {"provenance": provenance}, "device file", required=file_keys)
 
 
 def save(d: DeviceParams, path) -> None:

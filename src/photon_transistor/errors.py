@@ -1,8 +1,9 @@
 """Exception and warning types, and the one value rule for input files, CLI flags and library arguments.
 
-Each file is parsed by :func:`read_json` and each JSON object in it passes :func:`fields`.  Each
-numeric value, whether a file's, a flag's or a library argument's, passes :func:`number` and
-:func:`bounded`; a breach is a :class:`Breach` naming its key (CLI exit code 2).
+Each file is parsed by :func:`read_json` and each JSON object in it passes :func:`fields`; a record
+file is read by :func:`record`, and written by its inverse, :func:`to_file`.  Each numeric value,
+whether a file's, a flag's or a library argument's, passes :func:`number` and :func:`bounded`; a
+breach is a :class:`Breach` naming its key (CLI exit code 2).
 
 A record states each field's unit, bound and choices once, in its :func:`spec`.  The field's
 file key is its name in lower case plus ``_<unit>`` (:func:`file_keys`), and :func:`check`
@@ -15,15 +16,17 @@ import hashlib
 import json
 import math
 import numbers
+import typing
 
 #: the bounds a field may state, each with its test of a number
 BOUNDS = {
     ">= 0": lambda v: v >= 0,
     "> 0": lambda v: v > 0,
     ">= 1": lambda v: v >= 1,
-    ">= 2": lambda v: v >= 2,
     "in [0, 1]": lambda v: 0 <= v <= 1,
     "in (0, 1]": lambda v: 0 < v <= 1,
+    "in [1, 4194304]": lambda v: 1 <= v <= 2**22,
+    "in [2, 1030]": lambda v: 2 <= v <= 1030,
 }
 
 
@@ -119,6 +122,59 @@ def check(record) -> None:
             raise Breach(key, f"one of {choices}", value)
         if bound is not None:
             bounded(key, value, bound)
+
+
+@functools.cache
+def _without_default(cls) -> tuple[str, ...]:
+    """The file keys of the fields of ``cls`` that have no default."""
+    return tuple(k for k, f in zip(file_keys(cls), dataclasses.fields(cls))
+                 if f.default is f.default_factory is dataclasses.MISSING)
+
+
+@functools.cache
+def _nested(cls) -> dict[str, type]:
+    """File key -> record type, for each field of ``cls`` whose type hint is a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {k: hints[name] for k, name in file_keys(cls).items() if dataclasses.is_dataclass(hints[name])}
+
+
+def record(cls, raw, where: str, required=_without_default):
+    """The ``cls`` record of the JSON object ``raw``, which ``where`` names in errors: ``raw`` holds no key
+    outside ``file_keys(cls)`` and every key of ``required(cls)``, by default those of the fields with no
+    default, and a field whose type hint is a record is read from the object under its key in the same way."""
+    return cls(**_arguments(cls, raw, where, required))
+
+
+def _arguments(cls, raw, where: str, required) -> dict:
+    """The keyword arguments of ``cls`` from ``raw``.  A nested object's own error (not an object, an
+    unknown or a missing key) names it as it is; a ``Breach`` in building its record is re-raised under
+    ``<key>.<leaf>``, any other ``ValueError`` as ``invalid value in '<key>': ...``."""
+    keys = file_keys(cls)
+    kwargs = {keys[k]: v for k, v in fields(where, raw, keys, required(cls)).items()}
+    for k, sub in _nested(cls).items():
+        if k in raw:
+            arguments = _arguments(sub, raw[k], k, required)
+            try:
+                kwargs[keys[k]] = sub(**arguments)
+            except Breach as exc:
+                raise Breach(f"{k}.{exc.key}", exc.bound, exc.value) from exc
+            except ValueError as exc:
+                raise ValueError(f"invalid value in {k!r}: {exc}") from exc
+    return kwargs
+
+
+def to_file(rec) -> dict:
+    """The JSON object that :func:`record` reads ``rec`` back from; a None is left out."""
+    values = {k: getattr(rec, name) for k, name in file_keys(type(rec)).items()}
+    return {k: to_file(v) if k in _nested(type(rec)) else v for k, v in values.items() if v is not None}
+
+
+def leaf_paths(cls) -> list[str]:
+    """The path in a file of each field of ``cls`` that is not a record: ``<key>``, or ``<key>.<leaf>``."""
+    nested, paths = _nested(cls), []
+    for k in file_keys(cls):
+        paths += [f"{k}.{leaf}" for leaf in leaf_paths(nested[k])] if k in nested else [k]
+    return paths
 
 
 class StateInvariantError(ValueError):

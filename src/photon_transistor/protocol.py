@@ -63,11 +63,12 @@ class ProtocolConfig:
     signal_detuning_target: str = spec(choices=SIGNAL_TARGETS, default="resonant_with_e")
     eta_override: float | None = spec(bound="in [0, 1]", default=None)
     dark_flip: float = spec(bound="in [0, 1]", default=0.04)
-    n_shots: int = spec(bound=">= 1", default=10000)
+    n_shots: int = spec(bound="in [1, 4194304]", default=10000)  # 2**22, the CLI's grid budget
     seed: int = spec(bound=">= 0", default=12345)
     gate_source: str = spec(choices=GATE_SOURCES, default="coherent")
     signal_flip_rate_per_photon: float = spec(bound=">= 0", default=1e-7)  # 1/(us * signal photon)
-    fock_cutoff: int = spec(bound=">= 2", default=DEFAULT_FOCK_CUTOFF)
+    # C(n, n // 2) of the binomial-loss matrix, n < fock_cutoff, overflows a double from n = 1030
+    fock_cutoff: int = spec(bound="in [2, 1030]", default=DEFAULT_FOCK_CUTOFF)
 
     def __post_init__(self):
         check(self)

@@ -491,7 +491,9 @@ class TestSwitch:
             ("fock_cutoff", 1, "fock_cutoff"),
             ("fock_cutoff", 8.0, "fock_cutoff"),
             ("fock_cutoff", True, "fock_cutoff"),
+            ("fock_cutoff", 1031, "fock_cutoff must be in [2, 1030], got 1031"),
             ("n_shots", 800.5, "n_shots"),
+            ("n_shots", 2**22 + 1, "n_shots must be in [1, 4194304], got 4194305"),
             ("n_shots", True, "n_shots"),
             ("seed", "321", "seed"),
             ("seed", False, "seed"),
@@ -510,6 +512,21 @@ class TestSwitch:
         rc = main(["switch", "--device", str(device_file), "--protocol", str(bad), "--out", str(out)])
         assert rc == 2
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["switch", "wigner"])
+    def test_shots_over_the_budget_exits_2_before_simulating(self, tmp_path, device_file, protocol_file, capsys,
+                                                            monkeypatch, command):
+        def no_shots(*args, **kwargs):
+            raise AssertionError("--shots must be checked before any shot is run")
+
+        monkeypatch.setattr(photon_transistor.protocol, "run_experiment", no_shots)
+        out = tmp_path / "out"
+        condition = ["--condition", "on"] if command == "wigner" else []
+        rc = main([command, "--device", str(device_file), "--protocol", str(protocol_file), "--out", str(out),
+                   *condition, "--shots", "4194305"])
+        assert rc == 2
+        assert capsys.readouterr().err == "config error: n_shots must be in [1, 4194304], got 4194305\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("bins", ["0", "-3"])

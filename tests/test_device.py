@@ -118,6 +118,11 @@ class TestSerialization:
         # that to_dict and from_dict map to different fields
         assert from_dict(json.loads(json.dumps(to_dict(dev)))) == dev
 
+    @settings(max_examples=60, deadline=None)
+    @given(dev=devices())
+    def test_record_reads_back_what_to_file_writes(self, dev):
+        assert errors.record(DeviceParams, json.loads(json.dumps(errors.to_file(dev))), "device file") == dev
+
     def test_round_trip(self, tmp_path):
         dev = paper_defaults()
         path = tmp_path / "device.json"

@@ -2,9 +2,12 @@
 same rule and message for the CLI flags, the library's scalar arguments and every device-section leaf."""
 
 import dataclasses
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photon_transistor.analysis import (
     CalibrationInputs,
@@ -13,12 +16,12 @@ from photon_transistor.analysis import (
     switching_probability,
 )
 from photon_transistor.cavity import CavityParams, PulseShape
-from photon_transistor.cli import main
+from photon_transistor.cli import load_protocol, main
 from photon_transistor.device import DeviceParams, from_dict, paper_defaults, to_dict
-from photon_transistor.errors import Breach, file_keys, spec
+from photon_transistor.errors import Breach, file_keys, record, spec, to_file
 from photon_transistor.hilbert import pure_state
 from photon_transistor.measurement import DetectionModel, histogram
-from photon_transistor.protocol import ProtocolConfig, coherent_flip_probability
+from photon_transistor.protocol import GATE_SOURCES, SIGNAL_TARGETS, ProtocolConfig, coherent_flip_probability
 from photon_transistor.qubit import QubitRates, evolve_lindblad
 from photon_transistor.semiclassical import SemiclassicalSettings
 
@@ -43,7 +46,8 @@ EDGES = {
     ("float", "in (0, 1]"): ([0.0, math.nextafter(1.0, 2.0)], [1.0]),
     ("int", ">= 0"): ([-1], [0]),
     ("int", ">= 1"): ([0], [1]),
-    ("int", ">= 2"): ([1], [2]),
+    ("int", "in [1, 4194304]"): ([0, 2**22 + 1], [1, 2**22]),
+    ("int", "in [2, 1030]"): ([1, 1031], [2, 1030]),
 }
 
 
@@ -182,3 +186,45 @@ def test_device_section_cross_field_error_keeps_its_section_wrapper():
         from_dict(data)
     assert not isinstance(raised.value, Breach)
     assert str(raised.value) == "invalid value in 'cavity_i': total linewidth must be positive"
+
+
+def test_gate_pulse_breach_names_the_leaf_by_its_path(tmp_path):
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps({"gate_pulse": {"kind": "gaussian", "duration_ns": -1.0}}))
+    with pytest.raises(Breach) as raised:
+        load_protocol(path)
+    assert str(raised.value) == "gate_pulse.duration_ns must be > 0, got -1.0"
+    assert (raised.value.key, raised.value.value) == ("gate_pulse.duration_ns", -1.0)
+
+
+# ---------------------------------------------------------------------------
+# the one reader of record files, and its inverse
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def protocols(draw):
+    """A ProtocolConfig with every field drawn, the gate pulse's sigma and detuning each given or omitted."""
+    pulse = {"kind": draw(st.sampled_from(("gaussian", "square"))), "duration": draw(_floats(1.0, 1e4))}
+    if draw(st.booleans()):
+        pulse["sigma"] = draw(_floats(1.0, 1e3))
+    if draw(st.booleans()):
+        pulse["carrier_detuning"] = draw(_floats(-10.0, 10.0))
+    unit = _floats(0.0, 1.0)
+    return ProtocolConfig(
+        theta=draw(_floats(-10.0, 10.0)), subspace=draw(st.sampled_from(("ge", "gf"))), n_g=draw(unit),
+        gate_pulse=PulseShape(**pulse), n_s=draw(_floats(0.0, 1e6)), signal_duration=draw(_floats(1e-3, 1e3)),
+        signal_detuning_target=draw(st.sampled_from(SIGNAL_TARGETS)), eta_override=draw(st.none() | unit),
+        dark_flip=draw(unit), n_shots=draw(st.integers(1, 2**22)), seed=draw(st.integers(0, 2**63)),
+        gate_source=draw(st.sampled_from(GATE_SOURCES)), signal_flip_rate_per_photon=draw(_floats(0.0, 1.0)),
+        fock_cutoff=draw(st.integers(2, 1030)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=protocols())
+def test_record_reads_back_what_to_file_writes(cfg):
+    assert record(ProtocolConfig, json.loads(json.dumps(to_file(cfg))), "protocol file") == cfg
