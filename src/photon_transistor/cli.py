@@ -45,6 +45,7 @@ from .errors import (
     number,
     read_json,
     record,
+    table,
     to_file,
 )
 from .hilbert import mean_photon
@@ -233,11 +234,14 @@ def load_protocol(path) -> protocol.ProtocolConfig:
     return record(protocol.ProtocolConfig, read_json(path, "protocol")[0], "protocol file")
 
 
-def _run_protocol(args) -> protocol.ProtocolConfig:
-    """The ``--protocol`` file with the ``--shots`` and ``--seed`` overrides applied."""
-    overrides = {"n_shots": args.shots, "seed": args.seed}
-    cfg = load_protocol(args.protocol)
-    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+def _inputs(args) -> tuple:
+    """The device, the digest of its file and the protocol with the ``--shots`` and ``--seed`` overrides.  Each
+    override is checked first, under its flag's name, by the bound of the field it sets (argparse made it an int)."""
+    bounds = {f.name: f.bound for f in table(protocol.ProtocolConfig)}
+    given = {"n_shots": ("--shots", args.shots), "seed": ("--seed", args.seed)}
+    overrides = {name: bounded(flag, value, bounds[name]) for name, (flag, value) in given.items() if value is not None}
+    dev, digest = device_mod.load_and_hash(args.device)
+    return dev, digest, dataclasses.replace(load_protocol(args.protocol), **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +311,7 @@ def _shot_lines(name: str, shots):
 
 def cmd_switch(args) -> int:
     _check_grid("--bins", args.bins, args.bins)
-    dev, digest = device_mod.load_and_hash(args.device)
-    cfg = _run_protocol(args)
+    dev, digest, cfg = _inputs(args)
     ungated_cfg = dataclasses.replace(cfg, n_g=0.0, seed=cfg.seed + 1)
 
     runs = {"gated": protocol.run_experiment(cfg, dev), "ungated": protocol.run_experiment(ungated_cfg, dev)}
@@ -387,8 +390,7 @@ def _wigner_lines(xs, ps, w):
 def cmd_wigner(args) -> int:
     bounded("--extent", number("--extent", args.extent), "> 0")
     _check_grid("--points", args.points, args.points**2)
-    dev, digest = device_mod.load_and_hash(args.device)
-    cfg = _run_protocol(args)
+    dev, digest, cfg = _inputs(args)
     shots, _, _ = protocol.label_records(protocol.run_experiment(cfg, dev))
     state = protocol.conditional_gate_field(shots, args.condition, cfg, dev)
     xs, ps, pts = measurement.wigner_grid(args.extent, args.points)
@@ -406,10 +408,10 @@ def cmd_calibrate(args) -> int:
     data = fields("calibration inputs", raw, {*measured, "eta", "p_s", "dark_flip", "beta_table"}, measured)
     inputs = analysis.CalibrationInputs(**{name: data[k] for k, name in measured.items()})
     given = {k: bounded(k, number(k, data[k]), "in [0, 1]") for k in ("eta", "p_s", "dark_flip") if k in data}
-    table = data.get("beta_table", [])
-    if not isinstance(table, list):
-        raise ValueError(f"beta_table must be a list of [n_g, beta] pairs, got {table!r}")
-    for i, row in enumerate(table):
+    pairs = data.get("beta_table", [])
+    if not isinstance(pairs, list):
+        raise ValueError(f"beta_table must be a list of [n_g, beta] pairs, got {pairs!r}")
+    for i, row in enumerate(pairs):
         if not (isinstance(row, list) and len(row) == 2):
             raise ValueError(f"beta_table[{i}] must be an [n_g, beta] pair, got {row!r}")
 
@@ -417,7 +419,7 @@ def cmd_calibrate(args) -> int:
         if fitted := [key for key in ("eta", "dark_flip") if key in data]:
             raise ValueError(f"beta_table sets eta and dark_flip by its fit; drop {' and '.join(fitted)} or the table")
         try:
-            eta, dark = analysis.fit_eta(table)
+            eta, dark = analysis.fit_eta(pairs)
         except Breach as exc:  # fit_eta names a pair "points[1]"; the file calls it "beta_table[1]"
             raise Breach("beta_table" + exc.key.removeprefix("points"), exc.bound, exc.value) from exc
     elif "eta" in given:

@@ -112,7 +112,7 @@ def from_dict(data: dict) -> DeviceParams:
     fields("device file", data, file_keys(DeviceParams))
     tags = fields("provenance", data.get("provenance", {}), _LEAF_PATHS)
     provenance = {path: tags.get(path, "user") for path in _LEAF_PATHS}
-    return record(DeviceParams, data | {"provenance": provenance}, "device file", required=file_keys)
+    return record(DeviceParams, data | {"provenance": provenance}, "device file", every=True)
 
 
 def save(d: DeviceParams, path) -> None:

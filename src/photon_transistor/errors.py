@@ -5,11 +5,12 @@ file is read by :func:`record`, and written by its inverse, :func:`to_file`.  Ea
 whether a file's, a flag's or a library argument's, passes :func:`number` and :func:`bounded`; a
 breach is a :class:`Breach` naming its key (CLI exit code 2).
 
-A record states each field's unit, bound and choices once, in its :func:`spec`.  The field's
-file key is its name in lower case plus ``_<unit>`` (:func:`file_keys`), and :func:`check`
-applies the rules by that key.  Every breach reads "<file key> must be <bound>, got <value>".
+A record states each field's unit, bound and choices once, in its :func:`spec`; :func:`table` reads them
+with the type hints once per record type, and every rule here loops over that table.  A field's file key
+is its name in lower case plus ``_<unit>``; a breach reads "<file key> must be <bound>, got <value>".
 """
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -82,41 +83,53 @@ def spec(unit: str | None = None, bound: str | None = None, choices: tuple | Non
     return dataclasses.field(default=default, metadata={"unit": unit, "bound": bound, "choices": choices})
 
 
+#: a record field, read by :func:`table` from the type hints and :func:`spec`: name, file key, type (None stripped
+#: from an optional hint), whether None is the default, whether it has a default, whether it is a record, choices, bound
+Field = collections.namedtuple("Field", "name key type optional has_default nested choices bound")
+
+
+@functools.cache
+def table(cls) -> tuple[Field, ...]:
+    """The :class:`Field` of each field of the record type ``cls``, in order, built once per type."""
+    hints, rows = typing.get_type_hints(cls), []
+    for f in dataclasses.fields(cls):
+        hint, unit = hints[f.name], f.metadata.get("unit")
+        if type(None) in typing.get_args(hint):
+            (hint,) = set(typing.get_args(hint)) - {type(None)}
+        rows.append(Field(f.name, f.name.lower() + (f"_{unit}" if unit else ""), hint, f.default is None,
+                          f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING,
+                          dataclasses.is_dataclass(hint), f.metadata.get("choices"), f.metadata.get("bound")))
+    return tuple(rows)
+
+
 @functools.cache
 def file_keys(cls) -> dict[str, str]:
-    """File key -> field name, for each field of the record type ``cls`` in order: the name in lower
-    case, plus ``_<unit>`` where its :func:`spec` states one.  One dict per type: do not mutate it."""
-    return {f.name.lower() + (f"_{f.metadata['unit']}" if f.metadata.get("unit") else ""): f.name
-            for f in dataclasses.fields(cls)}
+    """File key -> field name, for each field of the record type ``cls`` in order: do not mutate it."""
+    return {f.key: f.name for f in table(cls)}
 
 
 @functools.cache
-def _plan(cls) -> tuple:
-    """(field name, file key, kind, optional, choices, bound) of each ``float``, ``int`` and ``str``
-    field of ``cls``; a field is optional if its default is None."""
-    plan = []
-    for (key, name), f in zip(file_keys(cls).items(), dataclasses.fields(cls)):
-        kind = getattr(f.type, "__name__", str(f.type)).removesuffix(" | None")  # a type or its annotation text
-        if kind in ("float", "int", "str"):
-            plan.append((name, key, kind, f.default is None, f.metadata.get("choices"), f.metadata.get("bound")))
-    return tuple(plan)
+def _uses(cls) -> tuple:
+    """What :func:`check` and :func:`record` need of ``cls``, from its table once: the rule of each field that
+    has one, as a plain tuple (it unpacks faster); ``file_keys(cls)``; the keys required; the record fields."""
+    rows = table(cls)
+    rules = tuple((f.name, f.key, f.type, f.optional, f.choices, f.bound) for f in rows
+                  if f.type in (float, int) or f.choices is not None or f.bound is not None)
+    return rules, file_keys(cls), [f.key for f in rows if not f.has_default], [f for f in rows if f.nested]
 
 
 def check(record) -> None:
-    """Apply the rule of each field of ``record``, a frozen dataclass instance, by its file key.
-
-    A ``float`` field must be a :func:`number` and is stored as a float; an ``int`` field must be
-    an integer, not a bool; None passes only where it is the default.  Then the value must be one
-    of the field's choices and lie within its bound.
-    """
-    for name, key, kind, optional, choices, bound in _plan(type(record)):
+    """Apply the rule of each field of ``record``, a frozen dataclass instance, by its file key: a ``float``
+    must be a :func:`number` and is stored as a float, an ``int`` must be an integer, not a bool, and None
+    passes only where it is the default; then the value must be one of the choices and within the bound."""
+    for name, key, kind, optional, choices, bound in _uses(type(record))[0]:
         value = getattr(record, name)
         if value is None and optional:
             continue
-        if kind == "float":
+        if kind is float:
             value = number(key, value)
             object.__setattr__(record, name, value)
-        elif kind == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        elif kind is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
             raise Breach(key, "an integer", value)
         if choices is not None and value not in choices:
             raise Breach(key, f"one of {choices}", value)
@@ -124,57 +137,38 @@ def check(record) -> None:
             bounded(key, value, bound)
 
 
-@functools.cache
-def _without_default(cls) -> tuple[str, ...]:
-    """The file keys of the fields of ``cls`` that have no default."""
-    return tuple(k for k, f in zip(file_keys(cls), dataclasses.fields(cls))
-                 if f.default is f.default_factory is dataclasses.MISSING)
-
-
-@functools.cache
-def _nested(cls) -> dict[str, type]:
-    """File key -> record type, for each field of ``cls`` whose type hint is a dataclass."""
-    hints = typing.get_type_hints(cls)
-    return {k: hints[name] for k, name in file_keys(cls).items() if dataclasses.is_dataclass(hints[name])}
-
-
-def record(cls, raw, where: str, required=_without_default):
+def record(cls, raw, where: str, every: bool = False, *, nested_in: str | None = None):
     """The ``cls`` record of the JSON object ``raw``, which ``where`` names in errors: ``raw`` holds no key
-    outside ``file_keys(cls)`` and every key of ``required(cls)``, by default those of the fields with no
-    default, and a field whose type hint is a record is read from the object under its key in the same way."""
-    return cls(**_arguments(cls, raw, where, required))
-
-
-def _arguments(cls, raw, where: str, required) -> dict:
-    """The keyword arguments of ``cls`` from ``raw``.  A nested object's own error (not an object, an
-    unknown or a missing key) names it as it is; a ``Breach`` in building its record is re-raised under
-    ``<key>.<leaf>``, any other ``ValueError`` as ``invalid value in '<key>': ...``."""
-    keys = file_keys(cls)
-    kwargs = {keys[k]: v for k, v in fields(where, raw, keys, required(cls)).items()}
-    for k, sub in _nested(cls).items():
-        if k in raw:
-            arguments = _arguments(sub, raw[k], k, required)
-            try:
-                kwargs[keys[k]] = sub(**arguments)
-            except Breach as exc:
-                raise Breach(f"{k}.{exc.key}", exc.bound, exc.value) from exc
-            except ValueError as exc:
-                raise ValueError(f"invalid value in {k!r}: {exc}") from exc
-    return kwargs
+    outside ``file_keys(cls)`` and the key of every field with no default (of every field if ``every``), and
+    a record field is read from the object under its key in the same way.  A nested object's own error (not
+    an object, an unknown or a missing key) names it as it is; a ``Breach`` in building its record is
+    re-raised under ``<key>.<leaf>``, any other ``ValueError`` as ``invalid value in '<key>': ...``, where
+    ``<key>`` is ``nested_in``."""
+    _, keys, required, nested = _uses(cls)
+    kwargs = {keys[k]: v for k, v in fields(where, raw, keys, keys if every else required).items()}
+    for f in nested:
+        if f.key in raw:
+            kwargs[f.name] = record(f.type, raw[f.key], f.key, every, nested_in=f.key)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        if nested_in is None:
+            raise
+        if isinstance(exc, Breach):
+            raise Breach(f"{nested_in}.{exc.key}", exc.bound, exc.value) from exc
+        raise ValueError(f"invalid value in {nested_in!r}: {exc}") from exc
 
 
 def to_file(rec) -> dict:
     """The JSON object that :func:`record` reads ``rec`` back from; a None is left out."""
-    values = {k: getattr(rec, name) for k, name in file_keys(type(rec)).items()}
-    return {k: to_file(v) if k in _nested(type(rec)) else v for k, v in values.items() if v is not None}
+    values = ((f, getattr(rec, f.name)) for f in table(type(rec)))
+    return {f.key: to_file(v) if f.nested else v for f, v in values if v is not None}
 
 
 def leaf_paths(cls) -> list[str]:
     """The path in a file of each field of ``cls`` that is not a record: ``<key>``, or ``<key>.<leaf>``."""
-    nested, paths = _nested(cls), []
-    for k in file_keys(cls):
-        paths += [f"{k}.{leaf}" for leaf in leaf_paths(nested[k])] if k in nested else [k]
-    return paths
+    return [path for f in table(cls)
+            for path in ([f"{f.key}.{leaf}" for leaf in leaf_paths(f.type)] if f.nested else [f.key])]
 
 
 class StateInvariantError(ValueError):

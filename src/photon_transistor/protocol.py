@@ -18,6 +18,7 @@ the same memoised pulse moments, so a run integrates the gate pulse's spectrum o
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -108,13 +109,15 @@ def _binomial_loss(s: float, d: int) -> np.ndarray:
     """Binomial loss matrix [n, m] = C(n, m) s^m (1 - s)^(n - m): n photons in, m survive.
 
     Each photon survives independently with probability s, so row n is the
-    binomial distribution of the survivors (entries m > n are zero).
+    binomial distribution of the survivors (entries m > n are zero).  C(n, m) comes from Pascal's rule
+    on exact integers, each rounded once to a double, as ``float(math.comb(n, m))`` is.
     """
+    comb, row = np.zeros((d, d)), [1]
+    for n in range(d):
+        comb[n, : n + 1], row = row, [1, *map(operator.add, row, row[1:]), 1]
     m, n = np.triu_indices(d)
-    comb = np.array([math.comb(a, b) for a, b in zip(n.tolist(), m.tolist())], dtype=float)
-    out = np.zeros((d, d))
-    out[n, m] = comb * s**m * (1.0 - s) ** (n - m)
-    return out
+    comb[n, m] = comb[n, m] * s**m * (1.0 - s) ** (n - m)
+    return comb
 
 
 def coherent_flip_probability(n_g: float, eta: float, dark_flip: float = 0.0) -> float:

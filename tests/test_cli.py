@@ -526,7 +526,7 @@ class TestSwitch:
         rc = main([command, "--device", str(device_file), "--protocol", str(protocol_file), "--out", str(out),
                    *condition, "--shots", "4194305"])
         assert rc == 2
-        assert capsys.readouterr().err == "config error: n_shots must be in [1, 4194304], got 4194305\n"
+        assert capsys.readouterr().err == "config error: --shots must be in [1, 4194304], got 4194305\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("bins", ["0", "-3"])
@@ -832,7 +832,7 @@ class TestWigner:
                    "--protocol", str(CONFIGS / "protocol_paper_point.json"), "--condition", "on",
                    "--seed", "-3", "--out", str(out)])
         assert rc == 2
-        assert "config error: seed must be >= 0, got -3" in capsys.readouterr().err
+        assert "config error: --seed must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_off_center_negative_for_fock_like_state(self, tmp_path):

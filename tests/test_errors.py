@@ -4,6 +4,8 @@ same rule and message for the CLI flags, the library's scalar arguments and ever
 import dataclasses
 import json
 import math
+import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +20,14 @@ from photon_transistor.analysis import (
 from photon_transistor.cavity import CavityParams, PulseShape
 from photon_transistor.cli import load_protocol, main
 from photon_transistor.device import DeviceParams, from_dict, paper_defaults, to_dict
-from photon_transistor.errors import Breach, file_keys, record, spec, to_file
+from photon_transistor.errors import Breach, check, file_keys, record, spec, to_file
 from photon_transistor.hilbert import pure_state
 from photon_transistor.measurement import DetectionModel, histogram
 from photon_transistor.protocol import GATE_SOURCES, SIGNAL_TARGETS, ProtocolConfig, coherent_flip_probability
 from photon_transistor.qubit import QubitRates, evolve_lindblad
 from photon_transistor.semiclassical import SemiclassicalSettings
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 #: a valid instance of each record that states its fields' rules
 RECORDS = {
@@ -98,6 +102,26 @@ def test_only_a_none_default_admits_none():
         ProtocolConfig(dark_flip=None)
 
 
+@dataclasses.dataclass(frozen=True)
+class _OptionalBounded:
+    """A record whose optional field is annotated ``typing.Optional``, not ``float | None``."""
+
+    x: typing.Optional[float] = spec(bound=">= 0", default=None)
+
+    def __post_init__(self):
+        check(self)
+
+
+def test_optional_field_is_checked_whatever_its_annotation_spells():
+    assert _OptionalBounded().x is None and _OptionalBounded(2).x == 2.0
+    with pytest.raises(Breach, match=r"^x must be >= 0, got -1\.0$"):
+        _OptionalBounded(-1.0)
+    with pytest.raises(Breach, match=r"^x must be >= 0, got -1\.0$"):
+        record(_OptionalBounded, {"x": -1.0}, "test file")
+    with pytest.raises(Breach, match=r"^x must be a finite number, got 'big'$"):
+        _OptionalBounded("big")
+
+
 def test_unknown_bound_is_refused_where_it_is_stated():
     with pytest.raises(ValueError, match="unknown bound '< 0'"):
         spec(bound="< 0")
@@ -134,6 +158,10 @@ def _cli_error(argv, tmp_path, capsys) -> str:
     (["wigner", "--extent", "0"], "--extent must be > 0, got 0.0"),
     (["wigner", "--extent", "nan"], "--extent must be a finite number, got nan"),
     (["wigner", "--points", "0"], "--points must be >= 1, got 0"),
+    (["switch", "--shots", "0"], "--shots must be in [1, 4194304], got 0"),
+    (["wigner", "--shots", "4194305"], "--shots must be in [1, 4194304], got 4194305"),
+    (["switch", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["wigner", "--seed", "-3"], "--seed must be >= 0, got -3"),
 ])
 def test_flag_breach_reads_the_template_before_any_file_is_read(tmp_path, capsys, argv, message):
     assert _cli_error(argv, tmp_path, capsys) == message
@@ -228,3 +256,23 @@ def protocols(draw):
 @given(cfg=protocols())
 def test_record_reads_back_what_to_file_writes(cfg):
     assert record(ProtocolConfig, json.loads(json.dumps(to_file(cfg))), "protocol file") == cfg
+
+
+def test_null_reads_as_the_omitted_key_where_the_default_is_none(tmp_path):
+    # a null is accepted exactly where the default is None: the record, and so the manifest hash, are those
+    # of the file that leaves the key out
+    base = json.loads((CONFIGS / "protocol_paper_point.json").read_text())
+    nulls = base | {"eta_override": None, "gate_pulse": base["gate_pulse"] | {"sigma_ns": None}}
+    assert record(ProtocolConfig, nulls, "protocol file") == record(ProtocolConfig, base, "protocol file")
+    hashes = []
+    for name, raw in (("omitted", base), ("null", nulls)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(raw))
+        out = tmp_path / name
+        assert main(["switch", "--device", str(CONFIGS / "device_paper.json"), "--protocol",
+                     str(tmp_path / f"{name}.json"), "--shots", "200", "--out", str(out)]) == 0
+        hashes.append(json.loads((out / "switch_report.json").read_text())["manifest"]["manifest_hash"])
+    assert hashes[0] == hashes[1]
+    with pytest.raises(Breach, match=r"^dark_flip must be a finite number, got None$"):
+        record(ProtocolConfig, base | {"dark_flip": None}, "protocol file")
+    with pytest.raises(Breach, match=r"^gate_pulse\.duration_ns must be a finite number, got None$"):
+        record(ProtocolConfig, base | {"gate_pulse": {"kind": "square", "duration_ns": None}}, "protocol file")

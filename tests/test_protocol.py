@@ -446,6 +446,26 @@ class TestFockLossKernel:
             np.testing.assert_array_max_ulp(loss[n], _binomial_loss_diag(n, s, d), maxulp=8)
         np.testing.assert_allclose(loss.sum(axis=1), np.ones(d), rtol=0, atol=1e-14)
 
+    @staticmethod
+    def _comb_rows(s, d, rows):
+        """Rows of the loss matrix with each C(n, m) from ``math.comb``, in the kernel's float operations."""
+        out = np.zeros((len(rows), d))
+        for i, n in enumerate(rows):
+            m = np.arange(n + 1)
+            comb = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+            out[i, : n + 1] = comb * s**m * (1.0 - s) ** (n - m)
+        return out
+
+    @pytest.mark.parametrize("d", [2, 8, 58, 200])
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.83, 1.0])
+    def test_binomial_loss_equals_the_math_comb_build_byte_for_byte(self, s, d):
+        assert _binomial_loss(s, d).tobytes() == self._comb_rows(s, d, range(d)).tobytes()
+
+    def test_binomial_loss_at_the_largest_cutoff_keeps_math_comb_rows(self):
+        # the whole math.comb build at d = 1030 takes seconds; its first, middle and last rows stand for it
+        rows = [0, 514, 1029]
+        assert _binomial_loss(0.83, 1030)[rows].tobytes() == self._comb_rows(0.83, 1030, rows).tobytes()
+
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.8278, 1.0])
     def test_intensity_kernel_is_squared_amplitude(self, s):
         # the binomial loss probabilities are |K|^2 of the loss Kraus amplitudes
