@@ -4,23 +4,17 @@ One shot: prepare the qubit in (|g>+|e>)/sqrt2, reflect the gate pulse off
 cavity I (conditional phase per photon), close the Ramsey loop with a second
 pi/2 of phase theta (plus an optional pi_ef), then transmit the signal window
 through cavity II with possible qubit jumps, and read out the transmitted
-photon number through the linear detection chain.
-
-The gate stage is one parity surrogate: an odd number of gate photons flips
-the qubit with probability eta, an even number with probability dark_flip.
-:func:`run_experiment` resolves eta once per run, from the pulse moments of
-:mod:`photon_transistor.cavity` unless overridden, and records it on its :class:`Shots`;
-the conditional gate field, a Bayesian photon-number posterior passed through one
-binomial-loss matrix of the per-photon survival, reads it there.  The survival reads
-the same memoised pulse moments, so a run integrates the gate pulse's spectrum once.
+photon number through the linear detection chain: the stages :func:`_gate`,
+:func:`_qubit` and :func:`_signal` of :func:`run_experiment`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -33,8 +27,8 @@ from .cavity import (
     shifted_frequency,
     transmission_coeff,
 )
-from .errors import InsufficientDataError, bounded, check, number, spec
-from .hilbert import DEFAULT_FOCK_CUTOFF, QuantumState
+from .errors import CutoffWarning, InsufficientDataError, bounded, check, number, spec
+from .hilbert import DEFAULT_FOCK_CUTOFF, TRACE_TOL, QuantumState
 from .qubit import exponential_time
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,16 +71,25 @@ class ProtocolConfig:
             raise ValueError("single_photon source needs n_g <= 1")
 
 
+class Run(NamedTuple):
+    """The scalars a run derives once, before its first draw (see :func:`_run`)."""
+
+    eta: float  # one-photon flip probability
+    survival: float  # cavity I's per-photon survival of the gate pulse
+    f_sig: float  # signal frequency, MHz
+    t2: np.ndarray  # cavity II's |t(f_sig, level)|^2 per level of QUBIT_LEVELS
+
+
 @dataclass(frozen=True, eq=False)
 class Shots:
-    """Outcomes of a batch of Monte Carlo trials: one numpy column per per-shot quantity, plus the run's eta.
+    """Outcomes of a batch of Monte Carlo trials: one numpy column per per-shot quantity, plus the run's record.
 
     Row i of every column belongs to shot i.  ``flip``: the gate flipped the
     qubit superposition; ``level``: qubit level ("g", "e" or "f") at the start
     of the signal window; ``jump_time``: time of the in-window qubit jump in us,
     NaN when there is none; ``true_photons``: transmitted signal photons;
-    ``reading``: detected reading; ``on``: the on/off label (True = on), None
-    until :func:`label_records` has run; ``eta``: the one-photon flip probability the flips were drawn with.
+    ``reading``: detected reading; ``run``: the :class:`Run` the shots were drawn
+    with; ``on``: the on/off label (True = on), None until :func:`label_records` has run.
     """
 
     flip: np.ndarray
@@ -94,7 +97,7 @@ class Shots:
     jump_time: np.ndarray
     true_photons: np.ndarray
     reading: np.ndarray
-    eta: float
+    run: Run
     on: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -102,22 +105,7 @@ class Shots:
 
 
 # ---------------------------------------------------------------------------
-# gate stage
-
-
-def _binomial_loss(s: float, d: int) -> np.ndarray:
-    """Binomial loss matrix [n, m] = C(n, m) s^m (1 - s)^(n - m): n photons in, m survive.
-
-    Each photon survives independently with probability s, so row n is the
-    binomial distribution of the survivors (entries m > n are zero).  C(n, m) comes from Pascal's rule
-    on exact integers, each rounded once to a double, as ``float(math.comb(n, m))`` is.
-    """
-    comb, row = np.zeros((d, d)), [1]
-    for n in range(d):
-        comb[n, : n + 1], row = row, [1, *map(operator.add, row, row[1:]), 1]
-    m, n = np.triu_indices(d)
-    comb[n, m] = comb[n, m] * s**m * (1.0 - s) ** (n - m)
-    return comb
+# shot engine: the run's record, then the gate, qubit and signal stages
 
 
 def coherent_flip_probability(n_g: float, eta: float, dark_flip: float = 0.0) -> float:
@@ -134,72 +122,71 @@ def coherent_flip_probability(n_g: float, eta: float, dark_flip: float = 0.0) ->
     return eta * odd + dark_flip * (1.0 - odd)
 
 
-# ---------------------------------------------------------------------------
-# shot sampling
-
-
-def _signal_frequency(cfg: ProtocolConfig, device: "DeviceParams") -> float:
-    c = device.cavity_II
-    if cfg.signal_detuning_target == "resonant_with_e":
-        return shifted_frequency(c, "e")
-    if cfg.signal_detuning_target == "resonant_with_f":
-        return shifted_frequency(c, "f")
-    return c.f0 + device.semiclassical.bare_offset
-
-
 def _flip_probability(photons, eta: float, dark_flip: float):
     """Parity model per shot: odd photon numbers flip with prob eta, even with dark_flip."""
     return np.where(photons % 2 == 1, eta, dark_flip)
 
 
-def run_experiment(cfg: ProtocolConfig, device: "DeviceParams") -> Shots:
-    """n_shots independent trials of the full sequence, drawn as columns.
-
-    One ``default_rng(cfg.seed)`` stream supplies, in this order, an array of
-    n_shots each of gate photon numbers, flip uniforms, level uniforms, jump
-    uniforms and detector noise, so the outcome depends only on the seed.  The flips are
-    drawn with, and the shots carry, eta = ``cfg.eta_override`` or else cavity I's gating efficiency.
-    """
-    n = cfg.n_shots
-    rng = np.random.default_rng(cfg.seed)
+def _run(cfg: ProtocolConfig, device: "DeviceParams") -> Run:
+    """The run's record: eta is ``cfg.eta_override`` or else cavity I's gating efficiency.  The
+    survival, needed under an override too, reads the same memoised pulse moments as eta, so a
+    run integrates the gate pulse's spectrum once."""
+    c = device.cavity_II
+    if cfg.signal_detuning_target == "bare":
+        f_sig = c.f0 + device.semiclassical.bare_offset
+    else:
+        f_sig = shifted_frequency(c, cfg.signal_detuning_target.removeprefix("resonant_with_"))
     eta = cfg.eta_override if cfg.eta_override is not None else gating_efficiency(device.cavity_I, cfg.gate_pulse)
+    t2 = np.array([abs(transmission_coeff(c, f_sig, lev)) ** 2 for lev in QUBIT_LEVELS])
+    return Run(eta, pulse_survival(device.cavity_I, cfg.gate_pulse), f_sig, t2)
 
+
+def _gate(cfg: ProtocolConfig, run: Run, rng: np.random.Generator) -> np.ndarray:
+    """Gate stage: draws the gate photon numbers, then the flip uniforms; returns the flips.  One
+    parity surrogate: an odd photon number flips with ``run.eta``, an even one with ``cfg.dark_flip``."""
+    n = cfg.n_shots
     if cfg.gate_source == "single_photon":
         photons = (rng.random(n) < cfg.n_g).astype(np.int64)
     else:
         photons = rng.poisson(cfg.n_g, n)
-    flip = rng.random(n) < _flip_probability(photons, eta, cfg.dark_flip)
+    return rng.random(n) < _flip_probability(photons, run.eta, cfg.dark_flip)
 
-    # second pi/2 with phase theta closes the Ramsey loop; the gate photon's
-    # conditional pi phase swaps the interference port
+
+def _qubit(cfg: ProtocolConfig, device: "DeviceParams", flip: np.ndarray, rng: np.random.Generator):
+    """Qubit stage: draws the level uniforms, then the jump uniforms; returns (level, dest, jump_time).
+
+    The second pi/2 with phase theta closes the Ramsey loop, and the gate photon's conditional
+    pi phase swaps the interference port.  The jump goes g -> e (thermal), e -> g and f -> e
+    (relaxation), each plus the signal-induced flip rate.  ``level`` and ``dest`` index
+    ``QUBIT_LEVELS``; ``jump_time`` is NaN where the jump falls past the window."""
     p_ground = np.where(flip, math.cos(cfg.theta / 2.0) ** 2, math.sin(cfg.theta / 2.0) ** 2)
     excited = 2 if cfg.subspace == "gf" else 1
-    level = np.where(rng.random(n) < p_ground, 0, excited)  # index into QUBIT_LEVELS
-
-    # in-window jump: g -> e (thermal), e -> g and f -> e (relaxation), each
-    # plus the signal-induced flip rate
+    level = np.where(rng.random(cfg.n_shots) < p_ground, 0, excited)
     rates = device.qubit_rates
     extra = cfg.signal_flip_rate_per_photon * cfg.n_s
     rate = np.array(
         [rates.thermal_excitation_rate, 1.0 / rates.T1_ge, 1.0 / rates.T1_ef]
     )[level] + extra
-    dest = np.array([1, 0, 1])[level]
     t_jump = exponential_time(rate, rng)
-    jumped = t_jump < cfg.signal_duration
+    return level, np.array([1, 0, 1])[level], np.where(t_jump < cfg.signal_duration, t_jump, np.nan)
 
-    f_sig = _signal_frequency(cfg, device)
-    t2 = np.array([abs(transmission_coeff(device.cavity_II, f_sig, lev)) ** 2 for lev in QUBIT_LEVELS])
-    frac = np.where(jumped, t_jump / cfg.signal_duration, 1.0)
-    true_tx = cfg.n_s * (frac * t2[level] + (1.0 - frac) * t2[dest])
 
-    return Shots(
-        flip=flip,
-        level=np.array(QUBIT_LEVELS)[level],
-        jump_time=np.where(jumped, t_jump, np.nan),
-        true_photons=true_tx,
-        reading=measurement.detect(true_tx, device.detection, rng),
-        eta=eta,
-    )
+def _signal(cfg: ProtocolConfig, device: "DeviceParams", run: Run, level, dest, jump_time, rng):
+    """Signal stage: n_s |t|^2 of ``level`` up to the jump and of ``dest`` after it, then one
+    detector normal per shot; returns (true_photons, reading)."""
+    frac = np.where(np.isnan(jump_time), 1.0, jump_time / cfg.signal_duration)
+    true_tx = cfg.n_s * (frac * run.t2[level] + (1.0 - frac) * run.t2[dest])
+    return true_tx, measurement.detect(true_tx, device.detection, rng)
+
+
+def run_experiment(cfg: ProtocolConfig, device: "DeviceParams") -> Shots:
+    """n_shots trials as columns, the three stages drawing in turn from one ``default_rng(cfg.seed)``."""
+    rng = np.random.default_rng(cfg.seed)
+    run = _run(cfg, device)
+    flip = _gate(cfg, run, rng)
+    level, dest, jump_time = _qubit(cfg, device, flip, rng)
+    true_photons, reading = _signal(cfg, device, run, level, dest, jump_time, rng)
+    return Shots(flip, np.array(QUBIT_LEVELS)[level], jump_time, true_photons, reading, run)
 
 
 def label_records(shots: Shots, threshold: float | None = None):
@@ -218,12 +205,26 @@ def label_records(shots: Shots, threshold: float | None = None):
 # conditional gate-field reconstruction
 
 
+def _binomial_loss(s: float, d: int) -> np.ndarray:
+    """Binomial loss matrix [n, m] = C(n, m) s^m (1 - s)^(n - m): n photons in, m survive.
+
+    Each photon survives independently with probability s, so row n is the
+    binomial distribution of the survivors (entries m > n are zero).  C(n, m) comes from Pascal's rule
+    on exact integers, each rounded once to a double, as ``float(math.comb(n, m))`` is.
+    """
+    comb, row = np.zeros((d, d)), [1]
+    for n in range(d):
+        comb[n, : n + 1], row = row, [1, *map(operator.add, row, row[1:]), 1]
+    m, n = np.triu_indices(d)
+    comb[n, m] = comb[n, m] * s**m * (1.0 - s) ** (n - m)
+    return comb
+
+
 def _photon_prior(cfg: ProtocolConfig, n_max: int) -> np.ndarray:
     prior = np.zeros(n_max)
     if cfg.gate_source == "single_photon":
         prior[0] = 1.0 - cfg.n_g
-        if n_max > 1:
-            prior[1] = cfg.n_g
+        prior[1] = cfg.n_g
         return prior
     if cfg.n_g == 0.0:
         prior[0] = 1.0
@@ -242,9 +243,11 @@ def conditional_gate_field(
     """Reflected gate-field state conditioned on the transistor label.
 
     Bayesian mixture over the source photon-number distribution: the label
-    likelihood P(label | n) combines the parity flip model at the run's ``shots.eta`` with the
+    likelihood P(label | n) combines the parity flip model at the run's ``shots.run.eta`` with the
     empirical per-branch label rates P(label | flip) estimated from the shots, and the
-    per-Fock reflected states carry the pulse-averaged reflection loss.
+    per-Fock reflected states carry the run's pulse-averaged survival ``shots.run.survival``.
+    ``device`` is unused: the run's record carries what the field reads from it.  Warns
+    (CutoffWarning) when the prior's weight beyond ``cfg.fock_cutoff`` exceeds TRACE_TOL.
     """
     if condition not in (measurement.ON, measurement.OFF):
         raise ValueError("condition must be 'on' or 'off'")
@@ -263,7 +266,11 @@ def conditional_gate_field(
 
     d = cfg.fock_cutoff
     prior = _photon_prior(cfg, d)
-    q = _flip_probability(np.arange(d), shots.eta, cfg.dark_flip)
+    dropped = 1.0 - float(prior.sum())
+    if dropped > TRACE_TOL:
+        warnings.warn(f"fock_cutoff {d} drops Poisson weight {dropped:.3g} of n_g = {cfg.n_g:.3g}",
+                      CutoffWarning, stacklevel=2)
+    q = _flip_probability(np.arange(d), shots.run.eta, cfg.dark_flip)
     likelihood = q * p_cond_flip + (1.0 - q) * p_cond_noflip
     post = prior * likelihood
     total = post.sum()
@@ -271,10 +278,9 @@ def conditional_gate_field(
         raise InsufficientDataError("condition has zero posterior probability")
     post /= total
 
-    s = pulse_survival(device.cavity_I, cfg.gate_pulse)
     # binomial loss P(m | n), stored [n, m] so that the posterior mix adds its
     # rows one by one in order of n, as a running sum would
-    loss = _binomial_loss(s, d)
+    loss = _binomial_loss(shots.run.survival, d)
     diag = (post[:, None] * loss).sum(axis=0)
     rho = np.diag(diag.astype(complex))
     return QuantumState((d,), rho / np.trace(rho))

@@ -35,6 +35,7 @@ from photon_transistor.cli import (
 from photon_transistor.errors import InsufficientDataError
 from photon_transistor.protocol import (
     ProtocolConfig,
+    Run,
     Shots,
     conditional_gate_field,
     label_records,
@@ -214,7 +215,7 @@ class TestColumnFormatter:
             jump_time=jump_time,
             true_photons=with_specials(rng, rng.poisson(20.0, n).astype(float)),
             reading=with_specials(rng, rng.normal(2.0, 4.0, n)),
-            eta=0.8,
+            run=Run(eta=0.8, survival=0.83, f_sig=7000.0, t2=np.array([0.005, 0.75, 0.005])),
             on=rng.random(n) < 0.5,
         )
         assert lines(written(_shot_lines("gated", shots))) == lines(oracle_shot_lines("gated", shots))
@@ -583,7 +584,7 @@ def test_bins_over_the_grid_budget_exits_2_before_any_work(tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize("command, flags, moment_calls", [
-    # eta once per run (gated and ungated), the survival once per conditional field (on and off)
+    # eta and the survival once per run: gated and ungated for switch, one run for wigner
     ("switch", ["--bins", "20"], 4),
     ("wigner", ["--condition", "off", "--points", "5"], 2),
 ])
@@ -739,6 +740,7 @@ class TestWigner:
                 writer.writerow([f"{x:.12g}", f"{p:.12g}", w_text(w[j, i])])
         assert (out / "wigner_on.csv").read_bytes() == buf.getvalue().encode("utf-8")
 
+    @pytest.mark.filterwarnings("ignore::photon_transistor.errors.CutoffWarning")  # n_g near 1 truncates the prior
     @given(n_g=st.floats(0.05, 1.0), theta=st.sampled_from([0.0, math.pi]),
            condition=st.sampled_from(["on", "off"]), seed=st.integers(1, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -825,6 +827,23 @@ class TestWigner:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: W is not finite")
         assert not out.exists()
+
+    @pytest.mark.parametrize("n_g, stderr", [
+        (0.18, r"\A\Z"),  # the paper point's prior loses about 2.3e-11 at the cutoff of 8: nothing is written
+        (5.0, r"CutoffWarning: fock_cutoff 8 drops Poisson weight 0\.133 of n_g = 5\n"),
+    ])
+    def test_gate_field_cutoff_warning_on_stderr_keeps_exit_0(self, tmp_path, n_g, stderr):
+        # a fresh interpreter shows the warning on stderr, where the test's own capture would hide it
+        proto = json.loads((CONFIGS / "protocol_paper_point.json").read_text())
+        proto["n_g"] = n_g
+        proto_path = tmp_path / "protocol.json"
+        proto_path.write_text(json.dumps(proto))
+        argv = ["wigner", "--device", str(CONFIGS / "device_paper.json"), "--protocol", str(proto_path),
+                "--condition", "off", "--points", "5", "--shots", "2000", "--out", str(tmp_path / "out")]
+        proc = subprocess.run([sys.executable, "-m", "photon_transistor.cli", *argv],
+                              env=package_env(), capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert re.search(stderr, proc.stderr), proc.stderr
 
     def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "out"

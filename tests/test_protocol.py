@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -8,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from photon_transistor.cavity import (
+    QUBIT_LEVELS,
     CavityParams,
+    PulseShape,
     gating_efficiency,
+    pulse_survival,
     shifted_frequency,
     transmission_coeff,
 )
 from photon_transistor.device import DeviceParams, paper_defaults
-from photon_transistor.errors import InsufficientDataError
+from photon_transistor.errors import CutoffWarning, InsufficientDataError, NumericsError
 from photon_transistor.hilbert import QuantumState, mean_photon
-from photon_transistor.measurement import DetectionModel, kmeans_1d
+from photon_transistor.measurement import DetectionModel, detect, kmeans_1d
 from photon_transistor import protocol
 from photon_transistor.protocol import (
     ProtocolConfig,
@@ -26,7 +30,7 @@ from photon_transistor.protocol import (
     label_records,
     run_experiment,
 )
-from photon_transistor.qubit import QubitRates
+from photon_transistor.qubit import QubitRates, exponential_time
 
 def matched_cavity_one():
     """Lossless single-sided cavity at the exact kappa_ext = 2|chi| point."""
@@ -259,6 +263,115 @@ class TestRunExperiment:
         assert jumps_strong / 3000 > 0.1
 
 
+# Reference path: the one-function shot engine that the run record and the three stage functions replaced.
+
+
+def oracle_signal_frequency(cfg, device):
+    c = device.cavity_II
+    if cfg.signal_detuning_target == "resonant_with_e":
+        return shifted_frequency(c, "e")
+    if cfg.signal_detuning_target == "resonant_with_f":
+        return shifted_frequency(c, "f")
+    return c.f0 + device.semiclassical.bare_offset
+
+
+def oracle_run_experiment(cfg, device):
+    """The columns of a run and the eta its flips were drawn with, as (columns, eta)."""
+    n = cfg.n_shots
+    rng = np.random.default_rng(cfg.seed)
+    eta = cfg.eta_override if cfg.eta_override is not None else gating_efficiency(device.cavity_I, cfg.gate_pulse)
+
+    if cfg.gate_source == "single_photon":
+        photons = (rng.random(n) < cfg.n_g).astype(np.int64)
+    else:
+        photons = rng.poisson(cfg.n_g, n)
+    flip = rng.random(n) < np.where(photons % 2 == 1, eta, cfg.dark_flip)
+
+    p_ground = np.where(flip, math.cos(cfg.theta / 2.0) ** 2, math.sin(cfg.theta / 2.0) ** 2)
+    excited = 2 if cfg.subspace == "gf" else 1
+    level = np.where(rng.random(n) < p_ground, 0, excited)
+
+    rates = device.qubit_rates
+    extra = cfg.signal_flip_rate_per_photon * cfg.n_s
+    rate = np.array(
+        [rates.thermal_excitation_rate, 1.0 / rates.T1_ge, 1.0 / rates.T1_ef]
+    )[level] + extra
+    dest = np.array([1, 0, 1])[level]
+    t_jump = exponential_time(rate, rng)
+    jumped = t_jump < cfg.signal_duration
+
+    f_sig = oracle_signal_frequency(cfg, device)
+    t2 = np.array([abs(transmission_coeff(device.cavity_II, f_sig, lev)) ** 2 for lev in QUBIT_LEVELS])
+    frac = np.where(jumped, t_jump / cfg.signal_duration, 1.0)
+    true_tx = cfg.n_s * (frac * t2[level] + (1.0 - frac) * t2[dest])
+
+    columns = dict(
+        flip=flip,
+        level=np.array(QUBIT_LEVELS)[level],
+        jump_time=np.where(jumped, t_jump, np.nan),
+        true_photons=true_tx,
+        reading=detect(true_tx, device.detection, rng),
+    )
+    return columns, eta
+
+
+@hst.composite
+def engine_runs(draw):
+    """A protocol and a device over every branch of the engine: both sources and subspaces, all
+    three signal targets, an optional eta override, a thermal rate, a signal-induced rate and noise."""
+    source = draw(hst.sampled_from(protocol.GATE_SOURCES))
+    cfg = ProtocolConfig(
+        theta=draw(hst.floats(-2 * math.pi, 2 * math.pi)),
+        subspace=draw(hst.sampled_from(["ge", "gf"])),
+        n_g=draw(hst.floats(0.0, 1.0 if source == "single_photon" else 4.0)),
+        n_s=draw(hst.floats(0.0, 1e4)),
+        signal_duration=draw(hst.floats(0.1, 50.0)),
+        signal_detuning_target=draw(hst.sampled_from(protocol.SIGNAL_TARGETS)),
+        eta_override=draw(hst.none() | hst.floats(0.0, 1.0)),
+        dark_flip=draw(hst.floats(0.0, 1.0)),
+        n_shots=draw(hst.integers(1, 400)),
+        seed=draw(hst.integers(0, 2**32 - 1)),
+        gate_source=source,
+        signal_flip_rate_per_photon=draw(hst.floats(1e-9, 1e-3)),
+    )
+    t1_ge, t1_ef = draw(hst.floats(1.0, 100.0)), draw(hst.floats(1.0, 100.0))
+    rates = QubitRates(T1_ge=t1_ge, T1_ef=t1_ef, T2_ge=t1_ge, T2_gf=t1_ef,
+                       thermal_excitation_rate=draw(hst.floats(1e-4, 0.5)))
+    detection = DetectionModel(efficiency=draw(hst.floats(0.01, 1.0)),
+                               added_noise_photons=draw(hst.floats(0.0, 10.0)),
+                               baseline_sigma=draw(hst.floats(0.0, 5.0)))
+    return cfg, replace(paper_defaults(), qubit_rates=rates, detection=detection)
+
+
+class TestStagesMatchTheOneFunctionEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(run=engine_runs())
+    def test_columns_bit_equal_to_the_oracle(self, run):
+        cfg, dev = run
+        shots = run_experiment(cfg, dev)
+        columns, eta = oracle_run_experiment(cfg, dev)
+        for name, column in columns.items():
+            # bit-equal values, and NaN in jump_time at the same rows
+            np.testing.assert_array_equal(getattr(shots, name), column, err_msg=name, strict=True)
+        assert shots.run.eta == eta
+
+    def test_run_record_holds_the_derived_scalars(self):
+        dev = paper_defaults()
+        cfg = ProtocolConfig(signal_detuning_target="resonant_with_f", n_shots=10)
+        run = run_experiment(cfg, dev).run
+        assert run.eta == gating_efficiency(dev.cavity_I, cfg.gate_pulse)
+        assert run.survival == pulse_survival(dev.cavity_I, cfg.gate_pulse)
+        assert run.f_sig == shifted_frequency(dev.cavity_II, "f")
+        assert run.t2.tolist() == [abs(transmission_coeff(dev.cavity_II, run.f_sig, lev)) ** 2 for lev in QUBIT_LEVELS]
+
+    def test_unresolvable_pulse_fails_in_the_run_under_an_override(self):
+        # the record reads the survival under an override too, so a pulse beyond the moment
+        # rule's budget stops the run before any shot is drawn
+        cfg = ProtocolConfig(eta_override=0.8, gate_pulse=PulseShape("gaussian", 960.0, sigma=0.0037))
+        with pytest.raises(NumericsError, match=r"over the budget of 2\*\*20"):
+            run_experiment(cfg, paper_defaults())
+
+
 class TestOneGateModel:
     """eta from the pulse moments is the one-photon flip probability the engine draws."""
 
@@ -267,7 +380,7 @@ class TestOneGateModel:
         cfg = ProtocolConfig(gate_source="single_photon", n_g=1.0, n_shots=40_000, seed=5)
         eta = gating_efficiency(dev.cavity_I, cfg.gate_pulse)
         shots = run_experiment(cfg, dev)
-        assert shots.eta == eta
+        assert shots.run.eta == eta
         frac = np.mean(shots.flip)
         sigma = math.sqrt(eta * (1 - eta) / cfg.n_shots)
         assert abs(frac - eta) < 4 * sigma
@@ -277,23 +390,26 @@ class TestOneGateModel:
         cfg = ProtocolConfig(gate_source="single_photon", n_g=1.0, eta_override=0.3, n_shots=40_000, seed=5)
         with mock.patch.object(protocol, "gating_efficiency", side_effect=AssertionError("eta was computed")):
             shots = run_experiment(cfg, dev)
-        assert shots.eta == 0.3
+        assert shots.run.eta == 0.3
         sigma = math.sqrt(0.3 * 0.7 / cfg.n_shots)
         assert abs(np.mean(shots.flip) - 0.3) < 4 * sigma
 
+    @pytest.mark.filterwarnings("ignore::photon_transistor.errors.CutoffWarning")  # n_g = 0.5 drops 6e-8 at cutoff 8
     @pytest.mark.parametrize("eta_override", [None, 0.5])
     def test_conditional_gate_field_takes_the_runs_eta(self, eta_override):
-        # the field's flip likelihood is the eta the shots were drawn with, whatever the cfg it is handed says
+        # the field's flip likelihood and loss are the run's eta and survival, whatever the cfg and
+        # device it is handed say: it computes neither
         dev = paper_defaults()
         cfg = ProtocolConfig(n_g=0.5, eta_override=eta_override, n_shots=2000, seed=8)
         shots, _, _ = label_records(run_experiment(cfg, dev))
         other = replace(cfg, eta_override=0.9)
-        with mock.patch.object(protocol, "gating_efficiency", wraps=gating_efficiency) as etas:
+        with mock.patch.object(protocol, "gating_efficiency", side_effect=AssertionError("eta was computed")), \
+                mock.patch.object(protocol, "pulse_survival", side_effect=AssertionError("survival was computed")):
             states = [conditional_gate_field(shots, "off", c, dev) for c in (cfg, other)]
-        assert etas.call_count == 0
         np.testing.assert_array_equal(states[0].rho, states[1].rho)
-        moved = conditional_gate_field(replace(shots, eta=0.9), "off", cfg, dev)
-        assert not np.array_equal(moved.rho, states[0].rho)
+        for moved_run in (shots.run._replace(eta=0.9), shots.run._replace(survival=0.5)):
+            moved = conditional_gate_field(replace(shots, run=moved_run), "off", cfg, dev)
+            assert not np.array_equal(moved.rho, states[0].rho)
 
 
 class TestConditionalGateField:
@@ -340,6 +456,27 @@ class TestConditionalGateField:
         labeled = replace(recs, on=np.ones(len(recs), dtype=bool))
         with pytest.raises(InsufficientDataError):
             conditional_gate_field(labeled, "off", cfg, dev)
+
+
+class TestGateFieldCutoff:
+    """The field truncates the photon prior at fock_cutoff and warns, as coherent_state does, past TRACE_TOL."""
+
+    def test_large_gate_photon_number_warns(self):
+        dev = paper_defaults()
+        cfg = ProtocolConfig(n_g=5.0, n_shots=2000, seed=3)
+        shots, _, _ = label_records(run_experiment(cfg, dev))
+        with pytest.warns(CutoffWarning, match=r"^fock_cutoff 8 drops Poisson weight 0\.133 of n_g = 5$"):
+            conditional_gate_field(shots, "off", cfg, dev)
+
+    def test_paper_point_is_silent(self):
+        # n_g = 0.18 leaves about 2.3e-11 of the prior beyond a cutoff of 8
+        dev = paper_defaults()
+        cfg = ProtocolConfig(n_shots=2000, seed=3)
+        shots, _, _ = label_records(run_experiment(cfg, dev))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CutoffWarning)
+            for condition in ("on", "off"):
+                conditional_gate_field(shots, condition, cfg, dev)
 
 
 class TestConfigValidation:
@@ -391,7 +528,7 @@ def loop_conditional_gate_field(shots, condition, cfg, device):
 
     d = cfg.fock_cutoff
     prior = protocol._photon_prior(cfg, d)
-    q = np.where(np.arange(d) % 2 == 1, shots.eta, cfg.dark_flip)
+    q = np.where(np.arange(d) % 2 == 1, shots.run.eta, cfg.dark_flip)
     post = prior * (q * p_cond_flip + (1.0 - q) * p_cond_noflip)
     total = post.sum()
     if total <= 0:
@@ -408,6 +545,7 @@ def loop_conditional_gate_field(shots, condition, cfg, device):
 
 
 class TestFockLossKernel:
+    @pytest.mark.filterwarnings("ignore::photon_transistor.errors.CutoffWarning")  # small cutoffs truncate the prior
     @settings(max_examples=40, deadline=None)
     @given(
         source=hst.sampled_from(["coherent", "single_photon"]),
