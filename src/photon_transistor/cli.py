@@ -7,12 +7,11 @@ Equal hashes give equal bytes (JSON timestamps and file paths aside); across ver
 CSV values agree at their printed precision, bar values within an ulp of a rounding
 boundary.  The writer owns that precision: ``%.12g``, and ``%.11f`` for the Wigner W.
 
-Every CSV is written by one record assembler, in chunks of rows: a chunk is a numpy
-structured array of zero-padded fixed-width byte fields, the separators among them, and
-its text is its bytes with every NUL dropped.  ``%.12g`` of the high-cardinality columns
-and ``%d`` of the shot index come from a vectorised kernel exact to the byte, which hands
-the values it cannot settle (near a rounding tie, out of its range, not finite) to ``%``;
-the columns whose values repeat format each distinct value once with ``%``.
+Every CSV is written by one byte-plane assembler: row k of a column's planes holds byte k of
+each text.  Rows are formatted in blocks of 16320, each column once per block (a column whose
+values repeat, each distinct value once), and emitted in slices of 2040 rows, the bytes of a
+slice's transpose with every NUL dropped.  ``%.12g`` and ``%d`` come from a vectorised kernel exact
+to the byte, which hands the values it cannot settle (near a tie, out of range, not finite) to ``%``.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric or degenerate-data error.
 """
@@ -32,32 +31,14 @@ import numpy as np
 
 from . import analysis, device as device_mod, measurement, protocol, semiclassical
 from .cavity import spectrum
-from .errors import (
-    Breach,
-    DegenerateDataError,
-    InsufficientDataError,
-    NumericsError,
-    UnphysicalInputError,
-    UnsolvableCalibrationError,
-    bounded,
-    fields,
-    file_keys,
-    number,
-    read_json,
-    record,
-    table,
-    to_file,
-)
+from .errors import (Breach, DegenerateDataError, InsufficientDataError, NumericsError, UnphysicalInputError,
+                     UnsolvableCalibrationError, bounded, fields, file_keys, number, read_json, record, table, to_file)
 from .hilbert import mean_photon
 
 _CONFIG_ERRORS = (ValueError, TypeError, KeyError, FileNotFoundError, IsADirectoryError)
-_NUMERIC_ERRORS = (
-    NumericsError,
-    DegenerateDataError,
-    InsufficientDataError,
-    UnsolvableCalibrationError,
-    UnphysicalInputError,
-)
+_NUMERIC_ERRORS = (NumericsError, DegenerateDataError, InsufficientDataError, UnsolvableCalibrationError,
+                   UnphysicalInputError)
+
 
 def _artifacts(args, names: list[str], digest: str,
                cfg: protocol.ProtocolConfig | None = None) -> tuple[list[Path], dict]:
@@ -108,30 +89,23 @@ def _write_json(path: Path, manifest: dict, body: dict) -> None:
     path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
-#: rows per chunk: a chunk's fields are formatted whole and laid into one record array, so
-#: memory stays flat in the row count
-_CHUNK_ROWS = 2048
+#: rows per block, each column formatted at once (a 1e4-shot arm is one block), and per slice emitted at once, 8 to
+#: a block, so that a slice's planes stay in cache while they are transposed.  Neither is a power of two: planes
+#: 2**k bytes apart share a few cache sets, which halves the transpose's speed
+_BLOCK_ROWS, _EMIT_ROWS = 16320, 2040
 
 #: the most cells a grid may have: 2**22 ``--points`` of a 1-D grid or ``--bins``, 2048**2 of the Wigner map
 _GRID_BUDGET = 2**22
 
 
-def _formatted(values, fmt: str) -> list[str]:
-    """The ``fmt`` strings of an array's values, from one ``%`` over all of them (faster than one per value)."""
-    return ((fmt + "\0") * len(values) % tuple(values.tolist())).split("\0")[:-1]
+def _planes(text: np.ndarray) -> np.ndarray:
+    """The byte planes of an ASCII ``U`` array: row k holds character k of every text, NUL past its end."""
+    return np.ascontiguousarray(text.view(np.uint32).reshape(len(text), text.itemsize // 4).T, dtype=np.uint8)
 
 
-def _text(values, fmt: str = "%.12g", nan: str | None = None) -> np.ndarray:
-    """The ``fmt`` texts of a float array as an ``S`` array, a NaN's text replaced by ``nan`` if it is given.
-
-    Each distinct value is formatted once, for the columns whose values repeat.  Values are
-    told apart by their bits, not by float equality, which would merge -0.0 into 0.0."""
-    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.uint64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    text = np.array(_formatted(distinct, fmt), dtype=object)
-    if nan is not None:
-        text[np.isnan(distinct)] = nan
-    return text.astype("S")[inverse.ravel()]
+def _formatted(values, fmt: str) -> np.ndarray:
+    """The planes of the ``fmt`` texts of an array's values, from one ``%`` over them all (faster than one by one)."""
+    return _planes(np.array(((fmt + "\0") * len(values) % tuple(values.tolist())).split("\0")[:-1]))
 
 
 #: the ASCII digits of 000 to 999: row c holds digit c of each, so the table is 3 KB
@@ -145,89 +119,116 @@ _SLOT = np.arange(12, dtype=np.int8)[:, None]
 def _digits(v, groups: int) -> np.ndarray:
     """The ASCII digits of integers 0 <= v < 1000**groups, zero-filled: row k holds digit k of
     every value (the most significant first), so that each row is one contiguous array."""
-    index = np.empty((groups, len(v)), dtype=np.intp)
-    for j in range(groups - 1, -1, -1):
-        v, index[j] = np.divmod(v, 1000)
     out = np.empty((groups, 3, len(v)), dtype=np.uint8)
-    for c in range(3):
-        np.take(_DIGITS[c], index, out=out[:, c])
+    for j in range(groups - 1, -1, -1):
+        v, group = np.divmod(v, 1000)
+        np.take(_DIGITS, group, axis=1, out=out[j])
     return out.reshape(3 * groups, len(v))
 
 
 def _d(values) -> np.ndarray:
-    """``'%d' % v`` of each v of an array of non-negative integers, as zero-padded ``S``
-    records: the text is a record with its NUL bytes dropped."""
+    """The byte planes of ``'%d' % v`` of each v of an array of non-negative integers, right-aligned:
+    a value's planes left of its first digit are NUL."""
     v = np.asarray(values, dtype=np.int64)
     digits = _digits(v, (len(str(int(v.max()))) + 2) // 3)
     lead = np.ones(len(v), dtype=bool)
     for row in digits[:-1]:  # the zeros left of a value's first digit; its last digit stays
         lead &= row == 48
         row *= ~lead
-    return digits.T.copy().view(f"S{len(digits)}").ravel()
+    return digits
 
 
-def _g12(values) -> np.ndarray:
-    """``'%.12g' % v`` of each v of a float array, as zero-padded ``S`` records: the text is a
-    record with its NUL bytes dropped.
+def _g12(values, out: np.ndarray | None = None) -> np.ndarray:
+    """The 30 byte planes of ``'%.12g' % v`` of each v of a float array, written into ``out`` if given.
 
     A finite |v| in [1e-4, 1e10) with decimal exponent E prints in fixed point, from the 12
     digits of r = rint(y), y = |v|·10^(11−E) in [1e11, 1e12).  E comes from log10 and is then
     corrected by y's range, so the bits of log10 never matter.  10^(11−E) is exact, so y is off
     by under 2^-13 and r is the correctly rounded digit string unless y lies within 1e-3 of a
     tie.  Those rows, an r that reaches 1e12, zeros, NaNs, infinities and every value out of
-    range are formatted by ``%``, whose dtoa rounds correctly.  A record holds the sign, "0"
+    range are formatted by ``%``, whose dtoa rounds correctly.  The planes hold the sign, "0"
     if E < 0, the digits up to E, the point, the zeros after it if E < 0, and the digits after
     E up to the last nonzero one; a slot left empty is NUL."""
     x = np.asarray(values, dtype=float)
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e10)
     a[~fast] = 1.0
-    e = np.floor(np.log10(a)).astype(np.int64)
+    e = np.floor(np.log10(a)).astype(np.int8)
     y = a * _POW10[11 - e]
     if ((y < 1e11) | (y >= 1e12)).any():
-        e += (y >= 1e12).astype(np.int64) - (y < 1e11)
+        e += (y >= 1e12).astype(np.int8) - (y < 1e11)
         y = a * _POW10[11 - e]
     r = np.rint(y)
     fast &= (np.abs(y - r) < 0.499) & (y >= 1e11) & (r < 1e12)  # |frac(y) - 1/2| > 1e-3
     r[~fast] = 1e11
+    del a, y  # the digits' temporaries are the kernel's largest
     digits = _digits(r.astype(np.int64), 4)
-    e = e.astype(np.int8)
     kept = np.max((_SLOT + 1) * (digits != 48), axis=0)  # digits up to the last nonzero one
-    whole = _SLOT <= e
-    # one row per byte of the records, laid out whole and then transposed
-    out = np.empty((30, len(x)), dtype=np.uint8)
+    out = np.empty((30, len(x)), dtype=np.uint8) if out is None else out
     np.multiply(x < 0, 45, out=out[0], dtype=np.uint8)  # "-"
     np.multiply(e < 0, 48, out=out[1], dtype=np.uint8)
-    np.multiply(digits, whole, out=out[2:14])
+    np.multiply(digits, _SLOT <= e, out=out[2:14])
     np.multiply(kept > e + 1, 46, out=out[14], dtype=np.uint8)  # the point, unless no digit after it is kept
     np.multiply(_SLOT[:3] < -1 - e, 48, out=out[15:18], dtype=np.uint8)
-    np.multiply(digits, ~whole & (_SLOT < kept), out=out[18:])
-    text = out.T.copy().view("S30").ravel()
-    if not fast.all():
-        text[~fast] = _formatted(x[~fast], "%.12g")
-    return text
+    np.subtract(digits, out[2:14], out=out[18:])  # the digits after E ...
+    np.multiply(out[18:], _SLOT < kept, out=out[18:])  # ... up to the last nonzero one
+    if not fast.all():  # right-aligned, so that a column's few slow texts add few planes to it
+        slow = _formatted(x[~fast], "%30.12g")
+        out[:, ~fast] = np.where(slow == 32, 0, slow)
+    return out
+
+
+def _lookup(table: np.ndarray, index=None):
+    """The column whose rows are the columns ``index(rows)`` of the plane table ``table``, by default its own."""
+    return lambda rows: (len(table), lambda out: np.copyto(out, table[:, rows]) if index is None
+                         else np.take(table, index(rows), axis=1, out=out, mode="clip"))
+
+
+def _numbers(values):
+    """The column of the ``%.12g`` texts of a float array, written by :func:`_g12` into its slot of each block."""
+    return lambda rows: (30, lambda out: _g12(values[rows], out))
+
+
+def _text(values, fmt=_g12, blank_nan: bool = False):
+    """The column of the texts of a float array whose values repeat, by ``fmt`` (from values to planes),
+    a NaN's blank if ``blank_nan``: a block formats each distinct value once, into a (width, distinct)
+    plane table that its rows look up.  Values are told apart by their bits, not by float equality."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64).ravel()
+
+    def column(rows):
+        distinct, inverse = np.unique(bits[rows], return_inverse=True)
+        table = fmt(distinct.view(np.float64))
+        table[:, np.isnan(distinct.view(np.float64)) & blank_nan] = 0
+        return _lookup(table[table.max(axis=1) > 0], lambda _: inverse)(rows)
+
+    return column
 
 
 def _records(n: int, *columns):
-    """The CSV text of rows 0..n-1 of the columns, as one bytes object per chunk of rows.
+    """The CSV text of rows 0..n-1 of the columns, one bytes object per slice of ``_EMIT_ROWS`` rows.
 
-    A column is a bytes constant or a function that takes a chunk's slice of rows and returns
-    their texts as an ``S`` array.  A chunk is one record array of zero-padded fixed-width
-    fields, the texts with the separators ("," and CRLF) as constant fields between them; no
-    text holds a NUL byte, so the chunk's text is its bytes with every NUL dropped."""
-    seps = [b","] * (len(columns) - 1) + [b"\r\n"]
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, n))
-        fields = [f for col, sep in zip(columns, seps) for f in (col if isinstance(col, bytes) else col(rows), sep)]
-        chunk = np.zeros(rows.stop - start, [("", np.asarray(f).dtype) for f in fields])
-        for name, field in zip(chunk.dtype.names, fields):
-            chunk[name] = field
-        yield chunk.tobytes().translate(None, b"\0")
+    A column is a bytes constant, or a function of a block's rows (a slice) that returns (width, write):
+    ``write(out)`` writes their texts as ``width`` byte planes, one ``uint8`` row per byte position.  A block
+    stacks the planes of every column and separator ("," and CRLF) and drops those NUL in every row.  No text
+    holds a NUL, so a slice's text is the bytes of its transpose with every NUL dropped."""
+    const = lambda text: (len(text), lambda out: np.copyto(out, np.frombuffer(text, dtype=np.uint8)[:, None]))
+    cols = [c for col, sep in zip(columns, [b","] * (len(columns) - 1) + [b"\r\n"]) for c in (col, sep)]
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, n))
+        parts = [const(col) if isinstance(col, bytes) else col(rows) for col in cols]
+        edges = np.cumsum([0] + [width for width, _ in parts]).tolist()
+        block = np.empty((edges[-1], rows.stop - start), dtype=np.uint8)
+        for (_, write), lo, hi in zip(parts, edges, edges[1:]):
+            write(block[lo:hi])
+        kept = block.max(axis=1) > 0
+        for s in range(0, rows.stop - start, _EMIT_ROWS):
+            yield block[kept, s:s + _EMIT_ROWS].T.tobytes().translate(None, b"\0")
+        del parts, block  # so that one block at a time is held
 
 
-#: the texts of a flip and of an on/off label, by the bool's byte
-_BIT = np.array([b"0", b"1"])
-_LABEL = np.array([measurement.OFF, measurement.ON], dtype="S")
+#: the plane tables of a flip and of an on/off label, by the bool's byte, and of a level's letter, by its code
+_BIT, _LABEL = _planes(np.array(["0", "1"])), _planes(np.array([measurement.OFF, measurement.ON]))
+_ASCII = np.arange(128, dtype=np.uint8)[None]
 
 
 def load_protocol(path) -> protocol.ProtocolConfig:
@@ -259,8 +260,7 @@ def _spectrum_lines(cav, grid, level: str, mode: str):
     """spectra_cavity_*.csv bytes of one level's spectrum over the frequency grid."""
     amps = spectrum(cav, grid, level)
     mag, phase = np.abs(amps), np.angle(amps)
-    return _records(len(grid), lambda r: _g12(grid[r]), level.encode(), mode.encode(),
-                    lambda r: _g12(mag[r]), lambda r: _g12(phase[r]))
+    return _records(len(grid), _numbers(grid), level.encode(), mode.encode(), _numbers(mag), _numbers(phase))
 
 
 def cmd_spectra(args) -> int:
@@ -287,26 +287,22 @@ def cmd_spectra(args) -> int:
 
 def _class_stats(shots, detection, label):
     readings = shots.reading[shots.on == (label == measurement.ON)]
-    if readings.size == 0:
-        return {"count": 0, "mean_reading": None, "mean_output_photons": None}
-    mean_reading = float(np.mean(readings))
-    return {
-        "count": int(readings.size),
-        "mean_reading": mean_reading,
-        "mean_output_photons": mean_reading / detection.efficiency,
-    }
+    mean = float(np.mean(readings)) if readings.size else None
+    return {"count": int(readings.size), "mean_reading": mean,
+            "mean_output_photons": None if mean is None else mean / detection.efficiency}
 
 
-def _shot_lines(name: str, shots):
-    """shots.csv bytes of one run: the bytes csv.writer gives, as no field needs quoting."""
-    return _records(len(shots), name.encode(),
-                    lambda r: _d(np.arange(r.start, r.stop)),
-                    lambda r: _BIT[shots.flip[r].view(np.uint8)],
-                    lambda r: shots.level[r].view(np.uint32).astype(np.uint8).view("S1"),  # one ASCII letter
-                    lambda r: _text(shots.jump_time[r], nan=""),
-                    lambda r: _text(shots.true_photons[r]),
-                    lambda r: _g12(shots.reading[r]),
-                    lambda r: _LABEL[shots.on[r].view(np.uint8)])
+def _shot_lines(runs: dict):
+    """shots.csv bytes of the labelled runs, by name in turn: the bytes csv.writer gives, as no field
+    needs quoting.  The runs share the shot index's planes, built once per block."""
+    digits = functools.cache(lambda start, stop: _d(np.arange(start, stop)))  # a block's, for every arm
+    index = lambda rows: (len(planes := digits(rows.start, rows.stop)), lambda out: np.copyto(out, planes))
+    for name, shots in runs.items():
+        yield from _records(len(shots), name.encode(), index,
+                            _lookup(_BIT, lambda r, s=shots: s.flip[r].view(np.uint8)),
+                            _lookup(_ASCII, lambda r, s=shots: s.level[r].view(np.uint32)),  # its UCS-4 code
+                            _text(shots.jump_time, blank_nan=True), _text(shots.true_photons),
+                            _numbers(shots.reading), _lookup(_LABEL, lambda r, s=shots: s.on[r].view(np.uint8)))
 
 
 def cmd_switch(args) -> int:
@@ -334,13 +330,11 @@ def cmd_switch(args) -> int:
     names = ["switch_report.json", "shots.csv", "histogram.csv"]
     (report_path, shots_path, hist_path), manifest = _artifacts(args, names, digest, cfg)
     header = ["run", "shot", "gate_flip", "level_at_signal_start", "jump_time_us", "true_photons", "reading", "label"]
-    _write_csv(shots_path, manifest, header,
-               (chunk for name, shots in runs.items() for chunk in _shot_lines(name, shots)))
+    _write_csv(shots_path, manifest, header, _shot_lines(runs))
     hist_chunks = []
     for name, shots in runs.items():
         centers, counts = measurement.histogram(shots.reading, args.bins)
-        hist_chunks += _records(len(centers), name.encode(), lambda r, c=centers: _text(c[r]),
-                                lambda r, c=counts: _text(c[r], "%d"))
+        hist_chunks += _records(len(centers), name.encode(), _numbers(centers), _lookup(_d(counts)))
     _write_csv(hist_path, manifest, ["run", "bin_center", "count"], hist_chunks)
 
     _write_json(report_path, manifest, {
@@ -365,12 +359,12 @@ def cmd_gain_sweep(args) -> int:
     grid = np.geomspace(args.n_min, args.n_max, args.points)
     # both subspaces from one sweep, a row per (subspace, n_s); the numbers of every row take one kernel pass
     n_s, gains, extinctions, regimes = semiclassical._sweep(model, args.eta, args.p_s, grid, ("ge", "gf"))
-    numbers = _g12(np.concatenate([n_s, n_s, gains.ravel(), extinctions.ravel()])).reshape(3, -1)
-    subspaces, regimes = np.repeat(np.array([b"ge", b"gf"]), len(n_s)), regimes.ravel().astype("S")
+    numbers = _g12(np.concatenate([n_s, n_s, gains.ravel(), extinctions.ravel()])).reshape(30, 3, -1)
+    subspaces = _planes(np.repeat(np.array(["ge", "gf"]), len(n_s)))
     (out_path,), manifest = _artifacts(args, ["gain_sweep.csv"], digest)
     _write_csv(out_path, manifest, ["n_s", "subspace", "gain_db", "extinction_db", "regime"],
-               _records(len(subspaces), numbers[0].__getitem__, subspaces.__getitem__, numbers[1].__getitem__,
-                        numbers[2].__getitem__, regimes.__getitem__))
+               _records(2 * len(n_s), _lookup(numbers[:, 0]), _lookup(subspaces), _lookup(numbers[:, 1]),
+                        _lookup(numbers[:, 2]), _lookup(_planes(regimes.ravel()))))
     print(f"wrote {out_path}")
     return 0
 
@@ -379,12 +373,20 @@ def _wigner_lines(xs, ps, w):
     """wigner_*.csv bytes of the map ``w[j, i]`` at (xs[i], ps[j]), x running fastest; W is
     printed ``%.11f``, a W that rounds to zero unsigned (the double nearest 5e-12 lies below
     5e-12, so those are exactly |W| <= 5e-12)."""
-    # a map repeats each W many times over (a radial map once per |alpha|), so its distinct values
-    # are formatted once for the whole map rather than once per chunk
-    x_text, w_text = _text(xs), _text(np.where(np.abs(w) <= 5e-12, 0.0, w), "%.11f")
-    p_text = x_text if ps is xs else _text(ps)  # wigner_grid's square grid shares one axis
-    return _records(w.size, lambda r: x_text[np.arange(r.start, r.stop) % len(xs)],
-                    lambda r: p_text[np.arange(r.start, r.stop) // len(xs)], w_text.__getitem__)
+    nx, x_text = len(xs), _formatted(xs, "%.12g")
+    p_text = x_text if ps is xs else _formatted(ps, "%.12g")  # wigner_grid's square grid shares one axis
+
+    def axis(text, tiled: bool):  # x tiled, or p repeated, over the map rows a block touches, cut to its rows
+        def column(r):
+            j = slice(r.start // nx, -(-r.stop // nx))
+            planes = np.tile(text, j.stop - j.start) if tiled else np.repeat(text[:, j], nx, axis=1)
+            return len(text), lambda out: np.copyto(out, planes[:, r.start % nx:][:, :r.stop - r.start])
+        return column
+
+    # a map repeats each W many times over (a radial map once per |alpha|), so _text formats each
+    # distinct value of a block once
+    return _records(w.size, axis(x_text, True), axis(p_text, False),
+                    _text(np.where(np.abs(w) <= 5e-12, 0.0, w), lambda v: _formatted(v, "%.11f")))
 
 
 def cmd_wigner(args) -> int:
@@ -432,17 +434,10 @@ def cmd_calibrate(args) -> int:
     p_s = given.get("p_s")
     (out_path,), manifest = _artifacts(args, ["transistor_report.json"], digest)
     _write_json(out_path, manifest, {"report": {
-        "calibration": to_file(cal) | {"is_physical": cal.is_physical},
-        "eta": eta,
-        "dark_flip": dark,
-        "p_s": p_s,
-        "p_sg": None if p_s is None else analysis.switching_probability(eta, p_s),
-        "n1_open": n1,
-        "n0_open": n0,
-        "gain_db": analysis.gain_db(n1, n0),
-        "extinction_db": analysis.extinction_db(n0, n1),
-        "provenance": {"inputs_file": str(args.inputs)},
-    }})
+        "calibration": to_file(cal) | {"is_physical": cal.is_physical}, "eta": eta, "dark_flip": dark, "p_s": p_s,
+        "p_sg": None if p_s is None else analysis.switching_probability(eta, p_s), "n1_open": n1, "n0_open": n0,
+        "gain_db": analysis.gain_db(n1, n0), "extinction_db": analysis.extinction_db(n0, n1),
+        "provenance": {"inputs_file": str(args.inputs)}}})
     print(f"wrote {out_path}")
     return 0
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from .cavity import CavityParams
-from .errors import check, fields, file_keys, leaf_paths, read_json, record, spec, to_file
+from .errors import check, fields, leaf_paths, read_json, record, spec, to_file
 from .measurement import DetectionModel
 from .qubit import QubitRates
 from .semiclassical import SemiclassicalSettings
@@ -108,11 +108,11 @@ def to_dict(d: DeviceParams) -> dict:
 
 
 def from_dict(data: dict) -> DeviceParams:
-    """The device file's parameters: every leaf is required, and a leaf the file leaves untagged is "user"."""
-    fields("device file", data, file_keys(DeviceParams))
-    tags = fields("provenance", data.get("provenance", {}), _LEAF_PATHS)
-    provenance = {path: tags.get(path, "user") for path in _LEAF_PATHS}
-    return record(DeviceParams, data | {"provenance": provenance}, "device file", every=True)
+    """The device file's parameters (every leaf required, an untagged one "user"); ``record`` checks its top keys."""
+    if isinstance(data, dict):
+        tags = fields("provenance", data.get("provenance", {}), _LEAF_PATHS)
+        data = data | {"provenance": {path: tags.get(path, "user") for path in _LEAF_PATHS}}
+    return record(DeviceParams, data, "device file", every=True)
 
 
 def save(d: DeviceParams, path) -> None:

@@ -78,6 +78,9 @@ class Run(NamedTuple):
     survival: float  # cavity I's per-photon survival of the gate pulse
     f_sig: float  # signal frequency, MHz
     t2: np.ndarray  # cavity II's |t(f_sig, level)|^2 per level of QUBIT_LEVELS
+    n_g: float  # the gate settings the shots were drawn at, as in ProtocolConfig
+    gate_source: str
+    dark_flip: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +141,7 @@ def _run(cfg: ProtocolConfig, device: "DeviceParams") -> Run:
         f_sig = shifted_frequency(c, cfg.signal_detuning_target.removeprefix("resonant_with_"))
     eta = cfg.eta_override if cfg.eta_override is not None else gating_efficiency(device.cavity_I, cfg.gate_pulse)
     t2 = np.array([abs(transmission_coeff(c, f_sig, lev)) ** 2 for lev in QUBIT_LEVELS])
-    return Run(eta, pulse_survival(device.cavity_I, cfg.gate_pulse), f_sig, t2)
+    return Run(eta, pulse_survival(device.cavity_I, cfg.gate_pulse), f_sig, t2, cfg.n_g, cfg.gate_source, cfg.dark_flip)
 
 
 def _gate(cfg: ProtocolConfig, run: Run, rng: np.random.Generator) -> np.ndarray:
@@ -246,11 +249,13 @@ def conditional_gate_field(
     likelihood P(label | n) combines the parity flip model at the run's ``shots.run.eta`` with the
     empirical per-branch label rates P(label | flip) estimated from the shots, and the
     per-Fock reflected states carry the run's pulse-averaged survival ``shots.run.survival``.
-    ``device`` is unused: the run's record carries what the field reads from it.  Warns
-    (CutoffWarning) when the prior's weight beyond ``cfg.fock_cutoff`` exceeds TRACE_TOL.
-    """
+    ``device`` is unused; ``cfg`` must hold the run's n_g, gate source and dark flip.  Warns
+    (CutoffWarning) when the prior's weight beyond ``cfg.fock_cutoff`` exceeds TRACE_TOL."""
     if condition not in (measurement.ON, measurement.OFF):
         raise ValueError("condition must be 'on' or 'off'")
+    for key in ("n_g", "gate_source", "dark_flip"):
+        if (given := getattr(cfg, key)) != (drawn := getattr(shots.run, key)):
+            raise ValueError(f"cfg.{key} is {given!r}, but the shots were drawn at {key} = {drawn!r}")
     if shots.on is None:
         raise InsufficientDataError("no labeled shots; classify the shots first")
     match = shots.on if condition == measurement.ON else ~shots.on

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -150,9 +151,10 @@ def oracle_wigner_lines(xs, ps, w):
 #: values whose text is easy to get wrong: signed zeros and NaNs, infinities,
 #: the smallest subnormal and a large finite value
 SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e300, -1e300])
-CHUNK = cli._CHUNK_ROWS
-# row counts on and around the writer's chunk seams
-ROW_COUNTS = st.one_of(st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]), st.integers(1, 5000))
+EMIT, BLOCK = cli._EMIT_ROWS, cli._BLOCK_ROWS
+# row counts on and around the writer's seams: the slices it emits and the blocks it formats
+ROW_COUNTS = st.one_of(st.sampled_from([1, EMIT - 1, EMIT, EMIT + 1, 2 * EMIT + 1,
+                                        BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + EMIT + 1]), st.integers(1, 5000))
 
 
 def with_specials(rng, values, share=0.1):
@@ -173,22 +175,38 @@ def written(chunks) -> str:
     return b"".join(chunks).decode("utf-8")
 
 
-def stripped(records) -> list[bytes]:
-    """The texts of zero-padded ``S`` records: each record with its NUL bytes dropped."""
-    return [record.replace(b"\0", b"") for record in records.tolist()]
+def stripped(planes) -> list[bytes]:
+    """The texts of byte planes, row k holding byte k of every text: each column with its NUL bytes dropped."""
+    return [text.tobytes().replace(b"\0", b"") for text in planes.T]
+
+
+def column_texts(column, n: int) -> list[bytes]:
+    """The texts of rows 0..n-1 of a writer column, written as one block."""
+    width, write = column(slice(0, n))
+    out = np.empty((width, n), dtype=np.uint8)
+    write(out)
+    return stripped(out)
+
+
+def percent_planes(fmt: str):
+    """A ``_text`` formatter of ``fmt`` texts by ``%``, as the Wigner W's is."""
+    return lambda values: cli._formatted(values, fmt)
 
 
 class TestColumnFormatter:
     def test_text_keeps_signed_zeros_apart(self):
-        assert _text(np.array([0.0, -0.0, 0.0, -0.0])).tolist() == [b"0", b"-0", b"0", b"-0"]
+        assert column_texts(_text(np.array([0.0, -0.0, 0.0, -0.0])), 4) == [b"0", b"-0", b"0", b"-0"]
 
     def test_text_nan(self):
         values = np.array([np.nan, 1.5, -np.nan, 1.5])
-        assert _text(values).tolist() == [b"nan", b"1.5", b"nan", b"1.5"]
-        assert _text(values, nan="").tolist() == [b"", b"1.5", b"", b"1.5"]
-        # a NaN's text replaces the format's, whatever the format
-        assert _text(values, "%.11f").tolist() == [b"nan", b"1.50000000000", b"nan", b"1.50000000000"]
-        assert _text(values, "%.11f", nan="").tolist() == [b"", b"1.50000000000", b"", b"1.50000000000"]
+        assert column_texts(_text(values), 4) == [b"nan", b"1.5", b"nan", b"1.5"]
+        assert column_texts(_text(values, blank_nan=True), 4) == [b"", b"1.5", b"", b"1.5"]
+        # a NaN's text is blanked, whatever the format
+        fixed = percent_planes("%.11f")
+        assert column_texts(_text(values, fixed), 4) == [b"nan", b"1.50000000000", b"nan", b"1.50000000000"]
+        assert column_texts(_text(values, fixed, blank_nan=True), 4) == [b"", b"1.50000000000", b"", b"1.50000000000"]
+        # a column with no text at all: every value a blanked NaN
+        assert column_texts(_text(np.full(3, np.nan), blank_nan=True), 3) == [b""] * 3
 
     def test_w_prints_at_eleven_decimals_with_an_unsigned_zero(self):
         w = np.array([[-1e-13, -0.0, 0.0, 2.0 / math.pi, -2.0 / math.pi, 5e-12, -5e-12,
@@ -215,14 +233,16 @@ class TestColumnFormatter:
             jump_time=jump_time,
             true_photons=with_specials(rng, rng.poisson(20.0, n).astype(float)),
             reading=with_specials(rng, rng.normal(2.0, 4.0, n)),
-            run=Run(eta=0.8, survival=0.83, f_sig=7000.0, t2=np.array([0.005, 0.75, 0.005])),
+            run=Run(eta=0.8, survival=0.83, f_sig=7000.0, t2=np.array([0.005, 0.75, 0.005]),
+                    n_g=0.18, gate_source="coherent", dark_flip=0.04),
             on=rng.random(n) < 0.5,
         )
-        assert lines(written(_shot_lines("gated", shots))) == lines(oracle_shot_lines("gated", shots))
+        assert lines(written(_shot_lines({"gated": shots}))) == lines(oracle_shot_lines("gated", shots))
 
     @settings(max_examples=60, deadline=None)
-    @given(nx=st.integers(1, 70), n_p=st.sampled_from([1, 63, 64, 65, 129]), seed=st.integers(0, 2**32 - 1))
-    @example(nx=65, n_p=65, seed=0)  # 4225 points: two chunk seams and a partial last chunk
+    @given(nx=st.integers(1, 70), n_p=st.sampled_from([1, 63, 64, 65, 129, 257]), seed=st.integers(0, 2**32 - 1))
+    @example(nx=65, n_p=65, seed=0)  # 4225 points: two emit seams and a partial last slice
+    @example(nx=129, n_p=129, seed=1)  # 16641 points: a whole block of 8 slices, then a block of 321 rows
     def test_wigner_lines_match_line_oracle(self, nx, n_p, seed):
         rng = np.random.default_rng(seed)
         xs = with_specials(rng, np.linspace(-2.5, 2.5, nx))
@@ -382,9 +402,10 @@ class TestSwitch:
         assert (out / "histogram.csv").exists()
 
     def test_shots_csv_across_chunk_seams_matches_line_oracle(self, tmp_path, device_file, protocol_file):
-        # per arm: a short chunk, one whole chunk, a one-row last chunk and two seams
+        # per arm: a short slice, a one-row last slice, one whole block of whole slices, and a second
+        # block whose last slice holds one row
         dev = device_mod.load(device_file)
-        for n in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1):
+        for n in (EMIT - 1, EMIT + 1, BLOCK, BLOCK + EMIT + 1):
             out = tmp_path / str(n)
             assert main(["switch", "--device", str(device_file), "--protocol", str(protocol_file),
                          "--out", str(out), "--shots", str(n)]) == 0
@@ -398,6 +419,26 @@ class TestSwitch:
                 expected += oracle_shot_lines(name, shots)
             assert len(expected) == 2 * n
             assert lines(rows) == lines(expected)
+
+    def test_shots_csv_writer_memory_is_flat_in_the_row_count(self, tmp_path):
+        # the writer holds one block of rows at a time, and the shot index's planes (6 bytes a row) that
+        # both arms share: its traced peak at 1e5 shots per arm is within 1 MiB of its peak at 2e4 (about
+        # 3.3 and 2.8 MiB).  Holding one arm's text of 1e5 rows would add over 5 MiB.
+        dev = device_mod.load(CONFIGS / "device_paper.json")
+        base = load_protocol(CONFIGS / "protocol_paper_point.json")
+        peaks = []
+        for n in (20_000, 100_000):
+            cfg = dataclasses.replace(base, n_shots=n)
+            arms = {"gated": cfg, "ungated": dataclasses.replace(cfg, n_g=0.0, seed=cfg.seed + 1)}
+            runs = {name: label_records(run_experiment(c, dev))[0] for name, c in arms.items()}
+            tracemalloc.start()
+            try:
+                cli._write_csv(tmp_path / "shots.csv", {"manifest_hash": "0" * 16}, ["run"], _shot_lines(runs))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert (tmp_path / "shots.csv").read_bytes().count(b"\r\n") == 2 * n + 1
+        assert peaks[1] - peaks[0] < 2**20, peaks
 
     def test_seed_reproducibility(self, tmp_path, device_file, protocol_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photon_transistor
+from photon_transistor import device as device_mod
 from photon_transistor import errors
 from photon_transistor.cavity import CavityParams, PulseShape, gating_efficiency, internal_loss_for_efficiency
 from photon_transistor.device import (
@@ -175,6 +176,17 @@ class TestSerialization:
         del data["provenance"]
         dev = from_dict(data)
         assert set(dev.provenance.values()) == {"user"}
+
+    def test_top_level_keys_are_checked_once(self):
+        seen, fields = [], errors.fields
+
+        def counted(where, *args):
+            seen.append(where)
+            return fields(where, *args)
+
+        with mock.patch.object(errors, "fields", counted), mock.patch.object(device_mod, "fields", counted):
+            from_dict(to_dict(paper_defaults()))
+        assert seen.count("device file") == 1
 
     def test_provenance_for_unknown_field_rejected(self):
         data = to_dict(paper_defaults())

@@ -363,6 +363,7 @@ class TestStagesMatchTheOneFunctionEngine:
         assert run.survival == pulse_survival(dev.cavity_I, cfg.gate_pulse)
         assert run.f_sig == shifted_frequency(dev.cavity_II, "f")
         assert run.t2.tolist() == [abs(transmission_coeff(dev.cavity_II, run.f_sig, lev)) ** 2 for lev in QUBIT_LEVELS]
+        assert (run.n_g, run.gate_source, run.dark_flip) == (cfg.n_g, cfg.gate_source, cfg.dark_flip)
 
     def test_unresolvable_pulse_fails_in_the_run_under_an_override(self):
         # the record reads the survival under an override too, so a pulse beyond the moment
@@ -413,6 +414,24 @@ class TestOneGateModel:
 
 
 class TestConditionalGateField:
+    @pytest.mark.parametrize("changes, key", [
+        ({"n_g": 0.9}, "n_g"),
+        ({"dark_flip": 0.3}, "dark_flip"),
+        ({"gate_source": "single_photon"}, "gate_source"),
+        ({"dark_flip": 0.3, "n_g": 0.9}, "n_g"),  # the first field that differs is named
+    ])
+    def test_cfg_of_another_run_is_refused_naming_the_field(self, changes, key):
+        # the field reads the prior from cfg but eta and the survival from the shots' run: a cfg with
+        # other gate settings once gave another mean photon number (0.845 at n_g = 0.9, 0.203 at
+        # dark_flip = 0.3, against 0.256) without an error
+        dev = paper_defaults()
+        cfg = ProtocolConfig(n_g=0.18, n_shots=2000, seed=3)
+        shots, _, _ = label_records(run_experiment(cfg, dev))
+        with pytest.raises(ValueError, match=rf"^cfg\.{key} is .*, but the shots were drawn at {key} = "):
+            conditional_gate_field(shots, "off", replace(cfg, **changes), dev)
+        # settings the draw never reads, such as the reconstruction's cutoff or the seed, may differ
+        conditional_gate_field(shots, "off", replace(cfg, fock_cutoff=20, seed=4, n_shots=5), dev)
+
     def test_ideal_single_photon_source_on_is_vacuum(self):
         dev = ideal_device()
         cfg = ideal_config(gate_source="single_photon", n_g=0.5, n_shots=3000)
