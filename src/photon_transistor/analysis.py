@@ -53,16 +53,24 @@ def fit_eta(points) -> tuple[float, float]:
 
     The parity model is linear in (eta, dark): beta = eta*(1-e^{-2n})/2
     + dark*(1+e^{-2n})/2, so the fit is one linear least-squares solve (SVD,
-    via ``np.linalg.lstsq``) on the two-column design matrix.  Each n_g must be a finite
-    number >= 0 and each beta a finite number; a breach names its pair, ``points[1].n_g``.
+    via ``np.linalg.lstsq``) on the two-column design matrix.  ``points`` must be iterable, each pair must
+    unpack into two values, each n_g must be a finite number >= 0 and each beta a finite number; a breach
+    names the table, ``points``, its pair, ``points[1]``, or the pair's value, ``points[1].n_g``.
     """
-    n_g, beta = [], []
     try:
-        for n, b in points:
+        rows = iter(points)
+    except TypeError as exc:
+        raise Breach("points", "a list of [n_g, beta] pairs", points) from exc
+    n_g, beta = [], []
+    for i, row in enumerate(rows):
+        try:
+            n, b = row
             n_g.append(bounded("n_g", number("n_g", n), ">= 0"))
             beta.append(number("beta", b))
-    except Breach as exc:
-        raise Breach(f"points[{len(beta)}].{exc.key}", exc.bound, exc.value) from exc
+        except Breach as exc:
+            raise Breach(f"points[{i}].{exc.key}", exc.bound, exc.value) from exc
+        except (TypeError, ValueError) as exc:  # a row that does not unpack into two values
+            raise Breach(f"points[{i}]", "an [n_g, beta] pair", row) from exc
     if len(beta) < 2:
         raise ValueError("need at least 2 points")
     if min(n_g) == max(n_g):

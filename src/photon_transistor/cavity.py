@@ -324,9 +324,7 @@ def internal_loss_for_efficiency(c: CavityParams, p: PulseShape, eta_target: flo
     number("eta_target", eta_target)
     if not c.single_sided:
         raise ValueError("gating_efficiency requires a single-sided cavity")
-    k_ext = c.kappa_ext_in  # single-sided: kappa_tot = k_ext + kappa_int
-    if not k_ext > 0:
-        raise ValueError("total linewidth must be positive")
+    k_ext = bounded("kappa_ext_in", c.kappa_ext_in, "> 0")  # single-sided: kappa_tot = k_ext + kappa_int
 
     lo, hi = 0.0, 2.0 * k_ext
     tau, kernel = _moment_rule(c, p, k_ext, k_ext + hi)

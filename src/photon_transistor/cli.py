@@ -13,7 +13,8 @@ values repeat, each distinct value once), and emitted in slices of 2040 rows, th
 slice's transpose with every NUL dropped.  ``%.12g`` and ``%d`` come from a vectorised kernel exact
 to the byte, which hands the values it cannot settle (near a tie, out of range, not finite) to ``%``.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric or degenerate-data error.
+Exit codes, by exception family: 0 success, 2 configuration error (``ValueError``, ``TypeError``, ``KeyError``,
+``OSError``), 3 numeric or degenerate-data error (``NumericsError``, the data errors' base, ``ArithmeticError``).
 """
 
 from __future__ import annotations
@@ -31,13 +32,9 @@ import numpy as np
 
 from . import analysis, device as device_mod, measurement, protocol, semiclassical
 from .cavity import spectrum
-from .errors import (Breach, DegenerateDataError, InsufficientDataError, NumericsError, UnphysicalInputError,
-                     UnsolvableCalibrationError, bounded, fields, file_keys, number, read_json, record, table, to_file)
+from .errors import (Breach, InsufficientDataError, NumericsError, bounded, fields, file_keys, number, read_json,
+                     record, table, to_file)
 from .hilbert import mean_photon
-
-_CONFIG_ERRORS = (ValueError, TypeError, KeyError, FileNotFoundError, IsADirectoryError)
-_NUMERIC_ERRORS = (NumericsError, DegenerateDataError, InsufficientDataError, UnsolvableCalibrationError,
-                   UnphysicalInputError)
 
 
 def _artifacts(args, names: list[str], digest: str,
@@ -410,19 +407,13 @@ def cmd_calibrate(args) -> int:
     data = fields("calibration inputs", raw, {*measured, "eta", "p_s", "dark_flip", "beta_table"}, measured)
     inputs = analysis.CalibrationInputs(**{name: data[k] for k, name in measured.items()})
     given = {k: bounded(k, number(k, data[k]), "in [0, 1]") for k in ("eta", "p_s", "dark_flip") if k in data}
-    pairs = data.get("beta_table", [])
-    if not isinstance(pairs, list):
-        raise ValueError(f"beta_table must be a list of [n_g, beta] pairs, got {pairs!r}")
-    for i, row in enumerate(pairs):
-        if not (isinstance(row, list) and len(row) == 2):
-            raise ValueError(f"beta_table[{i}] must be an [n_g, beta] pair, got {row!r}")
 
     if "beta_table" in data:
         if fitted := [key for key in ("eta", "dark_flip") if key in data]:
             raise ValueError(f"beta_table sets eta and dark_flip by its fit; drop {' and '.join(fitted)} or the table")
         try:
-            eta, dark = analysis.fit_eta(pairs)
-        except Breach as exc:  # fit_eta names a pair "points[1]"; the file calls it "beta_table[1]"
+            eta, dark = analysis.fit_eta(data["beta_table"])
+        except Breach as exc:  # fit_eta names the table "points" and a pair "points[1]"; the file, "beta_table"
             raise Breach("beta_table" + exc.key.removeprefix("points"), exc.bound, exc.value) from exc
     elif "eta" in given:
         eta, dark = given["eta"], given.get("dark_flip")
@@ -452,44 +443,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectra", help="qubit-state-dependent cavity spectra")
-    p.add_argument("--device", required=True)
+    # the flags shared by several commands, each declared once: --out of all five, --device of all but
+    # calibrate, and the protocol file with its two overrides of switch and wigner
+    out, device, run = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    out.add_argument("--out", required=True)
+    device.add_argument("--device", required=True)
+    run.add_argument("--protocol", required=True)
+    run.add_argument("--shots", type=int, default=None)
+    run.add_argument("--seed", type=int, default=None)
+
+    p = sub.add_parser("spectra", parents=[device, out], help="qubit-state-dependent cavity spectra")
     p.add_argument("--cavity", choices=["I", "II"], required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--f-min", type=float, default=None)
     p.add_argument("--f-max", type=float, default=None)
     p.add_argument("--points", type=int, default=1201)
 
-    p = sub.add_parser("switch", help="Monte Carlo single-shot switch statistics")
-    p.add_argument("--device", required=True)
-    p.add_argument("--protocol", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("switch", parents=[device, run, out], help="Monte Carlo single-shot switch statistics")
     p.add_argument("--bins", type=int, default=60)
 
-    p = sub.add_parser("gain-sweep", help="semiclassical gain/extinction sweep")
-    p.add_argument("--device", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("gain-sweep", parents=[device, out], help="semiclassical gain/extinction sweep")
     p.add_argument("--n-min", type=float, default=3.0)
     p.add_argument("--n-max", type=float, default=1.6e6)
     p.add_argument("--points", type=int, default=60)
     p.add_argument("--eta", type=float, default=0.80)
     p.add_argument("--p-s", type=float, default=0.925)
 
-    p = sub.add_parser("wigner", help="conditional gate-field Wigner map")
-    p.add_argument("--device", required=True)
-    p.add_argument("--protocol", required=True)
+    p = sub.add_parser("wigner", parents=[device, run, out], help="conditional gate-field Wigner map")
     p.add_argument("--condition", choices=["on", "off"], required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--extent", type=float, default=2.5)
     p.add_argument("--points", type=int, default=41)
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("calibrate", help="four-intensity calibration and figures of merit")
+    p = sub.add_parser("calibrate", parents=[out], help="four-intensity calibration and figures of merit")
     p.add_argument("--inputs", required=True)
-    p.add_argument("--out", required=True)
 
     return parser
 
@@ -503,10 +488,10 @@ def main(argv=None) -> int:
     try:
         # looked up at call time, so that a wrapper patched in over a cmd_* function is the one run
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except _NUMERIC_ERRORS as exc:
+    except (NumericsError, ArithmeticError) as exc:  # the data errors are NumericsErrors too
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _CONFIG_ERRORS as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

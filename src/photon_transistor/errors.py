@@ -184,20 +184,20 @@ class CutoffWarning(UserWarning):
 
 
 class NumericsError(RuntimeError):
-    """A numerical routine failed to reach its accuracy or stability target."""
+    """A numerical routine missed its accuracy or stability target; the data errors' base too (CLI exit code 3)."""
 
 
-class DegenerateDataError(ValueError):
+class DegenerateDataError(ValueError, NumericsError):
     """Input data carries no usable structure (e.g. all readings identical)."""
 
 
-class InsufficientDataError(ValueError):
+class InsufficientDataError(ValueError, NumericsError):
     """A conditional subset is empty or records are missing required fields."""
 
 
-class UnsolvableCalibrationError(ValueError):
+class UnsolvableCalibrationError(ValueError, NumericsError):
     """The four-intensity calibration system cannot be inverted."""
 
 
-class UnphysicalInputError(ValueError):
+class UnphysicalInputError(ValueError, NumericsError):
     """Calibration inputs lead to probabilities far outside [0, 1]."""

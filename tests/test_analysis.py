@@ -77,6 +77,20 @@ class TestFitEta:
         with pytest.raises(Breach, match=r"^points\[0\]\.n_g must be a finite number, got '0\.05'$"):
             fit_eta([("0.05", "0.03"), (False, 0.04), (0.2, 0.17)])
 
+    @pytest.mark.parametrize("points, key, message", [
+        (5, "points", "points must be a list of [n_g, beta] pairs, got 5"),
+        ([[0.1], [0.3, 0.2]], "points[0]", "points[0] must be an [n_g, beta] pair, got [0.1]"),
+        ([[0.1, 0.09], {"n_g": 0.3}], "points[1]", "points[1] must be an [n_g, beta] pair, got {'n_g': 0.3}"),
+    ])
+    def test_malformed_table_named(self, points, key, message):
+        with pytest.raises(Breach) as raised:
+            fit_eta(points)
+        assert (raised.value.key, str(raised.value)) == (key, message)
+
+    def test_tuples_and_an_array_fit_alike(self):
+        pts = [(n, coherent_flip_probability(n, 0.80, 0.04)) for n in self.N_GRID]
+        assert fit_eta(np.array(pts)) == fit_eta(pts) == fit_eta([list(p) for p in pts])
+
     def test_outside_linear_regime(self):
         with pytest.raises(ValueError):
             fit_eta([(0.2, 0.1), (0.7, 0.3)])

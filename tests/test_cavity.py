@@ -733,7 +733,7 @@ def test_root_on_numbers_matches_the_per_step_record_root(kind, duration, kappa_
 @pytest.mark.parametrize(
     "c, message",
     [(CavityParams(7000.0, 1.81, 0.1, 0.0, -0.865, -1.73), "gating_efficiency requires a single-sided cavity"),
-     (CavityParams(7000.0, 0.0, 0.0, 0.16, -0.865, -1.73), "total linewidth must be positive")],
+     (CavityParams(7000.0, 0.0, 0.0, 0.16, -0.865, -1.73), r"kappa_ext_in must be > 0, got 0\.0")],
     ids=["two-sided", "no-external-coupling"],
 )
 def test_root_rejects_a_cavity_without_a_bracket(c, message):

@@ -981,6 +981,20 @@ class TestCalibrate:
         assert "beta_table[1].n_g must be >= 0, got -0.2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("table, message", [
+        (5, "beta_table must be a list of [n_g, beta] pairs, got 5"),
+        ([[0.1], [0.3, 0.2]], "beta_table[0] must be an [n_g, beta] pair, got [0.1]"),
+        ([[0.1, 0.08], [-0.2, 0.05], [0.3, 0.2]], "beta_table[1].n_g must be >= 0, got -0.2"),
+    ])
+    def test_malformed_beta_table_is_named_by_its_file_key(self, tmp_path, capsys, table, message):
+        # fit_eta checks the table and names it "points"; the file calls it "beta_table"
+        data = json.loads((CONFIGS / "calibration_example.json").read_text())
+        del data["eta"]
+        inp = tmp_path / "cal.json"
+        inp.write_text(json.dumps({**data, "beta_table": table}))
+        assert main(["calibrate", "--inputs", str(inp), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("fitted", [["eta"], ["dark_flip"], ["eta", "dark_flip"]])
     def test_beta_table_with_a_value_it_fits_exits_2_naming_both(self, tmp_path, capsys, fitted):
         data = json.loads((CONFIGS / "calibration_example.json").read_text())
@@ -1347,6 +1361,34 @@ def test_missing_device_file_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "command, edit, out, rc, prefix",
+    [("gain-sweep", None, "file", 2, "config error: "),
+     ("gain-sweep", None, "file/out", 2, "config error: "),
+     ("switch", ("detection", "baseline_sigma", 1e300), "out", 3, "error: "),
+     ("gain-sweep", ("cavity_ii", "kappa_int_mhz", 1e300), "out", 3, "error: ")],
+    ids=["out-names-a-file", "out-under-a-file", "detection-noise-overflows", "mean-field-overflows"],
+)
+def test_every_failure_exits_2_or_3_with_one_stderr_line(tmp_path, command, edit, out, rc, prefix):
+    # an OSError of making --out is a configuration error and an OverflowError of the arithmetic a
+    # numeric one: the console script prints one line for each, never a traceback
+    (tmp_path / "file").write_text("")
+    data = json.loads((CONFIGS / "device_paper.json").read_text())
+    if edit is not None:
+        section, key, value = edit
+        data[section][key] = value
+    dev = tmp_path / "device.json"
+    dev.write_text(json.dumps(data))
+    flags = {"switch": ["--protocol", str(CONFIGS / "protocol_paper_point.json"), "--shots", "50"],
+             "gain-sweep": ["--points", "3"]}[command]
+    proc = subprocess.run([sys.executable, "-m", "photon_transistor.cli", command, "--device", str(dev), *flags,
+                           "--out", str(tmp_path / out)], env=package_env(), capture_output=True, text=True)
+    assert proc.returncode == rc, proc.stderr
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
+    if rc == 3:
+        assert not (tmp_path / out).exists()
+
+
 def test_commands_import_no_scipy(tmp_path):
     # no path of the package imports scipy: with every scipy import made to fail, the five
     # commands, the internal-loss root-find, the qubit evolution, the Wigner map of a state with
@@ -1411,8 +1453,8 @@ print(counts)
 """
         proc = subprocess.run([sys.executable, "-c", script], env=package_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        # the program's parser and its five subparsers, once
-        assert proc.stdout.splitlines()[-1] == "[0, 6, 6]"
+        # the program's parser, its five subparsers and the three parents of their shared flags, once
+        assert proc.stdout.splitlines()[-1] == "[0, 9, 9]"
 
     def test_shots_flag_does_not_carry_over(self, tmp_path, device_file, protocol_file):
         runs = {}
