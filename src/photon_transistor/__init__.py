@@ -32,7 +32,7 @@ from .protocol import (
 from .qubit import QubitRates, evolve_lindblad
 from .semiclassical import SaturableCavityModel, SemiclassicalSettings, gain_sweep
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "CalibrationInputs",

@@ -27,7 +27,6 @@ BOUNDS = {
     "in [0, 1]": lambda v: 0 <= v <= 1,
     "in (0, 1]": lambda v: 0 < v <= 1,
     "in [1, 4194304]": lambda v: 1 <= v <= 2**22,
-    "in [2, 1030]": lambda v: 2 <= v <= 1030,
 }
 
 

@@ -21,9 +21,6 @@ TRACE_TOL = 1e-9
 HERM_TOL = 1e-12
 EIG_FLOOR = -1e-10
 
-#: default Fock cutoff for the gate field; a coherent n_g = 0.5 loses Poisson weight 6.2e-8 to it
-DEFAULT_FOCK_CUTOFF = 8
-
 
 @dataclass(frozen=True)
 class QuantumState:

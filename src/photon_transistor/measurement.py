@@ -95,6 +95,9 @@ def kmeans_1d(readings) -> KMeansFit:
     x = np.asarray(readings, dtype=float)
     if not np.isfinite(x).all():
         raise DegenerateDataError("readings must be finite to classify")
+    with np.errstate(over="ignore"):  # the absolute sum bounds every cluster's sum, twice it every motion
+        if not np.isfinite(2.0 * np.abs(x).sum()):
+            raise NumericsError("the readings' cluster means overflow a double")
     if x.size < 2 or (span := float(x.max() - x.min())) == 0.0:
         raise DegenerateDataError("need at least 2 distinct readings to classify")
     s = np.sort(x)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -27,8 +26,8 @@ from .cavity import (
     shifted_frequency,
     transmission_coeff,
 )
-from .errors import CutoffWarning, InsufficientDataError, bounded, check, number, spec
-from .hilbert import DEFAULT_FOCK_CUTOFF, TRACE_TOL, QuantumState
+from .errors import CutoffError, InsufficientDataError, bounded, check, number, spec
+from .hilbert import TRACE_TOL, QuantumState
 from .qubit import exponential_time
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,7 +45,7 @@ class ProtocolConfig:
     closed).  subspace "gf" adds the pi_ef pulse after the second pi/2, so the
     signal stage sees the larger |f>-state dispersive shift.  ``gate_source``
     selects Poissonian weak-coherent statistics or an ideal 0/1 single-photon
-    source emitting one photon with probability n_g.
+    source of probability n_g; with n_g it sets the gate field's Fock levels.
     """
 
     theta: float = 0.0
@@ -62,8 +61,6 @@ class ProtocolConfig:
     seed: int = spec(bound=">= 0", default=12345)
     gate_source: str = spec(choices=GATE_SOURCES, default="coherent")
     signal_flip_rate_per_photon: float = spec(bound=">= 0", default=1e-7)  # 1/(us * signal photon)
-    # C(n, n // 2) of the binomial-loss matrix, n < fock_cutoff, overflows a double from n = 1030
-    fock_cutoff: int = spec(bound="in [2, 1030]", default=DEFAULT_FOCK_CUTOFF)
 
     def __post_init__(self):
         check(self)
@@ -207,6 +204,9 @@ def label_records(shots: Shots, threshold: float | None = None):
 # ---------------------------------------------------------------------------
 # conditional gate-field reconstruction
 
+#: the most Fock levels of the gate field: C(n, n // 2) of the binomial-loss matrix overflows a double from n = 1030
+MAX_FOCK_LEVELS = 1030
+
 
 def _binomial_loss(s: float, d: int) -> np.ndarray:
     """Binomial loss matrix [n, m] = C(n, m) s^m (1 - s)^(n - m): n photons in, m survive.
@@ -223,18 +223,20 @@ def _binomial_loss(s: float, d: int) -> np.ndarray:
     return comb
 
 
-def _photon_prior(cfg: ProtocolConfig, n_max: int) -> np.ndarray:
-    prior = np.zeros(n_max)
-    if cfg.gate_source == "single_photon":
-        prior[0] = 1.0 - cfg.n_g
-        prior[1] = cfg.n_g
+def _photon_prior(run: Run) -> np.ndarray:
+    """The run's gate-source photon-number distribution on the fewest levels from 8 that drop at most TRACE_TOL."""
+    if run.gate_source == "single_photon" or run.n_g == 0.0:  # a coherent n_g = 0 is the vacuum too
+        prior = np.zeros(8)
+        prior[0] = 1.0 - run.n_g
+        prior[1] = run.n_g
         return prior
-    if cfg.n_g == 0.0:
-        prior[0] = 1.0
-        return prior
-    n = np.arange(n_max, dtype=float)
-    lgam = np.array([math.lgamma(k + 1) for k in range(n_max)])
-    return np.exp(-cfg.n_g + n * math.log(cfg.n_g) - lgam)
+    for d in range(8, MAX_FOCK_LEVELS + 1):
+        n = np.arange(d, dtype=float)
+        lgam = np.array([math.lgamma(k + 1) for k in range(d)])
+        prior = np.exp(-run.n_g + n * math.log(run.n_g) - lgam)
+        if 1.0 - float(prior.sum()) <= TRACE_TOL:
+            return prior
+    raise CutoffError(f"the gate field of n_g = {run.n_g!r} needs more than {MAX_FOCK_LEVELS} Fock levels")
 
 
 def conditional_gate_field(
@@ -249,8 +251,8 @@ def conditional_gate_field(
     likelihood P(label | n) combines the parity flip model at the run's ``shots.run.eta`` with the
     empirical per-branch label rates P(label | flip) estimated from the shots, and the
     per-Fock reflected states carry the run's pulse-averaged survival ``shots.run.survival``.
-    ``device`` is unused; ``cfg`` must hold the run's n_g, gate source and dark flip.  Warns
-    (CutoffWarning) when the prior's weight beyond ``cfg.fock_cutoff`` exceeds TRACE_TOL."""
+    ``device`` is unused; ``cfg`` must hold the run's n_g, gate source and dark flip.  Its levels are
+    :func:`_photon_prior`'s; a coherent n_g of over about 850 needs more than MAX_FOCK_LEVELS (CutoffError)."""
     if condition not in (measurement.ON, measurement.OFF):
         raise ValueError("condition must be 'on' or 'off'")
     for key in ("n_g", "gate_source", "dark_flip"):
@@ -269,12 +271,8 @@ def conditional_gate_field(
     p_cond_flip = match_flip / n_flip if n_flip else 0.0
     p_cond_noflip = match_noflip / n_noflip if n_noflip else 0.0
 
-    d = cfg.fock_cutoff
-    prior = _photon_prior(cfg, d)
-    dropped = 1.0 - float(prior.sum())
-    if dropped > TRACE_TOL:
-        warnings.warn(f"fock_cutoff {d} drops Poisson weight {dropped:.3g} of n_g = {cfg.n_g:.3g}",
-                      CutoffWarning, stacklevel=2)
+    prior = _photon_prior(shots.run)
+    d = len(prior)
     q = _flip_probability(np.arange(d), shots.run.eta, cfg.dark_flip)
     likelihood = q * p_cond_flip + (1.0 - q) * p_cond_noflip
     post = prior * likelihood

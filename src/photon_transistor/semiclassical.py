@@ -81,7 +81,7 @@ def _steady_states(m: SaturableCavityModel, f, level, rhs):
     there are one or three positive roots.  In t = u + b2/3 the monic cubic
     u^3 + b2 u^2 + b1 u + b0 is t^3 + p t + q, whose roots come in closed form:
     Cardano's where the discriminant is positive (one real root), the
-    trigonometric form where it is not (three).  Three Newton steps on the cubic
+    trigonometric form where it is not (three).  Four Newton steps on the cubic
     polish each, and a root is kept only if it is non-negative and the last step
     moved it by at most 1e-9 of itself.  The multiplication by (1+u)^2 can add
     negative roots (a zero pull gives G = (1+u)^2 * (n_crit*u*(a + d^2) - rhs),
@@ -113,7 +113,7 @@ def _steady_states(m: SaturableCavityModel, f, level, rhs):
     trig = 2.0 * r[..., None] * np.cos(angle + _THIRDS)
     u = np.where((disc > 0.0)[..., None], (w - p / (3.0 * w))[..., None] + _ONE_ROOT, trig) - s[..., None]
     b2, b1, b0 = b2[..., None], b1[..., None], b0[..., None]
-    for _ in range(3):
+    for _ in range(4):
         step = (((u + b2) * u + b1) * u + b0) / ((3.0 * u + 2.0 * b2) * u + b1)
         u = u - step
     u = np.where((u >= 0.0) & (np.abs(step) <= 1e-9 * u), u, np.nan)

@@ -533,7 +533,6 @@ class TestSwitch:
             ("fock_cutoff", 1, "fock_cutoff"),
             ("fock_cutoff", 8.0, "fock_cutoff"),
             ("fock_cutoff", True, "fock_cutoff"),
-            ("fock_cutoff", 1031, "fock_cutoff must be in [2, 1030], got 1031"),
             ("n_shots", 800.5, "n_shots"),
             ("n_shots", 2**22 + 1, "n_shots must be in [1, 4194304], got 4194305"),
             ("n_shots", True, "n_shots"),
@@ -724,6 +723,22 @@ class TestGainSweep:
             "error: no finite dim-branch population at n_s = 1.2216855924364995e+107: the mean-field cubic overflows"]
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_min", ["1e-50", "1e-40"])
+    def test_vanishing_drive_sweeps_in_the_linear_regime(self, tmp_path, capsys, n_min):
+        # the one-real-root form puts the g root at the bare candidate (about 4e-56 here) an ulp of its
+        # shift away; three Newton steps did not settle it, and the sweep once exited 3 blaming an overflow
+        out = tmp_path / "out"
+        assert main(["gain-sweep", "--device", str(CONFIGS / "device_paper.json"), "--out", str(out),
+                     "--n-min", n_min, "--n-max", "1e-10", "--points", "5"]) == 0
+        assert capsys.readouterr().err == ""
+        _, _, rows = read_csv(out / "gain_sweep.csv")
+        for subspace in ("ge", "gf"):
+            n_s, gain = np.array([[float(r[0]), float(r[2])] for r in rows if r[1] == subspace]).T
+            assert {r[4] for r in rows if r[1] == subspace} == {"linear"}
+            # n1 - n0 grows as n_s, so the gain rises 10 dB per decade
+            np.testing.assert_allclose(np.diff(gain) / np.diff(np.log10(n_s)), 10.0, rtol=0, atol=1e-6)
+
     def test_one_solve_per_command(self, tmp_path, device_file):
         # every subspace, qubit level and candidate frequency of the sweep comes from one pass
         with mock.patch.object(semiclassical, "_steady_states", wraps=semiclassical._steady_states) as solve:
@@ -781,7 +796,6 @@ class TestWigner:
                 writer.writerow([f"{x:.12g}", f"{p:.12g}", w_text(w[j, i])])
         assert (out / "wigner_on.csv").read_bytes() == buf.getvalue().encode("utf-8")
 
-    @pytest.mark.filterwarnings("ignore::photon_transistor.errors.CutoffWarning")  # n_g near 1 truncates the prior
     @given(n_g=st.floats(0.05, 1.0), theta=st.sampled_from([0.0, math.pi]),
            condition=st.sampled_from(["on", "off"]), seed=st.integers(1, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -811,10 +825,10 @@ class TestWigner:
 
     @pytest.mark.parametrize("condition", ["on", "off"])
     def test_two_level_field_prints_the_closed_form(self, tmp_path, condition):
-        # a field of cutoff 2 on a small window: a displacement truncated at
+        # a field on Fock levels 0 and 1 on a small window: a displacement truncated at
         # max(ceil(8 * extent^2) + 2, 6 * 2) = 12 levels printed W off by up to 1.4e-4 here
         proto = json.loads((CONFIGS / "protocol_paper_point.json").read_text())
-        proto.update({"fock_cutoff": 2, "gate_source": "single_photon", "n_g": 0.5})
+        proto.update({"gate_source": "single_photon", "n_g": 0.5})
         proto_path = tmp_path / "protocol.json"
         proto_path.write_text(json.dumps(proto))
         device_path = CONFIGS / "device_paper.json"
@@ -871,7 +885,6 @@ class TestWigner:
 
     @pytest.mark.parametrize("n_g, stderr", [
         (0.18, r"\A\Z"),  # the paper point's prior loses about 2.3e-11 at the cutoff of 8: nothing is written
-        (5.0, r"CutoffWarning: fock_cutoff 8 drops Poisson weight 0\.133 of n_g = 5\n"),
     ])
     def test_gate_field_cutoff_warning_on_stderr_keeps_exit_0(self, tmp_path, n_g, stderr):
         # a fresh interpreter shows the warning on stderr, where the test's own capture would hide it
@@ -885,6 +898,24 @@ class TestWigner:
                               env=package_env(), capture_output=True, text=True)
         assert proc.returncode == 0
         assert re.search(stderr, proc.stderr), proc.stderr
+
+    @pytest.mark.parametrize("n_g, rc, stderr", [
+        (5.0, 0, ""),  # 24 levels hold the prior: the field once kept 8 and warned
+        (900.0, 2, "config error: the gate field of n_g = 900.0 needs more than 1030 Fock levels\n"),
+    ])
+    def test_gate_field_takes_the_levels_its_source_needs(self, tmp_path, n_g, rc, stderr):
+        # a fresh interpreter, so that a warning would show on stderr
+        proto = json.loads((CONFIGS / "protocol_paper_point.json").read_text())
+        proto["n_g"] = n_g
+        proto_path = tmp_path / "protocol.json"
+        proto_path.write_text(json.dumps(proto))
+        out = tmp_path / "out"
+        argv = ["wigner", "--device", str(CONFIGS / "device_paper.json"), "--protocol", str(proto_path),
+                "--condition", "off", "--points", "5", "--shots", "2000", "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "photon_transistor.cli", *argv],
+                              env=package_env(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (rc, stderr)
+        assert out.exists() == (rc == 0)
 
     def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1221,7 +1252,7 @@ def test_load_protocol_accepts_every_field_and_rejects_unknown(tmp_path):
         gate_pulse=PulseShape("gaussian", 500.0, sigma=90.0, carrier_detuning=0.1),
         n_s=12.0, signal_duration=7.5, signal_detuning_target="bare", eta_override=0.7,
         dark_flip=0.02, n_shots=123, seed=9, gate_source="single_photon",
-        signal_flip_rate_per_photon=2e-7, fock_cutoff=11,
+        signal_flip_rate_per_photon=2e-7,
     )
     default = ProtocolConfig()
     assert all(getattr(expected, f.name) != getattr(default, f.name) for f in dataclasses.fields(ProtocolConfig))
@@ -1387,6 +1418,22 @@ def test_every_failure_exits_2_or_3_with_one_stderr_line(tmp_path, command, edit
     assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
     if rc == 3:
         assert not (tmp_path / out).exists()
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning would come before the error line
+def test_switch_whose_readings_overflow_the_cluster_means_exits_3(tmp_path, capsys):
+    # at n_s = 1e308 the pooled readings' sums overflow: the fit once ran 1000 passes on inf means and
+    # wrote a null threshold with exit code 0
+    proto = json.loads((CONFIGS / "protocol_paper_point.json").read_text())
+    proto["n_s"] = 1e308
+    proto_path = tmp_path / "protocol.json"
+    proto_path.write_text(json.dumps(proto))
+    out = tmp_path / "out"
+    rc = main(["switch", "--device", str(CONFIGS / "device_paper.json"), "--protocol", str(proto_path),
+               "--shots", "200", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: the readings' cluster means overflow a double\n"
+    assert not out.exists()
 
 
 def test_commands_import_no_scipy(tmp_path):

@@ -51,7 +51,6 @@ EDGES = {
     ("int", ">= 0"): ([-1], [0]),
     ("int", ">= 1"): ([0], [1]),
     ("int", "in [1, 4194304]"): ([0, 2**22 + 1], [1, 2**22]),
-    ("int", "in [2, 1030]"): ([1, 1031], [2, 1030]),
 }
 
 
@@ -248,7 +247,6 @@ def protocols(draw):
         signal_detuning_target=draw(st.sampled_from(SIGNAL_TARGETS)), eta_override=draw(st.none() | unit),
         dark_flip=draw(unit), n_shots=draw(st.integers(1, 2**22)), seed=draw(st.integers(0, 2**63)),
         gate_source=draw(st.sampled_from(GATE_SOURCES)), signal_flip_rate_per_photon=draw(_floats(0.0, 1.0)),
-        fock_cutoff=draw(st.integers(2, 1030)),
     )
 
 

@@ -232,6 +232,21 @@ class TestKmeans:
         with pytest.raises(DegenerateDataError, match="finite"):
             kmeans_1d(data)
 
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning would come before the error
+    @pytest.mark.parametrize("readings", [
+        [0.0, 1e308, 1.5e308],  # the upper cluster's sum overflows
+        [-1e308, 1e308],  # no cluster's sum does, but the centers' first motion would
+        np.full(4000, 1e305),  # the readings of switch at n_s = 1e308 come near this
+    ])
+    def test_overflowing_cluster_means_are_a_numerics_error(self, readings):
+        with pytest.raises(NumericsError, match=r"^the readings' cluster means overflow a double$"):
+            kmeans_1d(readings)
+
+    @pytest.mark.filterwarnings("error")
+    def test_readings_whose_means_stay_finite_fit_silently(self):
+        fit = kmeans_1d([-4e307, 0.0, 4e307])
+        assert fit.converged and fit.counts == {"on": 2, "off": 1}
+
     @settings(max_examples=300, deadline=None)
     @given(readings=st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-0.0, 0.0, 1.0, 7.5])),
                              max_size=60))

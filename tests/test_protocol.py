@@ -1,11 +1,12 @@
 import math
+import time
 import warnings
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from photon_transistor.cavity import (
@@ -18,8 +19,8 @@ from photon_transistor.cavity import (
     transmission_coeff,
 )
 from photon_transistor.device import DeviceParams, paper_defaults
-from photon_transistor.errors import CutoffWarning, InsufficientDataError, NumericsError
-from photon_transistor.hilbert import QuantumState, mean_photon
+from photon_transistor.errors import CutoffError, CutoffWarning, InsufficientDataError, NumericsError
+from photon_transistor.hilbert import TRACE_TOL, QuantumState, mean_photon
 from photon_transistor.measurement import DetectionModel, detect, kmeans_1d
 from photon_transistor import protocol
 from photon_transistor.protocol import (
@@ -395,7 +396,6 @@ class TestOneGateModel:
         sigma = math.sqrt(0.3 * 0.7 / cfg.n_shots)
         assert abs(np.mean(shots.flip) - 0.3) < 4 * sigma
 
-    @pytest.mark.filterwarnings("ignore::photon_transistor.errors.CutoffWarning")  # n_g = 0.5 drops 6e-8 at cutoff 8
     @pytest.mark.parametrize("eta_override", [None, 0.5])
     def test_conditional_gate_field_takes_the_runs_eta(self, eta_override):
         # the field's flip likelihood and loss are the run's eta and survival, whatever the cfg and
@@ -429,8 +429,8 @@ class TestConditionalGateField:
         shots, _, _ = label_records(run_experiment(cfg, dev))
         with pytest.raises(ValueError, match=rf"^cfg\.{key} is .*, but the shots were drawn at {key} = "):
             conditional_gate_field(shots, "off", replace(cfg, **changes), dev)
-        # settings the draw never reads, such as the reconstruction's cutoff or the seed, may differ
-        conditional_gate_field(shots, "off", replace(cfg, fock_cutoff=20, seed=4, n_shots=5), dev)
+        # settings the draw never reads, such as the seed, may differ
+        conditional_gate_field(shots, "off", replace(cfg, seed=4, n_shots=5), dev)
 
     def test_ideal_single_photon_source_on_is_vacuum(self):
         dev = ideal_device()
@@ -478,14 +478,7 @@ class TestConditionalGateField:
 
 
 class TestGateFieldCutoff:
-    """The field truncates the photon prior at fock_cutoff and warns, as coherent_state does, past TRACE_TOL."""
-
-    def test_large_gate_photon_number_warns(self):
-        dev = paper_defaults()
-        cfg = ProtocolConfig(n_g=5.0, n_shots=2000, seed=3)
-        shots, _, _ = label_records(run_experiment(cfg, dev))
-        with pytest.warns(CutoffWarning, match=r"^fock_cutoff 8 drops Poisson weight 0\.133 of n_g = 5$"):
-            conditional_gate_field(shots, "off", cfg, dev)
+    """The field's levels follow from the source: no cutoff warning is left to give."""
 
     def test_paper_point_is_silent(self):
         # n_g = 0.18 leaves about 2.3e-11 of the prior beyond a cutoff of 8
@@ -496,6 +489,96 @@ class TestGateFieldCutoff:
             warnings.simplefilter("error", CutoffWarning)
             for condition in ("on", "off"):
                 conditional_gate_field(shots, condition, cfg, dev)
+
+
+def oracle_dropped(source: str, n_g: float, d: int) -> float:
+    return 1.0 - float(oracle_photon_prior(source, n_g, d).sum())
+
+
+def cutoff_8_gate_field(shots, condition, cfg) -> QuantumState:
+    """The field on the fixed cutoff of 8 levels that the derived support replaced, step for step."""
+    match = shots.on if condition == "on" else ~shots.on
+    n_flip = int(np.count_nonzero(shots.flip))
+    n_noflip = len(shots) - n_flip
+    match_flip = int(np.count_nonzero(match & shots.flip))
+    match_noflip = int(np.count_nonzero(match)) - match_flip
+    p_cond_flip = match_flip / n_flip if n_flip else 0.0
+    p_cond_noflip = match_noflip / n_noflip if n_noflip else 0.0
+    prior = oracle_photon_prior(cfg.gate_source, cfg.n_g, 8)
+    q = np.where(np.arange(8) % 2 == 1, shots.run.eta, cfg.dark_flip)
+    post = prior * (q * p_cond_flip + (1.0 - q) * p_cond_noflip)
+    post /= post.sum()
+    loss = TestFockLossKernel._comb_rows(shots.run.survival, 8, range(8))
+    rho = np.diag((post[:, None] * loss).sum(axis=0).astype(complex))
+    return QuantumState((8,), rho / np.trace(rho))
+
+
+def _run_of(source: str, n_g: float) -> protocol.Run:
+    return protocol.Run(0.8, 0.83, 0.0, np.ones(3), n_g, source, 0.04)
+
+
+class TestDerivedSupport:
+    """The field holds the fewest levels, from 8, that drop at most TRACE_TOL of the source's prior."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(src_n_g=hst.tuples(hst.just("coherent"), hst.floats(0.0, 50.0))
+           | hst.tuples(hst.just("single_photon"), hst.floats(0.0, 1.0)))
+    @example(src_n_g=("coherent", 0.18)).via("the paper point")
+    @example(src_n_g=("coherent", 5.0)).via("24 levels")
+    @example(src_n_g=("coherent", 50.0)).via("99 levels")
+    def test_level_count_is_the_least_that_drops_at_most_trace_tol(self, src_n_g):
+        source, n_g = src_n_g
+        prior = protocol._photon_prior(_run_of(source, n_g))
+        d = len(prior)
+        assert d in range(8, protocol.MAX_FOCK_LEVELS + 1)
+        assert prior.tobytes() == oracle_photon_prior(source, n_g, d).tobytes()
+        assert oracle_dropped(source, n_g, d) <= TRACE_TOL
+        assert d == 8 or oracle_dropped(source, n_g, d - 1) > TRACE_TOL
+
+    @pytest.mark.parametrize("n_g, levels", [(0.0, 8), (0.18, 8), (5.0, 24), (50.0, 99), (800.0, 976)])
+    def test_levels_of_named_gate_photon_numbers(self, n_g, levels):
+        assert len(protocol._photon_prior(_run_of("coherent", n_g))) == levels
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        source=hst.sampled_from(["coherent", "single_photon"]),
+        n_g=hst.floats(0.0, 1.0),
+        theta=hst.sampled_from([0.0, math.pi]),
+        seed=hst.integers(0, 2**31 - 1),
+    )
+    @example(source="coherent", n_g=0.18, theta=0.0, seed=3).via("the paper point")
+    @example(source="coherent", n_g=0.0, theta=0.0, seed=3).via("the vacuum")
+    def test_field_keeps_the_cutoff_8_bytes_wherever_8_levels_sufficed(self, source, n_g, theta, seed):
+        dev = paper_defaults()
+        cfg = ProtocolConfig(theta=theta, n_g=n_g, gate_source=source, n_shots=300, seed=seed)
+        shots, _, _ = label_records(run_experiment(cfg, dev))
+        for condition in ("on", "off"):
+            try:
+                out = conditional_gate_field(shots, condition, cfg, dev)
+            except InsufficientDataError:
+                continue
+            if oracle_dropped(source, n_g, 8) <= TRACE_TOL:
+                assert out.rho.tobytes() == cutoff_8_gate_field(shots, condition, cfg).rho.tobytes()
+            else:
+                assert out.dims[0] > 8
+
+    def test_five_gate_photons_take_24_levels(self):
+        # at 8 levels the prior dropped 13.3 % and the off field's mean read 3.70 photons
+        dev = paper_defaults()
+        cfg = ProtocolConfig(n_g=5.0, n_shots=3000, seed=7)
+        shots, _, _ = label_records(run_experiment(cfg, dev))
+        state = conditional_gate_field(shots, "off", cfg, dev)
+        assert state.dims == (24,)
+        assert mean_photon(state, 0) == pytest.approx(4.1392, abs=1e-4)
+
+    def test_gate_photon_number_past_the_level_cap_is_a_cutoff_error_at_once(self):
+        dev = paper_defaults()
+        cfg = ProtocolConfig(n_g=900.0, n_shots=200, seed=3)
+        shots, _, _ = label_records(run_experiment(cfg, dev))
+        start = time.perf_counter()
+        with pytest.raises(CutoffError, match=r"^the gate field of n_g = 900\.0 needs more than 1030 Fock levels$"):
+            conditional_gate_field(shots, "off", cfg, dev)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestConfigValidation:
@@ -534,7 +617,22 @@ def _binomial_loss_diag(n: int, survival: float, d: int) -> np.ndarray:
     return out
 
 
-def loop_conditional_gate_field(shots, condition, cfg, device):
+def oracle_photon_prior(source: str, n_g: float, d: int) -> np.ndarray:
+    """The source's photon-number distribution on d levels, in the field's float operations."""
+    prior = np.zeros(d)
+    if source == "single_photon":
+        prior[0] = 1.0 - n_g
+        prior[1] = n_g
+        return prior
+    if n_g == 0.0:
+        prior[0] = 1.0
+        return prior
+    n = np.arange(d, dtype=float)
+    lgam = np.array([math.lgamma(k + 1) for k in range(d)])
+    return np.exp(-n_g + n * math.log(n_g) - lgam)
+
+
+def loop_conditional_gate_field(shots, condition, cfg, device, d):
     match = shots.on if condition == "on" else ~shots.on
     if not match.any():
         raise InsufficientDataError(f"no shots labeled {condition!r}")
@@ -545,8 +643,7 @@ def loop_conditional_gate_field(shots, condition, cfg, device):
     p_cond_flip = match_flip / n_flip if n_flip else 0.0
     p_cond_noflip = match_noflip / n_noflip if n_noflip else 0.0
 
-    d = cfg.fock_cutoff
-    prior = protocol._photon_prior(cfg, d)
+    prior = oracle_photon_prior(cfg.gate_source, cfg.n_g, d)
     q = np.where(np.arange(d) % 2 == 1, shots.run.eta, cfg.dark_flip)
     post = prior * (q * p_cond_flip + (1.0 - q) * p_cond_noflip)
     total = post.sum()
@@ -564,27 +661,25 @@ def loop_conditional_gate_field(shots, condition, cfg, device):
 
 
 class TestFockLossKernel:
-    @pytest.mark.filterwarnings("ignore::photon_transistor.errors.CutoffWarning")  # small cutoffs truncate the prior
     @settings(max_examples=40, deadline=None)
     @given(
         source=hst.sampled_from(["coherent", "single_photon"]),
         n_g=hst.floats(0.0, 1.0),
         theta=hst.sampled_from([0.0, math.pi]),
-        d=hst.integers(2, 16),
         seed=hst.integers(0, 2**31 - 1),
     )
-    def test_conditional_gate_field_matches_binomial_loop(self, source, n_g, theta, d, seed):
+    def test_conditional_gate_field_matches_binomial_loop(self, source, n_g, theta, seed):
         dev = paper_defaults()
-        cfg = ProtocolConfig(theta=theta, n_g=n_g, gate_source=source, n_shots=300, seed=seed, fock_cutoff=d)
+        cfg = ProtocolConfig(theta=theta, n_g=n_g, gate_source=source, n_shots=300, seed=seed)
         shots, _, _ = label_records(run_experiment(cfg, dev))
         for condition in ("on", "off"):
             try:
-                ref = loop_conditional_gate_field(shots, condition, cfg, dev)
+                out = conditional_gate_field(shots, condition, cfg, dev)
             except InsufficientDataError:
                 with pytest.raises(InsufficientDataError):
-                    conditional_gate_field(shots, condition, cfg, dev)
+                    loop_conditional_gate_field(shots, condition, cfg, dev, 8)
                 continue
-            out = conditional_gate_field(shots, condition, cfg, dev)
+            ref = loop_conditional_gate_field(shots, condition, cfg, dev, out.dims[0])
             # the same sums in the same order over loss weights a few ulp apart (see
             # test_binomial_loss_rows_match_scalar_formula); 600 random fields differed by
             # at most 2 ulp, and 8 are allowed
